@@ -29,7 +29,7 @@ class Singularity:
     q: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not isinstance(self.q, int):
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (self.n, self.q)):
             raise InputError("n and q must be integers")
         if not 0 < self.q < self.n:
             raise InputError(f"need 0 < q < n, got (n, q) = ({self.n}, {self.q})")

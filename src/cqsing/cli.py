@@ -558,7 +558,8 @@ def main(argv=None) -> int:
         return 2
     except _Unsupported as exc:
         out = _render(exc.payload, exc.text, args.format)
-        _write(out, args.output)
+        if not _write(out, args.output):
+            return 2
         print("error: relations unavailable for this shape", file=sys.stderr)
         return 4
     except UnsupportedError as exc:
@@ -567,16 +568,22 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _write(out, args.output)
-    return 0
+    return 0 if _write(out, args.output) else 2
 
 
-def _write(out: str, path):
-    if path:
+def _write(out: str, path) -> bool:
+    """Write the report to path, or stdout without one; False (with an
+    error line on stderr) if the path cannot be written."""
+    if not path:
+        sys.stdout.write(out)
+        return True
+    try:
         with open(path, "w") as handle:
             handle.write(out)
-    else:
-        sys.stdout.write(out)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 """Character-weight combinatorics: quiver, monomial basis, special classes,
-and torus-fixed cluster enumeration.
+and the torus-fixed clusters in closed form.
 
 The character table never materializes roots of unity: the class k acts on
 x^a y^b through the weight a + q*b (mod n), and all of the structure below
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfrac import Singularity, curve_count
+from .cfrac import Singularity, curve_count, unrefined_series
 from .errors import ConsistencyError
 
 
@@ -100,31 +100,19 @@ def g_clusters(s: Singularity) -> list[GCluster]:
     """All n-box diagrams whose weight map is a bijection onto Z/n, ordered
     by the exponent of the pure x-power generator (the width), ascending.
 
-    Enumerates column heights left to right; a repeated weight in a column
-    only gets worse as the column grows, so the search cuts early.
+    Closed form from the unrefined series (i_0..i_{r+1}), (j_0..j_{r+1})
+    (Ito-Nakamura; Kidoh): cluster k has width i_k, its first i_k - i_{k+1}
+    columns have height j_{k+1} and its last i_{k+1} columns height
+    j_{k+1} - j_k.  At k = 0 and k = r this degenerates to one row of n
+    boxes and one column of n boxes.  The torus-fixed cluster search is kept
+    in the tests as an oracle for this formula.
     """
-    n, q = s.n, s.q
-    found = []
-
-    def extend(col, prev_h, remaining, mask, heights):
-        base = col % n
-        col_mask = 0
-        for h in range(1, min(prev_h, remaining) + 1):
-            bit = 1 << ((base + q * (h - 1)) % n)
-            if (mask | col_mask) & bit:
-                break
-            col_mask |= bit
-            rest = remaining - h
-            if rest == 0:
-                found.append(tuple(heights + [h]))
-            else:
-                extend(col + 1, h, rest, mask | col_mask, heights + [h])
-
-    extend(0, n, n, 0, [])
-    clusters = [
-        GCluster(heights=h, ideal=_ideal_from_heights(h)) for h in found
-    ]
-    clusters.sort(key=lambda c: c.width)
+    series = unrefined_series(s)
+    i, j = series.i_values, series.j_values
+    clusters = []
+    for k in reversed(range(len(series) - 1)):  # i_k decreases: widths ascend
+        heights = (j[k + 1],) * (i[k] - i[k + 1]) + (j[k + 1] - j[k],) * i[k + 1]
+        clusters.append(GCluster(heights=heights, ideal=_ideal_from_heights(heights)))
     return clusters
 
 

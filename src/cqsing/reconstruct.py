@@ -179,7 +179,14 @@ def quiver_from_fraction(fraction) -> ReconstructionQuiver:
 
 
 def reconstruction_quiver(s: Singularity) -> ReconstructionQuiver:
-    return quiver_from_fraction(hj_expand(s.n, s.q))
+    """The quiver of a valid pair; a single exceptional curve (r = 1) has
+    no reconstruction quiver, which is unsupported rather than bad input."""
+    fraction = hj_expand(s.n, s.q)
+    if len(fraction) < 2:
+        raise UnsupportedError(
+            f"reconstruction needs r >= 2 exceptional curves; ({s.n}, {s.q}) has r = 1"
+        )
+    return quiver_from_fraction(fraction)
 
 
 def deformed_relations(s: Singularity) -> DeformedRelations:

@@ -72,7 +72,7 @@ class TestExpand:
 
 
 class TestSingularity:
-    @pytest.mark.parametrize("n,q", [(6, 4), (5, 5), (5, 0), (5, 7)])
+    @pytest.mark.parametrize("n,q", [(6, 4), (5, 5), (5, 0), (5, 7), (3, True)])
     def test_validation(self, n, q):
         with pytest.raises(InputError):
             Singularity(n, q)

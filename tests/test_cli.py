@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -143,6 +144,20 @@ class TestExitCodes:
     def test_verify_ok(self, capsys):
         assert run(capsys, ["verify", "11", "7"])[0] == 0
 
+    def test_reconstruct_single_curve_is_4(self, capsys):
+        code, out, err = run(capsys, ["reconstruct", "5", "1"])
+        assert code == 4
+        assert out == ""
+        assert "r = 1" in err
+
+    def test_hilb_cluster_cliff_is_fast(self, capsys):
+        # a search over cluster diagrams takes minutes on (201, 37)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["hilb", "201", "37", "--format", "json"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert json.loads(out)["checks"]["regular_representation"] is True
+
 
 class TestBatch:
     def test_small_sweep_clean(self, capsys):
@@ -161,3 +176,11 @@ class TestOutputFile:
         assert code == 0
         payload = json.loads(target.read_text())
         assert payload["fraction"] == [2, 3, 2, 2]
+
+    def test_unwritable_path_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, ["resolve", "5", "2", "--output", str(target)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write")
+        assert not target.exists()

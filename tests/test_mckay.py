@@ -56,6 +56,46 @@ def clusters_oracle(n, q):
     return sorted(kept, key=len)
 
 
+def clusters_dfs_oracle(n, q):
+    """Torus-fixed cluster search: column heights left to right, cutting a
+    column as soon as its weight repeats (it only gets worse as it grows).
+    Returns the height tuples ordered by width."""
+    found = []
+
+    def extend(col, prev_h, remaining, mask, heights):
+        base = col % n
+        col_mask = 0
+        for h in range(1, min(prev_h, remaining) + 1):
+            bit = 1 << ((base + q * (h - 1)) % n)
+            if (mask | col_mask) & bit:
+                break
+            col_mask |= bit
+            rest = remaining - h
+            if rest == 0:
+                found.append(tuple(heights + [h]))
+            else:
+                extend(col + 1, h, rest, mask | col_mask, heights + [h])
+
+    extend(0, n, n, 0, [])
+    return sorted(found, key=len)
+
+
+def corner_ideal_oracle(heights):
+    """Minimal monomials outside the diagram, largest x-power first."""
+    boxes = {(a, b) for a, h in enumerate(heights) for b in range(h)}
+
+    def inside(a, b):
+        return a < 0 or b < 0 or (a, b) in boxes
+
+    corners = [
+        (a, b)
+        for a in range(len(heights) + 1)
+        for b in range(heights[0] + 1)
+        if not inside(a, b) and inside(a - 1, b) and inside(a, b - 1)
+    ]
+    return tuple(sorted(corners, reverse=True))
+
+
 class TestQuiver:
     def test_11_7(self):
         quiver = mckay_quiver(Singularity(11, 7))
@@ -147,6 +187,16 @@ class TestClusters:
     def test_count_and_regular_representation_sweep(self):
         for n, q in coprime_pairs(60):
             assert cluster_weight_check(Singularity(n, q)), (n, q)
+
+    def test_closed_form_matches_dfs_oracle(self):
+        cliffs = [(101, 37), (96, 37), (88, 25), (80, 51)]
+        for n, q in coprime_pairs(40) + cliffs:
+            clusters = g_clusters(Singularity(n, q))
+            expected = clusters_dfs_oracle(n, q)
+            assert [c.heights for c in clusters] == expected, (n, q)
+            assert [c.ideal for c in clusters] == [
+                corner_ideal_oracle(h) for h in expected
+            ], (n, q)
 
     def test_chain_staircases(self):
         for n in range(2, 12):

@@ -49,8 +49,12 @@ class TestQuiverStructure:
         assert ks == [Arrow(kind="k", tail=2, head=0, slot=1)]
 
     def test_r1_rejected(self):
-        with pytest.raises(InputError):
+        # a valid pair with r = 1 is unsupported; a malformed fraction is bad input
+        with pytest.raises(UnsupportedError):
             reconstruction_quiver(Singularity(5, 1))
+        for fraction in ([5], [2, 1]):
+            with pytest.raises(InputError):
+                quiver_from_fraction(fraction)
 
     def test_arrow_counts_match_weights(self):
         for n, q in coprime_pairs(30):
