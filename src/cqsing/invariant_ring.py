@@ -8,7 +8,6 @@ and is verified by pure exponent arithmetic.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .cfrac import Singularity, dual_expand, ij_series
@@ -49,45 +48,30 @@ def generators(s: Singularity) -> list[InvariantGenerator]:
     ]
 
 
-def _right_exponents(a_entries, heavy, i, j):
-    """Sparse z-exponents of the relation monomial for the pair (i, j).
-
-    a_entries[t] is the dual-expansion entry at generator t (2 <= t <= e-1);
-    the interior factors z_m^{a_m - 2} only appear at indices in `heavy`, so
-    the scan visits those instead of the whole range.
-    """
-    if j == i + 2:
-        return ((i + 1, a_entries[i + 1]),)
-    right = []
-    if a_entries[i + 1] - 1 > 0:
-        right.append((i + 1, a_entries[i + 1] - 1))
-    lo = bisect_right(heavy, i + 1)
-    hi = bisect_left(heavy, j - 1)
-    for m in heavy[lo:hi]:
-        right.append((m, a_entries[m] - 2))
-    if a_entries[j - 1] - 1 > 0:
-        right.append((j - 1, a_entries[j - 1] - 1))
-    return tuple(right)
-
-
 def _a_by_index(s: Singularity) -> dict[int, int]:
     return {t: a for t, a in enumerate(dual_expand(s), start=2)}
 
 
 def defining_equations(s: Singularity) -> list[BinomialRelation]:
-    """All (e-1)(e-2)/2 relations z_i z_j = p_ij, 1 <= i, i+2 <= j <= e."""
+    """All (e-1)(e-2)/2 relations z_i z_j = p_ij, 1 <= i, i+2 <= j <= e.
+
+    With a_t the dual-expansion entry at generator t, p_{i,i+2} is
+    z_{i+1}^{a_{i+1}}; for j > i + 2 it is z_{i+1}^{a_{i+1}-1}, times
+    z_m^{a_m-2} for i+1 < m < j-1, times z_{j-1}^{a_{j-1}-1}, zero exponents
+    dropped.  The interior factors grow by at most one as j steps up.
+    """
     e = len(ij_series(s))
-    a_entries = _a_by_index(s)
-    heavy = sorted(t for t, a in a_entries.items() if a > 2)
+    a = _a_by_index(s)
     relations = []
     for i in range(1, e - 1):
-        for j in range(i + 2, e + 1):
-            relations.append(
-                BinomialRelation(
-                    left=(i, j),
-                    right=_right_exponents(a_entries, heavy, i, j),
-                )
-            )
+        relations.append(BinomialRelation(left=(i, i + 2), right=((i + 1, a[i + 1]),)))
+        first = ((i + 1, a[i + 1] - 1),) if a[i + 1] > 1 else ()
+        middle = ()
+        for j in range(i + 3, e + 1):
+            last = ((j - 1, a[j - 1] - 1),) if a[j - 1] > 1 else ()
+            relations.append(BinomialRelation(left=(i, j), right=first + middle + last))
+            if a[j - 1] > 2:  # z_{j-1} is interior from j + 1 on
+                middle += ((j - 1, a[j - 1] - 2),)
     return relations
 
 
@@ -97,13 +81,13 @@ def verify_presentation(s: Singularity) -> bool:
     pairs = ij_series(s).pairs
     for rel in defining_equations(s):
         i, j = rel.left
-        left = (
-            pairs[i - 1][0] + pairs[j - 1][0],
-            pairs[i - 1][1] + pairs[j - 1][1],
-        )
-        rx = sum(e * pairs[t - 1][0] for t, e in rel.right)
-        ry = sum(e * pairs[t - 1][1] for t, e in rel.right)
-        if left != (rx, ry):
+        rx = ry = 0
+        for t, e in rel.right:
+            a, b = pairs[t - 1]
+            rx += e * a
+            ry += e * b
+        (xi, yi), (xj, yj) = pairs[i - 1], pairs[j - 1]
+        if (rx, ry) != (xi + xj, yi + yj):
             return False
     return True
 

@@ -150,13 +150,22 @@ class TestExitCodes:
         assert out == ""
         assert "r = 1" in err
 
-    def test_hilb_cluster_cliff_is_fast(self, capsys):
-        # a search over cluster diagrams takes minutes on (201, 37)
+    @pytest.mark.parametrize(
+        "argv, check",
+        [
+            (["hilb", "201", "37"], "regular_representation"),
+            (["gfan", "101", "100"], "matches_toric"),
+        ],
+        ids=["hilb-201-37", "gfan-101-100"],
+    )
+    def test_hilb_cluster_cliff_is_fast(self, capsys, argv, check):
+        # a search over cluster diagrams takes minutes on (201, 37), and
+        # Buchberger's algorithm per Groebner cone about 25 s on (101, 100)
         start = time.perf_counter()
-        code, out, _ = run(capsys, ["hilb", "201", "37", "--format", "json"])
+        code, out, _ = run(capsys, argv + ["--format", "json"])
         assert time.perf_counter() - start < 2.0
         assert code == 0
-        assert json.loads(out)["checks"]["regular_representation"] is True
+        assert json.loads(out)["checks"][check] is True
 
 
 class TestBatch:

@@ -4,15 +4,16 @@ from fractions import Fraction
 import pytest
 
 from cqsing.cfrac import Singularity, curve_count
-from cqsing.errors import InputError
+from cqsing.errors import ConsistencyError, InputError
 from cqsing.gfan import (
     BoundaryWeightError,
+    certify_basis,
     cone_of_weight,
     fans_equal,
     groebner_fan,
     orbit_ideal,
 )
-from cqsing.polyring import WeightedOrder, leading_term, normal_form
+from cqsing.polyring import WeightedOrder, buchberger, leading_term, normal_form
 from cqsing.toric import resolution_fan
 
 from conftest import coprime_pairs
@@ -126,9 +127,15 @@ class TestConeOfWeight:
                 assert d[0] * w[0] + d[1] * w[1] >= 0
 
     def test_boundary_weight_detected(self):
-        ideal = orbit_ideal(Singularity(11, 7))
-        with pytest.raises(BoundaryWeightError):
-            cone_of_weight(ideal, (1, 7))  # on the ray between two cones
+        # every ray between two cones, taken from the toric fan
+        for n, q in [(11, 7), (12, 5)]:
+            s = Singularity(n, q)
+            ideal = orbit_ideal(s)
+            rays = [r.primitive for r in resolution_fan(s).rays[1:-1]]
+            assert rays
+            for ray in rays:
+                with pytest.raises(BoundaryWeightError):
+                    cone_of_weight(ideal, ray)
 
     def test_same_basis_across_interior_weights(self):
         rng = random.Random(2)
@@ -157,6 +164,41 @@ class TestConeOfWeight:
                     for g in c2.basis
                 }
                 assert lt1 != lt2
+
+
+class TestCertificate:
+    def test_cone_bases_match_buchberger(self):
+        cases = [(Singularity(n, q), (1, 1)) for n, q in coprime_pairs(20)]
+        cases.append((Singularity(11, 7), (2, Fraction(1, 3))))
+        for s, point in cases:
+            ideal = orbit_ideal(s, point)
+            _, cones = groebner_fan(s, point)
+            for cone in cones:
+                oracle = buchberger(list(ideal.gens), WeightedOrder(weights=cone.weight))
+                assert list(cone.basis) == oracle, (s, point, cone.weight)
+
+    def test_altered_coefficient_rejected(self):
+        ideal = orbit_ideal(Singularity(11, 7))
+        for w in GOLDEN_BASES_11_7:
+            basis = cone_of_weight(ideal, w).basis
+            order = WeightedOrder(weights=w)
+            certify_basis(basis, ideal.gens, order, 11)
+            for k, g in enumerate(basis):
+                terms = dict(g.terms)
+                tail = min(terms, key=order.key)
+                terms[tail] *= 2
+                altered = basis[:k] + (ideal.table.poly(terms),) + basis[k + 1 :]
+                with pytest.raises(ConsistencyError):
+                    certify_basis(altered, ideal.gens, order, 11)
+
+    def test_wrong_colength_rejected(self):
+        ideal = orbit_ideal(Singularity(11, 7))
+        cone = cone_of_weight(ideal, (3, 3))
+        order = WeightedOrder(weights=(3, 3))
+        with pytest.raises(ConsistencyError):
+            certify_basis(cone.basis, ideal.gens, order, 12)
+        with pytest.raises(ConsistencyError):
+            certify_basis(cone.basis[:-1], ideal.gens, order, 11)
 
 
 class TestGroebnerFan:
