@@ -8,8 +8,10 @@ Exit codes: 0 success, 2 invalid input, 3 internal consistency failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -266,6 +268,8 @@ def run_deform(s: Singularity):
         return payload, text
     pres = deform.versal_presentation(s)
     params = pres.variables.parameter_names
+    relations = [poly_text(rel) for rel in pres.relations]
+    base_ideal = [poly_text(g) for g in pres.base_ideal]
     payload = {
         "input": {"n": s.n, "q": s.q},
         "deformation": {
@@ -273,8 +277,8 @@ def run_deform(s: Singularity):
             "kind": "binomial",
             "parameters": list(params),
             "pairs": [list(p) for p in pres.pairs],
-            "relations": [poly_text(rel) for rel in pres.relations],
-            "base_ideal": [poly_text(g) for g in pres.base_ideal],
+            "relations": relations,
+            "base_ideal": base_ideal,
         },
         "checks": _with_reference(
             {
@@ -289,23 +293,14 @@ def run_deform(s: Singularity):
     if not payload["checks"]["specialization"]:
         raise ConsistencyError("s = t = 0 does not recover the binomial equations")
     text = [f"dim T1 = {dim}", "relations:"]
-    text += [f"  {poly_text(rel)} = 0" for rel in pres.relations]
-    text += ["base ideal:"] + [f"  {poly_text(g)}" for g in pres.base_ideal]
+    text += [f"  {rel} = 0" for rel in relations]
+    text += ["base ideal:"] + [f"  {g}" for g in base_ideal]
     return payload, text
 
 
 def _specialization_ok(s: Singularity, pres) -> bool:
-    table = pres.variables.table
-    expected = []
-    for rel in invariant_ring.defining_equations(s):
-        i, j = rel.left
-        lhs = table.var(f"z{i}") * table.var(f"z{j}")
-        rhs = table.one()
-        for t, e in rel.right:
-            rhs = rhs * table.var(f"z{t}", e)
-        expected.append(lhs - rhs)
-    specialized = deform.specialized_relations(pres)
-    return sorted(map(repr, specialized)) == sorted(map(repr, expected))
+    _, expected = invariant_ring.relation_polynomials(s, pres.variables.table)
+    return Counter(deform.specialized_relations(pres)) == Counter(expected)
 
 
 def run_artin(s: Singularity):
@@ -520,9 +515,14 @@ def _render(payload, text_lines, fmt, dot_source=None) -> str:
     return "\n".join(text_lines) + "\n"
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not at import, so importing the CLI stays cheap
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "batch":
             payload, text = run_batch(args.max_n)

@@ -17,9 +17,23 @@ Construction data for e >= 4, with a_2..a_{e-1} the dual expansion:
   with first factor F(m) = w_m * trunc(m, a_m - 2) when a_m >= 3 and
   F(m) = trunc(m, a_m - 1) when a_m = 2.  Setting s = t = 0 recovers the
   binomial equations exactly;
-* the base ideal collects, over the pairs with i >= 2, the two evaluations
-  H_z(P) (all z -> 0) and H_w(P) (z_j -> -t_j where w_j has a t, z -> 0
-  elsewhere), dropping zeros.
+* the base ideal collects, over the pairs with i >= 2 in sorted order, the
+  two evaluations H_z(P) (all z -> 0) and H_w(P) (z_j -> -t_j where w_j has
+  a t, z -> 0 elsewhere), H_z first, dropping zeros and repeats.
+
+H_z and H_w only replace the z's, so each is a ring homomorphism: the image
+of a product is the product of the images.  Every P_ij is a product of w and
+trunc factors, so the images of each factor are computed once,
+
+    H_z(w_j) = t_j (0 if w_j has no t),   H_w(w_j) = 0,
+    H_z(trunc(m, d)) = s_m^(d),           H_w(trunc(m, d)) = trunc(m, d) at
+                                          z_m = -t_m (s_m^(d) if no t_m),
+
+and P, H_z(P) and H_w(P) are carried through one product loop, where an
+image that is 0 stays 0.  For fixed i, P_{i,j+1} has one more interior
+factor than P_ij and another last factor, so a running product of the first
+and interior factors grows by one factor as j steps up; the interior
+factors trunc(m, 0) = 1 are skipped.
 
 For e = 3 the singularity is the hypersurface z1 z3 = z2^n and the versal
 family is the one-equation deformation by a degree-(n-2) polynomial in z2.
@@ -151,32 +165,22 @@ def _trunc(v: DeformationVariables, m: int, d: int) -> Polynomial:
     return acc
 
 
-def _p_polynomial(v: DeformationVariables, i: int, j: int) -> Polynomial:
-    a = v.a_entries
-    if j == i + 2:
-        return _w(v, i + 1) * _trunc(v, i + 1, a[i + 1] - 1)
-    first = i + 1
-    if a[first] >= 3:
-        p = _w(v, first) * _trunc(v, first, a[first] - 2)
-    else:
-        p = _trunc(v, first, a[first] - 1)
-    for m in range(i + 2, j - 1):
-        p = p * _trunc(v, m, a[m] - 2)
-    return p * _trunc(v, j - 1, a[j - 1] - 1)
+def _trunc_with_images(v: DeformationVariables, m: int, d: int):
+    """trunc(m, d), d >= 1, with its images H_z and H_w."""
+    table = v.table
+    top = table.var(v.s_names[(m, d)])
+    h_w = top
+    if m in v.t_names:
+        minus_t = -table.var(v.t_names[m])
+        h_w = table.one()
+        for k in range(1, d + 1):  # Horner's rule at z_m = -t_m
+            h_w = h_w * minus_t + table.var(v.s_names[(m, k)])
+    return _trunc(v, m, d), top, h_w
 
 
-def _h_z(v: DeformationVariables, p: Polynomial) -> Polynomial:
-    return p.substitute({name: 0 for name in v.z_names})
-
-
-def _h_w(v: DeformationVariables, p: Polynomial) -> Polynomial:
-    mapping = {}
-    for j in range(1, v.e + 1):
-        if j in v.t_names:
-            mapping[f"z{j}"] = -v.table.var(v.t_names[j])
-        else:
-            mapping[f"z{j}"] = 0
-    return p.substitute(mapping)
+def _times(x, y):
+    """Product of two (P, H_z(P), H_w(P)) triples; a zero image stays zero."""
+    return tuple(f * g if f else f for f, g in zip(x, y))
 
 
 def versal_presentation(s: Singularity) -> VersalPresentation:
@@ -185,23 +189,41 @@ def versal_presentation(s: Singularity) -> VersalPresentation:
     Pairs are listed adjacent ones first, then the rest lexicographically.
     """
     v = deformation_variables(s)
-    e = v.e
+    e, a, table = v.e, v.a_entries, v.table
+    zero = table.zero()
+    w = {
+        j: (_w(v, j), table.var(v.t_names[j]) if j in v.t_names else zero, zero)
+        for j in range(1, e + 1)
+    }
+    # trunc(m, a_m - 1) and, where it is not 1, trunc(m, a_m - 2), with images
+    last = {m: _trunc_with_images(v, m, a[m] - 1) for m in a}
+    inner = {m: _trunc_with_images(v, m, a[m] - 2) for m in a if a[m] > 2}
+    products = {}
+    for i in range(1, e - 1):
+        products[(i, i + 2)] = _times(w[i + 1], last[i + 1])
+        run = _times(w[i + 1], inner[i + 1]) if i + 1 in inner else last[i + 1]
+        if i == 1:  # the base ideal takes no images of the P_1j
+            run = (run[0], zero, zero)
+        for j in range(i + 3, e + 1):
+            products[(i, j)] = _times(run, last[j - 1])
+            if j - 1 in inner:  # z_{j-1} is interior from j + 1 on
+                run = _times(run, inner[j - 1])
     adjacent = [(i, i + 2) for i in range(1, e - 1)]
     longer = [
         (i, j) for i in range(1, e - 1) for j in range(i + 3, e + 1)
     ]
     pairs = adjacent + longer
-    p_polys = {pair: _p_polynomial(v, *pair) for pair in pairs}
     relations = tuple(
-        v.table.var(f"z{i}") * _w(v, j) - p_polys[(i, j)] for i, j in pairs
+        table.var(f"z{i}") * w[j][0] - products[(i, j)][0] for i, j in pairs
     )
-    base = []
-    for pair in sorted(p_polys):
-        if pair[0] < 2:
-            continue
-        for h in (_h_z(v, p_polys[pair]), _h_w(v, p_polys[pair])):
-            if h and h not in base:
-                base.append(h)
+    # dict keys: the first of equal generators, in insertion order
+    base = dict.fromkeys(
+        h
+        for pair in sorted(products)
+        if pair[0] >= 2
+        for h in products[pair][1:]
+        if h
+    )
     return VersalPresentation(
         variables=v,
         pairs=tuple(pairs),

@@ -97,14 +97,18 @@ def relation_polynomials(s: Singularity, table: VariableTable | None = None):
     gens = generators(s)
     if table is None:
         table = VariableTable([g.name for g in gens])
+    slot = [table.index(g.name) for g in gens]
     polys = []
     for rel in defining_equations(s):
-        i, j = rel.left
-        lhs = table.var(f"z{i}") * table.var(f"z{j}")
-        rhs = table.one()
+        # both sides are monomials, built straight from their exponents;
+        # z_i z_j never equals p_ij, whose indices lie strictly between
+        lhs = [0] * len(table)
+        rhs = [0] * len(table)
+        for t in rel.left:
+            lhs[slot[t - 1]] = 1
         for t, e in rel.right:
-            rhs = rhs * table.var(f"z{t}", e)
-        polys.append(lhs - rhs)
+            rhs[slot[t - 1]] = e
+        polys.append(table.poly({tuple(lhs): 1, tuple(rhs): -1}))
     return table, polys
 
 

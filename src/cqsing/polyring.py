@@ -220,31 +220,53 @@ class Polynomial:
         )
 
     def substitute(self, mapping):
-        """Replace variables (by name) with polynomials or constants."""
+        """Replace variables (by name) with polynomials or constants.
+
+        One pass over the terms into one accumulator: a term with a variable
+        mapped to zero is dropped, a constant scales the coefficient and a
+        polynomial multiplies the term out.
+        """
         table = self.table
-        polys = {}
+        zeros, scalars, polys = [], {}, {}
         for name, value in mapping.items():
-            table.index(name)
-            polys[name] = value if isinstance(value, Polynomial) else table.constant(value)
-        result = table.zero()
+            k = table.index(name)
+            if isinstance(value, Polynomial):
+                if self._coerce(value):
+                    polys[k] = value
+                    continue
+            elif value:
+                scalars[k] = Fraction(value)
+                continue
+            zeros.append(k)
+        mapped = list(scalars) + list(polys)
+        res = {}
         for exps, coeff in self.terms.items():
-            factor = table.constant(coeff)
-            kept = [0] * len(table)
-            for k, e in enumerate(exps):
+            if any(exps[k] for k in zeros):
+                continue
+            kept = list(exps)
+            factor = None
+            for k in mapped:
+                e = exps[k]
                 if not e:
                     continue
-                name = table.names[k]
-                if name in polys:
-                    value = polys[name]
-                    if not value:
-                        factor = None
-                        break
-                    factor = factor * value**e
+                kept[k] = 0
+                if k in scalars:
+                    coeff = coeff * scalars[k] ** e
                 else:
-                    kept[k] = e
-            if factor is not None:
-                result = result + factor.term_multiple(1, tuple(kept))
-        return result
+                    power = polys[k] ** e
+                    factor = power if factor is None else factor * power
+            kept = tuple(kept)
+            if factor is None:
+                products = ((kept, coeff),)
+            else:
+                products = ((exp_mul(kept, m), coeff * c) for m, c in factor.terms.items())
+            for m, c in products:
+                acc = res.get(m, 0) + c
+                if acc:
+                    res[m] = acc
+                else:
+                    res.pop(m, None)
+        return Polynomial._raw(table, res)
 
     def __repr__(self):
         return poly_text(self)
@@ -464,19 +486,15 @@ def poly_text(f: Polynomial, order: WeightedOrder | None = None) -> str:
     """Canonical text: terms by descending order, rational coefficients."""
     if not f:
         return "0"
-    if order is None:
-        order = WeightedOrder.deglex(len(f.table))
+    # (degree, exponents) sorts as the zero-weight deglex key (0, degree, exponents)
+    key = order.key if order is not None else lambda m: (sum(m), m)
     names = f.table.names
     parts = []
-    for m in sorted(f.terms, key=order.key, reverse=True):
+    for m in sorted(f.terms, key=key, reverse=True):
         c = f.terms[m]
-        factors = []
-        for name, e in zip(names, m):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        body = "*".join(factors)
+        body = "*".join(
+            names[k] if e == 1 else f"{names[k]}^{e}" for k, e in enumerate(m) if e
+        )
         mag = abs(c)
         if not body:
             piece = str(mag)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import cqsing
 from cqsing.cli import main
 
 from conftest import coprime_pairs
@@ -110,6 +115,44 @@ class TestDeterminism:
         assert code1 == code2 == 0
         assert out1 == out2
         assert out1
+
+
+class TestRepeatedMain:
+    @staticmethod
+    def in_process(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def fresh_interpreter(argv):
+        src = Path(cqsing.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "cqsing", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_calls_in_one_process_match_fresh_ones(self, capsys):
+        # main reuses one parser per process; a rejected request must leave
+        # nothing behind that changes the next one
+        argvs = [
+            ["resolve", "11", "7"],
+            ["resolve", "6", "4"],
+            ["deform", "11", "4", "--format", "json"],
+            ["gfan", "11", "x"],
+            ["invariants", "13", "5", "--format", "text"],
+        ]
+        got = [self.in_process(capsys, argv) for argv in argvs]
+        assert [code for code, _, _ in got] == [0, 2, 0, 2, 0]
+        for argv, result in zip(argvs, got):
+            assert result == self.fresh_interpreter(argv), argv
 
 
 class TestDot:

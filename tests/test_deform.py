@@ -2,6 +2,8 @@ import pytest
 
 from cqsing.cfrac import Singularity, dual_expand, embedding_dimension
 from cqsing.deform import (
+    _trunc,
+    _w,
     an_versal_family,
     deformation_variables,
     dim_t1,
@@ -122,6 +124,27 @@ def golden_base_11_4(v):
     ]
 
 
+# every coprime pair with n <= 20 and e >= 4, and three wide ones (e = 29, 22, 15)
+ORACLE_PAIRS = [
+    (n, q) for n, q in coprime_pairs(20) if embedding_dimension(Singularity(n, q)) >= 4
+] + [(28, 1), (41, 2), (38, 3)]
+
+
+def full_product(v, i, j):
+    """P_ij multiplied out from its factors, with no product shared between
+    pairs and no factor skipped."""
+    a = v.a_entries
+    if j == i + 2:
+        return _w(v, i + 1) * _trunc(v, i + 1, a[i + 1] - 1)
+    if a[i + 1] >= 3:
+        p = _w(v, i + 1) * _trunc(v, i + 1, a[i + 1] - 2)
+    else:
+        p = _trunc(v, i + 1, a[i + 1] - 1)
+    for m in range(i + 2, j - 1):
+        p = p * _trunc(v, m, a[m] - 2)
+    return p * _trunc(v, j - 1, a[j - 1] - 1)
+
+
 class TestVersalPresentation:
     def test_variables_11_4(self):
         v = deformation_variables(Singularity(11, 4))
@@ -187,9 +210,17 @@ class TestVersalPresentation:
             got = dict(zip(pres.pairs, specialized_relations(pres)))
             assert got == expected
 
+    def test_relations_match_full_products(self):
+        for n, q in ORACLE_PAIRS:
+            pres = versal_presentation(Singularity(n, q))
+            v = pres.variables
+            for (i, j), rel in zip(pres.pairs, pres.relations):
+                expected = v.table.var(f"z{i}") * _w(v, j) - full_product(v, i, j)
+                assert rel == expected, (n, q, i, j)
+
     def test_base_from_independent_substitution(self):
         # re-derive the base generators by substituting into the P's directly
-        for n, q in [(11, 4), (13, 5), (17, 7)]:
+        for n, q in ORACLE_PAIRS:
             s = Singularity(n, q)
             pres = versal_presentation(s)
             v = pres.variables

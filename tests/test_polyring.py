@@ -5,6 +5,7 @@ import pytest
 
 from cqsing.errors import InputError
 from cqsing.polyring import (
+    Polynomial,
     VariableTable,
     WeightedOrder,
     buchberger,
@@ -63,6 +64,88 @@ class TestArithmetic:
         f = x**2 * y - 3 * y
         assert f.substitute({"y": 0}) == XY.zero()
         assert f.substitute({"x": y}) == y**3 - 3 * y
+
+
+XYZ = VariableTable(["x", "y", "z"])
+
+
+def naive_substitute(f, mapping):
+    """Oracle: rebuild every term as a product of its variable powers, each
+    replaced by its value, and add the terms up one by one."""
+    table = f.table
+    values = {
+        name: v if isinstance(v, Polynomial) else table.constant(v)
+        for name, v in mapping.items()
+    }
+    result = table.zero()
+    for exps, coeff in f.terms.items():
+        term = table.constant(coeff)
+        for name, e in zip(table.names, exps):
+            term = term * values.get(name, table.var(name)) ** e
+        result = result + term
+    return result
+
+
+class TestSubstitute:
+    def test_zero_scalar_drops_terms(self):
+        x, y, z = (XYZ.var(n) for n in XYZ.names)
+        f = x**2 * y + 3 * x * z - z + 5
+        assert f.substitute({"x": 0}) == -z + 5
+        assert f.substitute({"x": Fraction(0), "z": 0}) == XYZ.constant(5)
+        assert f.substitute({"x": XYZ.zero()}) == -z + 5
+
+    def test_nonzero_scalars(self):
+        x, y, z = (XYZ.var(n) for n in XYZ.names)
+        f = x**2 * y + 3 * x * z - z
+        assert f.substitute({"x": 2}) == 4 * y + 6 * z - z
+        assert f.substitute({"x": Fraction(1, 2), "z": -1}) == y * Fraction(1, 4) - Fraction(1, 2)
+
+    def test_polynomial_values(self):
+        x, y, z = (XYZ.var(n) for n in XYZ.names)
+        f = x**2 * y + 3 * x * z
+        assert f.substitute({"x": y + z}) == (y + z) ** 2 * y + 3 * (y + z) * z
+        # simultaneous: x -> y and y -> x swap the variables
+        assert f.substitute({"x": y, "y": x}) == y**2 * x + 3 * y * z
+
+    def test_terms_cancel_to_zero(self):
+        x, y, z = (XYZ.var(n) for n in XYZ.names)
+        f = x * z - y**2 * z
+        assert f.substitute({"x": y**2}) == XYZ.zero()
+        assert not (x - y).substitute({"x": y, "z": 3})
+        assert not (x - 2).substitute({"x": 2})
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(InputError):
+            XYZ.var("x").substitute({"w": 0})
+        with pytest.raises(InputError):
+            XYZ.var("x").substitute({"x": 1, "w": XYZ.var("y")})
+
+    def test_foreign_table_rejected(self):
+        with pytest.raises(InputError):
+            XYZ.var("x").substitute({"x": XY.var("x")})
+
+    def test_random_against_naive_expansion(self):
+        rng = random.Random(11)
+
+        def random_xyz(max_terms):
+            terms = {}
+            for _ in range(rng.randint(0, max_terms)):
+                exps = tuple(rng.randint(0, 3) for _ in XYZ.names)
+                terms[exps] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            return XYZ.poly(terms)
+
+        for _ in range(200):
+            f = random_xyz(6)
+            mapping = {}
+            for name in rng.sample(XYZ.names, rng.randint(0, 3)):
+                kind = rng.randrange(4)
+                if kind == 0:
+                    mapping[name] = 0
+                elif kind == 1:
+                    mapping[name] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                else:
+                    mapping[name] = random_xyz(3)
+            assert f.substitute(mapping) == naive_substitute(f, mapping), mapping
 
 
 class TestInitialForm:
@@ -225,6 +308,20 @@ class TestText:
     def test_fraction_coefficient(self):
         f = p({(1, 1): Fraction(3, 2), (0, 0): -1})
         assert poly_text(f) == "3/2*x*y - 1"
+
+    def test_default_order_is_deglex(self):
+        rng = random.Random(5)
+        table = VariableTable([f"v{k}" for k in range(40)])
+        order = WeightedOrder.deglex(len(table))
+        for _ in range(100):
+            terms = {}
+            for _ in range(rng.randint(1, 8)):
+                exps = [0] * len(table)
+                for k in rng.sample(range(len(table)), rng.randint(0, 4)):
+                    exps[k] = rng.randint(1, 3)
+                terms[tuple(exps)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            f = table.poly(terms)
+            assert poly_text(f) == poly_text(f, order)
 
     def test_monic_helper(self):
         order = WeightedOrder.deglex(2)
