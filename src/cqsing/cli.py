@@ -14,6 +14,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from . import cfrac, deform, gfan, invariant_ring, mckay, reconstruct, toric
 from .cfrac import Singularity
@@ -43,8 +44,16 @@ def emit_dot(quiver) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _singularity(args) -> Singularity:
-    return Singularity(args.n, args.q)
+class Report(NamedTuple):
+    """One command's report: the JSON payload (main adds the input echo),
+    the text lines, the quiver that --format dot renders (None for commands
+    without one), and, for a partial report, why it is partial; main then
+    writes it and exits 4."""
+
+    payload: dict
+    text: list[str]
+    quiver: object = None
+    unsupported: str | None = None
 
 
 def _with_reference(checks: dict, s: Singularity, **values) -> dict:
@@ -64,27 +73,27 @@ def _fraction_data(s: Singularity):
     }
 
 
-def run_resolve(s: Singularity):
+def run_resolve(s: Singularity) -> Report:
     data = _fraction_data(s)
     witness = cfrac.is_t_singularity(s)
+    t_singularity = (
+        None if witness is None else {"d": witness.d, "m": witness.m, "a": witness.a}
+    )
     payload = {
-        "input": {"n": s.n, "q": s.q},
         **data,
-        "t_singularity": None
-        if witness is None
-        else {"d": witness.d, "m": witness.m, "a": witness.a},
+        "t_singularity": t_singularity,
         "checks": _with_reference({"identities": True}, s, **data),
     }
     text = [
         f"fraction {s.n}/{s.q} = {data['fraction']}",
         f"dual fraction {s.n}/{s.n - s.q} = {data['dual_fraction']}",
         f"e = {data['e']}, r = {data['r']}",
-        f"t_singularity = {payload['t_singularity']}",
+        f"t_singularity = {t_singularity}",
     ]
-    return payload, text
+    return Report(payload, text)
 
 
-def run_invariants(s: Singularity):
+def run_invariants(s: Singularity) -> Report:
     gens = invariant_ring.generators(s)
     eqs = invariant_ring.defining_equations(s)
     ok = invariant_ring.verify_presentation(s)
@@ -98,15 +107,16 @@ def run_invariants(s: Singularity):
         )
         return f"z{i}*z{j} = {rhs}"
 
+    monomials = [g.monomial_text for g in gens]
+    equations = [eq_text(rel) for rel in eqs]
     payload = {
-        "input": {"n": s.n, "q": s.q},
         "generators": [
-            {"index": g.index, "exponents": list(g.exponents), "monomial": g.monomial_text}
-            for g in gens
+            {"index": g.index, "exponents": list(g.exponents), "monomial": m}
+            for g, m in zip(gens, monomials)
         ],
         "equations": [
-            {"left": list(rel.left), "right": [list(p) for p in rel.right], "text": eq_text(rel)}
-            for rel in eqs
+            {"left": list(rel.left), "right": [list(p) for p in rel.right], "text": eq}
+            for rel, eq in zip(eqs, equations)
         ],
         "checks": _with_reference(
             {
@@ -117,12 +127,12 @@ def run_invariants(s: Singularity):
             generators=[list(g.exponents) for g in gens],
         ),
     }
-    text = ["generators: " + ", ".join(g.monomial_text for g in gens)]
-    text += ["equations:"] + [f"  {eq_text(rel)}" for rel in eqs]
-    return payload, text
+    text = ["generators: " + ", ".join(monomials)]
+    text += ["equations:"] + [f"  {eq}" for eq in equations]
+    return Report(payload, text)
 
 
-def run_toric(s: Singularity):
+def run_toric(s: Singularity) -> Report:
     fan = toric.resolution_fan(s)
     basis = toric.hilbert_basis_dual(s)
     selfint = toric.self_intersections(fan)
@@ -137,7 +147,6 @@ def run_toric(s: Singularity):
         fan_rays=[list(r.scaled) for r in fan.rays],
     )
     payload = {
-        "input": {"n": s.n, "q": s.q},
         "fan": fan.serialize(),
         "hilbert_basis": [list(p) for p in basis],
         "self_intersections": list(selfint),
@@ -148,15 +157,14 @@ def run_toric(s: Singularity):
         f"hilbert basis: " + ", ".join(str(p) for p in basis),
         f"self intersections: {list(selfint)}",
     ]
-    return payload, text
+    return Report(payload, text)
 
 
-def run_mckay(s: Singularity):
+def run_mckay(s: Singularity) -> Report:
     quiver = mckay.mckay_quiver(s)
     special = sorted(mckay.special_reps(s))
     basis = mckay.g_basis(s)
     payload = {
-        "input": {"n": s.n, "q": s.q},
         "special": special,
         "g_basis": [list(p) for p in basis],
         "quiver": {
@@ -174,33 +182,24 @@ def run_mckay(s: Singularity):
         f"basis size: {len(basis)}",
         f"quiver: {len(quiver.vertices)} vertices, {len(quiver.arrows)} arrows",
     ]
-    return payload, text, quiver
+    return Report(payload, text, quiver)
 
 
-def run_hilb(s: Singularity):
+def run_hilb(s: Singularity) -> Report:
     clusters = mckay.g_clusters(s)
     curves = mckay.curve_rep_assignment(s)
-
-    def ideal_text(c):
-        parts = []
-        for a, b in c.ideal:
-            factors = []
-            if a:
-                factors.append("x" if a == 1 else f"x^{a}")
-            if b:
-                factors.append("y" if b == 1 else f"y^{b}")
-            parts.append("*".join(factors))
-        return "<" + ", ".join(parts) + ">"
-
+    ideals = [
+        "<" + ", ".join(invariant_ring.monomial_text(a, b) for a, b in c.ideal) + ">"
+        for c in clusters
+    ]
     payload = {
-        "input": {"n": s.n, "q": s.q},
         "clusters": [
             {
                 "heights": list(c.heights),
                 "ideal": [list(p) for p in c.ideal],
-                "ideal_text": ideal_text(c),
+                "ideal_text": ideal,
             }
-            for c in clusters
+            for c, ideal in zip(clusters, ideals)
         ],
         "curves": [{"curve": k, "class": w} for k, w in curves],
         "checks": _with_reference(
@@ -210,28 +209,31 @@ def run_hilb(s: Singularity):
         ),
     }
     text = [f"clusters ({len(clusters)}):"]
-    text += [f"  {ideal_text(c)}  heights={list(c.heights)}" for c in clusters]
+    text += [f"  {ideal}  heights={list(c.heights)}" for c, ideal in zip(clusters, ideals)]
     text += ["curves: " + ", ".join(f"E{k} -> class {w}" for k, w in curves)]
-    return payload, text
+    return Report(payload, text)
 
 
-def run_gfan(s: Singularity):
+def run_gfan(s: Singularity) -> Report:
     fan, cones = gfan.groebner_fan(s)
     tfan = toric.resolution_fan(s)
     matches = gfan.fans_equal(fan, tfan)
     if not matches:
         raise ConsistencyError("fan does not match the lattice model")
+    bases = []
+    for c in cones:
+        order = WeightedOrder(weights=c.weight)
+        bases.append([poly_text(g, order) for g in c.basis])
     payload = {
-        "input": {"n": s.n, "q": s.q},
         "fan": fan.serialize(),
         "cones": [
             {
                 "weight": list(c.weight),
                 "inequalities": [list(d) for d in c.inequalities],
                 "rays": [list(c.lower_ray), list(c.upper_ray)],
-                "basis": [poly_text(g, WeightedOrder(weights=c.weight)) for g in c.basis],
+                "basis": basis,
             }
-            for c in cones
+            for c, basis in zip(cones, bases)
         ],
         "checks": _with_reference(
             {"matches_toric": matches},
@@ -240,38 +242,32 @@ def run_gfan(s: Singularity):
         ),
     }
     text = [f"rays (x{s.n}): " + ", ".join(str(r.scaled) for r in fan.rays)]
-    for c in cones:
-        text.append(
-            f"cone at weight {c.weight}: rays {c.lower_ray}..{c.upper_ray}"
-        )
-        for g in c.basis:
-            text.append(f"  {poly_text(g, WeightedOrder(weights=c.weight))}")
-    return payload, text
+    for c, basis in zip(cones, bases):
+        text.append(f"cone at weight {c.weight}: rays {c.lower_ray}..{c.upper_ray}")
+        text += [f"  {g}" for g in basis]
+    return Report(payload, text)
 
 
-def run_deform(s: Singularity):
+def run_deform(s: Singularity) -> Report:
     dim = deform.dim_t1(s)
-    e = cfrac.embedding_dimension(s)
-    if e == 3:
-        table, equation, params = deform.hypersurface_presentation(s)
+    if cfrac.embedding_dimension(s) == 3:
+        family = deform.hypersurface_presentation(s)
+        equation = poly_text(family.equation)
         payload = {
-            "input": {"n": s.n, "q": s.q},
             "deformation": {
                 "dim_t1": dim,
                 "kind": "hypersurface",
-                "parameters": list(params),
-                "equation": poly_text(equation),
+                "parameters": list(family.parameters),
+                "equation": equation,
             },
-            "checks": {"parameter_count": len(params) == dim},
+            "checks": {"parameter_count": len(family.parameters) == dim},
         }
-        text = [f"dim T1 = {dim}", f"family: {poly_text(equation)} = 0"]
-        return payload, text
+        return Report(payload, [f"dim T1 = {dim}", f"family: {equation} = 0"])
     pres = deform.versal_presentation(s)
     params = pres.variables.parameter_names
     relations = [poly_text(rel) for rel in pres.relations]
     base_ideal = [poly_text(g) for g in pres.base_ideal]
     payload = {
-        "input": {"n": s.n, "q": s.q},
         "deformation": {
             "dim_t1": dim,
             "kind": "binomial",
@@ -295,7 +291,7 @@ def run_deform(s: Singularity):
     text = [f"dim T1 = {dim}", "relations:"]
     text += [f"  {rel} = 0" for rel in relations]
     text += ["base ideal:"] + [f"  {g}" for g in base_ideal]
-    return payload, text
+    return Report(payload, text)
 
 
 def _specialization_ok(s: Singularity, pres) -> bool:
@@ -303,46 +299,37 @@ def _specialization_ok(s: Singularity, pres) -> bool:
     return Counter(deform.specialized_relations(pres)) == Counter(expected)
 
 
-def run_artin(s: Singularity):
+def run_artin(s: Singularity) -> Report:
     pres = reconstruct.quasidet_presentation(s)
+    matrix = [list(row) for row in pres.matrix]
+    relations = [poly_text(rel) for rel in pres.relations]
     payload = {
-        "input": {"n": s.n, "q": s.q},
         "reconstruction": {
             "dual_fraction": list(pres.dual_fraction),
-            "quasidet_matrix": [list(row) for row in pres.matrix],
-            "quasidet_relations": [poly_text(rel) for rel in pres.relations],
+            "quasidet_matrix": matrix,
+            "quasidet_relations": relations,
         },
-        "checks": _with_reference(
-            {},
-            s,
-            quasidet_matrix=[list(row) for row in pres.matrix],
-        ),
+        "checks": _with_reference({}, s, quasidet_matrix=matrix),
     }
-    text = ["matrix:"]
-    text += ["  [" + ", ".join(row) + "]" for row in pres.matrix]
-    text += ["relations:"] + [f"  {poly_text(rel)} = 0" for rel in pres.relations]
-    return payload, text
+    text = ["matrix:"] + ["  [" + ", ".join(row) + "]" for row in pres.matrix]
+    text += ["relations:"] + [f"  {rel} = 0" for rel in relations]
+    return Report(payload, text)
 
 
-def run_reconstruct(s: Singularity):
+def run_reconstruct(s: Singularity) -> Report:
     quiver = reconstruct.reconstruction_quiver(s)
-    payload = {
-        "input": {"n": s.n, "q": s.q},
-        "reconstruction": {
-            "fraction": list(quiver.fraction),
-            "vertices": list(quiver.vertices),
-            "arrows": [[a.kind, a.tail, a.head, a.slot] for a in quiver.arrows],
-        },
-        "checks": {},
+    data = {
+        "fraction": list(quiver.fraction),
+        "vertices": list(quiver.vertices),
+        "arrows": [[a.kind, a.tail, a.head, a.slot] for a in quiver.arrows],
     }
-    text = [
-        f"quiver: {len(quiver.vertices)} vertices, {len(quiver.arrows)} arrows"
-    ]
+    payload = {"reconstruction": data, "checks": {}}
+    text = [f"quiver: {len(quiver.vertices)} vertices, {len(quiver.arrows)} arrows"]
     if quiver.relations is None:
-        payload["reconstruction"]["relations"] = None
-        payload["reconstruction"]["unsupported_reason"] = quiver.unsupported_reason
+        data["relations"] = None
+        data["unsupported_reason"] = quiver.unsupported_reason
         text.append(f"relations unavailable: {quiver.unsupported_reason}")
-        raise _Unsupported(payload, text)
+        return Report(payload, text, quiver, "relations unavailable for this shape")
     deformed = reconstruct.deformed_relations(s)
 
     def signed_paths(rel):
@@ -352,41 +339,38 @@ def run_reconstruct(s: Singularity):
             [-1, [a.label for a in rel.negative]],
         ]
 
-    payload["reconstruction"]["relations"] = [
-        {"vertex": rel.vertex, "sum": signed_paths(rel), "text": rel.text()}
-        for rel in quiver.relations
+    relations = [rel.text() for rel in quiver.relations]
+    deformed_texts = [rel.text() for rel in deformed.relations]
+    data["relations"] = [
+        {"vertex": rel.vertex, "sum": signed_paths(rel), "text": t}
+        for rel, t in zip(quiver.relations, relations)
     ]
-    payload["reconstruction"]["deformed_relations"] = [
+    data["deformed_relations"] = [
         {
             "vertex": rel.vertex,
             "sum": signed_paths(rel),
             "parameter": rel.parameter,
-            "text": rel.text(),
+            "text": t,
         }
-        for rel in deformed.relations
+        for rel, t in zip(deformed.relations, deformed_texts)
     ]
-    payload["reconstruction"]["parameter_groups"] = [list(g) for g in deformed.groups]
-    payload["reconstruction"]["base_dimension"] = deformed.base_dimension
+    group_sizes = [len(g) for g in deformed.groups]
+    data["parameter_groups"] = [list(g) for g in deformed.groups]
+    data["base_dimension"] = deformed.base_dimension
     payload["checks"] = _with_reference(
-        payload["checks"],
+        {},
         s,
         relation_count=len(quiver.relations),
-        parameter_group_sizes=[len(g) for g in deformed.groups],
+        parameter_group_sizes=group_sizes,
         base_dimension=deformed.base_dimension,
     )
-    text += ["relations:"] + [f"  {rel.text()} = 0" for rel in quiver.relations]
-    text += ["deformed:"] + [f"  {rel.text()}" for rel in deformed.relations]
+    text += ["relations:"] + [f"  {t} = 0" for t in relations]
+    text += ["deformed:"] + [f"  {t}" for t in deformed_texts]
     text.append(
         "base: A^%d with one zero-sum constraint per group %s"
-        % (deformed.base_dimension, [len(g) for g in deformed.groups])
+        % (deformed.base_dimension, group_sizes)
     )
-    return payload, text, quiver
-
-
-class _Unsupported(Exception):
-    def __init__(self, payload, text):
-        self.payload = payload
-        self.text = text
+    return Report(payload, text, quiver)
 
 
 def verify_checks(s: Singularity) -> dict[str, bool]:
@@ -428,8 +412,8 @@ def verify_checks(s: Singularity) -> dict[str, bool]:
             len(pres.variables.parameter_names) == deform.dim_t1(s)
         )
     else:
-        _, _, params = deform.hypersurface_presentation(s)
-        checks["deform_parameter_count"] = len(params) == deform.dim_t1(s)
+        family = deform.hypersurface_presentation(s)
+        checks["deform_parameter_count"] = len(family.parameters) == deform.dim_t1(s)
     quiver = reconstruct.reconstruction_quiver(s) if len(b) >= 2 else None
     if quiver is not None and quiver.relations is not None:
         deformed = reconstruct.deformed_relations(s)
@@ -442,16 +426,15 @@ def verify_checks(s: Singularity) -> dict[str, bool]:
     return checks
 
 
-def run_verify(s: Singularity):
+def run_verify(s: Singularity) -> Report:
     checks = verify_checks(s)
-    payload = {"input": {"n": s.n, "q": s.q}, "checks": checks}
     text = [f"{name}: {'ok' if ok else 'FAIL'}" for name, ok in sorted(checks.items())]
     if not all(checks.values()):
         raise ConsistencyError("verification failed: " + json.dumps(checks, sort_keys=True))
-    return payload, text
+    return Report({"checks": checks}, text)
 
 
-def run_batch(max_n: int):
+def run_batch(max_n: int) -> Report:
     violations = []
     pairs = 0
     for n in range(2, max_n + 1):
@@ -471,7 +454,24 @@ def run_batch(max_n: int):
     text = [f"checked {pairs} pairs up to n = {max_n}", f"violations: {len(violations)}"]
     if violations:
         raise ConsistencyError(json.dumps(payload, sort_keys=True))
-    return payload, text
+    return Report(payload, text)
+
+
+# The commands on one pair (n, q); batch is the one command over a range.
+COMMANDS = {
+    "resolve": run_resolve,
+    "invariants": run_invariants,
+    "toric": run_toric,
+    "mckay": run_mckay,
+    "hilb": run_hilb,
+    "gfan": run_gfan,
+    "deform": run_deform,
+    "artin": run_artin,
+    "reconstruct": run_reconstruct,
+    "verify": run_verify,
+}
+
+EXIT_CODES = {InputError: 2, ConsistencyError: 3, UnsupportedError: 4}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,19 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact data for two-dimensional cyclic quotient surface singularities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    pair_commands = [
-        "resolve",
-        "invariants",
-        "toric",
-        "mckay",
-        "hilb",
-        "gfan",
-        "deform",
-        "artin",
-        "reconstruct",
-        "verify",
-    ]
-    for name in pair_commands:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("n", type=int)
         p.add_argument("q", type=int)
@@ -505,16 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render(payload, text_lines, fmt, dot_source=None) -> str:
-    if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if fmt == "dot":
-        if dot_source is None:
-            raise InputError("dot format is only available for quiver commands")
-        return emit_dot(dot_source)
-    return "\n".join(text_lines) + "\n"
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # built on first use, not at import, so importing the CLI stays cheap
@@ -524,51 +502,29 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "batch":
-            payload, text = run_batch(args.max_n)
-            out = _render(payload, text, args.format)
+        if args.command in COMMANDS:
+            s = Singularity(args.n, args.q)
+            report = COMMANDS[args.command](s)
+            report.payload["input"] = {"n": s.n, "q": s.q}
         else:
-            s = _singularity(args)
-            dot_source = None
-            if args.command == "resolve":
-                payload, text = run_resolve(s)
-            elif args.command == "invariants":
-                payload, text = run_invariants(s)
-            elif args.command == "toric":
-                payload, text = run_toric(s)
-            elif args.command == "mckay":
-                payload, text, dot_source = run_mckay(s)
-            elif args.command == "hilb":
-                payload, text = run_hilb(s)
-            elif args.command == "gfan":
-                payload, text = run_gfan(s)
-            elif args.command == "deform":
-                payload, text = run_deform(s)
-            elif args.command == "artin":
-                payload, text = run_artin(s)
-            elif args.command == "reconstruct":
-                payload, text, dot_source = run_reconstruct(s)
-            elif args.command == "verify":
-                payload, text = run_verify(s)
-            else:
-                raise InputError(f"unknown command {args.command}")
-            out = _render(payload, text, args.format, dot_source)
-    except InputError as exc:
+            report = run_batch(args.max_n)
+        if args.format == "json":
+            out = json.dumps(report.payload, sort_keys=True, indent=2) + "\n"
+        elif args.format == "text":
+            out = "\n".join(report.text) + "\n"
+        elif report.quiver is None:
+            raise InputError("dot format is only available for quiver commands")
+        else:
+            out = emit_dot(report.quiver)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CODES[type(exc)]
+    if not _write(out, args.output):
         return 2
-    except _Unsupported as exc:
-        out = _render(exc.payload, exc.text, args.format)
-        if not _write(out, args.output):
-            return 2
-        print("error: relations unavailable for this shape", file=sys.stderr)
+    if report.unsupported is not None:
+        print(f"error: {report.unsupported}", file=sys.stderr)
         return 4
-    except UnsupportedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    return 0 if _write(out, args.output) else 2
+    return 0
 
 
 def _write(out: str, path) -> bool:

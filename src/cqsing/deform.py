@@ -70,14 +70,11 @@ class VersalPresentation:
     relations: tuple[Polynomial, ...]  # z_i w_j - P_ij, aligned with pairs
     base_ideal: tuple[Polynomial, ...]
 
-    @property
-    def total_ideal(self) -> tuple[Polynomial, ...]:
-        return self.relations + self.base_ideal
-
 
 @dataclass(frozen=True)
 class HypersurfaceFamily:
-    """x^2 + y^2 + z^m deformed by the trace-zero tail of degree m - 2."""
+    """z1 z3 = z2^m deformed by the tail c_0 + c_1 z2 + ... + c_{m-2} z2^{m-2}
+    (no z2^{m-1} term)."""
 
     m: int
     table: VariableTable
@@ -96,19 +93,6 @@ def dim_t1(s: Singularity) -> int:
     if e == 3:
         return s.n - 1
     return sum(a - 1 for a in dual_expand(s)) + (e - 4)
-
-
-def an_versal_family(m: int) -> HypersurfaceFamily:
-    """The m-sheet double-point family with m - 1 parameters c_0..c_{m-2}
-    (no degree m-1 term)."""
-    if m < 2:
-        raise InputError("need m >= 2")
-    params = tuple(f"c{k}" for k in range(m - 1))
-    table = VariableTable(("x", "y", "z") + params)
-    eq = table.var("x", 2) + table.var("y", 2) + table.var("z", m)
-    for k in range(m - 1):
-        eq = eq + table.var(f"c{k}") * table.var("z", k)
-    return HypersurfaceFamily(m=m, table=table, equation=eq, parameters=params)
 
 
 def discriminant(h) -> Fraction:
@@ -232,8 +216,8 @@ def versal_presentation(s: Singularity) -> VersalPresentation:
     )
 
 
-def hypersurface_presentation(s: Singularity):
-    """The e = 3 route: one deformed equation z1 z3 = z2^n + tail."""
+def hypersurface_presentation(s: Singularity) -> HypersurfaceFamily:
+    """The e = 3 route: one deformed equation z1 z3 = z2^n + tail (m = n)."""
     if embedding_dimension(s) != 3:
         raise InputError("only for embedding dimension 3")
     n = s.n
@@ -243,7 +227,7 @@ def hypersurface_presentation(s: Singularity):
     for k in range(n - 1):
         rhs = rhs + table.var(f"c{k}") * table.var("z2", k)
     equation = table.var("z1") * table.var("z3") - rhs
-    return table, equation, params
+    return HypersurfaceFamily(m=n, table=table, equation=equation, parameters=params)
 
 
 def specialized_relations(pres: VersalPresentation) -> list[Polynomial]:

@@ -23,13 +23,7 @@ class InvariantGenerator:
 
     @property
     def monomial_text(self) -> str:
-        a, b = self.exponents
-        parts = []
-        if a:
-            parts.append("x" if a == 1 else f"x^{a}")
-        if b:
-            parts.append("y" if b == 1 else f"y^{b}")
-        return "*".join(parts) if parts else "1"
+        return monomial_text(*self.exponents)
 
 
 @dataclass(frozen=True)
@@ -38,6 +32,16 @@ class BinomialRelation:
 
     left: tuple[int, int]  # 1-based generator indices (i, j), j >= i + 2
     right: tuple[tuple[int, int], ...]  # ((t, exponent), ...) with exponent > 0
+
+
+def monomial_text(a: int, b: int) -> str:
+    """x^a*y^b, with exponents 1 and factors x^0, y^0 left out."""
+    parts = []
+    if a:
+        parts.append("x" if a == 1 else f"x^{a}")
+    if b:
+        parts.append("y" if b == 1 else f"y^{b}")
+    return "*".join(parts) if parts else "1"
 
 
 def generators(s: Singularity) -> list[InvariantGenerator]:

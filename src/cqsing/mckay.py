@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfrac import Singularity, curve_count, unrefined_series
+from .cfrac import Singularity, curve_count, ij_series, unrefined_series
 from .errors import ConsistencyError
 
 
@@ -56,21 +56,18 @@ def mckay_quiver(s: Singularity) -> Quiver:
 def g_basis(s: Singularity) -> list[tuple[int, int]]:
     """Monomials not divisible by any nontrivial invariant monomial.
 
-    x^n and y^n are invariant, so the basis sits inside the n x n box; a
-    two-direction sweep marks everything with an invariant divisor.
+    The invariant monomials are generated by the x^{i_t} y^{j_t} of the
+    exponent series (i falling from n to 0, j rising from 0 to n), so column
+    a holds the b below j_t of the first generator with i_t <= a.
     """
-    n, q = s.n, s.q
-    has_divisor = [[False] * n for _ in range(n)]
+    series = ij_series(s)
+    i, j = series.i_values, series.j_values
     basis = []
-    for a in range(n):
-        row = has_divisor[a]
-        for b in range(n):
-            d = ((a or b) and (a + q * b) % n == 0) or (
-                a > 0 and has_divisor[a - 1][b]
-            ) or (b > 0 and row[b - 1])
-            row[b] = d
-            if not d:
-                basis.append((a, b))
+    t = len(i) - 1
+    for a in range(s.n):
+        while i[t - 1] <= a:  # i_0 = n > a ends the walk
+            t -= 1
+        basis.extend((a, b) for b in range(j[t]))
     return basis
 
 

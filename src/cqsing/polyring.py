@@ -117,9 +117,6 @@ class Polynomial:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_constant(self):
-        return all(not any(e) for e in self.terms)
-
     def __eq__(self, other):
         if isinstance(other, Polynomial):
             return self.table == other.table and self.terms == other.terms

@@ -35,11 +35,6 @@ class RationalRay:
         g = gcd(a, b)
         return (a // g, b // g)
 
-    @property
-    def direction(self):
-        a, b = self.scaled
-        return (Fraction(a, self.den), Fraction(b, self.den))
-
 
 def _angle_key(scaled):
     # sorts rays of the closed quadrant by increasing angle from the x-axis
@@ -77,48 +72,16 @@ class Fan2D:
         return {"den": self.den, "rays": [list(r.scaled) for r in self.rays]}
 
 
-def _min_b_staircase(s: Singularity):
-    """For each A in 0..n the smallest B >= 0 (excluding the origin) with
-    (A, B) in the scaled lattice."""
-    n, q = s.n, s.q
-    points = []
-    for a in range(n + 1):
-        b = (q * a) % n
-        if a == 0:
-            b = n
-        points.append((a, b))
-    return points
+def _staircase(n: int, slope: int):
+    """For each A in 0..n the lowest point (A, B) of the lattice
+    {(A, B) : B = slope*A (mod n)} in the quadrant, the origin excluded."""
+    return [(0, n)] + [(a, slope * a % n) for a in range(1, n + 1)]
 
 
-def hilbert_basis_dual(s: Singularity) -> list[tuple[int, int]]:
-    """Irreducible elements of the semigroup of invariant-monomial
-    exponents {(a, b) : a + q*b = 0 (mod n)}, largest x-power first.
-
-    Every irreducible has both coordinates <= n, so a box search suffices.
-    """
-    n, q = s.n, s.q
-    members = set()
-    for a in range(n + 1):
-        for b in range(n + 1):
-            if (a or b) and (a + q * b) % n == 0:
-                members.add((a, b))
-    basis = []
-    for a, b in members:
-        reducible = any(
-            (a - c, b - d) in members
-            for c, d in members
-            if c <= a and d <= b and (c, d) != (a, b)
-        )
-        if not reducible:
-            basis.append((a, b))
-    basis.sort(key=lambda p: (-p[0], p[1]))
-    return basis
-
-
-def resolution_fan(s: Singularity) -> Fan2D:
-    """The minimal resolution fan: boundary rays plus the lattice points on
-    the hull boundary of the nonzero quadrant lattice points."""
-    staircase = _min_b_staircase(s)
+def _hull_boundary(staircase):
+    """The staircase points on the boundary of the convex hull of the
+    lattice points above it: the hull corners and the lattice points inside
+    hull edges, in staircase order (from the y-axis down to the x-axis)."""
 
     def cross(o, p, r):
         return (p[0] - o[0]) * (r[1] - o[1]) - (p[1] - o[1]) * (r[0] - o[0])
@@ -128,7 +91,7 @@ def resolution_fan(s: Singularity) -> Fan2D:
         while len(hull) >= 2 and cross(hull[-2], hull[-1], p) <= 0:
             hull.pop()
         hull.append(p)
-    rays = []
+    points = []
     corner = 0
     for p in staircase:
         while corner + 1 < len(hull) and hull[corner + 1][0] < p[0]:
@@ -136,7 +99,27 @@ def resolution_fan(s: Singularity) -> Fan2D:
         if p == hull[corner] or (
             corner + 1 < len(hull) and cross(hull[corner], hull[corner + 1], p) == 0
         ):
-            rays.append(p)
+            points.append(p)
+    return points
+
+
+def hilbert_basis_dual(s: Singularity) -> list[tuple[int, int]]:
+    """Irreducible elements of the semigroup of invariant-monomial
+    exponents {(a, b) : a + q*b = 0 (mod n)}, largest x-power first.
+
+    In dimension two the Hilbert basis of a cone is the set of lattice
+    points on the compact boundary of the convex hull of its nonzero
+    lattice points (Oda 1988), so the same hull walk as the resolution fan
+    runs on the dual staircase b = -a/q (mod n).
+    """
+    n = s.n
+    return _hull_boundary(_staircase(n, -pow(s.q, -1, n)))[::-1]
+
+
+def resolution_fan(s: Singularity) -> Fan2D:
+    """The minimal resolution fan: boundary rays plus the lattice points on
+    the hull boundary of the nonzero quadrant lattice points."""
+    rays = _hull_boundary(_staircase(s.n, s.q))
     rays.reverse()  # staircase runs from the y-axis down; fans sort from the x-axis up
     fan = Fan2D(
         rays=tuple(RationalRay(scaled=p, den=s.n) for p in rays),

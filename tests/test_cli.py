@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import cqsing
+from cqsing import cli
 from cqsing.cli import main
+from cqsing.polyring import poly_text
 
 from conftest import coprime_pairs
 
@@ -155,6 +160,21 @@ class TestRepeatedMain:
             assert result == self.fresh_interpreter(argv), argv
 
 
+class TestRenderOnce:
+    def test_gfan_renders_each_basis_element_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return poly_text(*args)
+
+        monkeypatch.setattr(cli, "poly_text", counted)
+        code, out, _ = run(capsys, ["gfan", "11", "7", "--format", "json"])
+        assert code == 0
+        cones = json.loads(out)["cones"]
+        assert len(calls) == sum(len(c["basis"]) for c in cones) == 13
+
+
 class TestDot:
     def test_mckay_counts(self, capsys):
         _, out, _ = run(capsys, ["mckay", "11", "7", "--format", "dot"])
@@ -186,6 +206,15 @@ class TestExitCodes:
 
     def test_verify_ok(self, capsys):
         assert run(capsys, ["verify", "11", "7"])[0] == 0
+
+    @pytest.mark.parametrize("n, q", [(11, 4), (8, 3), (30, 11)])
+    def test_reconstruct_unsupported_dot_is_partial(self, capsys, n, q):
+        # the quiver exists without its relations: its DOT is written, and
+        # the exit code says the report is partial, as for json and text
+        code, out, err = run(capsys, ["reconstruct", str(n), str(q), "--format", "dot"])
+        assert code == 4
+        assert out.startswith("digraph reconstruction {")
+        assert err == "error: relations unavailable for this shape\n"
 
     def test_reconstruct_single_curve_is_4(self, capsys):
         code, out, err = run(capsys, ["reconstruct", "5", "1"])
@@ -236,3 +265,45 @@ class TestOutputFile:
         assert out == ""
         assert err.startswith("error: cannot write")
         assert not target.exists()
+
+
+# Every pair command in every format on a fixed set of pairs, plus batch.
+# Each argv's (exit code, sha256 of stdout, stderr) is held in
+# cli_gate.json; rerun this module as a script to record it anew.
+GATE = Path(__file__).with_name("cli_gate.json")
+GATE_COMMANDS = ["resolve", "invariants", "toric", "mckay", "hilb", "gfan",
+                 "deform", "artin", "reconstruct", "verify"]
+GATE_PAIRS = [(11, 7), (11, 4), (12, 5), (8, 3), (30, 11), (5, 1), (5, 4),
+              (4, 3), (7, 6), (13, 1), (2, 1), (20, 9), (6, 4), (5, 5)]
+
+
+def gate_argvs():
+    for command in GATE_COMMANDS:
+        for fmt in ["json", "text", "dot"]:
+            for n, q in GATE_PAIRS:
+                yield [command, str(n), str(q), "--format", fmt]
+    for max_n in ["0", "6", "8"]:
+        for fmt in ["json", "text"]:
+            yield ["batch", "--max-n", max_n, "--format", fmt]
+
+
+def gate_entry(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception:  # an uncaught error ends the real CLI with exit 1
+            code = 1
+    return [code, hashlib.sha256(out.getvalue().encode()).hexdigest(), err.getvalue()]
+
+
+def test_output_gate():
+    want = json.loads(GATE.read_text())
+    got = {" ".join(argv): gate_entry(argv) for argv in gate_argvs()}
+    assert len(got) == 426
+    assert sorted(k for k in got if got[k] != want.get(k)) == []
+
+
+if __name__ == "__main__":
+    record = {" ".join(argv): gate_entry(argv) for argv in gate_argvs()}
+    GATE.write_text(json.dumps(record, indent=0, sort_keys=True) + "\n")

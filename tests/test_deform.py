@@ -4,7 +4,6 @@ from cqsing.cfrac import Singularity, dual_expand, embedding_dimension
 from cqsing.deform import (
     _trunc,
     _w,
-    an_versal_family,
     deformation_variables,
     dim_t1,
     discriminant,
@@ -51,27 +50,34 @@ class TestDimT1:
 
 
 class TestVersalFamily:
+    """The e = 3 family z1 z3 = z2^m + c_{m-2} z2^{m-2} + ... + c0, m = n,
+    over the table (z1, z2, z3, c0, ..., c_{m-2})."""
+
     def test_m2(self):
-        fam = an_versal_family(2)
+        fam = hypersurface_presentation(Singularity(2, 1))
+        assert fam.m == 2
         assert fam.parameters == ("c0",)
-        x2 = {("x",): 2}
-        assert fam.equation.terms[(2, 0, 0, 0)] == 1
-        assert fam.equation.terms[(0, 0, 2, 0)] == 1
+        assert fam.equation.terms[(1, 0, 1, 0)] == 1
+        assert fam.equation.terms[(0, 2, 0, 0)] == -1
 
     def test_m3_shape(self):
-        fam = an_versal_family(3)
+        fam = hypersurface_presentation(Singularity(3, 2))
         assert fam.parameters == ("c0", "c1")
-        # x^2 + y^2 + z^3 + c1*z + c0, no z^2 term
+        # z1*z3 - z2^3 - c1*z2 - c0, no z2^2 term
         exps = set(fam.equation.terms)
-        assert (0, 0, 3, 0, 0) in exps
-        assert not any(e[2] == 2 for e in exps)
+        assert (0, 3, 0, 0, 0) in exps
+        assert not any(e[1] == 2 for e in exps)
 
     def test_m5_count(self):
-        assert len(an_versal_family(5).parameters) == 4
+        assert len(hypersurface_presentation(Singularity(5, 4)).parameters) == 4
 
-    def test_m1_rejected(self):
-        with pytest.raises(InputError):
-            an_versal_family(1)
+    def test_shape_sweep(self):
+        for n in range(2, 12):
+            fam = hypersurface_presentation(Singularity(n, n - 1))
+            assert fam.m == n
+            assert fam.parameters == tuple(f"c{k}" for k in range(n - 1))
+            assert fam.table.names == ("z1", "z2", "z3") + fam.parameters
+            assert not any(e[1] == n - 1 for e in fam.equation.terms)
 
 
 class TestDiscriminant:
@@ -257,14 +263,12 @@ class TestHypersurfaceRoute:
     def test_parameters_match_dim_t1(self):
         for n in range(2, 10):
             s = Singularity(n, n - 1)
-            table, equation, params = hypersurface_presentation(s)
-            assert len(params) == dim_t1(s) == n - 1
+            assert len(hypersurface_presentation(s).parameters) == dim_t1(s) == n - 1
 
     def test_specializes_to_binomial(self):
-        s = Singularity(6, 5)
-        table, equation, params = hypersurface_presentation(s)
-        at_zero = equation.substitute({p: 0 for p in params})
-        expected = table.var("z1") * table.var("z3") - table.var("z2", 6)
+        fam = hypersurface_presentation(Singularity(6, 5))
+        at_zero = fam.equation.substitute({p: 0 for p in fam.parameters})
+        expected = fam.table.var("z1") * fam.table.var("z3") - fam.table.var("z2", 6)
         assert at_zero == expected
 
     def test_only_for_e3(self):

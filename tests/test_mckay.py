@@ -32,6 +32,23 @@ def g_basis_oracle(n, q):
     return out
 
 
+def g_basis_sweep_oracle(n, q):
+    """Two-direction sweep over the n x n box: (a, b) has an invariant
+    divisor if it is invariant itself or (a-1, b) or (a, b-1) has one."""
+    has_divisor = [[False] * n for _ in range(n)]
+    basis = []
+    for a in range(n):
+        row = has_divisor[a]
+        for b in range(n):
+            d = ((a or b) and (a + q * b) % n == 0) or (
+                a > 0 and has_divisor[a - 1][b]
+            ) or (b > 0 and row[b - 1])
+            row[b] = d
+            if not d:
+                basis.append((a, b))
+    return basis
+
+
 def partitions(total, cap=None):
     if total == 0:
         yield ()
@@ -127,6 +144,10 @@ class TestGBasis:
             basis = set(g_basis(Singularity(n, n - 1)))
             expected = {(a, 0) for a in range(n)} | {(0, b) for b in range(n)}
             assert basis == expected
+
+    def test_staircase_matches_sweep_oracle(self):
+        for n, q in coprime_pairs(80):
+            assert g_basis(Singularity(n, q)) == g_basis_sweep_oracle(n, q)
 
     def test_against_brute_force(self):
         for n, q in coprime_pairs(20):

@@ -89,7 +89,33 @@ class TestSelfIntersections:
             self_intersections(bad)
 
 
+def hilbert_basis_box_oracle(n, q):
+    """Box search: every irreducible has both coordinates <= n, so test each
+    invariant exponent in the box for a decomposition into two others."""
+    members = {
+        (a, b)
+        for a in range(n + 1)
+        for b in range(n + 1)
+        if (a or b) and (a + q * b) % n == 0
+    }
+    basis = [
+        (a, b)
+        for a, b in members
+        if not any(
+            (a - c, b - d) in members
+            for c, d in members
+            if c <= a and d <= b and (c, d) != (a, b)
+        )
+    ]
+    return sorted(basis, key=lambda p: (-p[0], p[1]))
+
+
 class TestHilbertBasis:
+    def test_hull_matches_box_oracle(self):
+        for n, q in coprime_pairs(80):
+            assert hilbert_basis_dual(Singularity(n, q)) == hilbert_basis_box_oracle(n, q)
+
+
     def test_11_7(self):
         assert hilbert_basis_dual(Singularity(11, 7)) == [
             (11, 0), (4, 1), (1, 3), (0, 11),
