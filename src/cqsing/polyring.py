@@ -1,12 +1,19 @@
 """Exact sparse multivariate polynomials with weighted monomial orders.
 
-Coefficients are arbitrary-precision rationals throughout; the Groebner-fan
-boundaries are decided by exact sign tests, so no floating point appears
-anywhere.  Monomials are plain exponent tuples, one slot per variable of a
-``VariableTable``.  A ``WeightedOrder`` compares by weight dot-product first
-and falls back to degree-lexicographic comparison with the table's variable
-precedence (earlier name = bigger variable); the zero weight vector is thus
-the plain degree-lexicographic order.
+Coefficients are exact rationals stored integer-first: each is an ``int`` or
+a ``Fraction``, never a float.  Integral input is made an ``int`` on entry,
+so the common products and sums run in integer arithmetic; a ``Fraction`` is
+made only from non-integral input or at the three division sites
+(``monic``, ``normal_form`` and ``s_polynomial``), whose exact quotient is a
+sign change when the divisor is a unit.  Arithmetic among Fractions may leave
+an integral Fraction, which is harmless: ``3 == Fraction(3)`` and the two hash
+and print alike, so the representation never shows in results.  The
+Groebner-fan boundaries are decided by exact sign tests, so no floating point
+appears anywhere.  Monomials are plain exponent tuples, one slot per
+variable of a ``VariableTable``.  A ``WeightedOrder`` compares by weight
+dot-product first and falls back to degree-lexicographic comparison with the
+table's variable precedence (earlier name = bigger variable); the zero weight
+vector is thus the plain degree-lexicographic order.
 """
 
 from __future__ import annotations
@@ -14,16 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import compress
+from operator import add, neg, sub
 
 from .errors import InputError
 
 
 def exp_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def exp_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def exp_divides(a, b):
@@ -35,7 +44,26 @@ def exp_divides(a, b):
 
 
 def exp_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
+
+
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is not Fraction:
+        if type(c) is int:
+            return c
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _quotient(a, b):
+    """a / b exactly: a sign change when b is a unit, else an exact
+    Fraction made int when integral (int / int would be a float)."""
+    if b == 1:
+        return a
+    if b == -1:
+        return -a
+    return _exact(Fraction(a, b))
 
 
 class VariableTable:
@@ -53,7 +81,9 @@ class VariableTable:
         return len(self.names)
 
     def __eq__(self, other):
-        return isinstance(other, VariableTable) and self.names == other.names
+        return self is other or (
+            isinstance(other, VariableTable) and self.names == other.names
+        )
 
     def __hash__(self):
         return hash(self.names)
@@ -67,21 +97,21 @@ class VariableTable:
         return self._index[name]
 
     def zero(self):
-        return Polynomial(self, {})
+        return Polynomial._raw(self, {})
 
     def one(self):
         return self.constant(1)
 
     def constant(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return self.zero()
-        return Polynomial(self, {(0,) * len(self.names): c})
+        return Polynomial._raw(self, {(0,) * len(self.names): c})
 
     def var(self, name, power=1):
         exps = [0] * len(self.names)
         exps[self.index(name)] = power
-        return Polynomial(self, {tuple(exps): Fraction(1)})
+        return Polynomial._raw(self, {tuple(exps): 1})
 
     def poly(self, terms):
         """Build from a {exponent tuple: coefficient} mapping."""
@@ -100,14 +130,15 @@ class Polynomial:
         for exps, coeff in terms.items():
             if len(exps) != width:
                 raise InputError("exponent tuple has the wrong arity")
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if coeff:
                 clean[tuple(exps)] = coeff
         self.terms = clean
 
     @classmethod
     def _raw(cls, table, clean_terms):
-        # internal: terms are already canonical (tuples, nonzero Fractions)
+        # internal: terms are already canonical (tuples, nonzero int or
+        # Fraction coefficients)
         poly = object.__new__(cls)
         poly.table = table
         poly.terms = clean_terms
@@ -175,9 +206,9 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return self.table.zero()
-            other = Fraction(other)
+            other = _exact(other)
             return Polynomial._raw(
-                self.table, {m: c * other for m, c in self.terms.items()}
+                self.table, {m: _exact(c * other) for m, c in self.terms.items()}
             )
         other = self._coerce(other)
         if other is None:
@@ -211,9 +242,10 @@ class Polynomial:
         """coeff * x^exps * self, in one pass."""
         if coeff == 0:
             return self.table.zero()
-        coeff = Fraction(coeff)
+        coeff = _exact(coeff)
         return Polynomial._raw(
-            self.table, {exp_mul(m, exps): c * coeff for m, c in self.terms.items()}
+            self.table,
+            {exp_mul(m, exps): _exact(c * coeff) for m, c in self.terms.items()},
         )
 
     def substitute(self, mapping):
@@ -232,13 +264,13 @@ class Polynomial:
                     polys[k] = value
                     continue
             elif value:
-                scalars[k] = Fraction(value)
+                scalars[k] = _exact(value)
                 continue
             zeros.append(k)
         mapped = list(scalars) + list(polys)
         res = {}
         for exps, coeff in self.terms.items():
-            if any(exps[k] for k in zeros):
+            if any(map(exps.__getitem__, zeros)):
                 continue
             kept = list(exps)
             factor = None
@@ -308,7 +340,7 @@ def monic(f: Polynomial, order: WeightedOrder) -> Polynomial:
     _, c = leading_term(f, order)
     if c == 1:
         return f
-    return f * (1 / c)
+    return f * _quotient(1, c)
 
 
 def initial_form(f: Polynomial, weights) -> Polynomial:
@@ -329,7 +361,7 @@ def initial_form(f: Polynomial, weights) -> Polynomial:
 
 def _neg_key(key):
     w, deg, exps = key
-    return (-w, -deg, tuple(-e for e in exps))
+    return (-w, -deg, tuple(map(neg, exps)))
 
 
 def normal_form(f: Polynomial, basis, order: WeightedOrder) -> Polynomial:
@@ -359,7 +391,7 @@ def normal_form(f: Polynomial, basis, order: WeightedOrder) -> Polynomial:
             continue
         for gm, gc, gterms in binfo:
             if exp_divides(gm, m):
-                factor = c / gc
+                factor = _quotient(c, gc)
                 shift = exp_div(m, gm)
                 for gm2, gc2 in gterms:
                     mm = exp_mul(gm2, shift)
@@ -381,8 +413,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: WeightedOrder) -> Polynomi
     fm, fc = leading_term(f, order)
     gm, gc = leading_term(g, order)
     lcm = exp_lcm(fm, gm)
-    return f.term_multiple(1 / fc, exp_div(lcm, fm)) - g.term_multiple(
-        1 / gc, exp_div(lcm, gm)
+    return f.term_multiple(_quotient(1, fc), exp_div(lcm, fm)) - g.term_multiple(
+        _quotient(1, gc), exp_div(lcm, gm)
     )
 
 
@@ -490,7 +522,8 @@ def poly_text(f: Polynomial, order: WeightedOrder | None = None) -> str:
     for m in sorted(f.terms, key=key, reverse=True):
         c = f.terms[m]
         body = "*".join(
-            names[k] if e == 1 else f"{names[k]}^{e}" for k, e in enumerate(m) if e
+            names[k] if e == 1 else f"{names[k]}^{e}"
+            for k, e in compress(enumerate(m), m)
         )
         mag = abs(c)
         if not body:

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from cqsing.cfrac import Singularity
 from cqsing.errors import InputError
+from cqsing.gfan import groebner_fan, orbit_ideal
 from cqsing.polyring import (
     Polynomial,
     VariableTable,
@@ -16,6 +18,8 @@ from cqsing.polyring import (
     poly_text,
     s_polynomial,
 )
+
+from conftest import coprime_pairs
 
 XY = VariableTable(["x", "y"])
 
@@ -327,3 +331,145 @@ class TestText:
         order = WeightedOrder.deglex(2)
         f = p({(2, 0): -2, (0, 1): 4})
         assert leading_term(monic(f, order), order)[1] == 1
+
+
+def assert_exact(polys):
+    """Every coefficient is an int or a Fraction: never a float or a bool."""
+    for f in polys:
+        for c in f.terms.values():
+            assert type(c) in (int, Fraction), (f, c)
+
+
+def non_unit_lead(rng, order):
+    """A random polynomial whose leading coefficient is not a unit."""
+    f = random_poly(rng, max_terms=3, max_exp=3)
+    while not f:
+        f = random_poly(rng, max_terms=3, max_exp=3)
+    terms = dict(f.terms)
+    terms[leading_term(f, order)[0]] = rng.choice((3, Fraction(2, 5), -6, Fraction(7, 3)))
+    return p(terms)
+
+
+class TestExactCoefficients:
+    def test_integral_input_stays_int(self):
+        f = p({(2, 0): Fraction(4, 4), (0, 1): True, (0, 0): Fraction(6, 2)})
+        assert f.terms == {(2, 0): 1, (0, 1): 1, (0, 0): 3}
+        assert_exact([f])
+        g = XY.constant(Fraction(6, 3)) - XY.var("y")
+        order = WeightedOrder.deglex(2)
+        results = [f + g, f - g, f * g, 3 * f, f**3, f.term_multiple(Fraction(5, 5), (1, 1))]
+        # the divisors are the units 1 and -1
+        results += [monic(g, order), normal_form(f**2, [g], order), s_polynomial(f, g, order)]
+        for h in results:
+            assert all(type(c) is int for c in h.terms.values()), h
+
+    def test_division_sites_never_make_floats(self):
+        rng = random.Random(17)
+        for order in (WeightedOrder.deglex(2), WeightedOrder(weights=(3, 1))):
+            for _ in range(40):
+                gens = [non_unit_lead(rng, order) for _ in range(3)]
+                monics = [monic(g, order) for g in gens]
+                assert_exact(monics)
+                for g, h in zip(gens, monics):
+                    assert leading_term(h, order)[1] == 1
+                    assert h * leading_term(g, order)[1] == g
+                basis = buchberger(gens, order)
+                assert_exact(basis)
+                assert buchberger(monics, order) == basis
+                spairs = [s_polynomial(a, b, order) for a in gens for b in gens if a is not b]
+                assert_exact(spairs)
+                for s in spairs:
+                    assert not normal_form(s, basis, order)
+                f = random_poly(rng, max_terms=5, max_exp=6)
+                r = normal_form(f, gens, order)
+                assert_exact([r])
+                # f - r lies in the ideal, so both have the same remainder
+                # modulo the reduced Groebner basis
+                assert normal_form(r, basis, order) == normal_form(f, basis, order)
+
+    def test_groebner_fan_off_the_unit_point(self):
+        point = (2, Fraction(1, 3))
+        for n, q in coprime_pairs(15):
+            s = Singularity(n, q)
+            ideal = orbit_ideal(s, point)
+            assert_exact(ideal.gens)
+            _, cones = groebner_fan(s, point)
+            for cone in cones:
+                oracle = buchberger(list(ideal.gens), WeightedOrder(weights=cone.weight))
+                assert_exact(cone.basis)
+                assert_exact(oracle)
+                assert list(cone.basis) == oracle, (n, q, cone.weight)
+
+
+def evaluate(f, point):
+    """f at a point of Fractions, one per variable, in plain Fraction
+    arithmetic."""
+    total = Fraction(0)
+    for exps, c in f.terms.items():
+        term = Fraction(c)
+        for x, e in zip(point, exps):
+            term *= x**e
+        total += term
+    return total
+
+
+class TestEvaluationHomomorphism:
+    """Evaluation at a rational point is a ring map, so each operation's
+    result must evaluate to the same operation on the evaluated operands,
+    computed independently of the coefficient representation."""
+
+    def test_operations_commute_with_evaluation(self):
+        rng = random.Random(23)
+        order = WeightedOrder(weights=(2, 1, 3))
+
+        def scalar():
+            c = rng.randint(-4, 4)
+            return c if rng.random() < 0.5 else Fraction(c, rng.randint(1, 4))
+
+        def mixed_poly(max_terms=5):
+            terms = {}
+            for _ in range(rng.randint(0, max_terms)):
+                exps = tuple(rng.randint(0, 3) for _ in XYZ.names)
+                terms[exps] = scalar()
+            return XYZ.poly(terms)
+
+        for _ in range(150):
+            a, b = mixed_poly(), mixed_poly()
+            point = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in XYZ.names)
+            ea, eb = evaluate(a, point), evaluate(b, point)
+            c, k = scalar(), rng.randint(0, 3)
+            shift = tuple(rng.randint(0, 2) for _ in XYZ.names)
+            checks = {
+                "+": (a + b, ea + eb),
+                "-": (a - b, ea - eb),
+                "*": (a * b, ea * eb),
+                "**": (a**k, ea**k),
+                "scalar": (c * a - b * c, Fraction(c) * (ea - eb)),
+                "term_multiple": (
+                    a.term_multiple(c, shift),
+                    Fraction(c) * evaluate(XYZ.poly({shift: 1}), point) * ea,
+                ),
+            }
+            mapping = {}
+            for name in rng.sample(XYZ.names, rng.randint(0, 3)):
+                mapping[name] = scalar() if rng.random() < 0.4 else mixed_poly(3)
+            moved = tuple(
+                evaluate(mapping[name], point)
+                if isinstance(mapping.get(name), Polynomial)
+                else Fraction(mapping.get(name, x))
+                for name, x in zip(XYZ.names, point)
+            )
+            checks["substitute"] = (a.substitute(mapping), evaluate(a, moved))
+            if a and b:
+                (fm, fc), (gm, gc) = leading_term(a, order), leading_term(b, order)
+                lcm = tuple(max(x, y) for x, y in zip(fm, gm))
+                up_a = XYZ.poly({tuple(x - y for x, y in zip(lcm, fm)): 1})
+                up_b = XYZ.poly({tuple(x - y for x, y in zip(lcm, gm)): 1})
+                checks["s_polynomial"] = (
+                    s_polynomial(a, b, order),
+                    evaluate(up_a, point) * ea / Fraction(fc)
+                    - evaluate(up_b, point) * eb / Fraction(gc),
+                )
+            for name, (got, want) in checks.items():
+                assert_exact([got])
+                assert evaluate(got, point) == want, name
