@@ -13,6 +13,8 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import NamedTuple
 
@@ -187,7 +189,7 @@ def run_mckay(s: Singularity) -> Report:
 
 def run_hilb(s: Singularity) -> Report:
     clusters = mckay.g_clusters(s)
-    curves = mckay.curve_rep_assignment(s)
+    curves = mckay.curve_rep_assignment(s, clusters)
     ideals = [
         "<" + ", ".join(invariant_ring.monomial_text(a, b) for a, b in c.ideal) + ">"
         for c in clusters
@@ -203,7 +205,7 @@ def run_hilb(s: Singularity) -> Report:
         ],
         "curves": [{"curve": k, "class": w} for k, w in curves],
         "checks": _with_reference(
-            {"regular_representation": mckay.cluster_weight_check(s)},
+            {"regular_representation": mckay.cluster_weight_check(s, clusters)},
             s,
             cluster_ideals=[[list(p) for p in c.ideal] for c in clusters],
         ),
@@ -392,9 +394,10 @@ def verify_checks(s: Singularity) -> dict[str, bool]:
         g.exponents for g in gens
     ]
     checks["special_count"] = len(mckay.special_reps(s)) == len(b)
-    checks["clusters"] = mckay.cluster_weight_check(s)
+    clusters = mckay.g_clusters(s)
+    checks["clusters"] = mckay.cluster_weight_check(s, clusters)
     try:
-        mckay.curve_rep_assignment(s)
+        mckay.curve_rep_assignment(s, clusters)
         checks["curve_assignment"] = True
     except ConsistencyError:
         checks["curve_assignment"] = False
@@ -499,6 +502,78 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# JSON text of the scalars, by exact type (bool is not taken for int)
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=2), for a value
+    at the nesting level whose line prefix is ``indent`` ("\\n" at the top).
+
+    json.dumps with an indent runs the encoder's pure-Python generator; this
+    joins the same pieces with str.join.  A list of scalars renders in one
+    pass, and a list of equal-length rows of scalars (g_basis, heights,
+    ideals, pairs, quiver arrows) goes through one row template.  Only str,
+    int, bool, None, lists, tuples and dicts with str keys are accepted.
+    """
+    render = _SCALAR_TEXT.get(type(value))
+    if render is not None:
+        return render(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # a key that is not a str makes encode_basestring_ascii raise TypeError
+        items = [
+            encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+            for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds <= _SCALAR_TEXT.keys():
+            items = [_SCALAR_TEXT[type(v)](v) for v in value]
+        else:
+            rows = _rows_text(value, indent) if kinds <= {list, tuple} else None
+            if rows is not None:
+                return rows
+            items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _rows_text(rows, indent: str):
+    """``_json_text`` of a list of equal-length, nonempty rows of scalars,
+    filled into one template: %d cells from the ints themselves when all
+    are ints, else %s cells from their texts; None for any other list."""
+    width = len(rows[0])
+    if not width or set(map(len, rows)) != {width}:
+        return None
+    cells = tuple(chain.from_iterable(rows))
+    kinds = set(map(type, cells))
+    if kinds == {int}:
+        cell = "%d"
+    elif kinds <= _SCALAR_TEXT.keys():
+        cell = "%s"
+        cells = tuple([_SCALAR_TEXT[type(v)](v) for v in cells])
+    else:
+        return None
+    inner, deeper = indent + "  ", indent + "    "
+    row = "[" + deeper + ("," + deeper).join([cell] * width) + inner + "]"
+    return ("[" + inner + ("," + inner).join([row] * len(rows)) + indent + "]") % cells
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -509,7 +584,7 @@ def main(argv=None) -> int:
         else:
             report = run_batch(args.max_n)
         if args.format == "json":
-            out = json.dumps(report.payload, sort_keys=True, indent=2) + "\n"
+            out = _json_text(report.payload) + "\n"
         elif args.format == "text":
             out = "\n".join(report.text) + "\n"
         elif report.quiver is None:

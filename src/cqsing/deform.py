@@ -46,7 +46,7 @@ from fractions import Fraction
 
 from .cfrac import Singularity, dual_expand, embedding_dimension
 from .errors import InputError
-from .polyring import Polynomial, VariableTable
+from .polyring import Polynomial, VariableTable, substitute_all
 
 
 @dataclass(frozen=True)
@@ -233,4 +233,4 @@ def hypersurface_presentation(s: Singularity) -> HypersurfaceFamily:
 def specialized_relations(pres: VersalPresentation) -> list[Polynomial]:
     """The total-space relations at s = t = 0 (still over the big table)."""
     zero_params = {name: 0 for name in pres.variables.parameter_names}
-    return [rel.substitute(zero_params) for rel in pres.relations]
+    return substitute_all(pres.relations, zero_params)

@@ -43,7 +43,7 @@ from math import gcd
 from .cfrac import Singularity, curve_count
 from .errors import ConsistencyError, InputError
 from .invariant_ring import generators
-from .mckay import g_clusters
+from .mckay import boxes_by_weight, g_clusters
 from .polyring import (
     Polynomial,
     VariableTable,
@@ -160,9 +160,8 @@ def _candidates(ideal: OrbitIdeal):
     p0, p1 = ideal.point
     out = []
     for cluster in g_clusters(s):
-        boxes = cluster.boxes()
-        box_of = {(a + q * b) % n: (a, b) for a, b in boxes}
-        if len(boxes) != n or len(box_of) != n:
+        box_of = boxes_by_weight(s, cluster)
+        if box_of is None:
             raise ConsistencyError("cluster boxes do not carry each weight once")
         elems = []
         for m in cluster.ideal:

@@ -35,9 +35,6 @@ class GCluster:
     def width(self) -> int:
         return len(self.heights)
 
-    def boxes(self):
-        return [(a, b) for a, h in enumerate(self.heights) for b in range(h)]
-
 
 def mckay_quiver(s: Singularity) -> Quiver:
     """n vertices rho_0..rho_{n-1}; arrows i -> i+1 and i -> i+q (mod n).
@@ -77,11 +74,13 @@ def weight(s: Singularity, a: int, b: int) -> int:
 
 def special_reps(s: Singularity) -> set[int]:
     """Nontrivial classes k whose basis monomials of weight k are all pure
-    powers (the L-shaped set); their count equals the curve count r."""
-    mixed_weights = {
-        weight(s, a, b) for a, b in g_basis(s) if a > 0 and b > 0
-    }
-    return {k for k in range(1, s.n) if k not in mixed_weights}
+    powers (the L-shaped set); their count equals the curve count r.
+
+    Closed form (Wunram 1988): they are the residues i_1..i_r of the
+    unrefined exponent series.  The scan of ``g_basis`` is kept in the tests
+    as an oracle for this formula.
+    """
+    return set(unrefined_series(s).i_values[1:-1])
 
 
 def _ideal_from_heights(heights):
@@ -113,16 +112,30 @@ def g_clusters(s: Singularity) -> list[GCluster]:
     return clusters
 
 
-def curve_rep_assignment(s: Singularity) -> list[tuple[int, int]]:
-    """Pair each exceptional curve k (between clusters k and k+1) with the
-    common weight of its two corner monomials: the pure x-power of cluster
-    k and the pure y-power of cluster k+1."""
-    clusters = g_clusters(s)
+def boxes_by_weight(s: Singularity, cluster: GCluster):
+    """The box of each residue a + q*b (mod n) of the cluster, or None unless
+    its boxes carry each residue exactly once."""
+    n, q = s.n, s.q
+    by_weight = {
+        (a + q * b) % n: (a, b)
+        for a, h in enumerate(cluster.heights)
+        for b in range(h)
+    }
+    if len(by_weight) != n or sum(cluster.heights) != n:
+        return None
+    return by_weight
+
+
+def curve_rep_assignment(s: Singularity, clusters) -> list[tuple[int, int]]:
+    """Pair each exceptional curve k (between clusters k and k+1 of
+    ``g_clusters(s)``) with the common weight of its two corner monomials:
+    the pure x-power of cluster k and the pure y-power of cluster k+1."""
+    n, q = s.n, s.q
     out = []
     for k in range(1, len(clusters)):
         left, right = clusters[k - 1], clusters[k]
-        w_x = weight(s, left.width, 0)
-        w_y = weight(s, 0, right.heights[0])
+        w_x = left.width % n
+        w_y = q * right.heights[0] % n
         if w_x != w_y:
             raise ConsistencyError(
                 f"corner monomials of curve {k} disagree: {w_x} vs {w_y}"
@@ -134,14 +147,9 @@ def curve_rep_assignment(s: Singularity) -> list[tuple[int, int]]:
     return out
 
 
-def cluster_weight_check(s: Singularity) -> bool:
-    """Every cluster carries each residue exactly once (regular representation)."""
-    r = curve_count(s)
-    clusters = g_clusters(s)
-    if len(clusters) != r + 1:
-        return False
-    for c in clusters:
-        ws = {weight(s, a, b) for a, b in c.boxes()}
-        if ws != set(range(s.n)):
-            return False
-    return True
+def cluster_weight_check(s: Singularity, clusters) -> bool:
+    """The r + 1 clusters of ``g_clusters(s)`` each carry every residue
+    exactly once (regular representation)."""
+    return len(clusters) == curve_count(s) + 1 and all(
+        boxes_by_weight(s, c) is not None for c in clusters
+    )

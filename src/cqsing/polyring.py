@@ -249,27 +249,43 @@ class Polynomial:
         )
 
     def substitute(self, mapping):
-        """Replace variables (by name) with polynomials or constants.
+        """Replace variables (by name) with polynomials or constants."""
+        return substitute_all((self,), mapping)[0]
 
-        One pass over the terms into one accumulator: a term with a variable
-        mapped to zero is dropped, a constant scales the coefficient and a
-        polynomial multiplies the term out.
-        """
-        table = self.table
-        zeros, scalars, polys = [], {}, {}
-        for name, value in mapping.items():
-            k = table.index(name)
-            if isinstance(value, Polynomial):
-                if self._coerce(value):
-                    polys[k] = value
-                    continue
-            elif value:
-                scalars[k] = _exact(value)
+    def __repr__(self):
+        return poly_text(self)
+
+
+def substitute_all(polys, mapping):
+    """Each polynomial of ``polys`` (one variable table) with the variables of
+    ``mapping`` (by name) replaced by polynomials or constants.
+
+    The mapping is classified once for the whole list.  Then one pass over
+    each polynomial's terms fills one accumulator: a term with a variable
+    mapped to zero is dropped, a constant scales the coefficient and a
+    polynomial multiplies the term out.
+    """
+    if not polys:
+        return []
+    first = polys[0]
+    table = first.table
+    zeros, scalars, poly_values = [], {}, {}
+    for name, value in mapping.items():
+        k = table.index(name)
+        if isinstance(value, Polynomial):
+            if first._coerce(value):
+                poly_values[k] = value
                 continue
-            zeros.append(k)
-        mapped = list(scalars) + list(polys)
+        elif value:
+            scalars[k] = _exact(value)
+            continue
+        zeros.append(k)
+    mapped = list(scalars) + list(poly_values)
+    out = []
+    for poly in polys:
+        first._coerce(poly)  # raises for a polynomial over another table
         res = {}
-        for exps, coeff in self.terms.items():
+        for exps, coeff in poly.terms.items():
             if any(map(exps.__getitem__, zeros)):
                 continue
             kept = list(exps)
@@ -282,7 +298,7 @@ class Polynomial:
                 if k in scalars:
                     coeff = coeff * scalars[k] ** e
                 else:
-                    power = polys[k] ** e
+                    power = poly_values[k] ** e
                     factor = power if factor is None else factor * power
             kept = tuple(kept)
             if factor is None:
@@ -295,10 +311,8 @@ class Polynomial:
                     res[m] = acc
                 else:
                     res.pop(m, None)
-        return Polynomial._raw(table, res)
-
-    def __repr__(self):
-        return poly_text(self)
+        out.append(Polynomial._raw(table, res))
+    return out
 
 
 @dataclass(frozen=True)

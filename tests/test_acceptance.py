@@ -101,7 +101,8 @@ def test_criterion_4_g_clusters():
             ((11, 0), (0, 1)),
         ]
         for n, q in coprime_pairs(60):
-            assert cluster_weight_check(Singularity(n, q)), (n, q)
+            s = Singularity(n, q)
+            assert cluster_weight_check(s, g_clusters(s)), (n, q)
 
 
 GOLDEN_BASES = {

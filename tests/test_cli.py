@@ -1,4 +1,5 @@
 import contextlib
+import enum
 import hashlib
 import io
 import json
@@ -97,6 +98,106 @@ class TestJson:
         # inputs without stored references carry no flag
         _, out, _ = run(capsys, ["resolve", "7", "3", "--format", "json"])
         assert "matches_reference" not in json.loads(out)["checks"]
+
+
+def dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Tag(str):
+    pass
+
+
+class TestJsonRenderer:
+    """cli._json_text against json.dumps(sort_keys=True, indent=2)."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [],
+            {},
+            [[]],
+            [{}],
+            [[], [[]], {"a": {}, "b": [{}]}],
+            {"x": {"y": {"z": []}}},
+            [True, 1],
+            [1, True],
+            [[1, 2], [True, 3]],
+            [[1, 2], [3, 4], [5, False]],
+            [[None, 1], [2, 3]],
+            [True, False, None],
+            [-1, 0, 2**64 + 1, -(2**70)],
+            [[-3, 2**65], [7, -(2**64) - 5]],
+            "caf\u00e9 \u2603 \U0001f600",
+            ["\"quoted\"", "back\\slash", "tab\tnew\nline\x00\x1f\x7f"],
+            {"\u00e9": 1, "a\"b": [2], "\\": {}},
+            (1, 2, 3),
+            [(1, 2), (3, 4)],
+            ([1, 2], (3, 4)),
+            [[1, 2], [3]],
+            [[1], [2, 3], []],
+            [[0, 1, "x"], [0, 7, "y"], [10, 0, "x"]],
+            [["a", 1], ["b", 2]],
+            [Level.LOW, Tag("t")],
+            [[Level.LOW, 2], [3, 4]],
+            {Tag("k"): Level.LOW},
+            [[[1, 2]], [[3, 4]]],
+            {"b": [[1, 2]], "a": None, "c": {"d": [True]}},
+            1,
+            -5,
+            "plain",
+            None,
+            True,
+        ],
+    )
+    def test_matches_json_dumps(self, value):
+        assert cli._json_text(value) == dumps(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, [0.0], {"a": [[1, 2.5]]}, {1: 2}, {"a": 1, None: 2}, {(1, 2): 3},
+         [object()], {"a": {1, 2}}],
+    )
+    def test_rejects_what_it_does_not_render(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["mckay", "30", "1"], ["hilb", "30", "11"], ["deform", "11", "2"],
+         ["invariants", "20", "3"], ["batch", "--max-n", "5"]],
+    )
+    def test_reports_match_json_dumps(self, capsys, argv):
+        code, out, _ = run(capsys, argv + ["--format", "json"])
+        assert code == 0
+        assert out == dumps(json.loads(out)) + "\n"
+
+    def test_property_against_json_dumps(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        scalars = (
+            st.none() | st.booleans() | st.integers() | st.integers(-3, 3)
+            | st.text(max_size=8)
+        )
+        rows = st.lists(st.lists(st.integers(), min_size=2, max_size=2), max_size=4)
+        values = st.recursive(
+            scalars | rows,
+            lambda inner: st.lists(inner, max_size=4)
+            | st.tuples(inner, inner)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+            max_leaves=20,
+        )
+
+        @hypothesis.settings(max_examples=100, deadline=None, database=None)
+        @hypothesis.given(values)
+        def check(value):
+            assert cli._json_text(value) == dumps(value)
+
+        check()
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cqsing import gfan
 from cqsing.cfrac import Singularity, curve_count
 from cqsing.errors import ConsistencyError, InputError
 from cqsing.gfan import (
@@ -13,6 +14,7 @@ from cqsing.gfan import (
     groebner_fan,
     orbit_ideal,
 )
+from cqsing.mckay import GCluster
 from cqsing.polyring import WeightedOrder, buchberger, leading_term, normal_form
 from cqsing.toric import resolution_fan
 
@@ -199,6 +201,14 @@ class TestCertificate:
             certify_basis(cone.basis, ideal.gens, order, 12)
         with pytest.raises(ConsistencyError):
             certify_basis(cone.basis[:-1], ideal.gens, order, 11)
+
+    def test_cluster_without_weight_bijection_rejected(self, monkeypatch):
+        # 11 boxes: column 0 of height 6 carries the weights 0, 7, 3, 10,
+        # 6, 2 and the rest of row 0 carries 1..5, so 2 and 3 repeat
+        bad = GCluster(heights=(6, 1, 1, 1, 1, 1), ideal=((6, 0), (1, 1), (0, 6)))
+        monkeypatch.setattr(gfan, "g_clusters", lambda s: [bad])
+        with pytest.raises(ConsistencyError, match="do not carry each weight once"):
+            groebner_fan(Singularity(11, 7))
 
 
 class TestGroebnerFan:

@@ -1,5 +1,7 @@
 from cqsing.cfrac import Singularity, curve_count
 from cqsing.mckay import (
+    GCluster,
+    boxes_by_weight,
     cluster_weight_check,
     curve_rep_assignment,
     g_basis,
@@ -47,6 +49,26 @@ def g_basis_sweep_oracle(n, q):
             if not d:
                 basis.append((a, b))
     return basis
+
+
+def _special_reps_by_scan(s):
+    """Nontrivial classes that no mixed monomial x^a y^b (a, b > 0) of the
+    basis carries: the L-shaped set, read off a scan of g_basis."""
+    mixed_weights = {
+        weight(s, a, b) for a, b in g_basis(s) if a > 0 and b > 0
+    }
+    return {k for k in range(1, s.n) if k not in mixed_weights}
+
+
+def cluster_weight_check_by_box(s, clusters):
+    """r + 1 clusters, each whose per-box weights make up all of Z/n."""
+    if len(clusters) != curve_count(s) + 1:
+        return False
+    return all(
+        {weight(s, a, b) for a, h in enumerate(c.heights) for b in range(h)}
+        == set(range(s.n))
+        for c in clusters
+    )
 
 
 def partitions(total, cap=None):
@@ -170,6 +192,13 @@ class TestSpecialReps:
             s = Singularity(n, q)
             assert len(special_reps(s)) == curve_count(s), (n, q)
 
+    def test_closed_form_matches_scan_oracle(self):
+        pairs = coprime_pairs(100)
+        assert len(pairs) == 3043
+        for n, q in pairs:
+            s = Singularity(n, q)
+            assert special_reps(s) == _special_reps_by_scan(s), (n, q)
+
     def test_duality(self):
         for n, q in coprime_pairs(40):
             q_inv = pow(q, -1, n)
@@ -207,7 +236,30 @@ class TestClusters:
 
     def test_count_and_regular_representation_sweep(self):
         for n, q in coprime_pairs(60):
-            assert cluster_weight_check(Singularity(n, q)), (n, q)
+            s = Singularity(n, q)
+            assert cluster_weight_check(s, g_clusters(s)), (n, q)
+
+    def test_weight_check_matches_per_box_oracle(self):
+        # each pair's own clusters, then lists that must fail: one cluster
+        # short, and the clusters of the dual pair (n, n - q)
+        for n, q in coprime_pairs(100):
+            s = Singularity(n, q)
+            clusters = g_clusters(s)
+            for candidate in (clusters, clusters[:-1], g_clusters(Singularity(n, n - q))):
+                assert cluster_weight_check(s, candidate) == cluster_weight_check_by_box(
+                    s, candidate
+                ), (n, q)
+
+    def test_boxes_by_weight(self):
+        s = Singularity(11, 7)
+        for c in g_clusters(s):
+            by_weight = boxes_by_weight(s, c)
+            assert sorted(by_weight) == list(range(11))
+            assert all(weight(s, a, b) == k for k, (a, b) in by_weight.items())
+        # a weight twice: (0, 0) and (0, 11) both have weight 0
+        assert boxes_by_weight(s, GCluster(heights=(12,), ideal=((1, 0), (0, 12)))) is None
+        # too few boxes
+        assert boxes_by_weight(s, GCluster(heights=(10,), ideal=((1, 0), (0, 10)))) is None
 
     def test_closed_form_matches_dfs_oracle(self):
         cliffs = [(101, 37), (96, 37), (88, 25), (80, 51)]
@@ -230,19 +282,21 @@ class TestClusters:
 
 class TestCurveAssignment:
     def test_11_7(self):
-        assert curve_rep_assignment(Singularity(11, 7)) == [
+        s = Singularity(11, 7)
+        assert curve_rep_assignment(s, g_clusters(s)) == [
             (1, 1), (2, 2), (3, 3), (4, 7),
         ]
 
     def test_chain_identity(self):
         for n in range(2, 20):
-            assert curve_rep_assignment(Singularity(n, n - 1)) == [
+            s = Singularity(n, n - 1)
+            assert curve_rep_assignment(s, g_clusters(s)) == [
                 (k, k) for k in range(1, n)
             ]
 
     def test_bijection_onto_specials_sweep(self):
         for n, q in coprime_pairs(50):
             s = Singularity(n, q)
-            assigned = curve_rep_assignment(s)
+            assigned = curve_rep_assignment(s, g_clusters(s))
             assert {w for _, w in assigned} == special_reps(s)
             assert len(assigned) == curve_count(s)

@@ -17,6 +17,7 @@ from cqsing.polyring import (
     normal_form,
     poly_text,
     s_polynomial,
+    substitute_all,
 )
 
 from conftest import coprime_pairs
@@ -150,6 +151,25 @@ class TestSubstitute:
                 else:
                     mapping[name] = random_xyz(3)
             assert f.substitute(mapping) == naive_substitute(f, mapping), mapping
+
+    def test_list_matches_one_by_one(self):
+        rng = random.Random(5)
+        x, y = XYZ.var("x"), XYZ.var("y")
+        polys = [
+            XYZ.poly({
+                tuple(rng.randint(0, 2) for _ in XYZ.names): rng.randint(-3, 3)
+                for _ in range(5)
+            })
+            for _ in range(30)
+        ]
+        for mapping in ({"x": 0, "z": 0}, {"y": 2, "z": x - y}, {"x": y, "y": x}):
+            got = substitute_all(polys, mapping)
+            assert got == [naive_substitute(f, mapping) for f in polys], mapping
+        assert substitute_all([], {"w": 0}) == []
+
+    def test_list_over_foreign_table_rejected(self):
+        with pytest.raises(InputError):
+            substitute_all([XYZ.var("x"), XY.var("x")], {"x": 0})
 
 
 class TestInitialForm:
