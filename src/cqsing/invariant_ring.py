@@ -104,15 +104,11 @@ def relation_polynomials(s: Singularity, table: VariableTable | None = None):
     slot = [table.index(g.name) for g in gens]
     polys = []
     for rel in defining_equations(s):
-        # both sides are monomials, built straight from their exponents;
         # z_i z_j never equals p_ij, whose indices lie strictly between
-        lhs = [0] * len(table)
-        rhs = [0] * len(table)
-        for t in rel.left:
-            lhs[slot[t - 1]] = 1
-        for t, e in rel.right:
-            rhs[slot[t - 1]] = e
-        polys.append(table.poly({tuple(lhs): 1, tuple(rhs): -1}))
+        polys.append(table._binomial(
+            [(slot[t - 1], 1) for t in rel.left],
+            [(slot[t - 1], e) for t, e in rel.right],
+        ))
     return table, polys
 
 

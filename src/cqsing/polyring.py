@@ -7,44 +7,38 @@ made only from non-integral input or at the three division sites
 (``monic``, ``normal_form`` and ``s_polynomial``), whose exact quotient is a
 sign change when the divisor is a unit.  Arithmetic among Fractions may leave
 an integral Fraction, which is harmless: ``3 == Fraction(3)`` and the two hash
-and print alike, so the representation never shows in results.  The
-Groebner-fan boundaries are decided by exact sign tests, so no floating point
-appears anywhere.  Monomials are plain exponent tuples, one slot per
-variable of a ``VariableTable``.  A ``WeightedOrder`` compares by weight
-dot-product first and falls back to degree-lexicographic comparison with the
-table's variable precedence (earlier name = bigger variable); the zero weight
-vector is thus the plain degree-lexicographic order.
+and print alike, so the representation never shows in results.  No floating
+point appears anywhere.
+
+Each monomial is one int, its code (the packed exponent vector of Monagan and
+Pearce, CASC 2007): over w names, variable k's exponent fills the 16-bit field
+at bit 16 * (w - 1 - k) and the total degree sits above all the fields.  A
+product of monomials is one int addition, and int order on codes is the
+degree-lexicographic key ``(sum(m), m)`` (earlier name = bigger variable).  A
+``WeightedOrder`` compares by weight dot-product first, so its key on codes is
+``(w.m, code)``; the zero weight is plain int order.  The top bit of each field
+is a guard, so exponents are limited to 0..32767 (the ceiling): a product,
+power, ``term_multiple``, ``substitute`` or ``normal_form`` result with a guard
+bit set raises ``InputError``, never carries.  Two fields below 2**15 sum below
+2**16, so one check per result is exact.  The API speaks exponent tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
-from itertools import compress
-from operator import add, neg, sub
+from operator import mul, neg, or_
+from struct import Struct
+from types import MappingProxyType
 
 from .errors import InputError
 
-
-def exp_mul(a, b):
-    return tuple(map(add, a, b))
-
-
-def exp_div(a, b):
-    return tuple(map(sub, a, b))
-
-
-def exp_divides(a, b):
-    """True if x^a divides x^b."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def exp_lcm(a, b):
-    return tuple(map(max, a, b))
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+_LIMIT = 1 << (_BITS - 1)
+_RANGE = f"polyring exponents must lie in 0..{_LIMIT - 1}"
 
 
 def _exact(c):
@@ -67,15 +61,20 @@ def _quotient(a, b):
 
 
 class VariableTable:
-    """Ordered, duplicate-free variable names; the order fixes precedence."""
+    """Ordered, duplicate-free variable names; the order fixes precedence
+    and the code layout (``_top`` is the degree's shift)."""
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_top", "_fields", "_guard", "_struct")
 
     def __init__(self, names):
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise InputError("duplicate variable names")
         self._index = {name: k for k, name in enumerate(self.names)}
+        self._top = _BITS * len(self.names)
+        self._fields = (1 << self._top) - 1
+        self._guard = self._fields // _MASK << (_BITS - 1)
+        self._struct = Struct(f">{len(self.names)}H")
 
     def __len__(self):
         return len(self.names)
@@ -104,61 +103,79 @@ class VariableTable:
 
     def constant(self, c):
         c = _exact(c)
-        if c == 0:
-            return self.zero()
-        return Polynomial._raw(self, {(0,) * len(self.names): c})
+        return Polynomial._raw(self, {0: c} if c else {})
 
     def var(self, name, power=1):
-        exps = [0] * len(self.names)
-        exps[self.index(name)] = power
-        return Polynomial._raw(self, {tuple(exps): 1})
+        shift = self._top - _BITS * (self.index(name) + 1)
+        if not 0 <= power < _LIMIT:
+            raise InputError(_RANGE)
+        return Polynomial._raw(self, {power << self._top | power << shift: 1})
 
     def poly(self, terms):
         """Build from a {exponent tuple: coefficient} mapping."""
         return Polynomial(self, terms)
 
+    def _pack(self, exps):
+        if len(exps) != len(self.names):
+            raise InputError("exponent tuple has the wrong arity")
+        if exps and not 0 <= min(exps) <= max(exps) < _LIMIT:
+            raise InputError(_RANGE)
+        return sum(exps) << self._top | int.from_bytes(self._struct.pack(*exps), "big")
+
+    def _unpack(self, code):
+        return self._struct.unpack((code & self._fields).to_bytes(self._struct.size, "big"))
+
+    def _lcm(self, a, b):
+        return self._pack(tuple(map(max, self._unpack(a), self._unpack(b))))
+
+    def _binomial(self, left, right):
+        """x^left - x^right for two distinct monomials, each given by the
+        (slot, exponent) pairs of its nonzero exponents, packed directly."""
+        top, codes = self._top, {}
+        for side, coeff in ((left, 1), (right, -1)):
+            if not all(0 < e < _LIMIT for _, e in side):
+                raise InputError(_RANGE)
+            codes[sum(e << top | e << top - _BITS * (k + 1) for k, e in side)] = coeff
+        return Polynomial._raw(self, codes)
+
 
 class Polynomial:
-    """Sparse polynomial: a map from exponent tuple to nonzero rational."""
+    """Sparse polynomial: a map from monomial code to nonzero rational."""
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "_terms")
 
     def __init__(self, table, terms):
         self.table = table
-        clean = {}
-        width = len(table)
-        for exps, coeff in terms.items():
-            if len(exps) != width:
-                raise InputError("exponent tuple has the wrong arity")
-            coeff = _exact(coeff)
-            if coeff:
-                clean[tuple(exps)] = coeff
-        self.terms = clean
+        clean = {table._pack(exps): _exact(c) for exps, c in terms.items()}
+        self._terms = {m: c for m, c in clean.items() if c}
 
     @classmethod
     def _raw(cls, table, clean_terms):
-        # internal: terms are already canonical (tuples, nonzero int or
-        # Fraction coefficients)
+        # internal: terms are already canonical (codes, nonzero coefficients)
         poly = object.__new__(cls)
         poly.table = table
-        poly.terms = clean_terms
+        poly._terms = clean_terms
         return poly
 
-    # -- predicates ---------------------------------------------------
+    @property
+    def terms(self):
+        """Read-only {exponent tuple: coefficient} view, decoded."""
+        unpack = self.table._unpack
+        return MappingProxyType({unpack(m): c for m, c in self._terms.items()})
+
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.table == other.table and self.terms == other.terms
+            return self.table == other.table and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             return self == self.table.constant(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.table, frozenset(self.terms.items())))
+        return hash(frozenset(self._terms.items()))
 
-    # -- arithmetic ---------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, Polynomial):
             if other.table != self.table:
@@ -168,36 +185,29 @@ class Polynomial:
             return self.table.constant(other)
         return None
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = res.get(m, 0) + c
+        res = dict(self._terms)
+        for m, c in other._terms.items():
+            acc = res.get(m, 0) + sign * c
             if acc:
                 res[m] = acc
             else:
                 res.pop(m, None)
         return Polynomial._raw(self.table, res)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw(self.table, {m: -c for m, c in self.terms.items()})
+        return Polynomial._raw(self.table, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = res.get(m, 0) - c
-            if acc:
-                res[m] = acc
-            else:
-                res.pop(m, None)
-        return Polynomial._raw(self.table, res)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -208,44 +218,46 @@ class Polynomial:
                 return self.table.zero()
             other = _exact(other)
             return Polynomial._raw(
-                self.table, {m: _exact(c * other) for m, c in self.terms.items()}
+                self.table, {m: _exact(c * other) for m, c in self._terms.items()}
             )
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         res = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = exp_mul(m1, m2)
+        for m1, c1 in self._terms.items():
+            for m2, c2 in other._terms.items():
+                m = m1 + m2
                 acc = res.get(m, 0) + c1 * c2
                 if acc:
                     res[m] = acc
                 else:
                     res.pop(m, None)
-        return Polynomial._raw(self.table, res)
+        return _checked(self.table, res)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise InputError("only nonnegative integer powers")
-        result = self.table.one()
-        base = self
+        result, base = self.table.one(), self
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:  # no square past the last bit, which could pass the ceiling
+                base = base * base
         return result
 
     def term_multiple(self, coeff, exps):
         """coeff * x^exps * self, in one pass."""
+        return self._shifted(coeff, self.table._pack(exps))
+
+    def _shifted(self, coeff, code):
         if coeff == 0:
             return self.table.zero()
         coeff = _exact(coeff)
-        return Polynomial._raw(
-            self.table,
-            {exp_mul(m, exps): _exact(c * coeff) for m, c in self.terms.items()},
+        return _checked(
+            self.table, {m + code: _exact(c * coeff) for m, c in self._terms.items()}
         )
 
     def substitute(self, mapping):
@@ -256,62 +268,67 @@ class Polynomial:
         return poly_text(self)
 
 
+def _checked(table, terms):
+    """The polynomial of canonical code terms, refused if a guard bit is set."""
+    if terms and reduce(or_, terms) & table._guard:
+        raise InputError(_RANGE)
+    return Polynomial._raw(table, terms)
+
+
 def substitute_all(polys, mapping):
     """Each polynomial of ``polys`` (one variable table) with the variables of
     ``mapping`` (by name) replaced by polynomials or constants.
 
-    The mapping is classified once for the whole list.  Then one pass over
-    each polynomial's terms fills one accumulator: a term with a variable
-    mapped to zero is dropped, a constant scales the coefficient and a
-    polynomial multiplies the term out.
+    The mapping is classified once for the whole list; the fields of the
+    variables mapped to zero make one mask.  Then one pass over each
+    polynomial's terms fills one accumulator: a term that meets the mask is
+    dropped, a constant scales the coefficient and a polynomial multiplies
+    the term out.
     """
     if not polys:
         return []
-    first = polys[0]
-    table = first.table
-    zeros, scalars, poly_values = [], {}, {}
+    first, table = polys[0], polys[0].table
+    top = table._top
+    zeros, mapped = 0, []
     for name, value in mapping.items():
-        k = table.index(name)
+        shift = top - _BITS * (table.index(name) + 1)
         if isinstance(value, Polynomial):
             if first._coerce(value):
-                poly_values[k] = value
+                mapped.append((shift, None, value))
                 continue
         elif value:
-            scalars[k] = _exact(value)
+            mapped.append((shift, _exact(value), None))
             continue
-        zeros.append(k)
-    mapped = list(scalars) + list(poly_values)
+        zeros |= _MASK << shift
     out = []
     for poly in polys:
         first._coerce(poly)  # raises for a polynomial over another table
         res = {}
-        for exps, coeff in poly.terms.items():
-            if any(map(exps.__getitem__, zeros)):
+        for code, coeff in poly._terms.items():
+            if code & zeros:
                 continue
-            kept = list(exps)
             factor = None
-            for k in mapped:
-                e = exps[k]
+            for shift, scalar, value in mapped:
+                e = code >> shift & _MASK
                 if not e:
                     continue
-                kept[k] = 0
-                if k in scalars:
-                    coeff = coeff * scalars[k] ** e
+                code -= e << top | e << shift
+                if value is None:
+                    coeff = coeff * scalar**e
                 else:
-                    power = poly_values[k] ** e
+                    power = value**e
                     factor = power if factor is None else factor * power
-            kept = tuple(kept)
             if factor is None:
-                products = ((kept, coeff),)
+                products = ((code, coeff),)
             else:
-                products = ((exp_mul(kept, m), coeff * c) for m, c in factor.terms.items())
+                products = ((code + m, coeff * c) for m, c in factor._terms.items())
             for m, c in products:
                 acc = res.get(m, 0) + c
                 if acc:
                     res[m] = acc
                 else:
                     res.pop(m, None)
-        out.append(Polynomial._raw(table, res))
+        out.append(_checked(table, res))
     return out
 
 
@@ -330,28 +347,40 @@ class WeightedOrder:
         return cls(weights=(0,) * nvars)
 
     def key(self, exps):
-        w = 0
-        deg = 0
-        for wi, ei in zip(self.weights, exps):
-            w += wi * ei
-            deg += ei
-        return (w, deg, exps)
+        return (sum(map(mul, self.weights, exps)), sum(exps), exps)
 
 
-def weight_of(exps, weights):
-    return sum(wi * ei for wi, ei in zip(weights, exps))
+def _code_key(weights, table):
+    """The code key sorting as ``WeightedOrder(weights).key``: None (int order)
+    for the zero weight, else (w.m, code), reading the weighted fields only."""
+    shifts = range(table._top - _BITS, -1, -_BITS)
+    fields = [(shift, w) for shift, w in zip(shifts, weights) if w]
+
+    def key(m):
+        total = 0
+        for shift, w in fields:
+            total += w * (m >> shift & _MASK)
+        return total, m
+
+    return key if fields else None
+
+
+def _lead(f, key):
+    """(code, coefficient) of the largest term under a ``_code_key``."""
+    if not f:
+        raise InputError("zero polynomial has no leading term")
+    m = max(f._terms, key=key)
+    return m, f._terms[m]
 
 
 def leading_term(f: Polynomial, order: WeightedOrder):
     """(exponent tuple, coefficient) of the order-largest term."""
-    if not f:
-        raise InputError("zero polynomial has no leading term")
-    m = max(f.terms, key=order.key)
-    return m, f.terms[m]
+    m, c = _lead(f, _code_key(order.weights, f.table))
+    return f.table._unpack(m), c
 
 
 def monic(f: Polynomial, order: WeightedOrder) -> Polynomial:
-    _, c = leading_term(f, order)
+    _, c = _lead(f, _code_key(order.weights, f.table))
     if c == 1:
         return f
     return f * _quotient(1, c)
@@ -361,21 +390,11 @@ def initial_form(f: Polynomial, weights) -> Polynomial:
     """Sum of the terms of maximal weight dot-product."""
     if not f:
         raise InputError("zero polynomial has no initial form")
-    best = None
-    chosen = {}
-    for m, c in f.terms.items():
-        w = weight_of(m, weights)
-        if best is None or w > best:
-            best = w
-            chosen = {m: c}
-        elif w == best:
-            chosen[m] = c
-    return Polynomial._raw(f.table, chosen)
-
-
-def _neg_key(key):
-    w, deg, exps = key
-    return (-w, -deg, tuple(map(neg, exps)))
+    key = _code_key(weights, f.table)
+    if key is None:
+        return f
+    best = max(map(key, f._terms))[0]
+    return Polynomial._raw(f.table, {m: c for m, c in f._terms.items() if key(m)[0] == best})
 
 
 def normal_form(f: Polynomial, basis, order: WeightedOrder) -> Polynomial:
@@ -384,17 +403,21 @@ def normal_form(f: Polynomial, basis, order: WeightedOrder) -> Polynomial:
 
     Monomials are consumed in descending order off a heap; a reduction step
     only introduces strictly smaller monomials, so each is settled once.
+    x^g divides x^m iff m - g >= 0 has no guard bit set (a borrow out of a
+    field sets its guard); a term past the ceiling lands in the remainder.
     """
     basis = [g for g in basis if g]
     if not basis:
         raise InputError("empty basis")
+    table, guard = f.table, f.table._guard
+    key = _code_key(order.weights, table)
+    rank = neg if key is None else (lambda m: (-key(m)[0], -m))
     binfo = []
     for g in basis:
-        gm, gc = leading_term(g, order)
-        binfo.append((gm, gc, list(g.terms.items())))
-    key = order.key
-    terms = dict(f.terms)
-    heap = [(_neg_key(key(m)), m) for m in terms]
+        gm, gc = _lead(g, key)
+        binfo.append((gm, gc, list(g._terms.items())))
+    terms = dict(f._terms)
+    heap = [(rank(m), m) for m in terms]
     heapify(heap)
     heappush_, heappop_ = heappush, heappop
     remainder = {}
@@ -404,15 +427,15 @@ def normal_form(f: Polynomial, basis, order: WeightedOrder) -> Polynomial:
         if not c:
             continue
         for gm, gc, gterms in binfo:
-            if exp_divides(gm, m):
+            shift = m - gm
+            if shift >= 0 and not shift & guard:
                 factor = _quotient(c, gc)
-                shift = exp_div(m, gm)
                 for gm2, gc2 in gterms:
-                    mm = exp_mul(gm2, shift)
+                    mm = gm2 + shift
                     acc = terms.get(mm, 0) - factor * gc2
                     if acc:
                         if mm not in terms:
-                            heappush_(heap, (_neg_key(key(mm)), mm))
+                            heappush_(heap, (rank(mm), mm))
                         terms[mm] = acc
                     else:
                         terms.pop(mm, None)
@@ -420,42 +443,15 @@ def normal_form(f: Polynomial, basis, order: WeightedOrder) -> Polynomial:
         else:
             remainder[m] = c
             del terms[m]
-    return Polynomial._raw(f.table, remainder)
+    return _checked(table, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: WeightedOrder) -> Polynomial:
-    fm, fc = leading_term(f, order)
-    gm, gc = leading_term(g, order)
-    lcm = exp_lcm(fm, gm)
-    return f.term_multiple(_quotient(1, fc), exp_div(lcm, fm)) - g.term_multiple(
-        _quotient(1, gc), exp_div(lcm, gm)
-    )
-
-
-def _interreduce(basis, order):
-    """Replace each element by its remainder against the others until
-    stable.  Unlike minimalization this is safe on arbitrary generators:
-    g and normal_form(g, others) generate the same ideal together with
-    the others, so the ideal never changes."""
-    basis = [monic(g, order) for g in basis if g]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1 :]
-            if not others:
-                continue
-            r = normal_form(basis[i], others, order)
-            if r == basis[i]:
-                continue
-            changed = True
-            if r:
-                basis[i] = monic(r, order)
-            else:
-                basis.pop(i)
-            break
-    basis.sort(key=lambda g: order.key(leading_term(g, order)[0]))
-    return basis
+    key = _code_key(order.weights, f.table)
+    fm, fc = _lead(f, key)
+    gm, gc = _lead(g, key)
+    lcm = f.table._lcm(fm, gm)
+    return f._shifted(_quotient(1, fc), lcm - fm) - g._shifted(_quotient(1, gc), lcm - gm)
 
 
 def _reduce_basis(basis, order):
@@ -466,12 +462,14 @@ def _reduce_basis(basis, order):
     the ideal there.
     """
     basis = [monic(g, order) for g in basis if g]
-    lts = [leading_term(g, order)[0] for g in basis]
+    key = _code_key(order.weights, basis[0].table)
+    guard = basis[0].table._guard
+    lts = [_lead(g, key)[0] for g in basis]
     keep = []
     for i, m in enumerate(lts):
         if any(
-            j != i and exp_divides(lts[j], m) and (lts[j] != m or j < i)
-            for j in range(len(basis))
+            j != i and m >= lt and not (m - lt) & guard and (lt != m or j < i)
+            for j, lt in enumerate(lts)
         ):
             continue
         keep.append(basis[i])
@@ -484,8 +482,7 @@ def _reduce_basis(basis, order):
     # a tail reduction may expose new reducibility; iterate to a fixed point
     if reduced != keep:
         return _reduce_basis(reduced, order)
-    reduced.sort(key=lambda g: order.key(leading_term(g, order)[0]))
-    return reduced
+    return sorted(reduced, key=lambda g: (key or int)(_lead(g, key)[0]))
 
 
 def buchberger(gens, order: WeightedOrder):
@@ -494,51 +491,52 @@ def buchberger(gens, order: WeightedOrder):
     Normal selection strategy (lowest lcm degree first) with the coprime
     leading-term criterion; plenty at this problem's scale.
     """
-    G = [g for g in gens if g]
-    if not G:
+    gens = [g for g in gens if g]
+    if not gens:
         raise InputError("no nonzero generators")
-    G = _interreduce(G, order)
-    lms = [leading_term(g, order)[0] for g in G]
-    heap = []
-    counter = 0
-    for i in range(len(G)):
-        for j in range(i):
-            lcm = exp_lcm(lms[i], lms[j])
-            heappush(heap, (sum(lcm), counter, j, i))
-            counter += 1
-    while heap:
-        _, _, i, j = heappop(heap)
-        fi, fj = G[i], G[j]
-        lcm = exp_lcm(lms[i], lms[j])
-        if lcm == exp_mul(lms[i], lms[j]):  # coprime leading terms
-            continue
-        r = normal_form(s_polynomial(fi, fj, order), G, order)
-        if not r:
-            continue
-        G.append(monic(r, order))
-        lms.append(leading_term(r, order)[0])
+    table = gens[0].table
+    key = _code_key(order.weights, table)
+    G, lms, heap = [], [], []
+
+    def add(g):
+        # pairs (k, new) pop by lcm degree, then in the order they were made
+        G.append(monic(g, order))
+        lms.append(_lead(g, key)[0])
         new = len(G) - 1
         for k in range(new):
-            lcm = exp_lcm(lms[k], lms[new])
-            heappush(heap, (sum(lcm), counter, k, new))
-            counter += 1
+            heappush(heap, (table._lcm(lms[k], lms[new]) >> table._top, new, k))
+
+    for g in gens:
+        add(g)
+    while heap:
+        _, j, i = heappop(heap)
+        if table._lcm(lms[i], lms[j]) != lms[i] + lms[j]:  # skip coprime leading terms
+            r = normal_form(s_polynomial(G[i], G[j], order), G, order)
+            if r:
+                add(r)
     return _reduce_basis(G, order)
 
 
 def poly_text(f: Polynomial, order: WeightedOrder | None = None) -> str:
-    """Canonical text: terms by descending order, rational coefficients."""
+    """Canonical text: terms by descending order, rational coefficients.  The
+    nonzero fields are found by ``bit_length``, most significant first."""
     if not f:
         return "0"
-    # (degree, exponents) sorts as the zero-weight deglex key (0, degree, exponents)
-    key = order.key if order is not None else lambda m: (sum(m), m)
-    names = f.table.names
+    table = f.table
+    names, last, terms = table.names, len(table.names) - 1, f._terms
+    key = order and _code_key(order.weights, table)
     parts = []
-    for m in sorted(f.terms, key=key, reverse=True):
-        c = f.terms[m]
-        body = "*".join(
-            names[k] if e == 1 else f"{names[k]}^{e}"
-            for k, e in compress(enumerate(m), m)
-        )
+    for m in sorted(terms, key=key, reverse=True):
+        c = terms[m]
+        factors = []
+        m &= table._fields
+        while m:
+            shift = (m.bit_length() - 1) & -_BITS
+            e = m >> shift
+            m ^= e << shift
+            name = names[last - shift // _BITS]
+            factors.append(name if e == 1 else f"{name}^{e}")
+        body = "*".join(factors)
         mag = abs(c)
         if not body:
             piece = str(mag)

@@ -323,6 +323,14 @@ class TestExitCodes:
         assert out == ""
         assert "r = 1" in err
 
+    def test_exponent_ceiling_is_2(self, capsys):
+        # the orbit ideal of (32768, 1) has the generator x^32768, one past
+        # polyring's exponent ceiling
+        code, out, err = run(capsys, ["gfan", "32768", "1"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: polyring exponents must lie in 0..32767\n"
+
     @pytest.mark.parametrize(
         "argv, check",
         [

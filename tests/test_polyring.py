@@ -1,15 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import compress
+from operator import add, sub
 
 import pytest
 
 from cqsing.cfrac import Singularity
 from cqsing.errors import InputError
 from cqsing.gfan import groebner_fan, orbit_ideal
+from cqsing.invariant_ring import relation_polynomials
 from cqsing.polyring import (
     Polynomial,
     VariableTable,
     WeightedOrder,
+    _code_key,
     buchberger,
     initial_form,
     leading_term,
@@ -493,3 +497,250 @@ class TestEvaluationHomomorphism:
             for name, (got, want) in checks.items():
                 assert_exact([got])
                 assert evaluate(got, point) == want, name
+
+
+# -- dense exponent tuples: the representation the packed codes replaced,
+# kept as the oracle for them ------------------------------------------------
+
+
+def exp_mul(a, b):
+    return tuple(map(add, a, b))
+
+
+def exp_div(a, b):
+    return tuple(map(sub, a, b))
+
+
+def exp_divides(a, b):
+    """True if x^a divides x^b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def exp_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def tuple_product(f, g):
+    """f * g over exponent tuples, term by term."""
+    res = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = exp_mul(m1, m2)
+            res[m] = res.get(m, 0) + c1 * c2
+    return {m: c for m, c in res.items() if c}
+
+
+def tuple_poly_text(f, order=None):
+    """The text of f rendered from exponent tuples: terms sorted by the
+    tuple key, each monomial read slot by slot."""
+    if not f:
+        return "0"
+    key = order.key if order is not None else lambda m: (sum(m), m)
+    names = f.table.names
+    parts = []
+    for m in sorted(f.terms, key=key, reverse=True):
+        c = f.terms[m]
+        body = "*".join(
+            names[k] if e == 1 else f"{names[k]}^{e}"
+            for k, e in compress(enumerate(m), m)
+        )
+        mag = abs(c)
+        piece = str(mag) if not body else body if mag == 1 else f"{mag}*{body}"
+        if not parts:
+            parts.append(piece if c > 0 else f"-{piece}")
+        else:
+            parts.append(f"+ {piece}" if c > 0 else f"- {piece}")
+    return " ".join(parts)
+
+
+def random_exps(rng, width, top=6, support=4):
+    """A sparse exponent tuple: up to ``support`` slots set, the ends often."""
+    exps = [0] * width
+    slots = rng.sample(range(width), min(width, rng.randint(0, support)))
+    for k in slots + rng.sample((0, width - 1), rng.randint(0, 2)):
+        exps[k] = rng.randint(1, top)
+    return tuple(exps)
+
+
+WIDE = VariableTable([f"v{k}" for k in range(120)])
+
+
+class TestPackedCodes:
+    """The packed codes against the dense exponent tuples they replaced."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 81, 120])
+    def test_round_trip_and_order(self, width):
+        rng = random.Random(width)
+        table = VariableTable([f"v{k}" for k in range(width)])
+        zero_weights = (0,) * width
+        weighted = tuple(rng.choice((0, 0, 1, 5, 40)) for _ in range(width))
+        exps = [random_exps(rng, width, top=rng.choice((3, 300, 32767))) for _ in range(60)]
+        exps += [(0,) * width, (32767,) + (0,) * (width - 1), (0,) * (width - 1) + (32767,)]
+        codes = [table._pack(m) for m in exps]
+        for m, code in zip(exps, codes):
+            assert table._unpack(code) == m
+            assert code >> table._top == sum(m)
+        for weights in (zero_weights, weighted):
+            order = WeightedOrder(weights)
+            key = _code_key(weights, table) or (lambda c: c)
+            by_tuple = sorted(set(exps), key=order.key)
+            by_code = sorted(set(codes), key=key)
+            assert [table._unpack(c) for c in by_code] == by_tuple
+            for a, b in zip(codes, codes[1:]):
+                assert (key(a) < key(b)) == (order.key(table._unpack(a)) < order.key(table._unpack(b)))
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 81])
+    def test_divisibility_and_lcm(self, width):
+        rng = random.Random(31 + width)
+        table = VariableTable([f"v{k}" for k in range(width)])
+        guard = table._guard
+        for _ in range(300):
+            a = random_exps(rng, width, top=rng.choice((2, 4, 32767)))
+            b = exp_mul(a, random_exps(rng, width, top=3)) if rng.random() < 0.4 else random_exps(rng, width)
+            if max(b) >= 32768:
+                continue
+            ca, cb = table._pack(a), table._pack(b)
+            d = cb - ca
+            assert (d >= 0 and not d & guard) == exp_divides(a, b), (a, b)
+            if exp_divides(a, b):
+                assert table._unpack(d) == exp_div(b, a)
+            assert table._unpack(table._lcm(ca, cb)) == exp_lcm(a, b)
+
+    def test_products_match_tuple_products(self):
+        rng = random.Random(41)
+        for width in (2, 3, 81):
+            table = VariableTable([f"v{k}" for k in range(width)])
+            for _ in range(25):
+                f, g = (
+                    table.poly({
+                        random_exps(rng, width, top=9): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                        for _ in range(rng.randint(0, 6))
+                    })
+                    for _ in range(2)
+                )
+                assert dict((f * g).terms) == tuple_product(f, g)
+                shift = random_exps(rng, width)
+                assert dict(f.term_multiple(3, shift).terms) == {
+                    exp_mul(m, shift): 3 * c for m, c in f.terms.items()
+                }
+
+    def test_text_matches_tuple_text(self):
+        rng = random.Random(43)
+        for width in (1, 2, 3, 40, 120):
+            table = VariableTable([f"v{k}" for k in range(width)])
+            weights = tuple(rng.randint(0, 3) for _ in range(width))
+            for _ in range(40):
+                terms = {
+                    random_exps(rng, width, top=rng.choice((1, 2, 32767))): rng.choice(
+                        (1, -1, 3, Fraction(-5, 2))
+                    )
+                    for _ in range(rng.randint(0, 6))
+                }
+                f = table.poly(terms)
+                assert poly_text(f) == tuple_poly_text(f)
+                assert poly_text(f, WeightedOrder(weights)) == tuple_poly_text(f, WeightedOrder(weights))
+
+    def test_text_of_ends_at_the_ceiling(self):
+        top = 32767
+        last = len(WIDE) - 1
+        cases = {
+            (top,) + (0,) * last: "v0^32767",
+            (0,) * last + (top,): "v119^32767",
+            (1,) + (0,) * (last - 1) + (top,): "v0*v119^32767",
+            (top,) + (0,) * (last - 1) + (1,): "v0^32767*v119",
+        }
+        for exps, text in cases.items():
+            f = WIDE.poly({exps: 1})
+            assert poly_text(f) == text == tuple_poly_text(f)
+        both = WIDE.poly({m: 1 for m in cases} | {(0,) * len(WIDE): -2})
+        assert poly_text(both) == tuple_poly_text(both)
+
+    def test_equality_and_hash_across_constructors(self):
+        table = VariableTable(["a", "b", "c"])
+        a, b, c = (table.var(n) for n in table.names)
+        built = [
+            (a * b**2 + 3, table.poly({(1, 2, 0): 1, (0, 0, 0): 3})),
+            (a * b * b + table.constant(3), b**2 * a + 3),
+            (table.var("c", 4), c * c * c * c),
+            (table.constant(Fraction(6, 2)), table.poly({(0, 0, 0): 3})),
+            (table.one(), a**0),
+            (table.zero(), a - a),
+            (table.poly({(0, 0, 0): 0}), table.constant(0)),
+        ]
+        for f, g in built:
+            assert f == g
+            assert hash(f) == hash(g)
+            assert len({f, g}) == 1
+        assert table.constant(3) == 3 and table.zero() == 0
+        assert a * b != a * c
+
+    def test_terms_is_a_read_only_decoded_view(self):
+        f = p({(2, 1): 5, (0, 0): -1})
+        assert f.terms == {(2, 1): 5, (0, 0): -1}
+        with pytest.raises(TypeError):
+            f.terms[(1, 1)] = 2
+        assert p({}).terms == {}
+
+
+X = VariableTable(["x"])
+
+
+class TestExponentCeiling:
+    """Exponents are limited to 0..32767; reaching 2**15 raises InputError."""
+
+    def test_product_reaching_the_ceiling(self):
+        half = X.var("x", 2**14)
+        assert (half * X.var("x", 2**14 - 1)).terms == {(32767,): 1}
+        with pytest.raises(InputError, match="32767"):
+            half * half
+
+    def test_constructors(self):
+        assert X.var("x", 32767).terms == {(32767,): 1}
+        for build in (
+            lambda: X.var("x", 2**15),
+            lambda: X.poly({(2**15,): 1}),
+            lambda: X.poly({(-1,): 1}),
+            lambda: XY.poly({(0, 2**16): 1}),
+            lambda: XY.var("y", -1),
+        ):
+            with pytest.raises(InputError, match="32767"):
+                build()
+
+    def test_power(self):
+        x = X.var("x")
+        assert (x**10000) ** 3 == X.var("x", 30000)  # no square past the last bit
+        assert x**32767 == X.var("x", 32767)
+        with pytest.raises(InputError, match="32767"):
+            x**32768
+        with pytest.raises(InputError, match="32767"):
+            (XY.var("x") + XY.var("y")) ** 2 * XY.var("y", 32766)
+
+    def test_term_multiple(self):
+        f = XY.var("y", 20000) + 1
+        assert f.term_multiple(2, (0, 12767)) == 2 * XY.var("y", 32767) + 2 * XY.var("y", 12767)
+        with pytest.raises(InputError, match="32767"):
+            f.term_multiple(2, (0, 12768))
+
+    def test_substitute(self):
+        x, y = XY.var("x"), XY.var("y")
+        f = x * y**20000
+        assert f.substitute({"x": y**12767}) == XY.var("y", 32767)
+        with pytest.raises(InputError, match="32767"):
+            f.substitute({"x": y**12768})
+        with pytest.raises(InputError, match="32767"):
+            substitute_all([x, f], {"x": y**20000})
+
+    def test_normal_form(self):
+        # x reduces to y^20000, so x^2 would reduce to y^40000
+        order = WeightedOrder(weights=(1, 0))
+        basis = [XY.var("x") - XY.var("y", 20000)]
+        assert normal_form(XY.var("x") * XY.var("y", 12767), basis, order) == XY.var("y", 32767)
+        with pytest.raises(InputError, match="32767"):
+            normal_form(XY.var("x", 2), basis, order)
+
+    def test_relation_exponent_past_the_ceiling(self):
+        # the relation z1 z3 = z2^n of (n, n - 1)
+        _, (rel,) = relation_polynomials(Singularity(32767, 32766))
+        assert max(e for m in rel.terms for e in m) == 32767
+        with pytest.raises(InputError, match="32767"):
+            relation_polynomials(Singularity(32768, 32767))
