@@ -223,10 +223,11 @@ def hypersurface_presentation(s: Singularity) -> HypersurfaceFamily:
     n = s.n
     params = tuple(f"c{k}" for k in range(n - 1))
     table = VariableTable(("z1", "z2", "z3") + params)
-    rhs = table.var("z2", n)
-    for k in range(n - 1):
-        rhs = rhs + table.var(f"c{k}") * table.var("z2", k)
-    equation = table.var("z1") * table.var("z3") - rhs
+    # z1 z3 - z2^n - sum_k c_k z2^k, its n + 1 terms packed into one dict
+    equation = table._sparse(
+        [([(0, 1), (2, 1)], 1), ([(1, n)], -1)]
+        + [([(1, k), (3 + k, 1)], -1) for k in range(n - 1)]
+    )
     return HypersurfaceFamily(m=n, table=table, equation=equation, parameters=params)
 
 

@@ -15,29 +15,35 @@ let m' be the unique box of the cluster with the same weight a + q*b
 (mod n); the candidate basis of cone k is {x^m - (p^m / p^m') x^m'}, p the
 orbit point, and a weight w lies inside the cone iff w.m > w.m' for every m.
 
-A candidate is certified before it is used:
+A candidate is certified before it is used, by a check linear in its
+terms that runs no division:
 
-1. Every S-pair of its (at most three) elements reduces to 0, so it is a
-   Groebner basis of the ideal J it generates.  Its leading terms span a
-   staircase of n standard monomials (the cluster boxes), so J has
-   colength n.
-2. The orbit ideal I has colength n too: G acts freely on the torus, so
-   the orbit of p has n distinct points, and I is their ideal.  Every
-   polynomial of a known generating set of I reduces to 0, so I lies in
-   J.  For the first cone of a sweep (and for a lone weight) that set is
-   the orbit generators; for each later cone it is the previous cone's
-   certified basis, which already generates I.
-3. I in J with equal colength gives J = I: the candidate is the reduced
-   Groebner basis of I under w.
+1. Every element vanishes on the whole orbit of p.  The orbit is the set of
+   points (z p0, z^q p1) with z^n = 1, so f = sum c x^a y^b vanishes on it
+   iff, for every residue r mod n, the sum of c p0^a p1^b over the terms
+   with a + q*b = r (mod n) is 0.  The terms are read off the emitted
+   polynomial, not off the pairs (m, m') that built it.  So the ideal J
+   the candidate generates lies in the orbit ideal I, which has colength
+   n: G acts freely on the torus, so the orbit of p has n distinct points,
+   and I is their ideal.
+2. The leading terms under w leave exactly n standard monomials (the
+   cluster boxes).  The initial ideal of J contains them, so J has
+   colength at most n.
+3. J in I with colength(J) <= n = colength(I) gives J = I, and the leading
+   terms generate the initial ideal of I: the candidate is the reduced
+   Groebner basis of I under w (monic, with the cluster's minimal
+   generators as leading terms and boxes as tails).
 
 Any failed step raises ConsistencyError.  Buchberger's algorithm stays in
-``polyring`` as the tests' oracle for these bases.
+``polyring``, and the division certificate (S-pairs and orbit generators
+reduce to 0) in the tests, as oracles for these bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .cfrac import Singularity, curve_count
@@ -49,8 +55,6 @@ from .polyring import (
     VariableTable,
     WeightedOrder,
     leading_term,
-    normal_form,
-    s_polynomial,
 )
 from .toric import Fan2D, RationalRay
 
@@ -60,12 +64,31 @@ class BoundaryWeightError(Exception):
     cone boundary and cannot name a single cone."""
 
 
+def _point_power(point, d):
+    """p0^d0 * p1^d1 exactly for integer d of any sign: an int when the
+    point is integral and d >= 0 (int ** negative would be a float)."""
+    num = den = 1
+    for p, e in zip(point, d):
+        u, v = (p.numerator, p.denominator) if e >= 0 else (p.denominator, p.numerator)
+        num *= u ** abs(e)
+        den *= v ** abs(e)
+    return num if den == 1 else Fraction(num, den)
+
+
 @dataclass(frozen=True)
 class OrbitIdeal:
     singularity: Singularity
     point: tuple[Fraction, Fraction]
     table: VariableTable
-    gens: tuple[Polynomial, ...]
+
+    @cached_property
+    def gens(self) -> tuple[Polynomial, ...]:
+        """f_t(x, y) - f_t(point) over the invariant generators, built on
+        first use: the cones are certified without them."""
+        return tuple(
+            self.table.poly({a: 1, (0, 0): -_point_power(self.point, a)})
+            for a in (g.exponents for g in generators(self.singularity))
+        )
 
 
 @dataclass(frozen=True)
@@ -89,13 +112,7 @@ def orbit_ideal(s: Singularity, point=(1, 1)) -> OrbitIdeal:
     p = (Fraction(point[0]), Fraction(point[1]))
     if p[0] == 0 or p[1] == 0:
         raise InputError("base point must have nonzero coordinates")
-    table = VariableTable(["x", "y"])
-    gens = []
-    for g in generators(s):
-        a, b = g.exponents
-        value = p[0] ** a * p[1] ** b
-        gens.append(table.poly({(a, b): 1}) - table.constant(value))
-    return OrbitIdeal(singularity=s, point=p, table=table, gens=tuple(gens))
+    return OrbitIdeal(singularity=s, point=p, table=VariableTable(["x", "y"]))
 
 
 def _primitive(v):
@@ -128,36 +145,62 @@ def _cone_rays(inequalities):
 
 def _standard_count(leads):
     """Monomials outside the ideal of the two-variable monomials ``leads``;
-    None if there are infinitely many."""
-    width = min((a for a, b in leads if b == 0), default=None)
-    if width is None or all(a for a, _ in leads):
-        return None
-    return sum(min(b for a, b in leads if a <= col) for col in range(width))
+    None if there are infinitely many.  One pass over the leads sorted by
+    x-degree: the staircase keeps the running minimum y-degree as its
+    height from each lead's column to the next."""
+    total, col, height = 0, 0, None
+    for a, b in sorted(leads):
+        if height is None:
+            if a:
+                return None  # no pure power of y
+            height = b
+        else:
+            total += (a - col) * height
+            height = min(height, b)
+        col = a
+        if not height:
+            return total
+    return None  # no pure power of x
 
 
-def certify_basis(basis, known, order: WeightedOrder, colength: int) -> None:
+def certify_basis(
+    basis, ideal: OrbitIdeal, order: WeightedOrder, colength: int
+) -> None:
     """Raise ConsistencyError unless ``basis`` is a Groebner basis under
-    ``order`` of an ideal of the given colength that contains every
-    polynomial of ``known`` (steps 1 and 2 of the module docstring)."""
+    ``order`` of the orbit ideal of ``ideal``, of the given colength (steps
+    1-3 of the module docstring): every element vanishes on the orbit and
+    the leading terms leave exactly ``colength`` = n standard monomials."""
+    s = ideal.singularity
+    n, q = s.n, s.q
+    if colength != n:
+        raise ConsistencyError(f"the orbit ideal has colength {n}, not {colength}")
     leads = [leading_term(g, order)[0] for g in basis]
     if _standard_count(leads) != colength:
         raise ConsistencyError(
             f"candidate basis does not have {colength} standard monomials"
         )
-    for i in range(len(basis)):
-        for j in range(i):
-            if normal_form(s_polynomial(basis[i], basis[j], order), basis, order):
-                raise ConsistencyError("an S-pair of the candidate basis is nonzero")
-    for f in known:
-        if normal_form(f, basis, order):
-            raise ConsistencyError("the candidate basis misses part of the ideal")
+    # p0^a p1^b scaled by the positive v0^(top0 - a) v1^(top1 - b), p = u/v,
+    # so every sum stays in integers when the point is integral
+    (u0, v0), (u1, v1) = ((p.numerator, p.denominator) for p in ideal.point)
+    for g in basis:
+        terms = g.terms
+        top0 = max(a for a, _ in terms)
+        top1 = max(b for _, b in terms)
+        sums = {}
+        for (a, b), c in terms.items():
+            r = (a + q * b) % n
+            value = u0**a * v0 ** (top0 - a) * u1**b * v1 ** (top1 - b)
+            sums[r] = sums.get(r, 0) + c * value
+        if any(sums.values()):
+            raise ConsistencyError(
+                "a candidate basis element does not vanish on the orbit"
+            )
 
 
 def _candidates(ideal: OrbitIdeal):
     """Per cluster, in sweep order: the triples (m, m', x^m - c x^m')."""
     s = ideal.singularity
     n, q = s.n, s.q
-    p0, p1 = ideal.point
     out = []
     for cluster in g_clusters(s):
         box_of = boxes_by_weight(s, cluster)
@@ -166,7 +209,7 @@ def _candidates(ideal: OrbitIdeal):
         elems = []
         for m in cluster.ideal:
             t = box_of[(m[0] + q * m[1]) % n]
-            c = p0 ** (m[0] - t[0]) * p1 ** (m[1] - t[1])
+            c = _point_power(ideal.point, (m[0] - t[0], m[1] - t[1]))
             elems.append((m, t, ideal.table.poly({m: 1, t: -c})))
         out.append(elems)
     return out
@@ -177,12 +220,12 @@ def _margins(elems, w):
     return [(m[0] - t[0]) * w[0] + (m[1] - t[1]) * w[1] for m, t, _ in elems]
 
 
-def _certified_cone(elems, w, known, n) -> GroebnerCone:
+def _certified_cone(elems, w, ideal: OrbitIdeal) -> GroebnerCone:
     """The cone of a candidate whose leading terms w already selects."""
     order = WeightedOrder(weights=w)
     # w.m > w.m', so m is the leading term of its element
     basis = [g for m, _, g in sorted(elems, key=lambda e: order.key(e[0]))]
-    certify_basis(basis, known, order, n)
+    certify_basis(basis, ideal, order, ideal.singularity.n)
     inequalities = tuple(
         sorted({_primitive((m[0] - t[0], m[1] - t[1])) for m, t, _ in elems})
     )
@@ -200,7 +243,7 @@ def cone_of_weight(ideal: OrbitIdeal, w) -> GroebnerCone:
     """The maximal cone containing the weight w (interior required).
 
     The cone is that of the cluster whose strict inequalities w.m > w.m'
-    w satisfies; its basis is certified against the orbit generators.
+    w satisfies; its basis is certified on the orbit.
     """
     w0, w1 = Fraction(w[0]), Fraction(w[1])
     if w0 <= 0 or w1 <= 0:
@@ -211,7 +254,7 @@ def cone_of_weight(ideal: OrbitIdeal, w) -> GroebnerCone:
     for elems in _candidates(ideal):
         low = min(_margins(elems, w))
         if low > 0:
-            return _certified_cone(elems, w, ideal.gens, ideal.singularity.n)
+            return _certified_cone(elems, w, ideal)
         on_boundary = on_boundary or low == 0
     if on_boundary:
         raise BoundaryWeightError(f"weight {w} ties terms of a basis element")
@@ -224,20 +267,18 @@ def groebner_fan(s: Singularity, point=(1, 1)):
     ideal = orbit_ideal(s, point)
     n = s.n
     cones = []
-    known = ideal.gens
     w = (n * n, 1)
     for elems in _candidates(ideal):
         if min(_margins(elems, w)) <= 0:
             raise ConsistencyError(
                 f"sweep weight {w} is not inside cone {len(cones)}"
             )
-        cone = _certified_cone(elems, w, known, n)
+        cone = _certified_cone(elems, w, ideal)
         if cones and cones[-1].upper_ray != cone.lower_ray:
             raise ConsistencyError("adjacent cones do not share a ray")
         if not cones and cone.lower_ray != (1, 0):
             raise ConsistencyError("first cone does not touch the x-axis")
         cones.append(cone)
-        known = cone.basis
         a, b = cone.upper_ray
         if (a, b) == (0, 1):
             break

@@ -105,10 +105,10 @@ def relation_polynomials(s: Singularity, table: VariableTable | None = None):
     polys = []
     for rel in defining_equations(s):
         # z_i z_j never equals p_ij, whose indices lie strictly between
-        polys.append(table._binomial(
-            [(slot[t - 1], 1) for t in rel.left],
-            [(slot[t - 1], e) for t, e in rel.right],
-        ))
+        polys.append(table._sparse([
+            ([(slot[t - 1], 1) for t in rel.left], 1),
+            ([(slot[t - 1], e) for t, e in rel.right], -1),
+        ]))
     return table, polys
 
 

@@ -128,12 +128,13 @@ class VariableTable:
     def _lcm(self, a, b):
         return self._pack(tuple(map(max, self._unpack(a), self._unpack(b))))
 
-    def _binomial(self, left, right):
-        """x^left - x^right for two distinct monomials, each given by the
-        (slot, exponent) pairs of its nonzero exponents, packed directly."""
+    def _sparse(self, terms):
+        """The polynomial of (monomial, coefficient) pairs, the monomials
+        distinct and each given by (slot, exponent) pairs, the coefficients
+        nonzero ints, packed directly: linear in the pairs, not the width."""
         top, codes = self._top, {}
-        for side, coeff in ((left, 1), (right, -1)):
-            if not all(0 < e < _LIMIT for _, e in side):
+        for side, coeff in terms:
+            if not all(0 <= e < _LIMIT for _, e in side):
                 raise InputError(_RANGE)
             codes[sum(e << top | e << top - _BITS * (k + 1) for k, e in side)] = coeff
         return Polynomial._raw(self, codes)

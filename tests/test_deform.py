@@ -78,6 +78,12 @@ class TestVersalFamily:
             assert fam.parameters == tuple(f"c{k}" for k in range(n - 1))
             assert fam.table.names == ("z1", "z2", "z3") + fam.parameters
             assert not any(e[1] == n - 1 for e in fam.equation.terms)
+            # oracle: the same family summed term by term
+            table = fam.table
+            rhs = table.var("z2", n)
+            for k in range(n - 1):
+                rhs = rhs + table.var(f"c{k}") * table.var("z2", k)
+            assert fam.equation == table.var("z1") * table.var("z3") - rhs
 
 
 class TestDiscriminant:

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from cqsing import gfan
+from cqsing import gfan, polyring
 from cqsing.cfrac import Singularity, curve_count
 from cqsing.errors import ConsistencyError, InputError
 from cqsing.gfan import (
@@ -15,7 +16,13 @@ from cqsing.gfan import (
     orbit_ideal,
 )
 from cqsing.mckay import GCluster
-from cqsing.polyring import WeightedOrder, buchberger, leading_term, normal_form
+from cqsing.polyring import (
+    WeightedOrder,
+    buchberger,
+    leading_term,
+    normal_form,
+    s_polynomial,
+)
 from cqsing.toric import resolution_fan
 
 from conftest import coprime_pairs
@@ -27,6 +34,63 @@ def term_map(poly):
 
 def xy_poly(table, terms):
     return table.poly(terms)
+
+
+def standard_count_by_columns(leads):
+    """Oracle for ``gfan._standard_count``: the staircase summed column by
+    column, O(width * #leads)."""
+    width = min((a for a, b in leads if b == 0), default=None)
+    if width is None or all(a for a, _ in leads):
+        return None
+    return sum(min(b for a, b in leads if a <= col) for col in range(width))
+
+
+def certify_by_division(basis, known, order, colength):
+    """Oracle for ``certify_basis``: the division certificate.  Raise
+    ConsistencyError unless the leading terms leave ``colength`` standard
+    monomials, every S-pair reduces to 0 (a Groebner basis of the ideal J it
+    generates) and every polynomial of ``known`` reduces to 0 (it lies in J).
+    With ``known`` the orbit generators, J contains the orbit ideal and has
+    its colength, so the two are equal."""
+    leads = [leading_term(g, order)[0] for g in basis]
+    if standard_count_by_columns(leads) != colength:
+        raise ConsistencyError(f"candidate basis does not have {colength} standard monomials")
+    for i in range(len(basis)):
+        for j in range(i):
+            if normal_form(s_polynomial(basis[i], basis[j], order), basis, order):
+                raise ConsistencyError("an S-pair of the candidate basis is nonzero")
+    for f in known:
+        if normal_form(f, basis, order):
+            raise ConsistencyError("the candidate basis misses part of the ideal")
+
+
+def mutations(ideal, basis, order):
+    """(label, basis, colength) per mutation of a certified cone basis; each
+    is no reduced Groebner basis of the orbit ideal of that colength."""
+    n, q = ideal.singularity.n, ideal.singularity.q
+    leads = [leading_term(g, order)[0] for g in basis]
+    boxes = [
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if not any(a >= la and b >= lb for la, lb in leads)
+    ]
+    out = [("colength n + 1", basis, n + 1)]
+    for k, g in enumerate(basis):
+        def replaced(terms):
+            return basis[:k] + (ideal.table.poly(terms),) + basis[k + 1 :]
+
+        out.append((f"drop {k}", basis[:k] + basis[k + 1 :], n))
+        terms = dict(g.terms)
+        lead = leads[k]
+        tail = min(terms, key=order.key)
+        out.append((f"double tail {k}", replaced({**terms, tail: 2 * terms[tail]}), n))
+        weight = (tail[0] + q * tail[1]) % n
+        other = min(
+            (t for t in boxes if (t[0] + q * t[1]) % n != weight), key=order.key
+        )
+        out.append((f"swap tail {k}", replaced({lead: terms[lead], other: terms[tail]}), n))
+    return out
 
 
 class TestOrbitIdeal:
@@ -184,23 +248,98 @@ class TestCertificate:
         for w in GOLDEN_BASES_11_7:
             basis = cone_of_weight(ideal, w).basis
             order = WeightedOrder(weights=w)
-            certify_basis(basis, ideal.gens, order, 11)
+            certify_basis(basis, ideal, order, 11)
             for k, g in enumerate(basis):
                 terms = dict(g.terms)
                 tail = min(terms, key=order.key)
                 terms[tail] *= 2
                 altered = basis[:k] + (ideal.table.poly(terms),) + basis[k + 1 :]
                 with pytest.raises(ConsistencyError):
-                    certify_basis(altered, ideal.gens, order, 11)
+                    certify_basis(altered, ideal, order, 11)
 
     def test_wrong_colength_rejected(self):
         ideal = orbit_ideal(Singularity(11, 7))
         cone = cone_of_weight(ideal, (3, 3))
         order = WeightedOrder(weights=(3, 3))
         with pytest.raises(ConsistencyError):
-            certify_basis(cone.basis, ideal.gens, order, 12)
+            certify_basis(cone.basis, ideal, order, 12)
         with pytest.raises(ConsistencyError):
-            certify_basis(cone.basis[:-1], ideal.gens, order, 11)
+            certify_basis(cone.basis[:-1], ideal, order, 11)
+
+    def test_smaller_ideal_of_colength_12_rejected(self):
+        # I (x, y) = I meet (x, y): it vanishes on the orbit and has a
+        # Groebner basis with 12 standard monomials, but it is not I
+        s = Singularity(11, 7)
+        ideal = orbit_ideal(s)
+        x, y = ideal.table.var("x"), ideal.table.var("y")
+        order = WeightedOrder(weights=(3, 3))
+        smaller = buchberger([v * g for g in ideal.gens for v in (x, y)], order)
+        leads = [leading_term(g, order)[0] for g in smaller]
+        assert gfan._standard_count(leads) == 12
+        with pytest.raises(ConsistencyError, match="colength 11, not 12"):
+            certify_basis(smaller, ideal, order, 12)
+        with pytest.raises(ConsistencyError):
+            certify_by_division(smaller, ideal.gens, order, 12)
+
+    def test_division_oracle_accepts_every_cone(self):
+        cases = [(Singularity(n, q), (1, 1)) for n, q in coprime_pairs(30)]
+        cases += [(Singularity(11, 7), (2, Fraction(1, 3))), (Singularity(11, 7), (2, 3))]
+        for s, point in cases:
+            ideal = orbit_ideal(s, point)
+            for cone in groebner_fan(s, point)[1]:
+                order = WeightedOrder(weights=cone.weight)
+                certify_by_division(cone.basis, ideal.gens, order, s.n)
+
+    def test_mutations_rejected_by_both_certificates(self):
+        cases = [(Singularity(11, 7), (1, 1), sorted(GOLDEN_BASES_11_7))]
+        for n, q in coprime_pairs(9):
+            for point in [(1, 1), (2, Fraction(1, 3))]:
+                cases.append((Singularity(n, q), point, None))
+        rejected = dict.fromkeys(["colength", "drop", "double", "swap"], 0)
+        for s, point, weights in cases:
+            ideal = orbit_ideal(s, point)
+            if weights is None:
+                weights = [c.weight for c in groebner_fan(s, point)[1]]
+            for w in weights:
+                basis = cone_of_weight(ideal, w).basis
+                order = WeightedOrder(weights=w)
+                certify_basis(basis, ideal, order, s.n)
+                certify_by_division(basis, ideal.gens, order, s.n)
+                for label, altered, colength in mutations(ideal, basis, order):
+                    with pytest.raises(ConsistencyError):
+                        certify_basis(altered, ideal, order, colength)
+                    with pytest.raises(ConsistencyError):
+                        certify_by_division(altered, ideal.gens, order, colength)
+                    rejected[label.split(" ")[0]] += 1
+        assert min(rejected.values()) > 0, rejected
+
+    def test_coefficients_are_exact(self):
+        # int ** negative is a float; every coefficient is p^(m - m') exactly
+        for point in [(1, 1), (2, 3), (2, Fraction(1, 3)), (-1, 3)]:
+            p0, p1 = (Fraction(c) for c in point)
+            for n, q in coprime_pairs(15):
+                for cone in groebner_fan(Singularity(n, q), point)[1]:
+                    order = WeightedOrder(weights=cone.weight)
+                    for g in cone.basis:
+                        assert all(type(c) in (int, Fraction) for c in g.terms.values())
+                        m, one = leading_term(g, order)
+                        (t, c), = [(t, c) for t, c in g.terms.items() if t != m]
+                        assert one == 1
+                        assert -c == p0 ** (m[0] - t[0]) * p1 ** (m[1] - t[1])
+
+    def test_no_reduction_runs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a normal form or S-polynomial was computed")
+
+        monkeypatch.setattr(polyring, "normal_form", refuse)
+        monkeypatch.setattr(polyring, "s_polynomial", refuse)
+        for n, q in coprime_pairs(25):
+            groebner_fan(Singularity(n, q))
+        ideal = orbit_ideal(Singularity(11, 7))
+        for w in GOLDEN_BASES_11_7:
+            cone_of_weight(ideal, w)
+        source = Path(gfan.__file__).read_text()
+        assert "normal_form" not in source and "s_polynomial" not in source
 
     def test_cluster_without_weight_bijection_rejected(self, monkeypatch):
         # 11 boxes: column 0 of height 6 carries the weights 0, 7, 3, 10,
@@ -209,6 +348,29 @@ class TestCertificate:
         monkeypatch.setattr(gfan, "g_clusters", lambda s: [bad])
         with pytest.raises(ConsistencyError, match="do not carry each weight once"):
             groebner_fan(Singularity(11, 7))
+
+
+class TestStandardCount:
+    def test_matches_column_sum_on_every_cone(self):
+        for n, q in coprime_pairs(40):
+            for cone in groebner_fan(Singularity(n, q))[1]:
+                order = WeightedOrder(weights=cone.weight)
+                leads = [leading_term(g, order)[0] for g in cone.basis]
+                assert gfan._standard_count(leads) == standard_count_by_columns(leads) == n
+
+    def test_infinite_staircases(self):
+        for leads in [[], [(0, 3), (2, 1)], [(3, 0), (1, 2)], [(2, 2)], [(1, 0)], [(0, 1)]]:
+            assert gfan._standard_count(leads) is None
+            assert standard_count_by_columns(leads) is None
+
+    def test_matches_column_sum_on_random_leads(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            leads = [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(rng.randint(0, 6))]
+            if rng.random() < 0.7:
+                leads += [(rng.randint(0, 9), 0), (0, rng.randint(0, 9))]
+            rng.shuffle(leads)
+            assert gfan._standard_count(leads) == standard_count_by_columns(leads), leads
 
 
 class TestGroebnerFan:
