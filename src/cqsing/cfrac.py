@@ -36,10 +36,6 @@ class Singularity:
         if gcd(self.n, self.q) != 1:
             raise InputError(f"n and q must be coprime, got ({self.n}, {self.q})")
 
-    @property
-    def dual_q(self) -> int:
-        return self.n - self.q
-
 
 @dataclass(frozen=True)
 class ExponentSeries:

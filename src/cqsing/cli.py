@@ -334,28 +334,22 @@ def run_reconstruct(s: Singularity) -> Report:
         return Report(payload, text, quiver, "relations unavailable for this shape")
     deformed = reconstruct.deformed_relations(s)
 
-    def signed_paths(rel):
-        # each relation is a difference of two paths
-        return [
-            [1, [a.label for a in rel.positive]],
-            [-1, [a.label for a in rel.negative]],
-        ]
-
-    relations = [rel.text() for rel in quiver.relations]
-    deformed_texts = [rel.text() for rel in deformed.relations]
-    data["relations"] = [
-        {"vertex": rel.vertex, "sum": signed_paths(rel), "text": t}
-        for rel, t in zip(quiver.relations, relations)
-    ]
-    data["deformed_relations"] = [
-        {
+    def entry(rel):
+        # each relation is a difference of two paths, deformed ones = parameter
+        out = {
             "vertex": rel.vertex,
-            "sum": signed_paths(rel),
-            "parameter": rel.parameter,
-            "text": t,
+            "sum": [
+                [1, [a.label for a in rel.positive]],
+                [-1, [a.label for a in rel.negative]],
+            ],
         }
-        for rel, t in zip(deformed.relations, deformed_texts)
-    ]
+        if rel.parameter is not None:
+            out["parameter"] = rel.parameter
+        out["text"] = rel.text()
+        return out
+
+    data["relations"] = [entry(rel) for rel in quiver.relations]
+    data["deformed_relations"] = [entry(rel) for rel in deformed.relations]
     group_sizes = [len(g) for g in deformed.groups]
     data["parameter_groups"] = [list(g) for g in deformed.groups]
     data["base_dimension"] = deformed.base_dimension
@@ -366,8 +360,8 @@ def run_reconstruct(s: Singularity) -> Report:
         parameter_group_sizes=group_sizes,
         base_dimension=deformed.base_dimension,
     )
-    text += ["relations:"] + [f"  {t} = 0" for t in relations]
-    text += ["deformed:"] + [f"  {t}" for t in deformed_texts]
+    text += ["relations:"] + [f"  {e['text']} = 0" for e in data["relations"]]
+    text += ["deformed:"] + [f"  {e['text']}" for e in data["deformed_relations"]]
     text.append(
         "base: A^%d with one zero-sum constraint per group %s"
         % (deformed.base_dimension, group_sizes)
@@ -420,12 +414,9 @@ def verify_checks(s: Singularity) -> dict[str, bool]:
     quiver = reconstruct.reconstruction_quiver(s) if len(b) >= 2 else None
     if quiver is not None and quiver.relations is not None:
         deformed = reconstruct.deformed_relations(s)
-        checks["reconstruction_groups"] = tuple(
-            len(g) for g in deformed.groups
-        ) == cfrac.dual_expand(s)
-        checks["reconstruction_base"] = deformed.base_dimension == sum(
-            a - 1 for a in cfrac.dual_expand(s)
-        )
+        dual = cfrac.dual_expand(s)
+        checks["reconstruction_groups"] = tuple(len(g) for g in deformed.groups) == dual
+        checks["reconstruction_base"] = deformed.base_dimension == sum(a - 1 for a in dual)
     return checks
 
 

@@ -10,10 +10,14 @@ lattice ray with coordinates below n, so it is interior to the next cone.
 No cone runs Buchberger's algorithm.  The initial ideal of each maximal
 cone is the monomial ideal of a torus-fixed G-cluster (Ito-Nakamura 1996;
 Kidoh 2001), and the sweep from the x-axis meets the clusters of
-``mckay.g_clusters`` in their order.  For each generator m of cluster k,
-let m' be the unique box of the cluster with the same weight a + q*b
-(mod n); the candidate basis of cone k is {x^m - (p^m / p^m') x^m'}, p the
-orbit point, and a weight w lies inside the cone iff w.m > w.m' for every m.
+``mckay.g_clusters`` in their order.  Each generator m of cluster k
+comes paired with its partner m', the box of the cluster with the same
+weight a + q*b (mod n), read off the unrefined series (i_k, j_k): x^{i_k}
+with y^{j_k}, the step corner x^{i_k - i_{k+1}} y^{j_{k+1} - j_k} with 1,
+and y^{j_{k+1}} with x^{i_{k+1}}.  The candidate basis of cone k is
+{x^m - (p^m / p^m') x^m'}, p the orbit point, and a weight w lies inside
+the cone iff w.m > w.m' for every m.  A partner of another weight fails
+step 1 below.
 
 A candidate is certified before it is used, by a check linear in its
 terms that runs no division:
@@ -49,7 +53,7 @@ from math import gcd
 from .cfrac import Singularity, curve_count
 from .errors import ConsistencyError, InputError
 from .invariant_ring import generators
-from .mckay import boxes_by_weight, g_clusters
+from .mckay import g_clusters
 from .polyring import (
     Polynomial,
     VariableTable,
@@ -199,16 +203,10 @@ def certify_basis(
 
 def _candidates(ideal: OrbitIdeal):
     """Per cluster, in sweep order: the triples (m, m', x^m - c x^m')."""
-    s = ideal.singularity
-    n, q = s.n, s.q
     out = []
-    for cluster in g_clusters(s):
-        box_of = boxes_by_weight(s, cluster)
-        if box_of is None:
-            raise ConsistencyError("cluster boxes do not carry each weight once")
+    for cluster in g_clusters(ideal.singularity):
         elems = []
-        for m in cluster.ideal:
-            t = box_of[(m[0] + q * m[1]) % n]
+        for m, t in zip(cluster.ideal, cluster.partners):
             c = _point_power(ideal.point, (m[0] - t[0], m[1] - t[1]))
             elems.append((m, t, ideal.table.poly({m: 1, t: -c})))
         out.append(elems)

@@ -25,11 +25,13 @@ class GCluster:
     """A diagram of n boxes whose box weights hit every residue once.
 
     heights[a] is the number of boxes in column a (weakly decreasing); the
-    ideal generators are the outer-corner monomials, largest x-power first.
+    ideal generators are the outer-corner monomials, largest x-power first,
+    and partners[t] is the box with the same weight as ideal[t].
     """
 
     heights: tuple[int, ...]
     ideal: tuple[tuple[int, int], ...]
+    partners: tuple[tuple[int, int], ...]
 
     @property
     def width(self) -> int:
@@ -83,15 +85,6 @@ def special_reps(s: Singularity) -> set[int]:
     return set(unrefined_series(s).i_values[1:-1])
 
 
-def _ideal_from_heights(heights):
-    gens = [(len(heights), 0)]
-    for a in range(len(heights) - 1, 0, -1):
-        if heights[a] < heights[a - 1]:
-            gens.append((a, heights[a]))
-    gens.append((0, heights[0]))
-    return tuple(gens)
-
-
 def g_clusters(s: Singularity) -> list[GCluster]:
     """All n-box diagrams whose weight map is a bijection onto Z/n, ordered
     by the exponent of the pure x-power generator (the width), ascending.
@@ -102,13 +95,24 @@ def g_clusters(s: Singularity) -> list[GCluster]:
     j_{k+1} - j_k.  At k = 0 and k = r this degenerates to one row of n
     boxes and one column of n boxes.  The torus-fixed cluster search is kept
     in the tests as an oracle for this formula.
+
+    Since i_k = q*j_k (mod n), each generator's partner box of the same
+    weight is read off the series too: x^{i_k} pairs with y^{j_k}; the step
+    corner x^{i_k - i_{k+1}} y^{j_{k+1} - j_k}, present iff i_{k+1} > 0 and
+    j_k > 0, pairs with 1; and y^{j_{k+1}} pairs with x^{i_{k+1}}.
     """
     series = unrefined_series(s)
     i, j = series.i_values, series.j_values
     clusters = []
     for k in reversed(range(len(series) - 1)):  # i_k decreases: widths ascend
         heights = (j[k + 1],) * (i[k] - i[k + 1]) + (j[k + 1] - j[k],) * i[k + 1]
-        clusters.append(GCluster(heights=heights, ideal=_ideal_from_heights(heights)))
+        ideal, partners = [(i[k], 0)], [(0, j[k])]
+        if i[k + 1] and j[k]:
+            ideal.append((i[k] - i[k + 1], j[k + 1] - j[k]))
+            partners.append((0, 0))
+        ideal.append((0, j[k + 1]))
+        partners.append((i[k + 1], 0))
+        clusters.append(GCluster(heights, tuple(ideal), tuple(partners)))
     return clusters
 
 

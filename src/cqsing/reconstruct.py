@@ -9,6 +9,16 @@ are only emitted for the shapes the construction is verified on: every
 weight 2 (doubled-cycle case), or exactly one weight equal to 3; anything
 else yields the quiver with the relations flagged unsupported rather than
 guessed.  Paths are written in traversal order (leftmost arrow first).
+
+The deformed relations are read off the plain ones, one parameter each.
+Orientation: the two sides swap iff the negative path is the right loop
+v -> v+1 -> v at the relation's vertex v.  Grouping: with m the vertex the
+k-arrow leaves, group 2 holds each relation whose k-side path contains an
+a-arrow (the cycle 0 -> ... -> m -> 0, read from 0 or from m) and the loop
+relation at each vertex past m; group 1 holds the rest, so an all-2 chain
+has one group.  Parameter t{g}_{j} is the j-th relation of group g in
+vertex order, j counting from 0, and the group sizes must be the dual
+expansion: each group carries one zero-sum constraint.
 """
 
 from __future__ import annotations
@@ -36,28 +46,19 @@ class Arrow:
 
 @dataclass(frozen=True)
 class Relation:
-    """positive path - negative path = 0, both loops based at `vertex`."""
+    """positive path - negative path = 0, or = parameter when deformed; both
+    paths are loops based at `vertex`."""
 
     vertex: int
     positive: tuple[Arrow, ...]
     negative: tuple[Arrow, ...]
+    parameter: str | None = None
 
     def text(self) -> str:
         pos = "*".join(a.label for a in self.positive)
         neg = "*".join(a.label for a in self.negative)
-        return f"{pos} - {neg}"
-
-
-@dataclass(frozen=True)
-class DeformedRelation:
-    vertex: int
-    positive: tuple[Arrow, ...]
-    negative: tuple[Arrow, ...]
-    parameter: str
-
-    def text(self) -> str:
-        pos = "*".join(a.label for a in self.positive)
-        neg = "*".join(a.label for a in self.negative)
+        if self.parameter is None:
+            return f"{pos} - {neg}"
         return f"{pos} - {neg} = {self.parameter}"
 
 
@@ -72,7 +73,7 @@ class ReconstructionQuiver:
 
 @dataclass(frozen=True)
 class DeformedRelations:
-    relations: tuple[DeformedRelation, ...]
+    relations: tuple[Relation, ...]
     groups: tuple[tuple[str, ...], ...]  # parameter names, one zero-sum each
     base_dimension: int
 
@@ -189,104 +190,47 @@ def reconstruction_quiver(s: Singularity) -> ReconstructionQuiver:
     return quiver_from_fraction(fraction)
 
 
+def _in_second_group(rel: Relation, m: int) -> bool:
+    """Group 2 (module docstring): the k-side path holds an a-arrow, or the
+    relation is the loop relation at a vertex past m."""
+    for path in (rel.positive, rel.negative):
+        if any(a.kind == "k" for a in path):
+            return any(a.kind == "a" for a in path)
+    return rel.vertex > m
+
+
 def deformed_relations(s: Singularity) -> DeformedRelations:
-    """One parameter per relation, grouped per dual-expansion entry with a
-    zero-sum constraint each; at parameters zero the plain relations return
-    (up to an overall sign per relation)."""
+    """One parameter per relation of ``reconstruction_quiver(s)``, oriented
+    and grouped by the rules of the module docstring, with a zero-sum
+    constraint per group; at parameters zero the plain relations return (up
+    to an overall sign per relation)."""
     quiver = reconstruction_quiver(s)
     if quiver.relations is None:
         raise UnsupportedError(quiver.unsupported_reason)
-    fraction = quiver.fraction
-    count = len(fraction) + 1
-    r = len(fraction)
-    dual = dual_expand(s)
-    heavy = [i for i, b in enumerate(fraction, start=1) if b > 2]
-
-    def param(g, j):
-        return f"t{g}_{j}"
-
+    count = len(quiver.fraction) + 1
+    # the vertex the k-arrow leaves; past every vertex on an all-2 chain
+    m = next((a.tail for a in quiver.arrows if a.kind == "k"), count)
+    names = {1: [], 2: []}
     relations = []
-    if not heavy:
-        # single group of size n = r + 1, the flipped loop at each vertex
-        for v in range(count):
-            relations.append(
-                DeformedRelation(
-                    vertex=v,
-                    positive=_right_loop(v, count),
-                    negative=_left_loop(v, count),
-                    parameter=param(1, v),
-                )
-            )
-        groups = (tuple(param(1, v) for v in range(count)),)
-    else:
-        m = heavy[0]
-        k_arrow = Arrow(kind="k", tail=m, head=0, slot=1)
-        group1, group2 = [], []
-        group1.append(
-            DeformedRelation(
-                vertex=0,
-                positive=_right_loop(0, count),
-                negative=_backward_path(m, count) + (k_arrow,),
-                parameter=param(1, 0),
-            )
+    for rel in quiver.relations:  # in vertex order
+        g = 2 if _in_second_group(rel, m) else 1
+        parameter = f"t{g}_{len(names[g])}"
+        names[g].append(parameter)
+        pos, neg = rel.positive, rel.negative
+        if neg == _right_loop(rel.vertex, count):
+            pos, neg = neg, pos
+        relations.append(Relation(rel.vertex, pos, neg, parameter))
+    dual = dual_expand(s)
+    groups = tuple(tuple(group) for group in names.values() if group)
+    if tuple(map(len, groups)) != dual:
+        raise UnsupportedError(
+            "parameter grouping does not match the dual expansion"
         )
-        for v in range(1, m):
-            group1.append(
-                DeformedRelation(
-                    vertex=v,
-                    positive=_right_loop(v, count),
-                    negative=_left_loop(v, count),
-                    parameter=param(1, v),
-                )
-            )
-        group1.append(
-            DeformedRelation(
-                vertex=m,
-                positive=(k_arrow,) + _backward_path(m, count),
-                negative=_left_loop(m, count),
-                parameter=param(1, m),
-            )
-        )
-        group2.append(
-            DeformedRelation(
-                vertex=0,
-                positive=_forward_path(m, count) + (k_arrow,),
-                negative=_left_loop(0, count),
-                parameter=param(2, 0),
-            )
-        )
-        group2.append(
-            DeformedRelation(
-                vertex=m,
-                positive=_right_loop(m, count),
-                negative=(k_arrow,) + _forward_path(m, count),
-                parameter=param(2, 1),
-            )
-        )
-        for j, v in enumerate(range(m + 1, r + 1), start=2):
-            group2.append(
-                DeformedRelation(
-                    vertex=v,
-                    positive=_right_loop(v, count),
-                    negative=_left_loop(v, count),
-                    parameter=param(2, j),
-                )
-            )
-        if (len(group1), len(group2)) != (dual[0], dual[1]):
-            raise UnsupportedError(
-                "parameter grouping does not match the dual expansion"
-            )
-        relations = group1 + group2
-        groups = (
-            tuple(rel.parameter for rel in group1),
-            tuple(rel.parameter for rel in group2),
-        )
-        relations.sort(key=lambda rel: (rel.vertex, rel.parameter))
-    base_dimension = sum(a - 1 for a in dual)
+    relations.sort(key=lambda rel: (rel.vertex, rel.parameter))
     return DeformedRelations(
         relations=tuple(relations),
         groups=groups,
-        base_dimension=base_dimension,
+        base_dimension=sum(a - 1 for a in dual),
     )
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from cqsing.gfan import (
     groebner_fan,
     orbit_ideal,
 )
-from cqsing.mckay import GCluster
+from cqsing.mckay import g_clusters
 from cqsing.polyring import (
     WeightedOrder,
     buchberger,
@@ -341,13 +342,19 @@ class TestCertificate:
         source = Path(gfan.__file__).read_text()
         assert "normal_form" not in source and "s_polynomial" not in source
 
-    def test_cluster_without_weight_bijection_rejected(self, monkeypatch):
-        # 11 boxes: column 0 of height 6 carries the weights 0, 7, 3, 10,
-        # 6, 2 and the rest of row 0 carries 1..5, so 2 and 3 repeat
-        bad = GCluster(heights=(6, 1, 1, 1, 1, 1), ideal=((6, 0), (1, 1), (0, 6)))
-        monkeypatch.setattr(gfan, "g_clusters", lambda s: [bad])
-        with pytest.raises(ConsistencyError, match="do not carry each weight once"):
-            groebner_fan(Singularity(11, 7))
+    def test_cluster_with_wrong_partner_rejected(self, monkeypatch):
+        # pair the pure x-power of one cluster with 1 instead of its
+        # partner y^{j_k}: the margin stays positive, so the sweep reaches
+        # the cluster and the orbit check must refuse it
+        s = Singularity(11, 7)
+        clusters = g_clusters(s)
+        for k, cluster in enumerate(clusters[:-1]):
+            assert cluster.partners[0] != (0, 0)
+            bad = replace(cluster, partners=((0, 0),) + cluster.partners[1:])
+            patched = clusters[:k] + [bad] + clusters[k + 1:]
+            monkeypatch.setattr(gfan, "g_clusters", lambda s: patched)
+            with pytest.raises(ConsistencyError, match="does not vanish on the orbit"):
+                groebner_fan(s)
 
 
 class TestStandardCount:

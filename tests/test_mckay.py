@@ -257,9 +257,24 @@ class TestClusters:
             assert sorted(by_weight) == list(range(11))
             assert all(weight(s, a, b) == k for k, (a, b) in by_weight.items())
         # a weight twice: (0, 0) and (0, 11) both have weight 0
-        assert boxes_by_weight(s, GCluster(heights=(12,), ideal=((1, 0), (0, 12)))) is None
+        assert boxes_by_weight(
+            s, GCluster(heights=(12,), ideal=((1, 0), (0, 12)), partners=((0, 8), (0, 1)))
+        ) is None
         # too few boxes
-        assert boxes_by_weight(s, GCluster(heights=(10,), ideal=((1, 0), (0, 10)))) is None
+        assert boxes_by_weight(
+            s, GCluster(heights=(10,), ideal=((1, 0), (0, 10)), partners=((0, 8), (0, 0)))
+        ) is None
+
+    def test_partners_match_weight_lookup(self):
+        # each generator's partner is the box of the cluster with its weight
+        for n, q in coprime_pairs(80):
+            s = Singularity(n, q)
+            for c in g_clusters(s):
+                by_weight = boxes_by_weight(s, c)
+                assert len(c.partners) == len(c.ideal), (n, q)
+                assert list(c.partners) == [
+                    by_weight[weight(s, a, b)] for a, b in c.ideal
+                ], (n, q, c.heights)
 
     def test_closed_form_matches_dfs_oracle(self):
         cliffs = [(101, 37), (96, 37), (88, 25), (80, 51)]

@@ -1,10 +1,13 @@
 import pytest
 
+from cqsing import reconstruct
 from cqsing.cfrac import Singularity, curve_count, dual_expand, embedding_dimension
 from cqsing.deform import dim_t1
 from cqsing.errors import InputError, UnsupportedError
 from cqsing.reconstruct import (
     Arrow,
+    DeformedRelations,
+    Relation,
     deformed_relations,
     monomial_assignment,
     quasidet_presentation,
@@ -24,6 +27,77 @@ def C(i, j):
 
 
 K21 = Arrow(kind="k", tail=2, head=0, slot=1)
+
+
+def deformed_relations_by_shape(s):
+    """Oracle for ``deformed_relations``: the deformed relations written out
+    per supported shape (all weights 2, or a single 3 at vertex m)."""
+    quiver = reconstruction_quiver(s)
+    if quiver.relations is None:
+        raise UnsupportedError(quiver.unsupported_reason)
+    fraction = quiver.fraction
+    r = len(fraction)
+    count = r + 1
+    dual = dual_expand(s)
+    heavy = [i for i, b in enumerate(fraction, start=1) if b > 2]
+
+    def a(i):
+        return A(i, (i + 1) % count)
+
+    def c(i):
+        return C(i, (i - 1) % count)
+
+    def left(v):
+        return (c(v), a((v - 1) % count))
+
+    def right(v):
+        return (a(v), c((v + 1) % count))
+
+    def forward(m):
+        return tuple(a(i) for i in range(m))
+
+    def backward(m):
+        return (c(0),) + tuple(c(i) for i in range(r, m, -1))
+
+    if not heavy:
+        relations = [Relation(v, right(v), left(v), f"t1_{v}") for v in range(count)]
+        groups = (tuple(f"t1_{v}" for v in range(count)),)
+    else:
+        m = heavy[0]
+        k = Arrow(kind="k", tail=m, head=0, slot=1)
+        group1 = [Relation(0, right(0), backward(m) + (k,), "t1_0")]
+        group1 += [Relation(v, right(v), left(v), f"t1_{v}") for v in range(1, m)]
+        group1.append(Relation(m, (k,) + backward(m), left(m), f"t1_{m}"))
+        group2 = [
+            Relation(0, forward(m) + (k,), left(0), "t2_0"),
+            Relation(m, right(m), (k,) + forward(m), "t2_1"),
+        ]
+        group2 += [
+            Relation(v, right(v), left(v), f"t2_{j}")
+            for j, v in enumerate(range(m + 1, r + 1), start=2)
+        ]
+        if (len(group1), len(group2)) != (dual[0], dual[1]):
+            raise UnsupportedError("parameter grouping does not match the dual expansion")
+        relations = sorted(group1 + group2, key=lambda rel: (rel.vertex, rel.parameter))
+        groups = (
+            tuple(rel.parameter for rel in group1),
+            tuple(rel.parameter for rel in group2),
+        )
+    return DeformedRelations(
+        relations=tuple(relations),
+        groups=groups,
+        base_dimension=sum(a - 1 for a in dual),
+    )
+
+
+def supported_pairs(max_n):
+    """Coprime pairs n <= max_n with r >= 2 whose relations are emitted."""
+    return [
+        (n, q)
+        for n, q in coprime_pairs(max_n)
+        if curve_count(Singularity(n, q)) >= 2
+        and reconstruction_quiver(Singularity(n, q)).relations is not None
+    ]
 
 
 class TestQuiverStructure:
@@ -167,11 +241,11 @@ class TestDeformedRelations:
     def test_zero_parameters_recover_relations(self):
         # at t = 0 each deformed relation is one of the plain relations,
         # possibly with the two sides exchanged, and the match is a bijection
-        for n, q in [(11, 7), (5, 3), (6, 5), (13, 9)]:
+        pairs = supported_pairs(60)
+        assert {(11, 7), (5, 3), (6, 5)} <= set(pairs)
+        for n, q in pairs:
             s = Singularity(n, q)
             quiver = reconstruction_quiver(s)
-            if quiver.relations is None:
-                continue
             deformed = deformed_relations(s)
             plain = {(r.positive, r.negative) for r in quiver.relations}
             matched = set()
@@ -181,6 +255,28 @@ class TestDeformedRelations:
                 assert direct in plain or flipped in plain
                 matched.add(direct if direct in plain else flipped)
             assert matched == plain
+
+    def test_matches_per_shape_oracle(self):
+        # the same relations, groups and base, or the same refusal
+        for n, q in coprime_pairs(120):
+            s = Singularity(n, q)
+            if curve_count(s) < 2:
+                continue
+            try:
+                expected = deformed_relations_by_shape(s)
+            except UnsupportedError as exc:
+                with pytest.raises(UnsupportedError) as got:
+                    deformed_relations(s)
+                assert str(got.value) == str(exc), (n, q)
+                continue
+            assert deformed_relations(s) == expected, (n, q)
+
+    def test_grouping_checked_against_dual_expansion(self, monkeypatch):
+        # both shapes refuse a dual expansion their groups do not match
+        for (n, q), dual in [((11, 7), (4, 3)), ((6, 5), (3, 3))]:
+            monkeypatch.setattr(reconstruct, "dual_expand", lambda s, dual=dual: dual)
+            with pytest.raises(UnsupportedError, match="does not match the dual expansion"):
+                deformed_relations(Singularity(n, q))
 
     def test_chain_base(self):
         for n in range(3, 12):
