@@ -98,7 +98,7 @@ def run_resolve(s: Singularity) -> Report:
 def run_invariants(s: Singularity) -> Report:
     gens = invariant_ring.generators(s)
     eqs = invariant_ring.defining_equations(s)
-    ok = invariant_ring.verify_presentation(s)
+    ok = invariant_ring.verify_presentation(s, eqs)
     if not ok:
         raise ConsistencyError("presentation substitution failed")
 
@@ -281,7 +281,9 @@ def run_deform(s: Singularity) -> Report:
         "checks": _with_reference(
             {
                 "parameter_count": len(params) == dim,
-                "specialization": _specialization_ok(s, pres),
+                "specialization": _specialization_ok(
+                    s, pres, invariant_ring.defining_equations(s)
+                ),
             },
             s,
             dim_t1=dim,
@@ -296,8 +298,8 @@ def run_deform(s: Singularity) -> Report:
     return Report(payload, text)
 
 
-def _specialization_ok(s: Singularity, pres) -> bool:
-    _, expected = invariant_ring.relation_polynomials(s, pres.variables.table)
+def _specialization_ok(s: Singularity, pres, relations) -> bool:
+    _, expected = invariant_ring.relation_polynomials(s, relations, pres.variables.table)
     return Counter(deform.specialized_relations(pres)) == Counter(expected)
 
 
@@ -379,9 +381,19 @@ def verify_checks(s: Singularity) -> dict[str, bool]:
     checks["fraction_duality"] = (
         cfrac.hj_expand(s.n, q_inv) == tuple(reversed(b)) if q_inv != s.q else True
     )
+    # the deform branch first: versal_presentation refuses an e over its
+    # ceiling before anything of size e^2, the relations included, is built
+    pres = deform.versal_presentation(s) if ids.e >= 4 else None
+    relations = invariant_ring.defining_equations(s)
+    if pres is None:
+        params = deform.hypersurface_presentation(s).parameters
+    else:
+        params = pres.variables.parameter_names
+        checks["deform_specialization"] = _specialization_ok(s, pres, relations)
+    checks["deform_parameter_count"] = len(params) == deform.dim_t1(s)
     gens = invariant_ring.generators(s)
     checks["generator_count_is_e"] = len(gens) == ids.e
-    checks["presentation"] = invariant_ring.verify_presentation(s)
+    checks["presentation"] = invariant_ring.verify_presentation(s, relations)
     fan = toric.resolution_fan(s)
     checks["fan_round_trip"] = toric.self_intersections(fan) == b
     checks["hilbert_basis"] = [tuple(p) for p in toric.hilbert_basis_dual(s)] == [
@@ -402,15 +414,6 @@ def verify_checks(s: Singularity) -> dict[str, bool]:
         len(c) - 1 == g.exponents[0] + g.exponents[1]
         for c, g in zip(cycles, gens)
     )
-    if ids.e >= 4:
-        pres = deform.versal_presentation(s)
-        checks["deform_specialization"] = _specialization_ok(s, pres)
-        checks["deform_parameter_count"] = (
-            len(pres.variables.parameter_names) == deform.dim_t1(s)
-        )
-    else:
-        family = deform.hypersurface_presentation(s)
-        checks["deform_parameter_count"] = len(family.parameters) == deform.dim_t1(s)
     quiver = reconstruct.reconstruction_quiver(s) if len(b) >= 2 else None
     if quiver is not None and quiver.relations is not None:
         deformed = reconstruct.deformed_relations(s)
@@ -429,6 +432,9 @@ def run_verify(s: Singularity) -> Report:
 
 
 def run_batch(max_n: int) -> Report:
+    if max_n >= deform.MAX_VERSAL_E:  # the pair (max_n, 1) has e = max_n + 1
+        limit = deform.MAX_VERSAL_E - 1
+        raise InputError(f"batch --max-n is limited to {limit} by the versal ceiling")
     violations = []
     pairs = 0
     for n in range(2, max_n + 1):

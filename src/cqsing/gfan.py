@@ -10,14 +10,19 @@ lattice ray with coordinates below n, so it is interior to the next cone.
 No cone runs Buchberger's algorithm.  The initial ideal of each maximal
 cone is the monomial ideal of a torus-fixed G-cluster (Ito-Nakamura 1996;
 Kidoh 2001), and the sweep from the x-axis meets the clusters of
-``mckay.g_clusters`` in their order.  Each generator m of cluster k
-comes paired with its partner m', the box of the cluster with the same
-weight a + q*b (mod n), read off the unrefined series (i_k, j_k): x^{i_k}
-with y^{j_k}, the step corner x^{i_k - i_{k+1}} y^{j_{k+1} - j_k} with 1,
-and y^{j_{k+1}} with x^{i_{k+1}}.  The candidate basis of cone k is
-{x^m - (p^m / p^m') x^m'}, p the orbit point, and a weight w lies inside
-the cone iff w.m > w.m' for every m.  A partner of another weight fails
-step 1 below.
+``mckay.g_clusters`` in their order.  Cluster k is held as its two corners
+(i_k, j_k) and (i_{k+1}, j_{k+1}) of the unrefined series: the L-shaped
+diagram of i_k columns and j_{k+1} rows less the top right i_{k+1} x j_k
+block.  The vectors (i_k, -j_k) and (-i_{k+1}, j_{k+1}) have weight 0 and
+determinant n, so they span the weight-zero lattice of the a + q*b (mod n),
+and the L-shape, a fundamental domain of it, carries each residue once.
+Each generator m comes paired with its partner m', the box of the same
+weight, read off the corners: x^{i_k} with y^{j_k}, the step corner
+x^{i_k - i_{k+1}} y^{j_{k+1} - j_k} with 1, and y^{j_{k+1}} with
+x^{i_{k+1}}.  The candidate basis of cone k is {x^m - (p^m / p^m') x^m'},
+p the orbit point, and a weight w lies inside the cone iff the integer
+margins w.(m - m') are all positive, so a weight picks its cone before any
+polynomial is built.  A partner of another weight fails step 1 below.
 
 A candidate is certified before it is used, by a check linear in its
 terms that runs no division:
@@ -201,31 +206,27 @@ def certify_basis(
             )
 
 
-def _candidates(ideal: OrbitIdeal):
-    """Per cluster, in sweep order: the triples (m, m', x^m - c x^m')."""
-    out = []
-    for cluster in g_clusters(ideal.singularity):
-        elems = []
-        for m, t in zip(cluster.ideal, cluster.partners):
-            c = _point_power(ideal.point, (m[0] - t[0], m[1] - t[1]))
-            elems.append((m, t, ideal.table.poly({m: 1, t: -c})))
-        out.append(elems)
-    return out
+def _margins(pairs, w):
+    """w.(m - m') per (generator, partner) pair of a cluster: all positive
+    iff w is inside its cone."""
+    return [(m[0] - t[0]) * w[0] + (m[1] - t[1]) * w[1] for m, t in pairs]
 
 
-def _margins(elems, w):
-    """w.(m - m') per element: all positive iff w is inside the cone."""
-    return [(m[0] - t[0]) * w[0] + (m[1] - t[1]) * w[1] for m, t, _ in elems]
-
-
-def _certified_cone(elems, w, ideal: OrbitIdeal) -> GroebnerCone:
-    """The cone of a candidate whose leading terms w already selects."""
+def _certified_cone(pairs, w, ideal: OrbitIdeal) -> GroebnerCone:
+    """The cone of the cluster pairs whose leading terms w already selects:
+    the candidate {x^m - (p^m / p^m') x^m'}, certified."""
     order = WeightedOrder(weights=w)
     # w.m > w.m', so m is the leading term of its element
-    basis = [g for m, _, g in sorted(elems, key=lambda e: order.key(e[0]))]
+    pairs = sorted(pairs, key=lambda e: order.key(e[0]))
+    basis = [
+        ideal.table.poly(
+            {m: 1, t: -_point_power(ideal.point, (m[0] - t[0], m[1] - t[1]))}
+        )
+        for m, t in pairs
+    ]
     certify_basis(basis, ideal, order, ideal.singularity.n)
     inequalities = tuple(
-        sorted({_primitive((m[0] - t[0], m[1] - t[1])) for m, t, _ in elems})
+        sorted({_primitive((m[0] - t[0], m[1] - t[1])) for m, t in pairs})
     )
     lower, upper = _cone_rays(inequalities)
     return GroebnerCone(
@@ -241,7 +242,8 @@ def cone_of_weight(ideal: OrbitIdeal, w) -> GroebnerCone:
     """The maximal cone containing the weight w (interior required).
 
     The cone is that of the cluster whose strict inequalities w.m > w.m'
-    w satisfies; its basis is certified on the orbit.
+    w satisfies, picked by integer margins; only its basis is built and
+    certified on the orbit.
     """
     w0, w1 = Fraction(w[0]), Fraction(w[1])
     if w0 <= 0 or w1 <= 0:
@@ -249,10 +251,11 @@ def cone_of_weight(ideal: OrbitIdeal, w) -> GroebnerCone:
     scale = w0.denominator * w1.denominator // gcd(w0.denominator, w1.denominator)
     w = (int(w0 * scale), int(w1 * scale))
     on_boundary = False
-    for elems in _candidates(ideal):
-        low = min(_margins(elems, w))
+    for cluster in g_clusters(ideal.singularity):
+        pairs = list(zip(cluster.ideal, cluster.partners))
+        low = min(_margins(pairs, w))
         if low > 0:
-            return _certified_cone(elems, w, ideal)
+            return _certified_cone(pairs, w, ideal)
         on_boundary = on_boundary or low == 0
     if on_boundary:
         raise BoundaryWeightError(f"weight {w} ties terms of a basis element")
@@ -266,12 +269,13 @@ def groebner_fan(s: Singularity, point=(1, 1)):
     n = s.n
     cones = []
     w = (n * n, 1)
-    for elems in _candidates(ideal):
-        if min(_margins(elems, w)) <= 0:
+    for cluster in g_clusters(s):
+        pairs = list(zip(cluster.ideal, cluster.partners))
+        if min(_margins(pairs, w)) <= 0:
             raise ConsistencyError(
                 f"sweep weight {w} is not inside cone {len(cones)}"
             )
-        cone = _certified_cone(elems, w, ideal)
+        cone = _certified_cone(pairs, w, ideal)
         if cones and cones[-1].upper_ray != cone.lower_ray:
             raise ConsistencyError("adjacent cones do not share a ray")
         if not cones and cone.lower_ray != (1, 0):

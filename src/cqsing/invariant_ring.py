@@ -79,11 +79,12 @@ def defining_equations(s: Singularity) -> list[BinomialRelation]:
     return relations
 
 
-def verify_presentation(s: Singularity) -> bool:
-    """Substitute z_t -> x^{i_t} y^{j_t} into every relation and compare
-    exponents on both sides."""
+def verify_presentation(s: Singularity, relations) -> bool:
+    """Substitute z_t -> x^{i_t} y^{j_t} into every relation of the list
+    (``defining_equations(s)`` in the reports) and compare exponents on both
+    sides."""
     pairs = ij_series(s).pairs
-    for rel in defining_equations(s):
+    for rel in relations:
         i, j = rel.left
         rx = ry = 0
         for t, e in rel.right:
@@ -96,14 +97,15 @@ def verify_presentation(s: Singularity) -> bool:
     return True
 
 
-def relation_polynomials(s: Singularity, table: VariableTable | None = None):
-    """The relations as polynomials z_i z_j - p_ij over a z-variable table."""
+def relation_polynomials(s: Singularity, relations, table: VariableTable | None = None):
+    """The relations of the list (``defining_equations(s)`` in the reports) as
+    polynomials z_i z_j - p_ij over a z-variable table."""
     gens = generators(s)
     if table is None:
         table = VariableTable([g.name for g in gens])
     slot = [table.index(g.name) for g in gens]
     polys = []
-    for rel in defining_equations(s):
+    for rel in relations:
         # z_i z_j never equals p_ij, whose indices lie strictly between
         polys.append(table._sparse([
             ([(slot[t - 1], 1) for t in rel.left], 1),

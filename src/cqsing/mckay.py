@@ -4,6 +4,18 @@ and the torus-fixed clusters in closed form.
 The character table never materializes roots of unity: the class k acts on
 x^a y^b through the weight a + q*b (mod n), and all of the structure below
 is arithmetic on those residues.
+
+A torus-fixed G-cluster is held as its two corners (i_k, j_k) and
+(i_{k+1}, j_{k+1}) of the unrefined series (Ito-Nakamura 1996; Kidoh 2001):
+its diagram is the rectangle of i_k columns and j_{k+1} rows less the top
+right i_{k+1} x j_k block.  Both corners satisfy i = q*j (mod n), so
+(i_k, -j_k) and (-i_{k+1}, j_{k+1}) lie in the weight-zero lattice
+{(a, b) : a + q*b = 0 (mod n)}, which has index n in Z^2.  Their
+determinant i_k j_{k+1} - i_{k+1} j_k is n, so they are a basis of it, and
+the L-shaped diagram, which tiles the plane under their translations, is a
+fundamental domain: its n boxes carry each residue exactly once.  The
+regular-representation check is that arithmetic, O(1) per cluster; the
+columns are expanded only to print them.
 """
 
 from __future__ import annotations
@@ -22,20 +34,40 @@ class Quiver:
 
 @dataclass(frozen=True)
 class GCluster:
-    """A diagram of n boxes whose box weights hit every residue once.
+    """The cluster cut out by the consecutive pairs (i, j) = (i_k, j_k) and
+    (i_next, j_next) = (i_{k+1}, j_{k+1}) of the unrefined series: i columns
+    (its width), the first i - i_next of height j_next and the last i_next
+    of height j_next - j."""
 
-    heights[a] is the number of boxes in column a (weakly decreasing); the
-    ideal generators are the outer-corner monomials, largest x-power first,
-    and partners[t] is the box with the same weight as ideal[t].
-    """
-
-    heights: tuple[int, ...]
-    ideal: tuple[tuple[int, int], ...]
-    partners: tuple[tuple[int, int], ...]
+    i: int
+    j: int
+    i_next: int
+    j_next: int
 
     @property
-    def width(self) -> int:
-        return len(self.heights)
+    def heights(self) -> tuple[int, ...]:
+        """The column heights, left to right (weakly decreasing)."""
+        i, j, i_next, j_next = self.i, self.j, self.i_next, self.j_next
+        return (j_next,) * (i - i_next) + (j_next - j,) * i_next
+
+    @property
+    def ideal(self) -> tuple[tuple[int, int], ...]:
+        """The outer-corner monomials, largest x-power first: x^i, the step
+        corner x^(i - i_next) y^(j_next - j) when i_next > 0 and j > 0,
+        and y^j_next."""
+        i, j, i_next, j_next = self.i, self.j, self.i_next, self.j_next
+        if i_next and j:
+            return ((i, 0), (i - i_next, j_next - j), (0, j_next))
+        return ((i, 0), (0, j_next))
+
+    @property
+    def partners(self) -> tuple[tuple[int, int], ...]:
+        """partners[t] is the box with the weight of ideal[t]: since
+        i = q*j (mod n) at both corners, x^i pairs with y^j, the step corner
+        with 1, and y^j_next with x^i_next."""
+        if self.i_next and self.j:
+            return ((0, self.j), (0, 0), (self.i_next, 0))
+        return ((0, self.j), (self.i_next, 0))
 
 
 def mckay_quiver(s: Singularity) -> Quiver:
@@ -70,10 +102,6 @@ def g_basis(s: Singularity) -> list[tuple[int, int]]:
     return basis
 
 
-def weight(s: Singularity, a: int, b: int) -> int:
-    return (a + s.q * b) % s.n
-
-
 def special_reps(s: Singularity) -> set[int]:
     """Nontrivial classes k whose basis monomials of weight k are all pure
     powers (the L-shaped set); their count equals the curve count r.
@@ -90,44 +118,17 @@ def g_clusters(s: Singularity) -> list[GCluster]:
     by the exponent of the pure x-power generator (the width), ascending.
 
     Closed form from the unrefined series (i_0..i_{r+1}), (j_0..j_{r+1})
-    (Ito-Nakamura; Kidoh): cluster k has width i_k, its first i_k - i_{k+1}
-    columns have height j_{k+1} and its last i_{k+1} columns height
-    j_{k+1} - j_k.  At k = 0 and k = r this degenerates to one row of n
-    boxes and one column of n boxes.  The torus-fixed cluster search is kept
-    in the tests as an oracle for this formula.
-
-    Since i_k = q*j_k (mod n), each generator's partner box of the same
-    weight is read off the series too: x^{i_k} pairs with y^{j_k}; the step
-    corner x^{i_k - i_{k+1}} y^{j_{k+1} - j_k}, present iff i_{k+1} > 0 and
-    j_k > 0, pairs with 1; and y^{j_{k+1}} pairs with x^{i_{k+1}}.
+    (Ito-Nakamura; Kidoh): cluster k has the corners (i_k, j_k) and
+    (i_{k+1}, j_{k+1}).  At k = 0 and k = r this degenerates to one row of
+    n boxes and one column of n boxes.  The torus-fixed cluster search is
+    kept in the tests as an oracle for this formula.
     """
     series = unrefined_series(s)
     i, j = series.i_values, series.j_values
-    clusters = []
-    for k in reversed(range(len(series) - 1)):  # i_k decreases: widths ascend
-        heights = (j[k + 1],) * (i[k] - i[k + 1]) + (j[k + 1] - j[k],) * i[k + 1]
-        ideal, partners = [(i[k], 0)], [(0, j[k])]
-        if i[k + 1] and j[k]:
-            ideal.append((i[k] - i[k + 1], j[k + 1] - j[k]))
-            partners.append((0, 0))
-        ideal.append((0, j[k + 1]))
-        partners.append((i[k + 1], 0))
-        clusters.append(GCluster(heights, tuple(ideal), tuple(partners)))
-    return clusters
-
-
-def boxes_by_weight(s: Singularity, cluster: GCluster):
-    """The box of each residue a + q*b (mod n) of the cluster, or None unless
-    its boxes carry each residue exactly once."""
-    n, q = s.n, s.q
-    by_weight = {
-        (a + q * b) % n: (a, b)
-        for a, h in enumerate(cluster.heights)
-        for b in range(h)
-    }
-    if len(by_weight) != n or sum(cluster.heights) != n:
-        return None
-    return by_weight
+    return [  # i_k decreases: widths ascend
+        GCluster(i[k], j[k], i[k + 1], j[k + 1])
+        for k in reversed(range(len(series) - 1))
+    ]
 
 
 def curve_rep_assignment(s: Singularity, clusters) -> list[tuple[int, int]]:
@@ -138,8 +139,8 @@ def curve_rep_assignment(s: Singularity, clusters) -> list[tuple[int, int]]:
     out = []
     for k in range(1, len(clusters)):
         left, right = clusters[k - 1], clusters[k]
-        w_x = left.width % n
-        w_y = q * right.heights[0] % n
+        w_x = left.i % n
+        w_y = q * right.j_next % n
         if w_x != w_y:
             raise ConsistencyError(
                 f"corner monomials of curve {k} disagree: {w_x} vs {w_y}"
@@ -153,7 +154,14 @@ def curve_rep_assignment(s: Singularity, clusters) -> list[tuple[int, int]]:
 
 def cluster_weight_check(s: Singularity, clusters) -> bool:
     """The r + 1 clusters of ``g_clusters(s)`` each carry every residue
-    exactly once (regular representation)."""
+    exactly once (regular representation): their corners are ordered, lie in
+    the weight-zero lattice and span it (module docstring)."""
+    n, q = s.n, s.q
     return len(clusters) == curve_count(s) + 1 and all(
-        boxes_by_weight(s, c) is not None for c in clusters
+        c.i > c.i_next >= 0
+        and c.j_next > c.j >= 0
+        and c.i * c.j_next - c.i_next * c.j == n
+        and (c.i - q * c.j) % n == 0
+        and (c.i_next - q * c.j_next) % n == 0
+        for c in clusters
     )

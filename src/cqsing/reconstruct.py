@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfrac import Singularity, dual_expand, hj_expand, ij_series
+from .cfrac import Singularity, dual_expand, hj_expand
 from .errors import InputError, UnsupportedError
 from .polyring import Polynomial, VariableTable
 
@@ -279,35 +279,3 @@ def quasidet_presentation(s: Singularity) -> QuasidetPresentation:
         table=table,
         relations=tuple(relations),
     )
-
-
-def monomial_assignment(s: Singularity):
-    """Exponent pairs for the matrix symbols under which every relation
-    vanishes identically, derived from the invariant generators.
-
-    Only derivable for two-row layouts whose column count fits inside the
-    generator list; returns None otherwise.
-    """
-    dual = dual_expand(s)
-    if len(dual) != 2:
-        return None
-    e = len(dual) + 2
-    cols = dual[0]
-    if cols > e - 1:
-        return None
-    pairs = ij_series(s).pairs  # pairs[t-1] = exponents of generator t
-    u = {t: pairs[t - 1] for t in range(1, e + 1)}
-    assignment = {}
-    pres = quasidet_presentation(s)
-    top, bottom = pres.matrix[0], pres.matrix[1]
-    for c in range(cols):
-        b = u[c + 2]
-        assignment[bottom[c]] = b
-        if c == 0:
-            assignment[top[c]] = u[1]
-        else:
-            assignment[top[c]] = (
-                u[1][0] + b[0] - u[2][0],
-                u[1][1] + b[1] - u[2][1],
-            )
-    return assignment

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cfrac import Singularity, hj_expand
+from .cfrac import Singularity
 from .errors import ConsistencyError, InputError
 
 
@@ -56,10 +56,6 @@ class Fan2D:
         keys = [_angle_key(r.scaled) for r in self.rays]
         if keys != sorted(keys) or len(set(keys)) != len(keys):
             raise InputError("fan rays must be strictly sorted by angle")
-
-    @property
-    def interior_rays(self) -> tuple[RationalRay, ...]:
-        return self.rays[1:-1]
 
     @property
     def maximal_cones(self):
@@ -159,7 +155,3 @@ def self_intersections(fan: Fan2D) -> tuple[int, ...]:
                 raise ConsistencyError("ray recursion does not close")
         entries.append(b)
     return tuple(entries)
-
-
-def fan_matches_expansion(s: Singularity) -> bool:
-    return self_intersections(resolution_fan(s)) == hj_expand(s.n, s.q)

@@ -76,8 +76,9 @@ def test_criterion_2_invariant_ring():
         for n, q in coprime_pairs(120):
             s = Singularity(n, q)
             e = embedding_dimension(s)
-            assert len(defining_equations(s)) == (e - 1) * (e - 2) // 2
-            assert verify_presentation(s)
+            rels = defining_equations(s)
+            assert len(rels) == (e - 1) * (e - 2) // 2
+            assert verify_presentation(s, rels)
 
 
 def test_criterion_3_special_representations():

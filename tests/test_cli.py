@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -349,7 +350,70 @@ class TestExitCodes:
         assert json.loads(out)["checks"][check] is True
 
 
+class TestSizes:
+    """Whole runs in a fresh interpreter, each capped at 1 GB of address
+    space and 60 s of CPU, so that a regression fails instead of taking
+    the host's memory."""
+
+    @staticmethod
+    def measured(argv, tmp_path):
+        """(exit code, stdout, stderr, wall seconds, peak RSS in MB)."""
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+
+        src = Path(cqsing.__file__).resolve().parent.parent
+        with open(tmp_path / "out", "w+") as out, open(tmp_path / "err", "w+") as err:
+            start = time.perf_counter()
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "cqsing", *argv],
+                stdout=out,
+                stderr=err,
+                env={**os.environ, "PYTHONPATH": str(src)},
+                preexec_fn=cap,
+            )
+            _, status, usage = os.wait4(proc.pid, 0)
+            seconds = time.perf_counter() - start
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            out.seek(0)
+            err.seek(0)
+            rss = usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+            return proc.returncode, out.read(), err.read(), seconds, rss
+
+    def test_verify_long_chain_memory(self, tmp_path):
+        # 4000 clusters and cones: each cluster is its two series corners,
+        # so no check expands its 4000-odd columns
+        code, out, _, _, rss = self.measured(
+            ["verify", "4000", "3999", "--format", "json"], tmp_path
+        )
+        assert code == 0
+        assert all(json.loads(out)["checks"].values())
+        assert rss < 120
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["verify", "32768", "32767"], "polyring exponents"),
+            (["verify", "1000", "1"], "versal ceiling"),
+            (["deform", "1000", "1"], "versal ceiling"),
+        ],
+        ids=["verify-32768-32767", "verify-1000-1", "deform-1000-1"],
+    )
+    def test_over_a_ceiling_exits_2_fast(self, tmp_path, argv, reason):
+        code, out, err, seconds, _ = self.measured(argv, tmp_path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and reason in err
+        assert seconds < 5
+
+
 class TestBatch:
+    def test_max_n_over_the_versal_ceiling_exits_2(self, capsys):
+        code, out, err = run(capsys, ["batch", "--max-n", "128"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: batch --max-n is limited to 127 by the versal ceiling\n"
+
     def test_small_sweep_clean(self, capsys):
         code, out, _ = run(capsys, ["batch", "--max-n", "8", "--format", "json"])
         assert code == 0

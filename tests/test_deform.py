@@ -2,6 +2,7 @@ import pytest
 
 from cqsing.cfrac import Singularity, dual_expand, embedding_dimension
 from cqsing.deform import (
+    MAX_VERSAL_E,
     _trunc,
     _w,
     deformation_variables,
@@ -263,6 +264,14 @@ class TestVersalPresentation:
     def test_e3_rejected(self):
         with pytest.raises(InputError):
             versal_presentation(Singularity(5, 4))
+
+    def test_versal_ceiling(self):
+        # (n, 1) has e = n + 1: the last pair under the ceiling builds its
+        # variables, the first over it is refused before any of them
+        v = deformation_variables(Singularity(MAX_VERSAL_E - 1, 1))
+        assert v.e == MAX_VERSAL_E
+        with pytest.raises(InputError, match="versal ceiling"):
+            deformation_variables(Singularity(MAX_VERSAL_E, 1))
 
 
 class TestHypersurfaceRoute:

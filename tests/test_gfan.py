@@ -1,7 +1,7 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -345,12 +345,15 @@ class TestCertificate:
     def test_cluster_with_wrong_partner_rejected(self, monkeypatch):
         # pair the pure x-power of one cluster with 1 instead of its
         # partner y^{j_k}: the margin stays positive, so the sweep reaches
-        # the cluster and the orbit check must refuse it
+        # the cluster and the orbit check must refuse it.  A GCluster derives
+        # its partners from its corners, so the stand-in carries them.
         s = Singularity(11, 7)
         clusters = g_clusters(s)
         for k, cluster in enumerate(clusters[:-1]):
             assert cluster.partners[0] != (0, 0)
-            bad = replace(cluster, partners=((0, 0),) + cluster.partners[1:])
+            bad = SimpleNamespace(
+                ideal=cluster.ideal, partners=((0, 0),) + cluster.partners[1:]
+            )
             patched = clusters[:k] + [bad] + clusters[k + 1:]
             monkeypatch.setattr(gfan, "g_clusters", lambda s: patched)
             with pytest.raises(ConsistencyError, match="does not vanish on the orbit"):

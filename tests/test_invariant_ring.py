@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 from cqsing.cfrac import Singularity, embedding_dimension
 from cqsing.invariant_ring import (
     defining_equations,
@@ -93,11 +95,15 @@ class TestDefiningEquations:
         for n, q in coprime_pairs(120):
             s = Singularity(n, q)
             e = embedding_dimension(s)
-            assert len(defining_equations(s)) == (e - 1) * (e - 2) // 2
-            assert verify_presentation(s)
+            rels = defining_equations(s)
+            assert len(rels) == (e - 1) * (e - 2) // 2
+            assert verify_presentation(s, rels)
+            # the check reads the list it is given: z1*z3 = 1 fails
+            assert not verify_presentation(s, [replace(rels[0], right=())] + rels[1:])
 
     def test_relation_polynomials_text(self):
-        table, polys = relation_polynomials(Singularity(11, 7))
+        s = Singularity(11, 7)
+        table, polys = relation_polynomials(s, defining_equations(s))
         assert poly_text(polys[0]) == "-z2^3 + z1*z3"
         z = {name: table.var(name) for name in table.names}
         assert polys[0] == z["z1"] * z["z3"] - z["z2"] ** 3

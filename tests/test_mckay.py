@@ -1,14 +1,12 @@
 from cqsing.cfrac import Singularity, curve_count
 from cqsing.mckay import (
     GCluster,
-    boxes_by_weight,
     cluster_weight_check,
     curve_rep_assignment,
     g_basis,
     g_clusters,
     mckay_quiver,
     special_reps,
-    weight,
 )
 
 from conftest import coprime_pairs
@@ -60,15 +58,61 @@ def _special_reps_by_scan(s):
     return {k for k in range(1, s.n) if k not in mixed_weights}
 
 
+def weight(s, a, b):
+    return (a + s.q * b) % s.n
+
+
+def boxes_by_weight(s, cluster):
+    """The box of each residue a + q*b (mod n) of the cluster, or None unless
+    its boxes carry each residue exactly once."""
+    heights = cluster.heights
+    by_weight = {
+        weight(s, a, b): (a, b) for a, h in enumerate(heights) for b in range(h)
+    }
+    if len(by_weight) != s.n or sum(heights) != s.n:
+        return None
+    return by_weight
+
+
 def cluster_weight_check_by_box(s, clusters):
-    """r + 1 clusters, each whose per-box weights make up all of Z/n."""
+    """r + 1 clusters, each whose per-box weights make up all of Z/n and
+    whose generators' partners are the boxes of their weights."""
     if len(clusters) != curve_count(s) + 1:
         return False
-    return all(
-        {weight(s, a, b) for a, h in enumerate(c.heights) for b in range(h)}
-        == set(range(s.n))
-        for c in clusters
-    )
+    for c in clusters:
+        by_weight = boxes_by_weight(s, c)
+        if by_weight is None or list(c.partners) != [
+            by_weight[weight(s, a, b)] for a, b in c.ideal
+        ]:
+            return False
+    return True
+
+
+def corrupted(s, clusters):
+    """Each cluster of the list spoilt in turn, as (index, bad cluster):
+    its two column runs swapped in length; each corner coordinate moved by
+    one either way; one corner moved by the other, a lattice vector
+    (i_next < 0 or j < 0, all else valid); and its outer corner joined to the
+    inner corner of the next series cluster (det b*n, all else valid).
+    Then, in place of the first cluster, two weight-zero corner pairs of det
+    n out of order: i = i_next, and j = j_next."""
+    n, q = s.n, s.q
+    for k, c in enumerate(clusters):
+        yield k, GCluster(c.i, c.j, c.i - c.i_next, c.j_next)
+        corners = [c.i, c.j, c.i_next, c.j_next]
+        for slot in range(4):
+            for step in (-1, 1):
+                moved = list(corners)
+                moved[slot] += step
+                yield k, GCluster(*moved)
+        yield k, GCluster(c.i, c.j, c.i_next - c.i, c.j_next - c.j)
+        yield k, GCluster(c.i - c.i_next, c.j - c.j_next, c.i_next, c.j_next)
+        if k:  # clusters[k - 1] is series cluster k + 1 of c's series k
+            nxt = clusters[k - 1]
+            yield k, GCluster(c.i, c.j, nxt.i_next, nxt.j_next)
+    q_inv = pow(q, -1, n)
+    yield 0, GCluster(1, q_inv, 1, q_inv + n)
+    yield 0, GCluster(q + n, 1, q, 1)
 
 
 def partitions(total, cap=None):
@@ -249,6 +293,19 @@ class TestClusters:
                 assert cluster_weight_check(s, candidate) == cluster_weight_check_by_box(
                     s, candidate
                 ), (n, q)
+        # one cluster corrupted (see ``corrupted``)
+        verdicts = set()
+        for n, q in coprime_pairs(30):
+            s = Singularity(n, q)
+            clusters = g_clusters(s)
+            for k, bad in corrupted(s, clusters):
+                candidate = clusters[:k] + [bad] + clusters[k + 1:]
+                verdict = cluster_weight_check(s, candidate)
+                assert verdict == cluster_weight_check_by_box(s, candidate), (
+                    n, q, bad,
+                )
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_boxes_by_weight(self):
         s = Singularity(11, 7)
@@ -257,13 +314,9 @@ class TestClusters:
             assert sorted(by_weight) == list(range(11))
             assert all(weight(s, a, b) == k for k, (a, b) in by_weight.items())
         # a weight twice: (0, 0) and (0, 11) both have weight 0
-        assert boxes_by_weight(
-            s, GCluster(heights=(12,), ideal=((1, 0), (0, 12)), partners=((0, 8), (0, 1)))
-        ) is None
+        assert boxes_by_weight(s, GCluster(i=1, j=8, i_next=0, j_next=12)) is None
         # too few boxes
-        assert boxes_by_weight(
-            s, GCluster(heights=(10,), ideal=((1, 0), (0, 10)), partners=((0, 8), (0, 0)))
-        ) is None
+        assert boxes_by_weight(s, GCluster(i=1, j=8, i_next=0, j_next=10)) is None
 
     def test_partners_match_weight_lookup(self):
         # each generator's partner is the box of the cluster with its weight

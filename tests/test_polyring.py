@@ -8,7 +8,7 @@ import pytest
 from cqsing.cfrac import Singularity
 from cqsing.errors import InputError
 from cqsing.gfan import groebner_fan, orbit_ideal
-from cqsing.invariant_ring import relation_polynomials
+from cqsing.invariant_ring import defining_equations, relation_polynomials
 from cqsing.polyring import (
     Polynomial,
     VariableTable,
@@ -740,7 +740,9 @@ class TestExponentCeiling:
 
     def test_relation_exponent_past_the_ceiling(self):
         # the relation z1 z3 = z2^n of (n, n - 1)
-        _, (rel,) = relation_polynomials(Singularity(32767, 32766))
+        s = Singularity(32767, 32766)
+        _, (rel,) = relation_polynomials(s, defining_equations(s))
         assert max(e for m in rel.terms for e in m) == 32767
+        s = Singularity(32768, 32767)
         with pytest.raises(InputError, match="32767"):
-            relation_polynomials(Singularity(32768, 32767))
+            relation_polynomials(s, defining_equations(s))

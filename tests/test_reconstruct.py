@@ -1,7 +1,13 @@
 import pytest
 
 from cqsing import reconstruct
-from cqsing.cfrac import Singularity, curve_count, dual_expand, embedding_dimension
+from cqsing.cfrac import (
+    Singularity,
+    curve_count,
+    dual_expand,
+    embedding_dimension,
+    ij_series,
+)
 from cqsing.deform import dim_t1
 from cqsing.errors import InputError, UnsupportedError
 from cqsing.reconstruct import (
@@ -9,7 +15,6 @@ from cqsing.reconstruct import (
     DeformedRelations,
     Relation,
     deformed_relations,
-    monomial_assignment,
     quasidet_presentation,
     quiver_from_fraction,
     reconstruction_quiver,
@@ -379,3 +384,35 @@ def _assert_relations_vanish(pres, assignment):
                 total = (total[0] + a * e, total[1] + b * e)
             totals.add(total)
         assert len(totals) == 1, rel
+
+
+def monomial_assignment(s):
+    """Exponent pairs for the matrix symbols under which every relation
+    vanishes identically, derived from the invariant generators.
+
+    Only derivable for two-row layouts whose column count fits inside the
+    generator list; returns None otherwise.
+    """
+    dual = dual_expand(s)
+    if len(dual) != 2:
+        return None
+    e = len(dual) + 2
+    cols = dual[0]
+    if cols > e - 1:
+        return None
+    pairs = ij_series(s).pairs  # pairs[t-1] = exponents of generator t
+    u = {t: pairs[t - 1] for t in range(1, e + 1)}
+    assignment = {}
+    pres = quasidet_presentation(s)
+    top, bottom = pres.matrix[0], pres.matrix[1]
+    for c in range(cols):
+        b = u[c + 2]
+        assignment[bottom[c]] = b
+        if c == 0:
+            assignment[top[c]] = u[1]
+        else:
+            assignment[top[c]] = (
+                u[1][0] + b[0] - u[2][0],
+                u[1][1] + b[1] - u[2][1],
+            )
+    return assignment
