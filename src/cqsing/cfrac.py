@@ -115,21 +115,26 @@ def curve_count(s: Singularity) -> int:
     return len(hj_expand(s.n, s.q))
 
 
+def _series(s: Singularity, second: int, entries) -> ExponentSeries:
+    """The pairs seeded (n, 0), (second, 1) and continued by the recursion
+    v_t = c_t*v_{t-1} - v_{t-2} over ``entries``; it must end at (0, n)."""
+    i_vals = [s.n, second]
+    j_vals = [0, 1]
+    for c in entries:
+        i_vals.append(c * i_vals[-1] - i_vals[-2])
+        j_vals.append(c * j_vals[-1] - j_vals[-2])
+    if i_vals[-1] != 0 or j_vals[-1] != s.n:
+        raise ConsistencyError(f"series for {s} does not end at (0, n)")
+    return ExponentSeries(tuple(i_vals), tuple(j_vals))
+
+
 def ij_series(s: Singularity) -> ExponentSeries:
     """Exponent pairs of the minimal invariant monomial generators.
 
     The series has e pairs, runs (n,0) down to (0,n), and obeys the
     recursion i_t = a_t*i_{t-1} - i_{t-2} with the dual expansion entries.
     """
-    a = dual_expand(s)
-    i_vals = [s.n, s.n - s.q]
-    j_vals = [0, 1]
-    for a_t in a:
-        i_vals.append(a_t * i_vals[-1] - i_vals[-2])
-        j_vals.append(a_t * j_vals[-1] - j_vals[-2])
-    if i_vals[-1] != 0 or j_vals[-1] != s.n:
-        raise ConsistencyError(f"series for {s} does not terminate at (0, n)")
-    return ExponentSeries(tuple(i_vals), tuple(j_vals))
+    return _series(s, s.n - s.q, dual_expand(s))
 
 
 def unrefined_series(s: Singularity) -> ExponentSeries:
@@ -138,15 +143,7 @@ def unrefined_series(s: Singularity) -> ExponentSeries:
     Starts (n,0), (q,1) and need not give minimal generators; only the
     endpoints agree with ij_series.
     """
-    b = hj_expand(s.n, s.q)
-    i_vals = [s.n, s.q]
-    j_vals = [0, 1]
-    for b_t in b:
-        i_vals.append(b_t * i_vals[-1] - i_vals[-2])
-        j_vals.append(b_t * j_vals[-1] - j_vals[-2])
-    if i_vals[-1] != 0 or j_vals[-1] != s.n:
-        raise ConsistencyError(f"unrefined series for {s} does not end at (0, n)")
-    return ExponentSeries(tuple(i_vals), tuple(j_vals))
+    return _series(s, s.q, hj_expand(s.n, s.q))
 
 
 def identities(s: Singularity) -> Identities:

@@ -24,6 +24,13 @@ p the orbit point, and a weight w lies inside the cone iff the integer
 margins w.(m - m') are all positive, so a weight picks its cone before any
 polynomial is built.  A partner of another weight fails step 1 below.
 
+The boundary rays come off the same corners, with no search.  The two
+pure-power pairs give the inequalities (i_k, -j_k) and (-i_{k+1}, j_{k+1}),
+which vanish on (j_k, i_k) and (j_{k+1}, i_{k+1}); the step-corner one is
+their sum, so it never bounds the cone.  The lower ray is the primitive
+vector along (j_{k+1}, i_{k+1}), the upper along (j_k, i_k).  Each ray is
+checked at run time: every inequality is >= 0 on it and one is 0.
+
 A candidate is certified before it is used, by a check linear in its
 terms that runs no division:
 
@@ -65,7 +72,7 @@ from .polyring import (
     WeightedOrder,
     leading_term,
 )
-from .toric import Fan2D, RationalRay
+from .toric import Fan2D, RationalRay, primitive
 
 
 class BoundaryWeightError(Exception):
@@ -124,34 +131,6 @@ def orbit_ideal(s: Singularity, point=(1, 1)) -> OrbitIdeal:
     return OrbitIdeal(singularity=s, point=p, table=VariableTable(["x", "y"]))
 
 
-def _primitive(v):
-    g = gcd(abs(v[0]), abs(v[1]))
-    return (v[0] // g, v[1] // g)
-
-
-def _cone_rays(inequalities):
-    """Boundary rays of {w >= 0 componentwise, d.w >= 0 for all d}."""
-    candidates = {(1, 0), (0, 1)}
-    for d in inequalities:
-        candidates.add((d[1], -d[0]))
-        candidates.add((-d[1], d[0]))
-    feasible = [
-        c
-        for c in candidates
-        if c[0] >= 0 and c[1] >= 0 and (c[0] or c[1])
-        and all(d[0] * c[0] + d[1] * c[1] >= 0 for d in inequalities)
-    ]
-    if not feasible:
-        raise ConsistencyError("cone has no boundary rays")
-    feasible = sorted({_primitive(c) for c in feasible})
-
-    def angle(c):
-        return (1, 0) if c[0] == 0 else (0, Fraction(c[1], c[0]))
-
-    feasible.sort(key=angle)
-    return feasible[0], feasible[-1]
-
-
 def _standard_count(leads):
     """Monomials outside the ideal of the two-variable monomials ``leads``;
     None if there are infinitely many.  One pass over the leads sorted by
@@ -206,18 +185,22 @@ def certify_basis(
             )
 
 
-def _margins(pairs, w):
+def _margins(cluster, w):
     """w.(m - m') per (generator, partner) pair of a cluster: all positive
     iff w is inside its cone."""
-    return [(m[0] - t[0]) * w[0] + (m[1] - t[1]) * w[1] for m, t in pairs]
+    return [
+        (m[0] - t[0]) * w[0] + (m[1] - t[1]) * w[1]
+        for m, t in zip(cluster.ideal, cluster.partners)
+    ]
 
 
-def _certified_cone(pairs, w, ideal: OrbitIdeal) -> GroebnerCone:
-    """The cone of the cluster pairs whose leading terms w already selects:
-    the candidate {x^m - (p^m / p^m') x^m'}, certified."""
+def _certified_cone(cluster, w, ideal: OrbitIdeal) -> GroebnerCone:
+    """The cone of the cluster whose leading terms w already selects: the
+    candidate {x^m - (p^m / p^m') x^m'}, certified, and the rays read off
+    the cluster's corners, checked against its inequalities."""
     order = WeightedOrder(weights=w)
     # w.m > w.m', so m is the leading term of its element
-    pairs = sorted(pairs, key=lambda e: order.key(e[0]))
+    pairs = sorted(zip(cluster.ideal, cluster.partners), key=lambda e: order.key(e[0]))
     basis = [
         ideal.table.poly(
             {m: 1, t: -_point_power(ideal.point, (m[0] - t[0], m[1] - t[1]))}
@@ -226,9 +209,14 @@ def _certified_cone(pairs, w, ideal: OrbitIdeal) -> GroebnerCone:
     ]
     certify_basis(basis, ideal, order, ideal.singularity.n)
     inequalities = tuple(
-        sorted({_primitive((m[0] - t[0], m[1] - t[1])) for m, t in pairs})
+        sorted({primitive((m[0] - t[0], m[1] - t[1])) for m, t in pairs})
     )
-    lower, upper = _cone_rays(inequalities)
+    lower = primitive((cluster.j_next, cluster.i_next))
+    upper = primitive((cluster.j, cluster.i))
+    for ray in (lower, upper):
+        dots = [d[0] * ray[0] + d[1] * ray[1] for d in inequalities]
+        if min(dots) != 0:
+            raise ConsistencyError(f"ray {ray} does not bound the cone of weight {w}")
     return GroebnerCone(
         weight=w,
         basis=tuple(basis),
@@ -252,10 +240,9 @@ def cone_of_weight(ideal: OrbitIdeal, w) -> GroebnerCone:
     w = (int(w0 * scale), int(w1 * scale))
     on_boundary = False
     for cluster in g_clusters(ideal.singularity):
-        pairs = list(zip(cluster.ideal, cluster.partners))
-        low = min(_margins(pairs, w))
+        low = min(_margins(cluster, w))
         if low > 0:
-            return _certified_cone(pairs, w, ideal)
+            return _certified_cone(cluster, w, ideal)
         on_boundary = on_boundary or low == 0
     if on_boundary:
         raise BoundaryWeightError(f"weight {w} ties terms of a basis element")
@@ -270,12 +257,11 @@ def groebner_fan(s: Singularity, point=(1, 1)):
     cones = []
     w = (n * n, 1)
     for cluster in g_clusters(s):
-        pairs = list(zip(cluster.ideal, cluster.partners))
-        if min(_margins(pairs, w)) <= 0:
+        if min(_margins(cluster, w)) <= 0:
             raise ConsistencyError(
                 f"sweep weight {w} is not inside cone {len(cones)}"
             )
-        cone = _certified_cone(pairs, w, ideal)
+        cone = _certified_cone(cluster, w, ideal)
         if cones and cones[-1].upper_ray != cone.lower_ray:
             raise ConsistencyError("adjacent cones do not share a ray")
         if not cones and cone.lower_ray != (1, 0):

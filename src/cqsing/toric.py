@@ -9,17 +9,31 @@ is how rays are stored (integer vector plus the denominator n).
 
 The resolution fan's rays are the lattice points on the boundary polyline
 of the convex hull of the nonzero lattice points of the quadrant; points
-interior to a hull edge carry self-intersection 2, corners more.
+interior to a hull edge carry self-intersection 2, corners more.  One
+monotone-chain pass over the lowest lattice point of each column finds
+them: it drops a point only at a strict clockwise turn, so the points
+inside an edge stay.  Fan rays are ordered in integers by the cross
+product: each ray must lie strictly counterclockwise of the one before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .cfrac import Singularity
 from .errors import ConsistencyError, InputError
+
+
+def primitive(v) -> tuple[int, int]:
+    """The primitive integer vector along the nonzero integer vector v."""
+    g = gcd(v[0], v[1])
+    return (v[0] // g, v[1] // g)
+
+
+def _det(u, v) -> int:
+    """u x v: positive iff v lies counterclockwise of u, within a half turn."""
+    return u[0] * v[1] - u[1] * v[0]
 
 
 @dataclass(frozen=True)
@@ -31,17 +45,7 @@ class RationalRay:
 
     @property
     def primitive(self) -> tuple[int, int]:
-        a, b = self.scaled
-        g = gcd(a, b)
-        return (a // g, b // g)
-
-
-def _angle_key(scaled):
-    # sorts rays of the closed quadrant by increasing angle from the x-axis
-    a, b = scaled
-    if a == 0:
-        return (1, 0)
-    return (0, Fraction(b, a))
+        return primitive(self.scaled)
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,7 @@ class Fan2D:
     den: int
 
     def __post_init__(self):
-        keys = [_angle_key(r.scaled) for r in self.rays]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
+        if any(_det(r1.scaled, r2.scaled) <= 0 for r1, r2 in self.maximal_cones):
             raise InputError("fan rays must be strictly sorted by angle")
 
     @property
@@ -78,25 +81,15 @@ def _hull_boundary(staircase):
     """The staircase points on the boundary of the convex hull of the
     lattice points above it: the hull corners and the lattice points inside
     hull edges, in staircase order (from the y-axis down to the x-axis)."""
-
-    def cross(o, p, r):
-        return (p[0] - o[0]) * (r[1] - o[1]) - (p[1] - o[1]) * (r[0] - o[0])
-
     hull = []
     for p in staircase:
-        while len(hull) >= 2 and cross(hull[-2], hull[-1], p) <= 0:
+        while len(hull) >= 2:
+            (ox, oy), (ax, ay) = hull[-2], hull[-1]
+            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) >= 0:
+                break
             hull.pop()
         hull.append(p)
-    points = []
-    corner = 0
-    for p in staircase:
-        while corner + 1 < len(hull) and hull[corner + 1][0] < p[0]:
-            corner += 1
-        if p == hull[corner] or (
-            corner + 1 < len(hull) and cross(hull[corner], hull[corner + 1], p) == 0
-        ):
-            points.append(p)
-    return points
+    return hull
 
 
 def hilbert_basis_dual(s: Singularity) -> list[tuple[int, int]]:
@@ -128,8 +121,7 @@ def resolution_fan(s: Singularity) -> Fan2D:
 def _check_unimodular(fan: Fan2D):
     # consecutive rays must span the working lattice: |det| = n in scaled coords
     for r1, r2 in fan.maximal_cones:
-        (a1, b1), (a2, b2) = r1.scaled, r2.scaled
-        if abs(a1 * b2 - b1 * a2) != fan.den:
+        if abs(_det(r1.scaled, r2.scaled)) != fan.den:
             raise ConsistencyError("fan cone is not unimodular in the lattice")
 
 
@@ -141,17 +133,9 @@ def self_intersections(fan: Fan2D) -> tuple[int, ...]:
     for k in range(1, len(rays) - 1):
         prev, cur, nxt = rays[k - 1], rays[k], rays[k + 1]
         total = (prev[0] + nxt[0], prev[1] + nxt[1])
-        b = None
-        for tc, cc in zip(total, cur):
-            if cc:
-                if tc % cc:
-                    raise ConsistencyError("non-integral ray recursion quotient")
-                q = tc // cc
-                if b is None:
-                    b = q
-                elif b != q:
-                    raise ConsistencyError("inconsistent ray recursion quotient")
-            elif tc:
-                raise ConsistencyError("ray recursion does not close")
+        c = 0 if cur[0] else 1
+        b = total[c] // cur[c]
+        if total != (b * cur[0], b * cur[1]):
+            raise ConsistencyError(f"ray recursion breaks at ray {cur}")
         entries.append(b)
     return tuple(entries)

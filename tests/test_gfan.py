@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -44,6 +45,33 @@ def standard_count_by_columns(leads):
     if width is None or all(a for a, _ in leads):
         return None
     return sum(min(b for a, b in leads if a <= col) for col in range(width))
+
+
+def cone_rays_by_search(inequalities):
+    """Oracle for the rays ``gfan._certified_cone`` reads off a cluster's
+    corners: the boundary rays of {w >= 0 componentwise, d.w >= 0 for all
+    d}, found among the lines d.w = 0 and the axes, ordered by slope."""
+
+    def primitive(v):
+        g = gcd(abs(v[0]), abs(v[1]))
+        return (v[0] // g, v[1] // g)
+
+    candidates = {(1, 0), (0, 1)}
+    for d in inequalities:
+        candidates.add((d[1], -d[0]))
+        candidates.add((-d[1], d[0]))
+    feasible = [
+        c
+        for c in candidates
+        if c[0] >= 0 and c[1] >= 0 and (c[0] or c[1])
+        and all(d[0] * c[0] + d[1] * c[1] >= 0 for d in inequalities)
+    ]
+    assert feasible, "cone has no boundary rays"
+    feasible = sorted(
+        {primitive(c) for c in feasible},
+        key=lambda c: (1, 0) if c[0] == 0 else (0, Fraction(c[1], c[0])),
+    )
+    return feasible[0], feasible[-1]
 
 
 def certify_by_division(basis, known, order, colength):
@@ -358,6 +386,39 @@ class TestCertificate:
             monkeypatch.setattr(gfan, "g_clusters", lambda s: patched)
             with pytest.raises(ConsistencyError, match="does not vanish on the orbit"):
                 groebner_fan(s)
+
+
+class TestConeRays:
+    def test_corner_rays_match_search_oracle(self):
+        count = 0
+        for n, q in coprime_pairs(60):
+            for cone in groebner_fan(Singularity(n, q))[1]:
+                rays = cone_rays_by_search(cone.inequalities)
+                assert (cone.lower_ray, cone.upper_ray) == rays, (n, q, cone.weight)
+                count += 1
+        assert count == 8951
+
+    def test_corners_that_disagree_with_the_pairs_rejected(self):
+        # the pairs of cluster k, which certify, with the corners of a
+        # neighbour (one ray falls outside cone k) or with the lower corner
+        # moved by the upper one (the lower ray falls inside cone k)
+        s = Singularity(11, 7)
+        ideal = orbit_ideal(s)
+        clusters = g_clusters(s)
+        _, cones = groebner_fan(s)
+        for k, cluster in enumerate(clusters):
+            neighbour = vars(clusters[k + 1 if k + 1 < len(clusters) else k - 1])
+            inside = dict(
+                vars(cluster),
+                i_next=cluster.i_next + cluster.i,
+                j_next=cluster.j_next + cluster.j,
+            )
+            for corners in (neighbour, inside):
+                bad = SimpleNamespace(
+                    **corners, ideal=cluster.ideal, partners=cluster.partners
+                )
+                with pytest.raises(ConsistencyError, match="does not bound the cone"):
+                    gfan._certified_cone(bad, cones[k].weight, ideal)
 
 
 class TestStandardCount:

@@ -3,6 +3,7 @@ import pytest
 from cqsing.cfrac import Singularity, curve_count, embedding_dimension, hj_expand
 from cqsing.errors import InputError
 from cqsing.invariant_ring import generators
+from cqsing import toric
 from cqsing.toric import (
     Fan2D,
     RationalRay,
@@ -28,6 +29,42 @@ def recursion_rays(n, q):
         rays.append((bk * cur[0] - prev[0], bk * cur[1] - prev[1]))
     assert rays[-1] == (n, 0)
     return list(reversed(rays))
+
+
+def hull_boundary_two_pass(staircase):
+    """Oracle for ``toric._hull_boundary``: the hull corners first, popping
+    collinear points too, then a second walk that keeps every staircase
+    point on a corner or on the line of the hull edge above its column."""
+
+    def cross(o, p, r):
+        return (p[0] - o[0]) * (r[1] - o[1]) - (p[1] - o[1]) * (r[0] - o[0])
+
+    hull = []
+    for p in staircase:
+        while len(hull) >= 2 and cross(hull[-2], hull[-1], p) <= 0:
+            hull.pop()
+        hull.append(p)
+    points = []
+    corner = 0
+    for p in staircase:
+        while corner + 1 < len(hull) and hull[corner + 1][0] < p[0]:
+            corner += 1
+        if p == hull[corner] or (
+            corner + 1 < len(hull) and cross(hull[corner], hull[corner + 1], p) == 0
+        ):
+            points.append(p)
+    return points
+
+
+class TestHullBoundary:
+    def test_one_pass_matches_two_pass_oracle(self):
+        # q -> -q^{-1} (mod n) permutes the units mod n, so the fan
+        # staircases (slope q) include every Hilbert-basis staircase
+        for n, q in coprime_pairs(150):
+            staircase = toric._staircase(n, q)
+            assert toric._hull_boundary(staircase) == hull_boundary_two_pass(
+                staircase
+            ), (n, q)
 
 
 class TestResolutionFan:
@@ -144,12 +181,18 @@ class TestHilbertBasis:
 
 
 class TestFanType:
-    def test_rays_must_be_sorted(self):
+    @pytest.mark.parametrize(
+        "rays",
+        [
+            [(0, 2), (2, 0)],
+            [(2, 0), (2, 0), (0, 2)],
+            [(2, 0), (1, 1), (2, 2), (0, 2)],
+        ],
+        ids=["reversed", "repeated", "collinear"],
+    )
+    def test_rays_must_be_sorted(self, rays):
         with pytest.raises(InputError):
-            Fan2D(
-                rays=(RationalRay((0, 2), 2), RationalRay((2, 0), 2)),
-                den=2,
-            )
+            Fan2D(rays=tuple(RationalRay(r, 2) for r in rays), den=2)
 
     def test_serialize(self):
         fan = resolution_fan(Singularity(2, 1))
