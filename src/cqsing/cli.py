@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -299,8 +298,12 @@ def run_deform(s: Singularity) -> Report:
 
 
 def _specialization_ok(s: Singularity, pres, relations) -> bool:
+    """Each relation of ``pres`` at s = t = 0 is the binomial relation of its
+    own pair, and there are as many of them."""
     _, expected = invariant_ring.relation_polynomials(s, relations, pres.variables.table)
-    return Counter(deform.specialized_relations(pres)) == Counter(expected)
+    by_pair = {rel.left: poly for rel, poly in zip(relations, expected)}
+    got = deform.specialized_relations(pres)
+    return len(got) == len(expected) and dict(zip(pres.pairs, got)) == by_pair
 
 
 def run_artin(s: Singularity) -> Report:

@@ -35,6 +35,24 @@ factor than P_ij and another last factor, so a running product of the first
 and interior factors grows by one factor as j steps up; the interior
 factors trunc(m, 0) = 1 are skipped.
 
+The products run in code space: each factor and image is a dict from
+monomial code (see ``polyring``) to int coefficient, read off the table
+layout, and the image of trunc(m, d) at z_m = -t_m has coefficients
+(-1)^(d-k).  No two term products of one P coincide: its factors are in
+disjoint variables, except w_m = z_m + t_m against trunc(m, d), where the
+index k of s_m^(k) tells the terms of trunc apart and the exponent of t_m
+tells z_m * z_m^(d-k) s_m^(k) from t_m * z_m^(d-k) s_m^(k); the images are
+products in disjoint variables too.  So a product is the comprehension
+{m1 + m2: c1 * c2}, and it raises ``ConsistencyError`` unless it has
+len(f) * len(g) terms, so that a coincidence can never overwrite a term.
+z_i divides no term of P_ij, so the relation z_i w_j - P_ij is a dict merge.
+Each relation and base generator is range-checked once, as a Polynomial.
+
+Two ceilings bound the family before any name or code is made: e <= 128
+(``MAX_VERSAL_E``) and at most 2048 parameters (``MAX_VERSAL_PARAMETERS``,
+the tangent dimension), since each parameter is one 16-bit field of every
+code.  Over either, ``deformation_variables`` raises ``InputError``.
+
 For e = 3 the singularity is the hypersurface z1 z3 = z2^n and the versal
 family is the one-equation deformation by a degree-(n-2) polynomial in z2.
 """
@@ -45,8 +63,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cfrac import Singularity, dual_expand, embedding_dimension
-from .errors import InputError
-from .polyring import Polynomial, VariableTable, substitute_all
+from .errors import ConsistencyError, InputError
+from .polyring import Polynomial, VariableTable, _checked, substitute_all
 
 
 # The versal family's memory grows as e^3 (Theta(e^2) relations over Theta(e)
@@ -54,6 +72,11 @@ from .polyring import Polynomial, VariableTable, substitute_all
 # RSS at e = 128 on CPython 3.11.  deformation_variables refuses a larger e
 # before any of it is built.
 MAX_VERSAL_E = 128
+# e alone does not bound the width: (n, n - 2) for odd n has e = 4 but
+# a_2 = (n + 1)/2, so about n/2 parameters, each a 16-bit field of every code.
+# (16001, 15999) has 8001 of them and took 6 s and 816 MB peak RSS on a 2-vCPU
+# host; at the ceiling, (4095, 4093), it is 0.5 s and 70 MB.
+MAX_VERSAL_PARAMETERS = 2048
 
 
 @dataclass(frozen=True)
@@ -120,6 +143,12 @@ def deformation_variables(s: Singularity) -> DeformationVariables:
         raise InputError("construction needs embedding dimension >= 4")
     if e > MAX_VERSAL_E:
         raise InputError(f"e = {e} is over the versal ceiling e <= {MAX_VERSAL_E}")
+    count = dim_t1(s)
+    if count > MAX_VERSAL_PARAMETERS:
+        raise InputError(
+            f"{count} deformation parameters are over the versal ceiling of "
+            f"{MAX_VERSAL_PARAMETERS}"
+        )
     a_entries = {t: a for t, a in enumerate(dual_expand(s), start=2)}
     z_names = tuple(f"z{i}" for i in range(1, e + 1))
     s_names = {}
@@ -140,40 +169,29 @@ def deformation_variables(s: Singularity) -> DeformationVariables:
     )
 
 
-def _w(v: DeformationVariables, j: int) -> Polynomial:
-    zj = v.table.var(f"z{j}")
-    if j in v.t_names:
-        return zj + v.table.var(v.t_names[j])
-    return zj
-
-
-def _trunc(v: DeformationVariables, m: int, d: int) -> Polynomial:
-    """z_m^d + z_m^{d-1} s_m^(1) + ... + s_m^(d)."""
-    acc = v.table.var(f"z{m}", d) if d else v.table.one()
-    for k in range(1, d + 1):
-        term = v.table.var(v.s_names[(m, k)])
-        if d - k:
-            term = term * v.table.var(f"z{m}", d - k)
-        acc = acc + term
-    return acc
-
-
 def _trunc_with_images(v: DeformationVariables, m: int, d: int):
-    """trunc(m, d), d >= 1, with its images H_z and H_w."""
-    table = v.table
-    top = table.var(v.s_names[(m, d)])
-    h_w = top
-    if m in v.t_names:
-        minus_t = -table.var(v.t_names[m])
-        h_w = table.one()
-        for k in range(1, d + 1):  # Horner's rule at z_m = -t_m
-            h_w = h_w * minus_t + table.var(v.s_names[(m, k)])
-    return _trunc(v, m, d), top, h_w
+    """trunc(m, d), d >= 1, with its images H_z and H_w, as code dicts."""
+    code = v.table._code
+    z = code(f"z{m}")
+    s = [0] + [code(v.s_names[(m, k)]) for k in range(1, d + 1)]  # s_m^(0) = 1
+    h_w = {s[d]: 1}
+    if m in v.t_names:  # trunc(m, d) at z_m = -t_m
+        t = code(v.t_names[m])
+        h_w = {(d - k) * t + s[k]: (-1) ** (d - k) for k in range(d + 1)}
+    return {(d - k) * z + s[k]: 1 for k in range(d + 1)}, {s[d]: 1}, h_w
+
+
+def _product(f: dict, g: dict) -> dict:
+    """f * g for code dicts none of whose term products coincide."""
+    res = {m1 + m2: c1 * c2 for m1, c1 in f.items() for m2, c2 in g.items()}
+    if len(res) != len(f) * len(g):
+        raise ConsistencyError("two term products of versal factors coincide")
+    return res
 
 
 def _times(x, y):
-    """Product of two (P, H_z(P), H_w(P)) triples; a zero image stays zero."""
-    return tuple(f * g if f else f for f, g in zip(x, y))
+    """Product of two (P, H_z(P), H_w(P)) triples; a zero image stays {}."""
+    return tuple(map(_product, x, y))
 
 
 def versal_presentation(s: Singularity) -> VersalPresentation:
@@ -183,11 +201,12 @@ def versal_presentation(s: Singularity) -> VersalPresentation:
     """
     v = deformation_variables(s)
     e, a, table = v.e, v.a_entries, v.table
-    zero = table.zero()
-    w = {
-        j: (_w(v, j), table.var(v.t_names[j]) if j in v.t_names else zero, zero)
-        for j in range(1, e + 1)
-    }
+    code = table._code
+    z = {j: {code(name): 1} for j, name in enumerate(v.z_names, start=1)}
+    w = {}
+    for j in z:
+        t = {code(v.t_names[j]): 1} if j in v.t_names else {}
+        w[j] = ({**z[j], **t}, t, {})
     # trunc(m, a_m - 1) and, where it is not 1, trunc(m, a_m - 2), with images
     last = {m: _trunc_with_images(v, m, a[m] - 1) for m in a}
     inner = {m: _trunc_with_images(v, m, a[m] - 2) for m in a if a[m] > 2}
@@ -196,7 +215,7 @@ def versal_presentation(s: Singularity) -> VersalPresentation:
         products[(i, i + 2)] = _times(w[i + 1], last[i + 1])
         run = _times(w[i + 1], inner[i + 1]) if i + 1 in inner else last[i + 1]
         if i == 1:  # the base ideal takes no images of the P_1j
-            run = (run[0], zero, zero)
+            run = (run[0], {}, {})
         for j in range(i + 3, e + 1):
             products[(i, j)] = _times(run, last[j - 1])
             if j - 1 in inner:  # z_{j-1} is interior from j + 1 on
@@ -206,22 +225,24 @@ def versal_presentation(s: Singularity) -> VersalPresentation:
         (i, j) for i in range(1, e - 1) for j in range(i + 3, e + 1)
     ]
     pairs = adjacent + longer
-    relations = tuple(
-        table.var(f"z{i}") * w[j][0] - products[(i, j)][0] for i, j in pairs
-    )
-    # dict keys: the first of equal generators, in insertion order
-    base = dict.fromkeys(
-        h
-        for pair in sorted(products)
-        if pair[0] >= 2
-        for h in products[pair][1:]
-        if h
-    )
+    relations = []
+    for i, j in pairs:
+        # z_i divides no term of P_ij, so the two sides share no monomial
+        rel = _product(z[i], w[j][0])
+        rel.update({m: -c for m, c in products[(i, j)][0].items()})
+        relations.append(_checked(table, rel))
+    # keyed by the terms: the first of equal generators, in insertion order
+    base = {}
+    for pair in sorted(products):
+        if pair[0] >= 2:
+            for h in products[pair][1:]:
+                if h:
+                    base.setdefault(frozenset(h.items()), h)
     return VersalPresentation(
         variables=v,
         pairs=tuple(pairs),
-        relations=relations,
-        base_ideal=tuple(base),
+        relations=tuple(relations),
+        base_ideal=tuple(_checked(table, h) for h in base.values()),
     )
 
 

@@ -106,10 +106,14 @@ class VariableTable:
         return Polynomial._raw(self, {0: c} if c else {})
 
     def var(self, name, power=1):
+        return Polynomial._raw(self, {self._code(name, power): 1})
+
+    def _code(self, name, power=1):
+        """The code of name^power."""
         shift = self._top - _BITS * (self.index(name) + 1)
         if not 0 <= power < _LIMIT:
             raise InputError(_RANGE)
-        return Polynomial._raw(self, {power << self._top | power << shift: 1})
+        return power << self._top | power << shift
 
     def poly(self, terms):
         """Build from a {exponent tuple: coefficient} mapping."""

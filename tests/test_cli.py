@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import enum
 import hashlib
 import io
@@ -13,8 +14,10 @@ from pathlib import Path
 import pytest
 
 import cqsing
-from cqsing import cli
+from cqsing import cli, deform
+from cqsing.cfrac import Singularity
 from cqsing.cli import main
+from cqsing.invariant_ring import defining_equations
 from cqsing.polyring import poly_text
 
 from conftest import coprime_pairs
@@ -396,8 +399,16 @@ class TestSizes:
             (["verify", "32768", "32767"], "polyring exponents"),
             (["verify", "1000", "1"], "versal ceiling"),
             (["deform", "1000", "1"], "versal ceiling"),
+            (["deform", "65533", "65531"], "versal ceiling of 2048"),
+            (["verify", "16001", "15999"], "versal ceiling of 2048"),
         ],
-        ids=["verify-32768-32767", "verify-1000-1", "deform-1000-1"],
+        ids=[
+            "verify-32768-32767",
+            "verify-1000-1",
+            "deform-1000-1",
+            "deform-65533-65531",
+            "verify-16001-15999",
+        ],
     )
     def test_over_a_ceiling_exits_2_fast(self, tmp_path, argv, reason):
         code, out, err, seconds, _ = self.measured(argv, tmp_path)
@@ -405,6 +416,27 @@ class TestSizes:
         assert out == ""
         assert err.startswith("error: ") and reason in err
         assert seconds < 5
+
+
+class TestSpecializationCheck:
+    """The deform check compares each specialized relation with the binomial
+    relation of its own pair."""
+
+    @staticmethod
+    def checked(relations):
+        s = Singularity(11, 4)
+        pres = deform.versal_presentation(s)
+        pres = dataclasses.replace(pres, relations=relations(pres.relations))
+        return cli._specialization_ok(s, pres, defining_equations(s))
+
+    def test_accepts_the_family(self):
+        assert self.checked(tuple)
+
+    def test_relations_swapped_between_pairs(self):
+        assert not self.checked(lambda rels: (rels[1], rels[0]) + rels[2:])
+
+    def test_relation_missing(self):
+        assert not self.checked(lambda rels: rels[:-1])
 
 
 class TestBatch:

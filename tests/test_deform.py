@@ -3,8 +3,8 @@ import pytest
 from cqsing.cfrac import Singularity, dual_expand, embedding_dimension
 from cqsing.deform import (
     MAX_VERSAL_E,
-    _trunc,
-    _w,
+    MAX_VERSAL_PARAMETERS,
+    _product,
     deformation_variables,
     dim_t1,
     discriminant,
@@ -12,9 +12,15 @@ from cqsing.deform import (
     specialized_relations,
     versal_presentation,
 )
-from cqsing.errors import InputError
+from cqsing.errors import ConsistencyError, InputError
 from cqsing.invariant_ring import defining_equations
-from cqsing.polyring import VariableTable, WeightedOrder, buchberger, normal_form
+from cqsing.polyring import (
+    Polynomial,
+    VariableTable,
+    WeightedOrder,
+    buchberger,
+    normal_form,
+)
 
 from conftest import coprime_pairs
 
@@ -141,6 +147,25 @@ def golden_base_11_4(v):
 ORACLE_PAIRS = [
     (n, q) for n, q in coprime_pairs(20) if embedding_dimension(Singularity(n, q)) >= 4
 ] + [(28, 1), (41, 2), (38, 3)]
+
+
+def _w(v, j):
+    """w_j = z_j + t_j (z_j where there is no t_j), by Polynomial arithmetic."""
+    zj = v.table.var(f"z{j}")
+    if j in v.t_names:
+        return zj + v.table.var(v.t_names[j])
+    return zj
+
+
+def _trunc(v, m, d):
+    """z_m^d + z_m^{d-1} s_m^(1) + ... + s_m^(d), by Polynomial arithmetic."""
+    acc = v.table.var(f"z{m}", d) if d else v.table.one()
+    for k in range(1, d + 1):
+        term = v.table.var(v.s_names[(m, k)])
+        if d - k:
+            term = term * v.table.var(f"z{m}", d - k)
+        acc = acc + term
+    return acc
 
 
 def full_product(v, i, j):
@@ -272,6 +297,34 @@ class TestVersalPresentation:
         assert v.e == MAX_VERSAL_E
         with pytest.raises(InputError, match="versal ceiling"):
             deformation_variables(Singularity(MAX_VERSAL_E, 1))
+
+    def test_parameter_ceiling(self):
+        # (n, n - 2), n odd, has e = 4 and (n + 1)/2 parameters
+        v = deformation_variables(Singularity(4095, 4093))
+        assert v.e == 4
+        assert len(v.parameter_names) == MAX_VERSAL_PARAMETERS == 2048
+        with pytest.raises(InputError, match="2049 deformation parameters .* 2048"):
+            deformation_variables(Singularity(4097, 4095))
+
+    def test_product_refuses_coinciding_terms(self):
+        code = deformation_variables(Singularity(11, 4)).table._code
+        w3 = {code("z3"): 1, code("t3"): 1}
+        # (z3 + t3)^2 has the cross term z3*t3 twice
+        with pytest.raises(ConsistencyError):
+            _product(w3, w3)
+        assert len(_product(w3, {code("s3(1)"): 1})) == 2
+
+    def test_no_polynomial_arithmetic(self, monkeypatch):
+        # the family is built in code space; only the specialization check
+        # and the oracles above multiply Polynomials
+        def refuse(*args):
+            raise AssertionError("Polynomial arithmetic in versal_presentation")
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                     "__mul__", "__rmul__", "__pow__"):
+            monkeypatch.setattr(Polynomial, name, refuse)
+        for n, q in [(11, 4), (41, 2), (19, 7)]:
+            assert versal_presentation(Singularity(n, q)).relations
 
 
 class TestHypersurfaceRoute:
