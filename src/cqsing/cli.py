@@ -280,7 +280,7 @@ def run_deform(s: Singularity) -> Report:
         "checks": _with_reference(
             {
                 "parameter_count": len(params) == dim,
-                "specialization": _specialization_ok(
+                "specialization": deform.specializes(
                     s, pres, invariant_ring.defining_equations(s)
                 ),
             },
@@ -295,15 +295,6 @@ def run_deform(s: Singularity) -> Report:
     text += [f"  {rel} = 0" for rel in relations]
     text += ["base ideal:"] + [f"  {g}" for g in base_ideal]
     return Report(payload, text)
-
-
-def _specialization_ok(s: Singularity, pres, relations) -> bool:
-    """Each relation of ``pres`` at s = t = 0 is the binomial relation of its
-    own pair, and there are as many of them."""
-    _, expected = invariant_ring.relation_polynomials(s, relations, pres.variables.table)
-    by_pair = {rel.left: poly for rel, poly in zip(relations, expected)}
-    got = deform.specialized_relations(pres)
-    return len(got) == len(expected) and dict(zip(pres.pairs, got)) == by_pair
 
 
 def run_artin(s: Singularity) -> Report:
@@ -392,7 +383,7 @@ def verify_checks(s: Singularity) -> dict[str, bool]:
         params = deform.hypersurface_presentation(s).parameters
     else:
         params = pres.variables.parameter_names
-        checks["deform_specialization"] = _specialization_ok(s, pres, relations)
+        checks["deform_specialization"] = deform.specializes(s, pres, relations)
     checks["deform_parameter_count"] = len(params) == deform.dim_t1(s)
     gens = invariant_ring.generators(s)
     checks["generator_count_is_e"] = len(gens) == ids.e

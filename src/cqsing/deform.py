@@ -48,6 +48,13 @@ len(f) * len(g) terms, so that a coincidence can never overwrite a term.
 z_i divides no term of P_ij, so the relation z_i w_j - P_ij is a dict merge.
 Each relation and base generator is range-checked once, as a Polynomial.
 
+The z's come first in the table, so the parameters fill its low fields, all
+below z_e's, and s = t = 0 is one mask: ``specialized_relations`` keeps the
+terms that share no bit with it.  ``specializes`` compares each with the
+binomial relation of its own pair, packed from the ``defining_equations``
+exponents by ``invariant_ring.relation_polynomials`` and never from the
+family's factors.
+
 Two ceilings bound the family before any name or code is made: e <= 128
 (``MAX_VERSAL_E``) and at most 2048 parameters (``MAX_VERSAL_PARAMETERS``,
 the tangent dimension), since each parameter is one 16-bit field of every
@@ -64,7 +71,8 @@ from fractions import Fraction
 
 from .cfrac import Singularity, dual_expand, embedding_dimension
 from .errors import ConsistencyError, InputError
-from .polyring import Polynomial, VariableTable, _checked, substitute_all
+from .invariant_ring import relation_polynomials
+from .polyring import Polynomial, VariableTable, _checked
 
 
 # The versal family's memory grows as e^3 (Theta(e^2) relations over Theta(e)
@@ -253,15 +261,30 @@ def hypersurface_presentation(s: Singularity) -> HypersurfaceFamily:
     n = s.n
     params = tuple(f"c{k}" for k in range(n - 1))
     table = VariableTable(("z1", "z2", "z3") + params)
+    code = table._code
     # z1 z3 - z2^n - sum_k c_k z2^k, its n + 1 terms packed into one dict
-    equation = table._sparse(
-        [([(0, 1), (2, 1)], 1), ([(1, n)], -1)]
-        + [([(1, k), (3 + k, 1)], -1) for k in range(n - 1)]
-    )
+    terms = {code("z1") + code("z3"): 1, code("z2", n): -1}
+    terms.update({code("z2", k) + code(c): -1 for k, c in enumerate(params)})
+    equation = Polynomial._raw(table, terms)
     return HypersurfaceFamily(m=n, table=table, equation=equation, parameters=params)
 
 
 def specialized_relations(pres: VersalPresentation) -> list[Polynomial]:
-    """The total-space relations at s = t = 0 (still over the big table)."""
-    zero_params = {name: 0 for name in pres.variables.parameter_names}
-    return substitute_all(pres.relations, zero_params)
+    """The total-space relations at s = t = 0 (still over the big table):
+    each relation's terms that share no bit with the parameter fields."""
+    table = pres.variables.table
+    params = (table._code(pres.variables.z_names[-1]) & table._fields) - 1
+    return [
+        Polynomial._raw(table, {m: c for m, c in rel._terms.items() if not m & params})
+        for rel in pres.relations
+    ]
+
+
+def specializes(s: Singularity, pres: VersalPresentation, relations) -> bool:
+    """Each relation of ``pres`` at s = t = 0 is the binomial relation of its
+    own pair in ``relations`` (``defining_equations(s)`` in the reports), and
+    there are as many of them."""
+    _, expected = relation_polynomials(s, relations, pres.variables.table)
+    by_pair = {rel.left: poly for rel, poly in zip(relations, expected)}
+    got = specialized_relations(pres)
+    return len(got) == len(expected) and dict(zip(pres.pairs, got)) == by_pair

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .cfrac import Singularity, dual_expand, ij_series
 from .errors import ConsistencyError
-from .polyring import VariableTable
+from .polyring import Polynomial, VariableTable
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,10 @@ def defining_equations(s: Singularity) -> list[BinomialRelation]:
     relations = []
     for i in range(1, e - 1):
         relations.append(BinomialRelation(left=(i, i + 2), right=((i + 1, a[i + 1]),)))
-        first = ((i + 1, a[i + 1] - 1),) if a[i + 1] > 1 else ()
+        first = ((i + 1, a[i + 1] - 1),)
         middle = ()
         for j in range(i + 3, e + 1):
-            last = ((j - 1, a[j - 1] - 1),) if a[j - 1] > 1 else ()
+            last = ((j - 1, a[j - 1] - 1),)
             relations.append(BinomialRelation(left=(i, j), right=first + middle + last))
             if a[j - 1] > 2:  # z_{j-1} is interior from j + 1 on
                 middle += ((j - 1, a[j - 1] - 2),)
@@ -100,17 +100,17 @@ def verify_presentation(s: Singularity, relations) -> bool:
 def relation_polynomials(s: Singularity, relations, table: VariableTable | None = None):
     """The relations of the list (``defining_equations(s)`` in the reports) as
     polynomials z_i z_j - p_ij over a z-variable table."""
-    gens = generators(s)
+    names = [g.name for g in generators(s)]
     if table is None:
-        table = VariableTable([g.name for g in gens])
-    slot = [table.index(g.name) for g in gens]
+        table = VariableTable(names)
+    code = table._code
     polys = []
     for rel in relations:
+        i, j = rel.left
         # z_i z_j never equals p_ij, whose indices lie strictly between
-        polys.append(table._sparse([
-            ([(slot[t - 1], 1) for t in rel.left], 1),
-            ([(slot[t - 1], e) for t, e in rel.right], -1),
-        ]))
+        right = sum(code(names[t - 1], e) for t, e in rel.right)
+        terms = {code(names[i - 1]) + code(names[j - 1]): 1, right: -1}
+        polys.append(Polynomial._raw(table, terms))
     return table, polys
 
 

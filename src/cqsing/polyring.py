@@ -132,17 +132,6 @@ class VariableTable:
     def _lcm(self, a, b):
         return self._pack(tuple(map(max, self._unpack(a), self._unpack(b))))
 
-    def _sparse(self, terms):
-        """The polynomial of (monomial, coefficient) pairs, the monomials
-        distinct and each given by (slot, exponent) pairs, the coefficients
-        nonzero ints, packed directly: linear in the pairs, not the width."""
-        top, codes = self._top, {}
-        for side, coeff in terms:
-            if not all(0 <= e < _LIMIT for _, e in side):
-                raise InputError(_RANGE)
-            codes[sum(e << top | e << top - _BITS * (k + 1) for k, e in side)] = coeff
-        return Polynomial._raw(self, codes)
-
 
 class Polynomial:
     """Sparse polynomial: a map from monomial code to nonzero rational."""
@@ -266,50 +255,28 @@ class Polynomial:
         )
 
     def substitute(self, mapping):
-        """Replace variables (by name) with polynomials or constants."""
-        return substitute_all((self,), mapping)[0]
+        """Replace variables (by name) with polynomials or constants.
 
-    def __repr__(self):
-        return poly_text(self)
-
-
-def _checked(table, terms):
-    """The polynomial of canonical code terms, refused if a guard bit is set."""
-    if terms and reduce(or_, terms) & table._guard:
-        raise InputError(_RANGE)
-    return Polynomial._raw(table, terms)
-
-
-def substitute_all(polys, mapping):
-    """Each polynomial of ``polys`` (one variable table) with the variables of
-    ``mapping`` (by name) replaced by polynomials or constants.
-
-    The mapping is classified once for the whole list; the fields of the
-    variables mapped to zero make one mask.  Then one pass over each
-    polynomial's terms fills one accumulator: a term that meets the mask is
-    dropped, a constant scales the coefficient and a polynomial multiplies
-    the term out.
-    """
-    if not polys:
-        return []
-    first, table = polys[0], polys[0].table
-    top = table._top
-    zeros, mapped = 0, []
-    for name, value in mapping.items():
-        shift = top - _BITS * (table.index(name) + 1)
-        if isinstance(value, Polynomial):
-            if first._coerce(value):
-                mapped.append((shift, None, value))
+        The mapping is classified first; the fields of the variables mapped
+        to zero make one mask.  Then one pass over the terms fills one
+        accumulator: a term that meets the mask is dropped, a constant scales
+        the coefficient and a polynomial multiplies the term out.
+        """
+        table = self.table
+        top = table._top
+        zeros, mapped = 0, []
+        for name, value in mapping.items():
+            shift = top - _BITS * (table.index(name) + 1)
+            if isinstance(value, Polynomial):
+                if self._coerce(value):
+                    mapped.append((shift, None, value))
+                    continue
+            elif value:
+                mapped.append((shift, _exact(value), None))
                 continue
-        elif value:
-            mapped.append((shift, _exact(value), None))
-            continue
-        zeros |= _MASK << shift
-    out = []
-    for poly in polys:
-        first._coerce(poly)  # raises for a polynomial over another table
+            zeros |= _MASK << shift
         res = {}
-        for code, coeff in poly._terms.items():
+        for code, coeff in self._terms.items():
             if code & zeros:
                 continue
             factor = None
@@ -333,8 +300,17 @@ def substitute_all(polys, mapping):
                     res[m] = acc
                 else:
                     res.pop(m, None)
-        out.append(_checked(table, res))
-    return out
+        return _checked(table, res)
+
+    def __repr__(self):
+        return poly_text(self)
+
+
+def _checked(table, terms):
+    """The polynomial of canonical code terms, refused if a guard bit is set."""
+    if terms and reduce(or_, terms) & table._guard:
+        raise InputError(_RANGE)
+    return Polynomial._raw(table, terms)
 
 
 @dataclass(frozen=True)

@@ -427,7 +427,7 @@ class TestSpecializationCheck:
         s = Singularity(11, 4)
         pres = deform.versal_presentation(s)
         pres = dataclasses.replace(pres, relations=relations(pres.relations))
-        return cli._specialization_ok(s, pres, defining_equations(s))
+        return deform.specializes(s, pres, defining_equations(s))
 
     def test_accepts_the_family(self):
         assert self.checked(tuple)
@@ -437,6 +437,10 @@ class TestSpecializationCheck:
 
     def test_relation_missing(self):
         assert not self.checked(lambda rels: rels[:-1])
+
+    def test_extra_parameter_free_term(self):
+        # z1 survives s = t = 0, so the first relation is no longer binomial
+        assert not self.checked(lambda rels: (rels[0] + rels[0].table.var("z1"),) + rels[1:])
 
 
 class TestBatch:

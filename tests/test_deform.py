@@ -10,6 +10,7 @@ from cqsing.deform import (
     discriminant,
     hypersurface_presentation,
     specialized_relations,
+    specializes,
     versal_presentation,
 )
 from cqsing.errors import ConsistencyError, InputError
@@ -248,6 +249,16 @@ class TestVersalPresentation:
             got = dict(zip(pres.pairs, specialized_relations(pres)))
             assert got == expected
 
+    def test_mask_matches_substitution_oracle(self):
+        for n, q in coprime_pairs(30):
+            s = Singularity(n, q)
+            if embedding_dimension(s) < 4:
+                continue
+            pres = versal_presentation(s)
+            zero = {p: 0 for p in pres.variables.parameter_names}
+            expected = [rel.substitute(zero) for rel in pres.relations]
+            assert specialized_relations(pres) == expected, (n, q)
+
     def test_relations_match_full_products(self):
         for n, q in ORACLE_PAIRS:
             pres = versal_presentation(Singularity(n, q))
@@ -315,16 +326,21 @@ class TestVersalPresentation:
         assert len(_product(w3, {code("s3(1)"): 1})) == 2
 
     def test_no_polynomial_arithmetic(self, monkeypatch):
-        # the family is built in code space; only the specialization check
-        # and the oracles above multiply Polynomials
+        # the families and their specialization check run in code space;
+        # only the oracles above multiply or substitute into Polynomials
         def refuse(*args):
-            raise AssertionError("Polynomial arithmetic in versal_presentation")
+            raise AssertionError("Polynomial arithmetic in deform")
 
         for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
-                     "__mul__", "__rmul__", "__pow__"):
+                     "__mul__", "__rmul__", "__pow__", "substitute"):
             monkeypatch.setattr(Polynomial, name, refuse)
         for n, q in [(11, 4), (41, 2), (19, 7)]:
-            assert versal_presentation(Singularity(n, q)).relations
+            s = Singularity(n, q)
+            pres = versal_presentation(s)
+            assert specialized_relations(pres)
+            assert specializes(s, pres, defining_equations(s))
+        for n in (2, 6, 40):
+            assert hypersurface_presentation(Singularity(n, n - 1)).equation
 
 
 class TestHypersurfaceRoute:

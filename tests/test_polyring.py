@@ -21,7 +21,6 @@ from cqsing.polyring import (
     normal_form,
     poly_text,
     s_polynomial,
-    substitute_all,
 )
 
 from conftest import coprime_pairs
@@ -156,24 +155,15 @@ class TestSubstitute:
                     mapping[name] = random_xyz(3)
             assert f.substitute(mapping) == naive_substitute(f, mapping), mapping
 
-    def test_list_matches_one_by_one(self):
-        rng = random.Random(5)
-        x, y = XYZ.var("x"), XYZ.var("y")
-        polys = [
-            XYZ.poly({
-                tuple(rng.randint(0, 2) for _ in XYZ.names): rng.randint(-3, 3)
-                for _ in range(5)
-            })
-            for _ in range(30)
-        ]
-        for mapping in ({"x": 0, "z": 0}, {"y": 2, "z": x - y}, {"x": y, "y": x}):
-            got = substitute_all(polys, mapping)
-            assert got == [naive_substitute(f, mapping) for f in polys], mapping
-        assert substitute_all([], {"w": 0}) == []
-
-    def test_list_over_foreign_table_rejected(self):
+    def test_foreign_value_rejected_before_any_term(self):
+        # the mapping is classified first: a foreign value is refused even
+        # for a variable the polynomial lacks, and even when it is zero
         with pytest.raises(InputError):
-            substitute_all([XYZ.var("x"), XY.var("x")], {"x": 0})
+            XYZ.var("x").substitute({"y": XY.var("y")})
+        with pytest.raises(InputError):
+            XYZ.var("x").substitute({"x": XY.zero()})
+        with pytest.raises(InputError):
+            XYZ.zero().substitute({"x": XY.var("x")})
 
 
 class TestInitialForm:
@@ -727,8 +717,9 @@ class TestExponentCeiling:
         assert f.substitute({"x": y**12767}) == XY.var("y", 32767)
         with pytest.raises(InputError, match="32767"):
             f.substitute({"x": y**12768})
+        # one term within the ceiling does not save another past it
         with pytest.raises(InputError, match="32767"):
-            substitute_all([x, f], {"x": y**20000})
+            (x + f).substitute({"x": y**20000})
 
     def test_normal_form(self):
         # x reduces to y^20000, so x^2 would reduce to y^40000
