@@ -21,7 +21,7 @@ from . import cfrac, deform, gfan, invariant_ring, mckay, reconstruct, toric
 from .cfrac import Singularity
 from .errors import ConsistencyError, InputError, UnsupportedError
 from .goldens import flag_matches
-from .polyring import WeightedOrder, poly_text
+from .polyring import _code_key, poly_text
 
 
 def emit_dot(quiver) -> str:
@@ -223,8 +223,8 @@ def run_gfan(s: Singularity) -> Report:
         raise ConsistencyError("fan does not match the lattice model")
     bases = []
     for c in cones:
-        order = WeightedOrder(weights=c.weight)
-        bases.append([poly_text(g, order) for g in c.basis])
+        key = _code_key(c.weight, c.basis[0].table)
+        bases.append([poly_text(g, key=key) for g in c.basis])
     payload = {
         "fan": fan.serialize(),
         "cones": [

@@ -23,6 +23,9 @@ x^{i_{k+1}}.  The candidate basis of cone k is {x^m - (p^m / p^m') x^m'},
 p the orbit point, and a weight w lies inside the cone iff the integer
 margins w.(m - m') are all positive, so a weight picks its cone before any
 polynomial is built.  A partner of another weight fails step 1 below.
+Each x^m is packed straight into its code of the ("x", "y") table (x^a y^b
+is a in the field at bit 16 and b in the field at bit 0, a + b above them),
+under polyring's exponent ceiling, with no exponent tuple in between.
 
 The boundary rays come off the same corners, with no search.  The two
 pure-power pairs give the inequalities (i_k, -j_k) and (-i_{k+1}, j_{k+1}),
@@ -37,11 +40,11 @@ terms that runs no division:
 1. Every element vanishes on the whole orbit of p.  The orbit is the set of
    points (z p0, z^q p1) with z^n = 1, so f = sum c x^a y^b vanishes on it
    iff, for every residue r mod n, the sum of c p0^a p1^b over the terms
-   with a + q*b = r (mod n) is 0.  The terms are read off the emitted
-   polynomial, not off the pairs (m, m') that built it.  So the ideal J
-   the candidate generates lies in the orbit ideal I, which has colength
-   n: G acts freely on the torus, so the orbit of p has n distinct points,
-   and I is their ideal.
+   with a + q*b = r (mod n) is 0.  The terms are decoded, by shift and
+   mask, from the codes of the emitted polynomial, not taken from the pairs
+   (m, m') that built it.  So the ideal J the candidate generates lies in
+   the orbit ideal I, which has colength n: G acts freely on the torus, so
+   the orbit of p has n distinct points, and I is their ideal.
 2. The leading terms under w leave exactly n standard monomials (the
    cluster boxes).  The initial ideal of J contains them, so J has
    colength at most n.
@@ -67,10 +70,16 @@ from .errors import ConsistencyError, InputError
 from .invariant_ring import generators
 from .mckay import g_clusters
 from .polyring import (
+    _BITS,
+    _LIMIT,
+    _MASK,
+    _RANGE,
     Polynomial,
     VariableTable,
     WeightedOrder,
-    leading_term,
+    _code_key,
+    _exact,
+    _lead,
 )
 from .toric import Fan2D, RationalRay, primitive
 
@@ -81,14 +90,14 @@ class BoundaryWeightError(Exception):
 
 
 def _point_power(point, d):
-    """p0^d0 * p1^d1 exactly for integer d of any sign: an int when the
-    point is integral and d >= 0 (int ** negative would be a float)."""
+    """p0^d0 * p1^d1 exactly for integer d of any sign: an int whenever it
+    is integral (int ** negative would be a float)."""
     num = den = 1
     for p, e in zip(point, d):
         u, v = (p.numerator, p.denominator) if e >= 0 else (p.denominator, p.numerator)
         num *= u ** abs(e)
         den *= v ** abs(e)
-    return num if den == 1 else Fraction(num, den)
+    return num if den == 1 else _exact(Fraction(num, den))
 
 
 @dataclass(frozen=True)
@@ -155,21 +164,27 @@ def certify_basis(basis, ideal: OrbitIdeal, order: WeightedOrder) -> None:
     """Raise ConsistencyError unless ``basis`` is a Groebner basis under
     ``order`` of the orbit ideal of ``ideal`` (steps 1-3 of the module
     docstring): every element vanishes on the orbit and the leading terms
-    leave exactly n standard monomials, the colength of the ideal."""
+    leave exactly n standard monomials, the colength of the ideal.  Each
+    lead and each term is decoded from its code in ``ideal.table``: x^a y^b
+    has a in the field at bit _BITS and b in the field at bit 0."""
     s = ideal.singularity
     n, q = s.n, s.q
-    leads = [leading_term(g, order)[0] for g in basis]
+    key = _code_key(order.weights, ideal.table)
+    leads = []
+    for g in basis:
+        m = _lead(g, key)[0]
+        leads.append((m >> _BITS & _MASK, m & _MASK))
     if _standard_count(leads) != n:
         raise ConsistencyError(f"candidate basis does not have {n} standard monomials")
     # p0^a p1^b scaled by the positive v0^(top0 - a) v1^(top1 - b), p = u/v,
     # so every sum stays in integers when the point is integral
     (u0, v0), (u1, v1) = ((p.numerator, p.denominator) for p in ideal.point)
     for g in basis:
-        terms = g.terms
-        top0 = max(a for a, _ in terms)
-        top1 = max(b for _, b in terms)
+        terms = [(m >> _BITS & _MASK, m & _MASK, c) for m, c in g._terms.items()]
+        top0 = max(a for a, _, _ in terms)
+        top1 = max(b for _, b, _ in terms)
         sums = {}
-        for (a, b), c in terms.items():
+        for a, b, c in terms:
             r = (a + q * b) % n
             value = u0**a * v0 ** (top0 - a) * u1**b * v1 ** (top1 - b)
             sums[r] = sums.get(r, 0) + c * value
@@ -191,20 +206,27 @@ def _margins(cluster, w):
 def _certified_cone(cluster, w, ideal: OrbitIdeal) -> GroebnerCone:
     """The cone of the cluster whose leading terms w already selects: the
     candidate {x^m - (p^m / p^m') x^m'}, certified, and the rays read off
-    the cluster's corners, checked against its inequalities."""
-    order = WeightedOrder(weights=w)
-    # w.m > w.m', so m is the leading term of its element
-    pairs = sorted(zip(cluster.ideal, cluster.partners), key=lambda e: order.key(e[0]))
-    basis = [
-        ideal.table.poly(
-            {m: 1, t: -_point_power(ideal.point, (m[0] - t[0], m[1] - t[1]))}
-        )
-        for m, t in pairs
-    ]
-    certify_basis(basis, ideal, order)
-    inequalities = tuple(
-        sorted({primitive((m[0] - t[0], m[1] - t[1])) for m, t in pairs})
+    the cluster's corners, checked against its inequalities.  Each x^m is
+    packed straight into its code in ``ideal.table``, under the ceiling."""
+    w0, w1 = w
+    table, point = ideal.table, ideal.point
+    top = table._top
+    rows = []
+    for (a, b), (c, d) in zip(cluster.ideal, cluster.partners):
+        if max(a, b, c, d) >= _LIMIT:
+            raise InputError(_RANGE)
+        # w.m > w.m', so x^m leads its element; (w.m, code) is the order's key
+        lead = (a + b) << top | a << _BITS | b
+        tail = (c + d) << top | c << _BITS | d
+        rows.append((w0 * a + w1 * b, lead, tail, (a - c, b - d)))
+    rows.sort()
+    basis = tuple(
+        Polynomial._raw(table, {lead: 1, tail: -_point_power(point, diff)})
+        for _, lead, tail, diff in rows
     )
+    order = WeightedOrder(weights=w)
+    certify_basis(basis, ideal, order)
+    inequalities = tuple(sorted({primitive(row[3]) for row in rows}))
     lower = primitive((cluster.j_next, cluster.i_next))
     upper = primitive((cluster.j, cluster.i))
     for ray in (lower, upper):
@@ -213,7 +235,7 @@ def _certified_cone(cluster, w, ideal: OrbitIdeal) -> GroebnerCone:
             raise ConsistencyError(f"ray {ray} does not bound the cone of weight {w}")
     return GroebnerCone(
         weight=w,
-        basis=tuple(basis),
+        basis=basis,
         inequalities=inequalities,
         lower_ray=lower,
         upper_ray=upper,

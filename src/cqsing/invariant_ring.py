@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cfrac import Singularity, dual_expand, ij_series
-from .errors import ConsistencyError
-from .polyring import Polynomial, VariableTable
+from .errors import ConsistencyError, InputError
+from .polyring import _LIMIT, _RANGE, Polynomial, VariableTable
 
 
 @dataclass(frozen=True)
@@ -99,18 +99,23 @@ def verify_presentation(s: Singularity, relations) -> bool:
 
 def relation_polynomials(s: Singularity, relations, table: VariableTable | None = None):
     """The relations of the list (``defining_equations(s)`` in the reports) as
-    polynomials z_i z_j - p_ij over a z-variable table."""
+    polynomials z_i z_j - p_ij over a z-variable table.  The code of each z_t
+    is made once; z_t^e is e times it, which stays in z_t's field only under
+    the exponent ceiling, so each e is checked against it."""
     names = [g.name for g in generators(s)]
     if table is None:
         table = VariableTable(names)
-    code = table._code
+    z = [table._code(name) for name in names]
     polys = []
     for rel in relations:
         i, j = rel.left
+        right = 0
+        for t, e in rel.right:
+            if e >= _LIMIT:
+                raise InputError(_RANGE)
+            right += e * z[t - 1]
         # z_i z_j never equals p_ij, whose indices lie strictly between
-        right = sum(code(names[t - 1], e) for t, e in rel.right)
-        terms = {code(names[i - 1]) + code(names[j - 1]): 1, right: -1}
-        polys.append(Polynomial._raw(table, terms))
+        polys.append(Polynomial._raw(table, {z[i - 1] + z[j - 1]: 1, right: -1}))
     return table, polys
 
 

@@ -269,9 +269,9 @@ class TestRenderOnce:
     def test_gfan_renders_each_basis_element_once(self, capsys, monkeypatch):
         calls = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return poly_text(*args)
+            return poly_text(*args, **kwargs)
 
         monkeypatch.setattr(cli, "poly_text", counted)
         code, out, _ = run(capsys, ["gfan", "11", "7", "--format", "json"])
@@ -397,6 +397,7 @@ class TestSizes:
         "argv, reason",
         [
             (["verify", "32768", "32767"], "polyring exponents"),
+            (["gfan", "32768", "32767"], "polyring exponents"),
             (["verify", "1000", "1"], "versal ceiling"),
             (["deform", "1000", "1"], "versal ceiling"),
             (["deform", "65533", "65531"], "versal ceiling of 2048"),
@@ -404,6 +405,7 @@ class TestSizes:
         ],
         ids=[
             "verify-32768-32767",
+            "gfan-32768-32767",
             "verify-1000-1",
             "deform-1000-1",
             "deform-65533-65531",

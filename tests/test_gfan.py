@@ -74,6 +74,31 @@ def cone_rays_by_search(inequalities):
     return feasible[0], feasible[-1]
 
 
+def certify_basis_by_tuples(basis, ideal, order):
+    """Oracle for ``certify_basis``: the same three steps, standard count,
+    then vanishing on the orbit, read off the decoded exponent tuples of
+    ``leading_term`` and ``Polynomial.terms`` instead of the codes."""
+    s = ideal.singularity
+    n, q = s.n, s.q
+    leads = [leading_term(g, order)[0] for g in basis]
+    if gfan._standard_count(leads) != n:
+        raise ConsistencyError(f"candidate basis does not have {n} standard monomials")
+    (u0, v0), (u1, v1) = ((p.numerator, p.denominator) for p in ideal.point)
+    for g in basis:
+        terms = g.terms
+        top0 = max(a for a, _ in terms)
+        top1 = max(b for _, b in terms)
+        sums = {}
+        for (a, b), c in terms.items():
+            r = (a + q * b) % n
+            value = u0**a * v0 ** (top0 - a) * u1**b * v1 ** (top1 - b)
+            sums[r] = sums.get(r, 0) + c * value
+        if any(sums.values()):
+            raise ConsistencyError(
+                "a candidate basis element does not vanish on the orbit"
+            )
+
+
 def certify_by_division(basis, known, order, colength):
     """Oracle for ``certify_basis``: the division certificate.  Raise
     ConsistencyError unless the leading terms leave ``colength`` standard
@@ -283,15 +308,17 @@ class TestCertificate:
                 tail = min(terms, key=order.key)
                 terms[tail] *= 2
                 altered = basis[:k] + (ideal.table.poly(terms),) + basis[k + 1 :]
-                with pytest.raises(ConsistencyError):
-                    certify_basis(altered, ideal, order)
+                for certify in (certify_basis, certify_basis_by_tuples):
+                    with pytest.raises(ConsistencyError, match="does not vanish"):
+                        certify(altered, ideal, order)
 
     def test_wrong_colength_rejected(self):
         ideal = orbit_ideal(Singularity(11, 7))
         cone = cone_of_weight(ideal, (3, 3))
         order = WeightedOrder(weights=(3, 3))
-        with pytest.raises(ConsistencyError, match="does not have 11 standard monomials"):
-            certify_basis(cone.basis[:-1], ideal, order)
+        for certify in (certify_basis, certify_basis_by_tuples):
+            with pytest.raises(ConsistencyError, match="does not have 11 standard monomials"):
+                certify(cone.basis[:-1], ideal, order)
 
     def test_smaller_ideal_of_colength_12_rejected(self):
         # I (x, y) = I meet (x, y): it vanishes on the orbit and has a
@@ -303,8 +330,9 @@ class TestCertificate:
         smaller = buchberger([v * g for g in ideal.gens for v in (x, y)], order)
         leads = [leading_term(g, order)[0] for g in smaller]
         assert gfan._standard_count(leads) == 12
-        with pytest.raises(ConsistencyError, match="does not have 11 standard monomials"):
-            certify_basis(smaller, ideal, order)
+        for certify in (certify_basis, certify_basis_by_tuples):
+            with pytest.raises(ConsistencyError, match="does not have 11 standard monomials"):
+                certify(smaller, ideal, order)
         with pytest.raises(ConsistencyError):
             certify_by_division(smaller, ideal.gens, order, 12)
 
@@ -334,12 +362,29 @@ class TestCertificate:
                 certify_by_division(basis, ideal.gens, order, s.n)
                 for label, altered, colength in mutations(ideal, basis, order):
                     if colength == s.n:  # certify_basis reads n off the ideal
-                        with pytest.raises(ConsistencyError):
-                            certify_basis(altered, ideal, order)
+                        for certify in (certify_basis, certify_basis_by_tuples):
+                            with pytest.raises(ConsistencyError):
+                                certify(altered, ideal, order)
                     with pytest.raises(ConsistencyError):
                         certify_by_division(altered, ideal.gens, order, colength)
                     rejected[label.split(" ")[0]] += 1
         assert min(rejected.values()) > 0, rejected
+
+    def test_tuple_oracle_accepts_every_cone(self):
+        # every cone of n <= 60 at (1, 1), and of n <= 15 at three other
+        # points; groebner_fan has run certify_basis on each already
+        cases = [(Singularity(n, q), (1, 1)) for n, q in coprime_pairs(60)]
+        for point in [(2, 3), (2, Fraction(1, 3)), (-1, 3)]:
+            cases += [(Singularity(n, q), point) for n, q in coprime_pairs(15)]
+        count = 0
+        for s, point in cases:
+            ideal = orbit_ideal(s, point)
+            for cone in groebner_fan(s, point)[1]:
+                order = WeightedOrder(weights=cone.weight)
+                certify_basis(cone.basis, ideal, order)
+                certify_basis_by_tuples(cone.basis, ideal, order)
+                count += 1
+        assert count == 8951 + 3 * 333
 
     def test_coefficients_are_exact(self):
         # int ** negative is a float; every coefficient is p^(m - m') exactly
@@ -373,14 +418,23 @@ class TestCertificate:
         # pair the pure x-power of one cluster with 1 instead of its
         # partner y^{j_k}: the margin stays positive, so the sweep reaches
         # the cluster and the orbit check must refuse it.  A GCluster derives
-        # its partners from its corners, so the stand-in carries them.
+        # its partners from its corners, so the stand-in carries them.  The
+        # same candidate, built in tuple space, fails the tuple oracle too.
         s = Singularity(11, 7)
+        ideal = orbit_ideal(s)
         clusters = g_clusters(s)
+        _, cones = groebner_fan(s)
         for k, cluster in enumerate(clusters[:-1]):
             assert cluster.partners[0] != (0, 0)
             bad = SimpleNamespace(
                 ideal=cluster.ideal, partners=((0, 0),) + cluster.partners[1:]
             )
+            # at the point (1, 1) every coefficient p^(m - m') is 1
+            candidate = [
+                ideal.table.poly({m: 1, t: -1}) for m, t in zip(bad.ideal, bad.partners)
+            ]
+            with pytest.raises(ConsistencyError, match="does not vanish on the orbit"):
+                certify_basis_by_tuples(candidate, ideal, WeightedOrder(weights=cones[k].weight))
             patched = clusters[:k] + [bad] + clusters[k + 1:]
             monkeypatch.setattr(gfan, "g_clusters", lambda s: patched)
             with pytest.raises(ConsistencyError, match="does not vanish on the orbit"):
@@ -474,6 +528,16 @@ class TestGroebnerFan:
             fan_default, _ = groebner_fan(s)
             fan_other, _ = groebner_fan(s, point=(2, 3))
             assert fans_equal(fan_default, fan_other)
+
+    def test_exponent_past_the_ceiling_rejected(self):
+        # the first cone holds x^n; from 2**16 on, x^n would carry out of its
+        # field, past any guard bit
+        for n in (32768, 65536, 70001):
+            s = Singularity(n, 1)
+            with pytest.raises(InputError, match="0..32767"):
+                groebner_fan(s)
+            with pytest.raises(InputError, match="0..32767"):
+                cone_of_weight(orbit_ideal(s), (n * n, 1))
 
     def test_cones_tile(self):
         _, cones = groebner_fan(Singularity(11, 7))

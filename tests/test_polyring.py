@@ -628,7 +628,9 @@ class TestPackedCodes:
                 }
                 f = table.poly(terms)
                 assert poly_text(f) == tuple_poly_text(f)
-                assert poly_text(f, WeightedOrder(weights)) == tuple_poly_text(f, WeightedOrder(weights))
+                text = tuple_poly_text(f, WeightedOrder(weights))
+                assert poly_text(f, WeightedOrder(weights)) == text
+                assert poly_text(f, key=_code_key(weights, table)) == text
 
     def test_text_of_ends_at_the_ceiling(self):
         top = 32767
@@ -734,6 +736,8 @@ class TestExponentCeiling:
         s = Singularity(32767, 32766)
         _, (rel,) = relation_polynomials(s, defining_equations(s))
         assert max(e for m in rel.terms for e in m) == 32767
-        s = Singularity(32768, 32767)
-        with pytest.raises(InputError, match="32767"):
-            relation_polynomials(s, defining_equations(s))
+        # 2**16 times z2's code would carry into z1's field, past any guard bit
+        for n in (32768, 65536):
+            s = Singularity(n, n - 1)
+            with pytest.raises(InputError, match="32767"):
+                relation_polynomials(s, defining_equations(s))
