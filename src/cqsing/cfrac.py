@@ -14,31 +14,32 @@ entry >= 2 (a single entry [n] for denominator 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .errors import ConsistencyError, InputError
 
 
-@dataclass(frozen=True)
-class Singularity:
+class Singularity(NamedTuple("Singularity", [("n", int), ("q", int)])):
     """The plane quotient by the order-n diagonal action with weights (1, q)."""
 
-    n: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (self.n, self.q)):
+    def __new__(cls, n: int, q: int):
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (n, q)):
             raise InputError("n and q must be integers")
-        if not 0 < self.q < self.n:
-            raise InputError(f"need 0 < q < n, got (n, q) = ({self.n}, {self.q})")
-        if gcd(self.n, self.q) != 1:
-            raise InputError(f"n and q must be coprime, got ({self.n}, {self.q})")
+        if not 0 < q < n:
+            raise InputError(f"need 0 < q < n, got (n, q) = ({n}, {q})")
+        if gcd(n, q) != 1:
+            raise InputError(f"n and q must be coprime, got ({n}, {q})")
+        return super().__new__(cls, n, q)
+
+    # _replace builds through _make: validate there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class ExponentSeries:
+class ExponentSeries(NamedTuple):
     """Paired exponent sequences (i_t, j_t); i strictly decreasing n -> 0,
     j strictly increasing 0 -> n."""
 
@@ -49,12 +50,8 @@ class ExponentSeries:
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.i_values, self.j_values))
 
-    def __len__(self) -> int:
-        return len(self.i_values)
 
-
-@dataclass(frozen=True)
-class Identities:
+class Identities(NamedTuple):
     """Cross-identities of the two expansions: e = 3 + sum(b_j - 2) and
     sum(b_j - 1) = sum(a_i - 1)."""
 
@@ -63,8 +60,7 @@ class Identities:
     sum_a: int
 
 
-@dataclass(frozen=True)
-class TWitness:
+class TWitness(NamedTuple):
     """Witness (d, m, a) with n = d*m^2, q = d*m*a - 1, gcd(a, m) = 1."""
 
     d: int

@@ -510,7 +510,9 @@ def _json_text(value, indent: str = "\n") -> str:
     joins the same pieces with str.join.  A list of scalars renders in one
     pass, and a list of equal-length rows of scalars (g_basis, heights,
     ideals, pairs, quiver arrows) goes through one row template.  Only str,
-    int, bool, None, lists, tuples and dicts with str keys are accepted.
+    int, bool, None, lists, tuples and dicts with str keys are accepted; a
+    record (a tuple subclass such as ``GCluster``) raises TypeError rather
+    than render as an array.
     """
     render = _SCALAR_TEXT.get(type(value))
     if render is not None:
@@ -525,7 +527,7 @@ def _json_text(value, indent: str = "\n") -> str:
             for k, v in sorted(value.items())
         ]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):
         if not value:
             return "[]"
         kinds = set(map(type, value))

@@ -66,8 +66,8 @@ family is the one-equation deformation by a degree-(n-2) polynomial in z2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cfrac import Singularity, dual_expand, embedding_dimension
 from .errors import ConsistencyError, InputError
@@ -87,8 +87,7 @@ MAX_VERSAL_E = 128
 MAX_VERSAL_PARAMETERS = 2048
 
 
-@dataclass(frozen=True)
-class DeformationVariables:
+class DeformationVariables(NamedTuple):
     e: int
     a_entries: dict[int, int]  # index t -> a_t, for 2 <= t <= e-1
     table: VariableTable
@@ -101,16 +100,14 @@ class DeformationVariables:
         return tuple(self.s_names.values()) + tuple(self.t_names.values())
 
 
-@dataclass(frozen=True)
-class VersalPresentation:
+class VersalPresentation(NamedTuple):
     variables: DeformationVariables
     pairs: tuple[tuple[int, int], ...]
     relations: tuple[Polynomial, ...]  # z_i w_j - P_ij, aligned with pairs
     base_ideal: tuple[Polynomial, ...]
 
 
-@dataclass(frozen=True)
-class HypersurfaceFamily:
+class HypersurfaceFamily(NamedTuple):
     """z1 z3 = z2^m deformed by the tail c_0 + c_1 z2 + ... + c_{m-2} z2^{m-2}
     (no z2^{m-1} term)."""
 

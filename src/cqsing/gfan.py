@@ -60,14 +60,12 @@ reduce to 0) in the tests, as oracles for these bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from .cfrac import Singularity, curve_count
 from .errors import ConsistencyError, InputError
-from .invariant_ring import generators
 from .mckay import g_clusters
 from .polyring import (
     _BITS,
@@ -100,24 +98,13 @@ def _point_power(point, d):
     return num if den == 1 else _exact(Fraction(num, den))
 
 
-@dataclass(frozen=True)
-class OrbitIdeal:
+class OrbitIdeal(NamedTuple):
     singularity: Singularity
     point: tuple[Fraction, Fraction]
     table: VariableTable
 
-    @cached_property
-    def gens(self) -> tuple[Polynomial, ...]:
-        """f_t(x, y) - f_t(point) over the invariant generators, built on
-        first use: the cones are certified without them."""
-        return tuple(
-            self.table.poly({a: 1, (0, 0): -_point_power(self.point, a)})
-            for a in (g.exponents for g in generators(self.singularity))
-        )
 
-
-@dataclass(frozen=True)
-class GroebnerCone:
+class GroebnerCone(NamedTuple):
     """A maximal cone: representative weight, attached reduced basis, the
     defining half-planes, and the two boundary rays."""
 
@@ -194,25 +181,29 @@ def certify_basis(basis, ideal: OrbitIdeal, order: WeightedOrder) -> None:
             )
 
 
-def _margins(cluster, w):
+def _pairs(cluster):
+    """The (generator, partner) pairs of a cluster, read off its corners
+    once per cone for both the margins and the candidate basis."""
+    return tuple(zip(cluster.ideal, cluster.partners))
+
+
+def _margins(pairs, w):
     """w.(m - m') per (generator, partner) pair of a cluster: all positive
     iff w is inside its cone."""
-    return [
-        (m[0] - t[0]) * w[0] + (m[1] - t[1]) * w[1]
-        for m, t in zip(cluster.ideal, cluster.partners)
-    ]
+    return [(m[0] - t[0]) * w[0] + (m[1] - t[1]) * w[1] for m, t in pairs]
 
 
-def _certified_cone(cluster, w, ideal: OrbitIdeal) -> GroebnerCone:
-    """The cone of the cluster whose leading terms w already selects: the
-    candidate {x^m - (p^m / p^m') x^m'}, certified, and the rays read off
-    the cluster's corners, checked against its inequalities.  Each x^m is
-    packed straight into its code in ``ideal.table``, under the ceiling."""
+def _certified_cone(cluster, pairs, w, ideal: OrbitIdeal) -> GroebnerCone:
+    """The cone of the cluster with (generator, partner) ``pairs`` whose
+    leading terms w already selects: the candidate {x^m - (p^m / p^m') x^m'},
+    certified, and the rays read off the cluster's corners, checked against
+    its inequalities.  Each x^m is packed straight into its code in
+    ``ideal.table``, under the ceiling."""
     w0, w1 = w
     table, point = ideal.table, ideal.point
     top = table._top
     rows = []
-    for (a, b), (c, d) in zip(cluster.ideal, cluster.partners):
+    for (a, b), (c, d) in pairs:
         if max(a, b, c, d) >= _LIMIT:
             raise InputError(_RANGE)
         # w.m > w.m', so x^m leads its element; (w.m, code) is the order's key
@@ -256,9 +247,10 @@ def cone_of_weight(ideal: OrbitIdeal, w) -> GroebnerCone:
     w = (int(w0 * scale), int(w1 * scale))
     on_boundary = False
     for cluster in g_clusters(ideal.singularity):
-        low = min(_margins(cluster, w))
+        pairs = _pairs(cluster)
+        low = min(_margins(pairs, w))
         if low > 0:
-            return _certified_cone(cluster, w, ideal)
+            return _certified_cone(cluster, pairs, w, ideal)
         on_boundary = on_boundary or low == 0
     if on_boundary:
         raise BoundaryWeightError(f"weight {w} ties terms of a basis element")
@@ -273,11 +265,12 @@ def groebner_fan(s: Singularity, point=(1, 1)):
     cones = []
     w = (n * n, 1)
     for cluster in g_clusters(s):
-        if min(_margins(cluster, w)) <= 0:
+        pairs = _pairs(cluster)
+        if min(_margins(pairs, w)) <= 0:
             raise ConsistencyError(
                 f"sweep weight {w} is not inside cone {len(cones)}"
             )
-        cone = _certified_cone(cluster, w, ideal)
+        cone = _certified_cone(cluster, pairs, w, ideal)
         if cones and cones[-1].upper_ray != cone.lower_ray:
             raise ConsistencyError("adjacent cones do not share a ray")
         if not cones and cone.lower_ray != (1, 0):

@@ -8,15 +8,14 @@ and is verified by pure exponent arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cfrac import Singularity, dual_expand, ij_series
 from .errors import ConsistencyError, InputError
 from .polyring import _LIMIT, _RANGE, Polynomial, VariableTable
 
 
-@dataclass(frozen=True)
-class InvariantGenerator:
+class InvariantGenerator(NamedTuple):
     index: int  # 1-based position t
     exponents: tuple[int, int]  # (i_t, j_t)
     name: str
@@ -26,8 +25,7 @@ class InvariantGenerator:
         return monomial_text(*self.exponents)
 
 
-@dataclass(frozen=True)
-class BinomialRelation:
+class BinomialRelation(NamedTuple):
     """z_left1 * z_left2 = prod z_t^e_t, with sparse right exponents."""
 
     left: tuple[int, int]  # 1-based generator indices (i, j), j >= i + 2
@@ -64,7 +62,7 @@ def defining_equations(s: Singularity) -> list[BinomialRelation]:
     z_m^{a_m-2} for i+1 < m < j-1, times z_{j-1}^{a_{j-1}-1}, zero exponents
     dropped.  The interior factors grow by at most one as j steps up.
     """
-    e = len(ij_series(s))
+    e = len(ij_series(s).i_values)
     a = _a_by_index(s)
     relations = []
     for i in range(1, e - 1):

@@ -20,20 +20,18 @@ columns are expanded only to print them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cfrac import Singularity, curve_count, ij_series, unrefined_series
 from .errors import ConsistencyError
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(NamedTuple):
     vertices: tuple[str, ...]
     arrows: tuple[tuple[int, int, str], ...]  # (tail, head, label)
 
 
-@dataclass(frozen=True)
-class GCluster:
+class GCluster(NamedTuple):
     """The cluster cut out by the consecutive pairs (i, j) = (i_k, j_k) and
     (i_next, j_next) = (i_{k+1}, j_{k+1}) of the unrefined series: i columns
     (its width), the first i - i_next of height j_next and the last i_next
@@ -127,7 +125,7 @@ def g_clusters(s: Singularity) -> list[GCluster]:
     i, j = series.i_values, series.j_values
     return [  # i_k decreases: widths ascend
         GCluster(i[k], j[k], i[k + 1], j[k + 1])
-        for k in reversed(range(len(series) - 1))
+        for k in reversed(range(len(i) - 1))
     ]
 
 

@@ -25,13 +25,13 @@ bit set raises ``InputError``, never carries.  Two fields below 2**15 sum below
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import mul, neg, or_
 from struct import Struct
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import InputError
 
@@ -313,15 +313,18 @@ def _checked(table, terms):
     return Polynomial._raw(table, terms)
 
 
-@dataclass(frozen=True)
-class WeightedOrder:
+class WeightedOrder(NamedTuple("WeightedOrder", [("weights", tuple)])):
     """Weight-first comparison, degree-lexicographic tiebreak."""
 
-    weights: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(w < 0 for w in self.weights):
+    def __new__(cls, weights: tuple):
+        if any(w < 0 for w in weights):
             raise InputError("weights must be nonnegative")
+        return super().__new__(cls, weights)
+
+    # _replace builds through _make: validate there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def deglex(cls, nvars):

@@ -23,15 +23,14 @@ expansion: each group carries one zero-sum constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cfrac import Singularity, dual_expand, hj_expand
 from .errors import InputError, UnsupportedError
 from .polyring import Polynomial, VariableTable
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     kind: str  # "a" (forward cycle), "c" (backward cycle), "k" (extra)
     tail: int
     head: int
@@ -44,8 +43,7 @@ class Arrow:
         return f"{self.kind}{self.tail}{self.head}"
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """positive path - negative path = 0, or = parameter when deformed; both
     paths are loops based at `vertex`."""
 
@@ -62,8 +60,7 @@ class Relation:
         return f"{pos} - {neg} = {self.parameter}"
 
 
-@dataclass(frozen=True)
-class ReconstructionQuiver:
+class ReconstructionQuiver(NamedTuple):
     fraction: tuple[int, ...]
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
@@ -71,15 +68,13 @@ class ReconstructionQuiver:
     unsupported_reason: str | None = None
 
 
-@dataclass(frozen=True)
-class DeformedRelations:
+class DeformedRelations(NamedTuple):
     relations: tuple[Relation, ...]
     groups: tuple[tuple[str, ...], ...]  # parameter names, one zero-sum each
     base_dimension: int
 
 
-@dataclass(frozen=True)
-class QuasidetPresentation:
+class QuasidetPresentation(NamedTuple):
     dual_fraction: tuple[int, ...]
     matrix: tuple[tuple[str, ...], ...]
     table: VariableTable

@@ -18,8 +18,8 @@ product: each ray must lie strictly counterclockwise of the one before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .cfrac import Singularity
 from .errors import ConsistencyError, InputError
@@ -36,8 +36,7 @@ def _det(u, v) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-@dataclass(frozen=True)
-class RationalRay:
+class RationalRay(NamedTuple):
     """A ray direction stored as the integer vector n*direction."""
 
     scaled: tuple[int, int]
@@ -48,17 +47,20 @@ class RationalRay:
         return primitive(self.scaled)
 
 
-@dataclass(frozen=True)
-class Fan2D:
+class Fan2D(NamedTuple("Fan2D", [("rays", tuple[RationalRay, ...]), ("den", int)])):
     """Rays sorted by angle from the x-axis, boundary rays included;
     maximal cones are the consecutive ray pairs."""
 
-    rays: tuple[RationalRay, ...]
-    den: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, rays: tuple[RationalRay, ...], den: int):
+        self = super().__new__(cls, rays, den)
         if any(_det(r1.scaled, r2.scaled) <= 0 for r1, r2 in self.maximal_cones):
             raise InputError("fan rays must be strictly sorted by angle")
+        return self
+
+    # _replace builds through _make: validate there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def maximal_cones(self):

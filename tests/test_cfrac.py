@@ -98,7 +98,7 @@ class TestSeries:
     def test_series_congruence_and_monotone(self):
         for n, q in coprime_pairs(60):
             series = ij_series(Singularity(n, q))
-            assert len(series) == embedding_dimension(Singularity(n, q))
+            assert len(series.i_values) == embedding_dimension(Singularity(n, q))
             assert list(series.i_values) == sorted(series.i_values, reverse=True)
             assert list(series.j_values) == sorted(series.j_values)
             for i, j in series.pairs:
@@ -138,7 +138,7 @@ class TestUnrefinedSeries:
             coarse, fine = unrefined_series(s), ij_series(s)
             assert coarse.pairs[0] == fine.pairs[0] == (n, 0)
             assert coarse.pairs[-1] == fine.pairs[-1] == (0, n)
-            assert len(coarse) == curve_count(s) + 2
+            assert len(coarse.i_values) == curve_count(s) + 2
 
 
 class TestIdentities:

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import enum
 import hashlib
 import io
@@ -18,6 +17,7 @@ from cqsing import cli, deform
 from cqsing.cfrac import Singularity
 from cqsing.cli import main
 from cqsing.invariant_ring import defining_equations
+from cqsing.mckay import g_clusters
 from cqsing.polyring import poly_text
 
 from conftest import coprime_pairs
@@ -169,6 +169,16 @@ class TestJsonRenderer:
     def test_rejects_what_it_does_not_render(self, value):
         with pytest.raises(TypeError):
             cli._json_text(value)
+
+    def test_record_in_a_payload_rejected(self):
+        # a NamedTuple record is a tuple, but json.dumps would print it as
+        # an array silently; its plain tuple still renders
+        cluster = g_clusters(Singularity(11, 7))[1]
+        for value in ({"cluster": cluster}, [cluster], [[1, 2], cluster], cluster):
+            with pytest.raises(TypeError, match="GCluster is not JSON serializable"):
+                cli._json_text(value)
+        for value in ({"cluster": tuple(cluster)}, [tuple(cluster), (5, 6, 7, 8)]):
+            assert cli._json_text(value) == dumps(value)
 
     @pytest.mark.parametrize(
         "argv",
@@ -428,7 +438,7 @@ class TestSpecializationCheck:
     def checked(relations):
         s = Singularity(11, 4)
         pres = deform.versal_presentation(s)
-        pres = dataclasses.replace(pres, relations=relations(pres.relations))
+        pres = pres._replace(relations=relations(pres.relations))
         return deform.specializes(s, pres, defining_equations(s))
 
     def test_accepts_the_family(self):
