@@ -15,7 +15,7 @@ entry >= 2 (a single entry [n] for denominator 1).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import NamedTuple
 
 from .errors import ConsistencyError, InputError
@@ -53,11 +53,13 @@ class ExponentSeries(NamedTuple):
 
 class Identities(NamedTuple):
     """Cross-identities of the two expansions: e = 3 + sum(b_j - 2) and
-    sum(b_j - 1) = sum(a_i - 1)."""
+    sum(b_j - 1) = sum(a_i - 1), with the expansions they were read off."""
 
     e: int
     sum_b: int
     sum_a: int
+    fraction: tuple[int, ...]  # hj_expand(n, q)
+    dual: tuple[int, ...]  # dual_expand(s)
 
 
 class TWitness(NamedTuple):
@@ -143,7 +145,8 @@ def unrefined_series(s: Singularity) -> ExponentSeries:
 
 
 def identities(s: Singularity) -> Identities:
-    """Check and return the numerical identities tying the two expansions."""
+    """Check and return the numerical identities tying the two expansions,
+    each expanded once."""
     b = hj_expand(s.n, s.q)
     a = dual_expand(s)
     e = 3 + sum(bj - 2 for bj in b)
@@ -153,11 +156,11 @@ def identities(s: Singularity) -> Identities:
     sum_a = sum(ai - 1 for ai in a)
     if sum_b != sum_a:
         raise ConsistencyError(f"digit-sum identity fails for {s}")
-    return Identities(e=e, sum_b=sum_b, sum_a=sum_a)
+    return Identities(e=e, sum_b=sum_b, sum_a=sum_a, fraction=b, dual=a)
 
 
 def embedding_dimension(s: Singularity) -> int:
-    return identities(s).e
+    return len(dual_expand(s)) + 2
 
 
 def is_t_singularity(s: Singularity) -> TWitness | None:
@@ -165,17 +168,14 @@ def is_t_singularity(s: Singularity) -> TWitness | None:
 
     These are exactly the quotients admitting a Q-Gorenstein smoothing;
     the chain-of-(-2)-curves case q = n - 1 always has the witness m = 1.
+    A witness has gcd(n, q + 1) = d*m*gcd(m, a) = d*m, so it is unique and
+    read off g = gcd(n, q + 1): m = n // g, and it exists iff m divides g.
     """
-    for m in range(1, isqrt(s.n) + 1):
-        if s.n % (m * m):
-            continue
-        d = s.n // (m * m)
-        if (s.q + 1) % (d * m):
-            continue
-        a = (s.q + 1) // (d * m)
-        if a >= 1 and gcd(a, m) == 1:
-            return TWitness(d=d, m=m, a=a)
-    return None
+    g = gcd(s.n, s.q + 1)
+    m = s.n // g
+    if g % m:
+        return None
+    return TWitness(d=g // m, m=m, a=(s.q + 1) // g)
 
 
 def are_isomorphic(s1: Singularity, s2: Singularity) -> bool:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 from . import cfrac, deform, gfan, invariant_ring, mckay, reconstruct, toric
 from .cfrac import Singularity
 from .errors import ConsistencyError, InputError, UnsupportedError
-from .goldens import flag_matches
+from .goldens import with_reference
 from .polyring import _code_key, poly_text
 
 
@@ -57,25 +57,14 @@ class Report(NamedTuple):
     unsupported: str | None = None
 
 
-def _with_reference(checks: dict, s: Singularity, **values) -> dict:
-    flag = flag_matches(s, **values)
-    if flag is not None:
-        checks["matches_reference"] = flag
-    return checks
-
-
-def _fraction_data(s: Singularity):
-    ids = cfrac.identities(s)
-    return {
-        "fraction": list(cfrac.hj_expand(s.n, s.q)),
-        "dual_fraction": list(cfrac.dual_expand(s)),
-        "e": ids.e,
-        "r": cfrac.curve_count(s),
-    }
-
-
 def run_resolve(s: Singularity) -> Report:
-    data = _fraction_data(s)
+    ids = cfrac.identities(s)
+    data = {
+        "fraction": list(ids.fraction),
+        "dual_fraction": list(ids.dual),
+        "e": ids.e,
+        "r": len(ids.fraction),
+    }
     witness = cfrac.is_t_singularity(s)
     t_singularity = (
         None if witness is None else {"d": witness.d, "m": witness.m, "a": witness.a}
@@ -83,7 +72,7 @@ def run_resolve(s: Singularity) -> Report:
     payload = {
         **data,
         "t_singularity": t_singularity,
-        "checks": _with_reference({"identities": True}, s, **data),
+        "checks": with_reference({"identities": True}, s, **data),
     }
     text = [
         f"fraction {s.n}/{s.q} = {data['fraction']}",
@@ -110,22 +99,23 @@ def run_invariants(s: Singularity) -> Report:
 
     monomials = [g.monomial_text for g in gens]
     equations = [eq_text(rel) for rel in eqs]
+    generators = [
+        {"index": g.index, "exponents": list(g.exponents), "monomial": m}
+        for g, m in zip(gens, monomials)
+    ]
     payload = {
-        "generators": [
-            {"index": g.index, "exponents": list(g.exponents), "monomial": m}
-            for g, m in zip(gens, monomials)
-        ],
+        "generators": generators,
         "equations": [
             {"left": list(rel.left), "right": [list(p) for p in rel.right], "text": eq}
             for rel, eq in zip(eqs, equations)
         ],
-        "checks": _with_reference(
+        "checks": with_reference(
             {
                 "substitution": ok,
                 "relation_count": len(eqs) == (len(gens) - 1) * (len(gens) - 2) // 2,
             },
             s,
-            generators=[list(g.exponents) for g in gens],
+            generators=[g["exponents"] for g in generators],
         ),
     }
     text = ["generators: " + ", ".join(monomials)]
@@ -138,17 +128,18 @@ def run_toric(s: Singularity) -> Report:
     basis = toric.hilbert_basis_dual(s)
     selfint = toric.self_intersections(fan)
     gens = invariant_ring.generators(s)
-    checks = _with_reference(
+    fan_data = fan.serialize()
+    checks = with_reference(
         {
             "round_trip": selfint == cfrac.hj_expand(s.n, s.q),
             "hilbert_matches_generators": [tuple(p) for p in basis]
             == [g.exponents for g in gens],
         },
         s,
-        fan_rays=[list(r.scaled) for r in fan.rays],
+        fan_rays=fan_data["rays"],
     )
     payload = {
-        "fan": fan.serialize(),
+        "fan": fan_data,
         "hilbert_basis": [list(p) for p in basis],
         "self_intersections": list(selfint),
         "checks": checks,
@@ -172,7 +163,7 @@ def run_mckay(s: Singularity) -> Report:
             "vertices": list(quiver.vertices),
             "arrows": [list(a) for a in quiver.arrows],
         },
-        "checks": _with_reference(
+        "checks": with_reference(
             {"special_count_is_r": len(special) == cfrac.curve_count(s)},
             s,
             special=special,
@@ -189,28 +180,28 @@ def run_mckay(s: Singularity) -> Report:
 def run_hilb(s: Singularity) -> Report:
     clusters = mckay.g_clusters(s)
     curves = mckay.curve_rep_assignment(s, clusters)
-    ideals = [
-        "<" + ", ".join(invariant_ring.monomial_text(a, b) for a, b in c.ideal) + ">"
-        for c in clusters
-    ]
-    payload = {
-        "clusters": [
+    entries = []
+    for c in clusters:
+        ideal = c.ideal  # a property: read once per cluster
+        monomials = ", ".join(invariant_ring.monomial_text(a, b) for a, b in ideal)
+        entries.append(
             {
                 "heights": list(c.heights),
-                "ideal": [list(p) for p in c.ideal],
-                "ideal_text": ideal,
+                "ideal": [list(p) for p in ideal],
+                "ideal_text": f"<{monomials}>",
             }
-            for c, ideal in zip(clusters, ideals)
-        ],
+        )
+    payload = {
+        "clusters": entries,
         "curves": [{"curve": k, "class": w} for k, w in curves],
-        "checks": _with_reference(
+        "checks": with_reference(
             {"regular_representation": mckay.cluster_weight_check(s, clusters)},
             s,
-            cluster_ideals=[[list(p) for p in c.ideal] for c in clusters],
+            cluster_ideals=[c["ideal"] for c in entries],
         ),
     }
     text = [f"clusters ({len(clusters)}):"]
-    text += [f"  {ideal}  heights={list(c.heights)}" for c, ideal in zip(clusters, ideals)]
+    text += [f"  {c['ideal_text']}  heights={c['heights']}" for c in entries]
     text += ["curves: " + ", ".join(f"E{k} -> class {w}" for k, w in curves)]
     return Report(payload, text)
 
@@ -225,8 +216,9 @@ def run_gfan(s: Singularity) -> Report:
     for c in cones:
         key = _code_key(c.weight, c.basis[0].table)
         bases.append([poly_text(g, key=key) for g in c.basis])
+    fan_data = fan.serialize()
     payload = {
-        "fan": fan.serialize(),
+        "fan": fan_data,
         "cones": [
             {
                 "weight": list(c.weight),
@@ -236,11 +228,7 @@ def run_gfan(s: Singularity) -> Report:
             }
             for c, basis in zip(cones, bases)
         ],
-        "checks": _with_reference(
-            {"matches_toric": matches},
-            s,
-            fan_rays=[list(r.scaled) for r in fan.rays],
-        ),
+        "checks": with_reference({"matches_toric": matches}, s, fan_rays=fan_data["rays"]),
     }
     text = [f"rays (x{s.n}): " + ", ".join(str(r.scaled) for r in fan.rays)]
     for c, basis in zip(cones, bases):
@@ -277,7 +265,7 @@ def run_deform(s: Singularity) -> Report:
             "relations": relations,
             "base_ideal": base_ideal,
         },
-        "checks": _with_reference(
+        "checks": with_reference(
             {
                 "parameter_count": len(params) == dim,
                 "specialization": deform.specializes(
@@ -307,7 +295,7 @@ def run_artin(s: Singularity) -> Report:
             "quasidet_matrix": matrix,
             "quasidet_relations": relations,
         },
-        "checks": _with_reference({}, s, quasidet_matrix=matrix),
+        "checks": with_reference({}, s, quasidet_matrix=matrix),
     }
     text = ["matrix:"] + ["  [" + ", ".join(row) + "]" for row in pres.matrix]
     text += ["relations:"] + [f"  {rel} = 0" for rel in relations]
@@ -349,7 +337,7 @@ def run_reconstruct(s: Singularity) -> Report:
     group_sizes = [len(g) for g in deformed.groups]
     data["parameter_groups"] = [list(g) for g in deformed.groups]
     data["base_dimension"] = deformed.base_dimension
-    payload["checks"] = _with_reference(
+    payload["checks"] = with_reference(
         {},
         s,
         relation_count=len(quiver.relations),
@@ -369,7 +357,7 @@ def verify_checks(s: Singularity) -> dict[str, bool]:
     """Cross-oracle consistency suite for one input pair."""
     checks = {}
     ids = cfrac.identities(s)
-    b = cfrac.hj_expand(s.n, s.q)
+    b = ids.fraction
     checks["fraction_round_trip"] = cfrac.hj_evaluate(b) == Fraction(s.n, s.q)
     q_inv = pow(s.q, -1, s.n)
     checks["fraction_duality"] = (
@@ -411,9 +399,8 @@ def verify_checks(s: Singularity) -> dict[str, bool]:
     quiver = reconstruct.reconstruction_quiver(s) if len(b) >= 2 else None
     if quiver is not None and quiver.relations is not None:
         deformed = reconstruct.deformed_relations(s)
-        dual = cfrac.dual_expand(s)
-        checks["reconstruction_groups"] = tuple(len(g) for g in deformed.groups) == dual
-        checks["reconstruction_base"] = deformed.base_dimension == sum(a - 1 for a in dual)
+        checks["reconstruction_groups"] = tuple(len(g) for g in deformed.groups) == ids.dual
+        checks["reconstruction_base"] = deformed.base_dimension == ids.sum_a
     return checks
 
 
@@ -468,6 +455,7 @@ COMMANDS = {
 EXIT_CODES = {InputError: 2, ConsistencyError: 3, UnsupportedError: 4}
 
 
+@functools.cache  # built on first use, not at import, so importing the CLI stays cheap
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cqsing",
@@ -485,12 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--output", default=None)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on first use, not at import, so importing the CLI stays cheap
-    return build_parser()
 
 
 # JSON text of the scalars, by exact type (bool is not taken for int)
@@ -568,7 +550,7 @@ def _rows_text(rows, indent: str):
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command in COMMANDS:
             s = Singularity(args.n, args.q)

@@ -71,7 +71,7 @@ from typing import NamedTuple
 
 from .cfrac import Singularity, dual_expand, embedding_dimension
 from .errors import ConsistencyError, InputError
-from .invariant_ring import relation_polynomials
+from .invariant_ring import _a_by_index, relation_polynomials
 from .polyring import Polynomial, VariableTable, _checked
 
 
@@ -88,7 +88,6 @@ MAX_VERSAL_PARAMETERS = 2048
 
 
 class DeformationVariables(NamedTuple):
-    e: int
     a_entries: dict[int, int]  # index t -> a_t, for 2 <= t <= e-1
     table: VariableTable
     z_names: tuple[str, ...]
@@ -108,11 +107,9 @@ class VersalPresentation(NamedTuple):
 
 
 class HypersurfaceFamily(NamedTuple):
-    """z1 z3 = z2^m deformed by the tail c_0 + c_1 z2 + ... + c_{m-2} z2^{m-2}
-    (no z2^{m-1} term)."""
+    """z1 z3 = z2^n deformed by the tail c_0 + c_1 z2 + ... + c_{n-2} z2^{n-2}
+    (no z2^{n-1} term), over the table (z1, z2, z3, c_0, ..., c_{n-2})."""
 
-    m: int
-    table: VariableTable
     equation: Polynomial
     parameters: tuple[str, ...]
 
@@ -124,10 +121,11 @@ def dim_t1(s: Singularity) -> int:
     hypersurface z1 z3 = z2^n whose Tjurina algebra C[z2]/(z2^{n-1}) has
     dimension n - 1.
     """
-    e = embedding_dimension(s)
+    dual = dual_expand(s)
+    e = len(dual) + 2
     if e == 3:
         return s.n - 1
-    return sum(a - 1 for a in dual_expand(s)) + (e - 4)
+    return sum(a - 1 for a in dual) + (e - 4)
 
 
 def discriminant(h) -> Fraction:
@@ -143,7 +141,8 @@ def discriminant(h) -> Fraction:
 
 
 def deformation_variables(s: Singularity) -> DeformationVariables:
-    e = embedding_dimension(s)
+    a_entries = _a_by_index(s)
+    e = len(a_entries) + 2
     if e < 4:
         raise InputError("construction needs embedding dimension >= 4")
     if e > MAX_VERSAL_E:
@@ -154,7 +153,6 @@ def deformation_variables(s: Singularity) -> DeformationVariables:
             f"{count} deformation parameters are over the versal ceiling of "
             f"{MAX_VERSAL_PARAMETERS}"
         )
-    a_entries = {t: a for t, a in enumerate(dual_expand(s), start=2)}
     z_names = tuple(f"z{i}" for i in range(1, e + 1))
     s_names = {}
     for i in range(2, e):
@@ -165,7 +163,6 @@ def deformation_variables(s: Singularity) -> DeformationVariables:
         z_names + tuple(s_names.values()) + tuple(t_names.values())
     )
     return DeformationVariables(
-        e=e,
         a_entries=a_entries,
         table=table,
         z_names=z_names,
@@ -205,7 +202,7 @@ def versal_presentation(s: Singularity) -> VersalPresentation:
     Pairs are listed adjacent ones first, then the rest lexicographically.
     """
     v = deformation_variables(s)
-    e, a, table = v.e, v.a_entries, v.table
+    e, a, table = len(v.z_names), v.a_entries, v.table
     code = table._code
     z = {j: {code(name): 1} for j, name in enumerate(v.z_names, start=1)}
     w = {}
@@ -252,7 +249,7 @@ def versal_presentation(s: Singularity) -> VersalPresentation:
 
 
 def hypersurface_presentation(s: Singularity) -> HypersurfaceFamily:
-    """The e = 3 route: one deformed equation z1 z3 = z2^n + tail (m = n)."""
+    """The e = 3 route: one deformed equation z1 z3 = z2^n + tail."""
     if embedding_dimension(s) != 3:
         raise InputError("only for embedding dimension 3")
     n = s.n
@@ -263,7 +260,7 @@ def hypersurface_presentation(s: Singularity) -> HypersurfaceFamily:
     terms = {code("z1") + code("z3"): 1, code("z2", n): -1}
     terms.update({code("z2", k) + code(c): -1 for k, c in enumerate(params)})
     equation = Polynomial._raw(table, terms)
-    return HypersurfaceFamily(m=n, table=table, equation=equation, parameters=params)
+    return HypersurfaceFamily(equation=equation, parameters=params)
 
 
 def specialized_relations(pres: VersalPresentation) -> list[Polynomial]:

@@ -262,6 +262,8 @@ def groebner_fan(s: Singularity, point=(1, 1)):
     of their boundary rays (scaled compatibly with the toric module)."""
     ideal = orbit_ideal(s, point)
     n = s.n
+    if n >= _LIMIT:  # the cones at the two axes hold x^n and y^n
+        raise InputError(_RANGE)
     cones = []
     w = (n * n, 1)
     for cluster in g_clusters(s):
@@ -287,9 +289,7 @@ def groebner_fan(s: Singularity, point=(1, 1)):
     rays = [(n, 0)]
     rays += [c.upper_ray for c in cones[:-1]]
     rays.append((0, n))
-    fan = Fan2D(
-        rays=tuple(RationalRay(scaled=r, den=n) for r in rays), den=n
-    )
+    fan = Fan2D(rays=tuple(RationalRay(scaled=r) for r in rays), den=n)
     return fan, cones
 
 

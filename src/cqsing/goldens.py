@@ -38,17 +38,13 @@ REFERENCE = {
 }
 
 
-def reference_for(s):
-    return REFERENCE.get((s.n, s.q))
-
-
-def flag_matches(s, **values):
-    """None when the input has no stored reference; otherwise True iff every
-    provided value agrees with the stored one."""
-    ref = reference_for(s)
-    if ref is None:
-        return None
-    relevant = {k: v for k, v in values.items() if k in ref}
-    if not relevant:
-        return None
-    return all(ref[k] == v for k, v in relevant.items())
+def with_reference(checks: dict, s, **values) -> dict:
+    """``checks`` plus ``matches_reference`` when the input has a stored
+    reference naming any of ``values``: True iff each named value agrees
+    with the stored one."""
+    ref = REFERENCE.get((s.n, s.q))
+    if ref is not None:
+        relevant = [k for k in values if k in ref]
+        if relevant:
+            checks["matches_reference"] = all(ref[k] == values[k] for k in relevant)
+    return checks

@@ -62,8 +62,8 @@ def defining_equations(s: Singularity) -> list[BinomialRelation]:
     z_m^{a_m-2} for i+1 < m < j-1, times z_{j-1}^{a_{j-1}-1}, zero exponents
     dropped.  The interior factors grow by at most one as j steps up.
     """
-    e = len(ij_series(s).i_values)
     a = _a_by_index(s)
+    e = len(a) + 2
     relations = []
     for i in range(1, e - 1):
         relations.append(BinomialRelation(left=(i, i + 2), right=((i + 1, a[i + 1]),)))

@@ -37,10 +37,10 @@ def _det(u, v) -> int:
 
 
 class RationalRay(NamedTuple):
-    """A ray direction stored as the integer vector n*direction."""
+    """A ray direction stored as the integer vector n*direction (n is the
+    fan's ``den``)."""
 
     scaled: tuple[int, int]
-    den: int
 
     @property
     def primitive(self) -> tuple[int, int]:
@@ -113,7 +113,7 @@ def resolution_fan(s: Singularity) -> Fan2D:
     rays = _hull_boundary(_staircase(s.n, s.q))
     rays.reverse()  # staircase runs from the y-axis down; fans sort from the x-axis up
     fan = Fan2D(
-        rays=tuple(RationalRay(scaled=p, den=s.n) for p in rays),
+        rays=tuple(RationalRay(scaled=p) for p in rays),
         den=s.n,
     )
     _check_unimodular(fan)

@@ -172,6 +172,23 @@ def t_witness_oracle(n, q):
     return False
 
 
+def t_witness_search(n, q):
+    """The sqrt(n) search the closed form replaced: the first m with
+    m^2 | n whose d = n/m^2 gives a = (q + 1)/(d*m) coprime to m."""
+    from math import gcd as _gcd, isqrt
+
+    for m in range(1, isqrt(n) + 1):
+        if n % (m * m):
+            continue
+        d = n // (m * m)
+        if (q + 1) % (d * m):
+            continue
+        a = (q + 1) // (d * m)
+        if a >= 1 and _gcd(a, m) == 1:
+            return (d, m, a)
+    return None
+
+
 class TestTSingularity:
     def test_witness_4_1(self):
         w = is_t_singularity(Singularity(4, 1))
@@ -191,6 +208,25 @@ class TestTSingularity:
             if witness is not None:
                 assert witness.d * witness.m**2 == n
                 assert witness.d * witness.m * witness.a - 1 == q
+
+    def test_closed_form_matches_search(self):
+        for n, q in coprime_pairs(300):
+            witness = is_t_singularity(Singularity(n, q))
+            assert (None if witness is None else tuple(witness)) == t_witness_search(n, q)
+
+    def test_families_give_back_their_witness(self):
+        # (d*m^2, d*m*a - 1) with gcd(a, m) = 1 and q < n forces a <= m,
+        # a = m only for m = 1; the witness is unique, so it is (d, m, a)
+        from math import gcd as _gcd
+
+        for d in range(1, 31):
+            for m in range(1, 31):
+                for a in range(1, m + 1):
+                    if _gcd(a, m) != 1 or d * m * a < 2:
+                        continue
+                    n, q = d * m * m, d * m * a - 1
+                    assert tuple(is_t_singularity(Singularity(n, q))) == (d, m, a)
+                    assert t_witness_search(n, q) == (d, m, a)
 
 
 class TestIsomorphism:

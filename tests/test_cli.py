@@ -403,11 +403,23 @@ class TestSizes:
         assert all(json.loads(out)["checks"].values())
         assert rss < 120
 
+    def test_t_witness_of_a_huge_pair_fast(self, tmp_path):
+        # consecutive Fibonacci numbers: both chains are short, and the
+        # witness is one gcd, not a search over sqrt(n) ~ 10^9 values
+        argv = ["resolve", "1100087778366101931", "679891637638612258", "--format", "json"]
+        code, out, _, seconds, _ = self.measured(argv, tmp_path)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["t_singularity"] is None
+        assert (payload["e"], payload["r"]) == (45, 44)
+        assert seconds < 5
+
     @pytest.mark.parametrize(
         "argv, reason",
         [
             (["verify", "32768", "32767"], "polyring exponents"),
             (["gfan", "32768", "32767"], "polyring exponents"),
+            (["gfan", "1000000007", "1000000006"], "polyring exponents"),
             (["verify", "1000", "1"], "versal ceiling"),
             (["deform", "1000", "1"], "versal ceiling"),
             (["deform", "65533", "65531"], "versal ceiling of 2048"),
@@ -416,6 +428,7 @@ class TestSizes:
         ids=[
             "verify-32768-32767",
             "gfan-32768-32767",
+            "gfan-1000000007-1000000006",
             "verify-1000-1",
             "deform-1000-1",
             "deform-65533-65531",

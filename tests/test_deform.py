@@ -63,7 +63,7 @@ class TestVersalFamily:
 
     def test_m2(self):
         fam = hypersurface_presentation(Singularity(2, 1))
-        assert fam.m == 2
+        assert fam.equation.table.names == ("z1", "z2", "z3", "c0")
         assert fam.parameters == ("c0",)
         assert fam.equation.terms[(1, 0, 1, 0)] == 1
         assert fam.equation.terms[(0, 2, 0, 0)] == -1
@@ -82,12 +82,12 @@ class TestVersalFamily:
     def test_shape_sweep(self):
         for n in range(2, 12):
             fam = hypersurface_presentation(Singularity(n, n - 1))
-            assert fam.m == n
+            assert fam.equation.terms[(0, n, 0) + (0,) * (n - 1)] == -1  # z2^n
             assert fam.parameters == tuple(f"c{k}" for k in range(n - 1))
-            assert fam.table.names == ("z1", "z2", "z3") + fam.parameters
+            assert fam.equation.table.names == ("z1", "z2", "z3") + fam.parameters
             assert not any(e[1] == n - 1 for e in fam.equation.terms)
             # oracle: the same family summed term by term
-            table = fam.table
+            table = fam.equation.table
             rhs = table.var("z2", n)
             for k in range(n - 1):
                 rhs = rhs + table.var(f"c{k}") * table.var("z2", k)
@@ -187,7 +187,7 @@ def full_product(v, i, j):
 class TestVersalPresentation:
     def test_variables_11_4(self):
         v = deformation_variables(Singularity(11, 4))
-        assert v.e == 6
+        assert len(v.z_names) == 6
         assert v.parameter_names == (
             "s2(1)", "s3(1)", "s3(2)", "s4(1)", "s5(1)", "t3", "t4",
         )
@@ -305,14 +305,14 @@ class TestVersalPresentation:
         # (n, 1) has e = n + 1: the last pair under the ceiling builds its
         # variables, the first over it is refused before any of them
         v = deformation_variables(Singularity(MAX_VERSAL_E - 1, 1))
-        assert v.e == MAX_VERSAL_E
+        assert len(v.z_names) == MAX_VERSAL_E
         with pytest.raises(InputError, match="versal ceiling"):
             deformation_variables(Singularity(MAX_VERSAL_E, 1))
 
     def test_parameter_ceiling(self):
         # (n, n - 2), n odd, has e = 4 and (n + 1)/2 parameters
         v = deformation_variables(Singularity(4095, 4093))
-        assert v.e == 4
+        assert len(v.z_names) == 4
         assert len(v.parameter_names) == MAX_VERSAL_PARAMETERS == 2048
         with pytest.raises(InputError, match="2049 deformation parameters .* 2048"):
             deformation_variables(Singularity(4097, 4095))
@@ -352,7 +352,8 @@ class TestHypersurfaceRoute:
     def test_specializes_to_binomial(self):
         fam = hypersurface_presentation(Singularity(6, 5))
         at_zero = fam.equation.substitute({p: 0 for p in fam.parameters})
-        expected = fam.table.var("z1") * fam.table.var("z3") - fam.table.var("z2", 6)
+        table = fam.equation.table
+        expected = table.var("z1") * table.var("z3") - table.var("z2", 6)
         assert at_zero == expected
 
     def test_only_for_e3(self):

@@ -50,7 +50,7 @@ def test_fields_cannot_be_set(record):
 
 
 def _unsorted_fan():
-    return Fan2D(rays=(RationalRay((0, 2), 2), RationalRay((2, 0), 2)), den=2)
+    return Fan2D(rays=(RationalRay((0, 2)), RationalRay((2, 0))), den=2)
 
 
 @pytest.mark.parametrize(

@@ -119,9 +119,9 @@ class TestSelfIntersections:
 
         bad = Fan2D(
             rays=(
-                RationalRay((3, 0), 3),
-                RationalRay((2, 1), 3),
-                RationalRay((0, 3), 3),
+                RationalRay((3, 0)),
+                RationalRay((2, 1)),
+                RationalRay((0, 3)),
             ),
             den=3,
         )
@@ -192,7 +192,7 @@ class TestFanType:
     )
     def test_rays_must_be_sorted(self, rays):
         with pytest.raises(InputError):
-            Fan2D(rays=tuple(RationalRay(r, 2) for r in rays), den=2)
+            Fan2D(rays=tuple(RationalRay(r) for r in rays), den=2)
 
     def test_serialize(self):
         fan = resolution_fan(Singularity(2, 1))

@@ -1,12 +1,15 @@
 """The benchmark's span tracer (``perfbench/tracer.py``) over the package: a
-traced run prints what an untraced one does, and ``restore`` undoes every
-patch."""
+traced run prints what an untraced one does, ``restore`` undoes every
+patch, and the spans bound how often a request derives the expansions."""
 
+import collections
 import contextlib
 import importlib.util
 import io
 import sys
 from pathlib import Path
+
+import pytest
 
 from cqsing import cli, polyring
 
@@ -59,3 +62,26 @@ def test_traced_deform_prints_the_same_and_restores_every_binding():
     assert all(after[k] is v for k, v in before.items())
     names = {row[3] for row in tracer.spans()}
     assert {"cli.main", "deform.versal_presentation", "deform.specializes"} <= names
+
+
+@pytest.mark.parametrize(
+    "argv, most_hj_expand, identities",
+    [
+        (["resolve", "11", "7"], 2, 1),
+        (["deform", "11", "4"], 6, 0),
+        (["verify", "11", "7"], 20, 1),
+    ],
+    ids=["resolve-11-7", "deform-11-4", "verify-11-7"],
+)
+def test_derivations_per_request(argv, most_hj_expand, identities):
+    # the counts include the expansions that cfrac's helpers make internally
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        code, _ = stdout_of(argv + ["--format", "json"])
+    finally:
+        tracer.restore()
+    assert code == 0
+    counts = collections.Counter(row[3] for row in tracer.spans())
+    assert counts["cfrac.hj_expand"] <= most_hj_expand
+    assert counts["cfrac.identities"] == identities
