@@ -9,8 +9,10 @@ from .cfrac import (
     curve_count,
     dual_expand,
     embedding_dimension,
+    fraction,
     hj_evaluate,
     hj_expand,
+    hj_length,
     identities,
     ij_series,
     is_t_singularity,
@@ -24,8 +26,10 @@ __all__ = [
     "curve_count",
     "dual_expand",
     "embedding_dimension",
+    "fraction",
     "hj_evaluate",
     "hj_expand",
+    "hj_length",
     "identities",
     "ij_series",
     "is_t_singularity",

@@ -10,10 +10,18 @@ driven by the two expansions of a coprime pair 0 < q < n:
 
 The expansion is the all-minus one, b_1 - 1/(b_2 - 1/(...)), with every
 entry >= 2 (a single entry [n] for denominator 1).
+
+Each derivation from one pair is memoized on its ``Singularity`` by
+``per_pair``: the CLI builds one instance per request (and ``batch`` one per
+pair), so a derivation runs at most once per request and nothing carries
+from one request to the next.  The memoized values are shared by every
+reader, so each is immutable: a tuple, frozenset, read-only mapping or
+record.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -22,9 +30,12 @@ from .errors import ConsistencyError, InputError
 
 
 class Singularity(NamedTuple("Singularity", [("n", int), ("q", int)])):
-    """The plane quotient by the order-n diagonal action with weights (1, q)."""
+    """The plane quotient by the order-n diagonal action with weights (1, q).
 
-    __slots__ = ()
+    The instance dict is the ``per_pair`` memo and is written only there:
+    attributes can be neither set nor deleted.  Equality and hash are the
+    pair's, and ``_replace`` returns a new instance with an empty memo.
+    """
 
     def __new__(cls, n: int, q: int):
         if any(isinstance(v, bool) or not isinstance(v, int) for v in (n, q)):
@@ -37,6 +48,32 @@ class Singularity(NamedTuple("Singularity", [("n", int), ("q", int)])):
 
     # _replace builds through _make: validate there too
     _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r} on a Singularity")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} from a Singularity")
+
+    # a copy or an unpickled instance is rebuilt from (n, q), memo empty
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+def per_pair(derive):
+    """Memoize ``derive(s)`` on the instance ``s``: one derivation per
+    Singularity, that is, per request."""
+
+    @functools.wraps(derive)
+    def memo(s: Singularity):
+        cache = s.__dict__
+        try:
+            return cache[derive]
+        except KeyError:
+            value = cache[derive] = derive(s)
+            return value
+
+    return memo
 
 
 class ExponentSeries(NamedTuple):
@@ -58,7 +95,7 @@ class Identities(NamedTuple):
     e: int
     sum_b: int
     sum_a: int
-    fraction: tuple[int, ...]  # hj_expand(n, q)
+    fraction: tuple[int, ...]  # fraction(s)
     dual: tuple[int, ...]  # dual_expand(s)
 
 
@@ -90,19 +127,49 @@ def hj_expand(numerator: int, denominator: int) -> tuple[int, ...]:
     return tuple(entries)
 
 
+def hj_length(numerator: int, denominator: int) -> int:
+    """len(hj_expand(numerator, denominator)) in O(log numerator) steps.
+
+    An entry 2 maps (p, q) to (q, q - d) with d = p - q, so a run of 2s keeps
+    d fixed and lasts while d <= q: q // d entries, skipped by one division.
+    Between runs the steps are those of Euclid's algorithm.
+    """
+    length = 0
+    p, q = numerator, denominator
+    while q:
+        d = p - q
+        if d <= q:
+            length += q // d
+            q %= d
+            p = q + d
+        else:
+            length += 1
+            p, q = q, -(-p // q) * q - p
+    return length
+
+
 def hj_evaluate(entries) -> Fraction:
-    """Evaluate [b_1, ..., b_r] as b_1 - 1/(b_2 - 1/(...)), exactly."""
+    """Evaluate [b_1, ..., b_r] as b_1 - 1/(b_2 - 1/(...)), exactly: the
+    tail value num/den steps to b - den/num = (b*num - den)/num in integers,
+    and one Fraction is built at the end."""
     entries = tuple(entries)
     if not entries:
         raise InputError("empty continued fraction")
-    value = Fraction(entries[-1])
+    num, den = entries[-1], 1
     for b in reversed(entries[:-1]):
-        if value == 0:
+        if num == 0:
             raise InputError("continued fraction hits a zero tail")
-        value = b - 1 / value
-    return value
+        num, den = b * num - den, num
+    return Fraction(num, den)
 
 
+@per_pair
+def fraction(s: Singularity) -> tuple[int, ...]:
+    """The resolution chain [b_1, ..., b_r] of n/q."""
+    return hj_expand(s.n, s.q)
+
+
+@per_pair
 def dual_expand(s: Singularity) -> tuple[int, ...]:
     """The expansion [a_2, ..., a_{e-1}] of n/(n-q)."""
     return hj_expand(s.n, s.n - s.q)
@@ -110,7 +177,7 @@ def dual_expand(s: Singularity) -> tuple[int, ...]:
 
 def curve_count(s: Singularity) -> int:
     """Number r of exceptional curves in the minimal resolution."""
-    return len(hj_expand(s.n, s.q))
+    return len(fraction(s))
 
 
 def _series(s: Singularity, second: int, entries) -> ExponentSeries:
@@ -126,6 +193,7 @@ def _series(s: Singularity, second: int, entries) -> ExponentSeries:
     return ExponentSeries(tuple(i_vals), tuple(j_vals))
 
 
+@per_pair
 def ij_series(s: Singularity) -> ExponentSeries:
     """Exponent pairs of the minimal invariant monomial generators.
 
@@ -135,19 +203,20 @@ def ij_series(s: Singularity) -> ExponentSeries:
     return _series(s, s.n - s.q, dual_expand(s))
 
 
+@per_pair
 def unrefined_series(s: Singularity) -> ExponentSeries:
-    """The coarser r+2 pair series driven by hj_expand(n, q) directly.
+    """The coarser r+2 pair series driven by the chain ``fraction(s)``.
 
     Starts (n,0), (q,1) and need not give minimal generators; only the
     endpoints agree with ij_series.
     """
-    return _series(s, s.q, hj_expand(s.n, s.q))
+    return _series(s, s.q, fraction(s))
 
 
+@per_pair
 def identities(s: Singularity) -> Identities:
-    """Check and return the numerical identities tying the two expansions,
-    each expanded once."""
-    b = hj_expand(s.n, s.q)
+    """Check and return the numerical identities tying the two expansions."""
+    b = fraction(s)
     a = dual_expand(s)
     e = 3 + sum(bj - 2 for bj in b)
     if e != len(a) + 2:

@@ -238,8 +238,9 @@ def run_gfan(s: Singularity) -> Report:
 
 
 def run_deform(s: Singularity) -> Report:
+    e = deform.check_ceilings(s)
     dim = deform.dim_t1(s)
-    if cfrac.embedding_dimension(s) == 3:
+    if e == 3:
         family = deform.hypersurface_presentation(s)
         equation = poly_text(family.equation)
         payload = {
@@ -356,6 +357,8 @@ def run_reconstruct(s: Singularity) -> Report:
 def verify_checks(s: Singularity) -> dict[str, bool]:
     """Cross-oracle consistency suite for one input pair."""
     checks = {}
+    # the deform ceilings first, before either chain is expanded
+    e = deform.check_ceilings(s)
     ids = cfrac.identities(s)
     b = ids.fraction
     checks["fraction_round_trip"] = cfrac.hj_evaluate(b) == Fraction(s.n, s.q)
@@ -363,15 +366,15 @@ def verify_checks(s: Singularity) -> dict[str, bool]:
     checks["fraction_duality"] = (
         cfrac.hj_expand(s.n, q_inv) == tuple(reversed(b)) if q_inv != s.q else True
     )
-    # the deform branch first: versal_presentation refuses an e over its
-    # ceiling before anything of size e^2, the relations included, is built
-    pres = deform.versal_presentation(s) if ids.e >= 4 else None
+    # then the family: its parameter ceiling refuses before anything of
+    # size e^2, the binomial relations included, is built
+    family = deform.versal_relations(s) if e >= 4 else None
     relations = invariant_ring.defining_equations(s)
-    if pres is None:
+    if family is None:
         params = deform.hypersurface_presentation(s).parameters
     else:
-        params = pres.variables.parameter_names
-        checks["deform_specialization"] = deform.specializes(s, pres, relations)
+        params = family.variables.parameter_names
+        checks["deform_specialization"] = deform.specializes(s, family, relations)
     checks["deform_parameter_count"] = len(params) == deform.dim_t1(s)
     gens = invariant_ring.generators(s)
     checks["generator_count_is_e"] = len(gens) == ids.e

@@ -29,11 +29,15 @@ trunc factors, so the images of each factor are computed once,
     H_z(trunc(m, d)) = s_m^(d),           H_w(trunc(m, d)) = trunc(m, d) at
                                           z_m = -t_m (s_m^(d) if no t_m),
 
-and P, H_z(P) and H_w(P) are carried through one product loop, where an
+and the factors of P, their H_z images and their H_w images are three
+factor families, each multiplied out by the same running product, where an
 image that is 0 stays 0.  For fixed i, P_{i,j+1} has one more interior
 factor than P_ij and another last factor, so a running product of the first
 and interior factors grows by one factor as j steps up; the interior
-factors trunc(m, 0) = 1 are skipped.
+factors trunc(m, 0) = 1 are skipped.  ``versal_relations`` multiplies out
+the P family alone, which is all that ``verify`` reads;
+``versal_presentation`` adds the two image families, for the pairs with
+i >= 2, and the base ideal they give.
 
 The products run in code space: each factor and image is a dict from
 monomial code (see ``polyring``) to int coefficient, read off the table
@@ -58,21 +62,25 @@ family's factors.
 Two ceilings bound the family before any name or code is made: e <= 128
 (``MAX_VERSAL_E``) and at most 2048 parameters (``MAX_VERSAL_PARAMETERS``,
 the tangent dimension), since each parameter is one 16-bit field of every
-code.  Over either, ``deformation_variables`` raises ``InputError``.
+code.  Over either, ``deformation_variables`` raises ``InputError``.  The
+first is read by ``check_ceilings`` in O(log n), before either expansion.
 
 For e = 3 the singularity is the hypersurface z1 z3 = z2^n and the versal
-family is the one-equation deformation by a degree-(n-2) polynomial in z2.
+family is the one-equation deformation by a degree-(n-2) polynomial in z2;
+its z2^n is over the polyring exponent ceiling from n = 32768 on, which
+``check_ceilings`` also refuses before any name is made.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import NamedTuple
 
-from .cfrac import Singularity, dual_expand, embedding_dimension
+from .cfrac import Singularity, dual_expand, hj_length, per_pair
 from .errors import ConsistencyError, InputError
 from .invariant_ring import _a_by_index, relation_polynomials
-from .polyring import Polynomial, VariableTable, _checked
+from .polyring import _LIMIT, _RANGE, Polynomial, VariableTable, _checked
 
 
 # The versal family's memory grows as e^3 (Theta(e^2) relations over Theta(e)
@@ -88,18 +96,28 @@ MAX_VERSAL_PARAMETERS = 2048
 
 
 class DeformationVariables(NamedTuple):
-    a_entries: dict[int, int]  # index t -> a_t, for 2 <= t <= e-1
+    a_entries: MappingProxyType[int, int]  # index t -> a_t, for 2 <= t <= e-1
     table: VariableTable
     z_names: tuple[str, ...]
-    s_names: dict[tuple[int, int], str]
-    t_names: dict[int, str]
+    s_names: MappingProxyType[tuple[int, int], str]
+    t_names: MappingProxyType[int, str]
 
     @property
     def parameter_names(self) -> tuple[str, ...]:
         return tuple(self.s_names.values()) + tuple(self.t_names.values())
 
 
+class VersalRelations(NamedTuple):
+    """The total space of the versal family (e >= 4)."""
+
+    variables: DeformationVariables
+    pairs: tuple[tuple[int, int], ...]
+    relations: tuple[Polynomial, ...]  # z_i w_j - P_ij, aligned with pairs
+
+
 class VersalPresentation(NamedTuple):
+    """``VersalRelations`` with the base ideal."""
+
     variables: DeformationVariables
     pairs: tuple[tuple[int, int], ...]
     relations: tuple[Polynomial, ...]  # z_i w_j - P_ij, aligned with pairs
@@ -114,6 +132,19 @@ class HypersurfaceFamily(NamedTuple):
     parameters: tuple[str, ...]
 
 
+def check_ceilings(s: Singularity) -> int:
+    """The embedding dimension e, read off the length of the dual expansion
+    without expanding it, after checking the ceilings of the families on it:
+    e <= 128 and, for e = 3, z2^n under the polyring exponent ceiling."""
+    e = hj_length(s.n, s.n - s.q) + 2
+    if e > MAX_VERSAL_E:
+        raise InputError(f"e = {e} is over the versal ceiling e <= {MAX_VERSAL_E}")
+    if e == 3 and s.n >= _LIMIT:
+        raise InputError(_RANGE)
+    return e
+
+
+@per_pair
 def dim_t1(s: Singularity) -> int:
     """Dimension of the space of first-order deformations.
 
@@ -141,18 +172,16 @@ def discriminant(h) -> Fraction:
 
 
 def deformation_variables(s: Singularity) -> DeformationVariables:
-    a_entries = _a_by_index(s)
-    e = len(a_entries) + 2
-    if e < 4:
+    if s.q == s.n - 1:  # e = 3: the dual expansion is [n]
         raise InputError("construction needs embedding dimension >= 4")
-    if e > MAX_VERSAL_E:
-        raise InputError(f"e = {e} is over the versal ceiling e <= {MAX_VERSAL_E}")
+    e = check_ceilings(s)
     count = dim_t1(s)
     if count > MAX_VERSAL_PARAMETERS:
         raise InputError(
             f"{count} deformation parameters are over the versal ceiling of "
             f"{MAX_VERSAL_PARAMETERS}"
         )
+    a_entries = _a_by_index(s)
     z_names = tuple(f"z{i}" for i in range(1, e + 1))
     s_names = {}
     for i in range(2, e):
@@ -166,21 +195,20 @@ def deformation_variables(s: Singularity) -> DeformationVariables:
         a_entries=a_entries,
         table=table,
         z_names=z_names,
-        s_names=s_names,
-        t_names=t_names,
+        s_names=MappingProxyType(s_names),
+        t_names=MappingProxyType(t_names),
     )
 
 
-def _trunc_with_images(v: DeformationVariables, m: int, d: int):
-    """trunc(m, d), d >= 1, with its images H_z and H_w, as code dicts."""
+def _trunc(v: DeformationVariables, m: int, d: int, var=None, sign=1) -> dict:
+    """trunc(m, d), d >= 1, at z_m = sign * x as a code dict, where var is
+    the code of x: the terms (sign * x)^(d-k) s_m^(k), k = 0..d, with
+    s_m^(0) = 1; var None puts z_m = 0, leaving s_m^(d)."""
     code = v.table._code
-    z = code(f"z{m}")
-    s = [0] + [code(v.s_names[(m, k)]) for k in range(1, d + 1)]  # s_m^(0) = 1
-    h_w = {s[d]: 1}
-    if m in v.t_names:  # trunc(m, d) at z_m = -t_m
-        t = code(v.t_names[m])
-        h_w = {(d - k) * t + s[k]: (-1) ** (d - k) for k in range(d + 1)}
-    return {(d - k) * z + s[k]: 1 for k in range(d + 1)}, {s[d]: 1}, h_w
+    if var is None:
+        return {code(v.s_names[(m, d)]): 1}
+    s = [0] + [code(v.s_names[(m, k)]) for k in range(1, d + 1)]
+    return {(d - k) * var + s[k]: sign ** (d - k) for k in range(d + 1)}
 
 
 def _product(f: dict, g: dict) -> dict:
@@ -191,37 +219,37 @@ def _product(f: dict, g: dict) -> dict:
     return res
 
 
-def _times(x, y):
-    """Product of two (P, H_z(P), H_w(P)) triples; a zero image stays {}."""
-    return tuple(map(_product, x, y))
+def _running_products(v: DeformationVariables, w: dict, trunc, first: int) -> dict:
+    """{(i, j): P_ij} over the pairs with i >= first, in one factor family:
+    w[j] is the family's w_j and trunc(m, d) its trunc(m, d), d >= 1."""
+    a, e = v.a_entries, len(v.z_names)
+    last = {m: trunc(m, a[m] - 1) for m in a}
+    inner = {m: trunc(m, a[m] - 2) for m in a if a[m] > 2}  # F(m) = w_m inner[m]
+    products = {}
+    for i in range(first, e - 1):
+        products[(i, i + 2)] = _product(w[i + 1], last[i + 1])
+        run = _product(w[i + 1], inner[i + 1]) if i + 1 in inner else last[i + 1]
+        for j in range(i + 3, e + 1):
+            products[(i, j)] = _product(run, last[j - 1])
+            if j - 1 in inner:  # z_{j-1} is interior from j + 1 on
+                run = _product(run, inner[j - 1])
+    return products
 
 
-def versal_presentation(s: Singularity) -> VersalPresentation:
-    """Base and total ideals of the versal family (e >= 4).
+@per_pair
+def versal_relations(s: Singularity) -> VersalRelations:
+    """The total-space relations z_i w_j - P_ij of the versal family (e >= 4).
 
     Pairs are listed adjacent ones first, then the rest lexicographically.
     """
     v = deformation_variables(s)
-    e, a, table = len(v.z_names), v.a_entries, v.table
+    e, table = len(v.z_names), v.table
     code = table._code
-    z = {j: {code(name): 1} for j, name in enumerate(v.z_names, start=1)}
-    w = {}
-    for j in z:
-        t = {code(v.t_names[j]): 1} if j in v.t_names else {}
-        w[j] = ({**z[j], **t}, t, {})
-    # trunc(m, a_m - 1) and, where it is not 1, trunc(m, a_m - 2), with images
-    last = {m: _trunc_with_images(v, m, a[m] - 1) for m in a}
-    inner = {m: _trunc_with_images(v, m, a[m] - 2) for m in a if a[m] > 2}
-    products = {}
-    for i in range(1, e - 1):
-        products[(i, i + 2)] = _times(w[i + 1], last[i + 1])
-        run = _times(w[i + 1], inner[i + 1]) if i + 1 in inner else last[i + 1]
-        if i == 1:  # the base ideal takes no images of the P_1j
-            run = (run[0], {}, {})
-        for j in range(i + 3, e + 1):
-            products[(i, j)] = _times(run, last[j - 1])
-            if j - 1 in inner:  # z_{j-1} is interior from j + 1 on
-                run = _times(run, inner[j - 1])
+    z = {j: code(name) for j, name in enumerate(v.z_names, start=1)}
+    w = {j: {z[j]: 1} for j in z}
+    for j, name in v.t_names.items():
+        w[j][code(name)] = 1
+    products = _running_products(v, w, lambda m, d: _trunc(v, m, d, z[m]), 1)
     adjacent = [(i, i + 2) for i in range(1, e - 1)]
     longer = [
         (i, j) for i in range(1, e - 1) for j in range(i + 3, e + 1)
@@ -230,27 +258,39 @@ def versal_presentation(s: Singularity) -> VersalPresentation:
     relations = []
     for i, j in pairs:
         # z_i divides no term of P_ij, so the two sides share no monomial
-        rel = _product(z[i], w[j][0])
-        rel.update({m: -c for m, c in products[(i, j)][0].items()})
+        rel = _product({z[i]: 1}, w[j])
+        rel.update({m: -c for m, c in products[(i, j)].items()})
         relations.append(_checked(table, rel))
+    return VersalRelations(variables=v, pairs=tuple(pairs), relations=tuple(relations))
+
+
+def versal_presentation(s: Singularity) -> VersalPresentation:
+    """Base and total ideals of the versal family (e >= 4): the relations of
+    ``versal_relations`` and the base ideal of their H_z and H_w images."""
+    family = versal_relations(s)
+    v = family.variables
+    code, z = v.table._code, range(1, len(v.z_names) + 1)
+    t = {j: code(name) for j, name in v.t_names.items()}
+    # H_z(w_j) = t_j (0 without one) and H_w(w_j) = 0 (module docstring)
+    w_z = {j: {t[j]: 1} if j in t else {} for j in z}
+    h_z = _running_products(v, w_z, lambda m, d: _trunc(v, m, d), 2)
+    w_w = dict.fromkeys(z, {})
+    h_w = _running_products(v, w_w, lambda m, d: _trunc(v, m, d, t.get(m), -1), 2)
     # keyed by the terms: the first of equal generators, in insertion order
     base = {}
-    for pair in sorted(products):
-        if pair[0] >= 2:
-            for h in products[pair][1:]:
-                if h:
-                    base.setdefault(frozenset(h.items()), h)
+    for pair in sorted(h_z):
+        for h in (h_z[pair], h_w[pair]):
+            if h:
+                base.setdefault(frozenset(h.items()), h)
     return VersalPresentation(
-        variables=v,
-        pairs=tuple(pairs),
-        relations=tuple(relations),
-        base_ideal=tuple(_checked(table, h) for h in base.values()),
+        *family, base_ideal=tuple(_checked(v.table, h) for h in base.values())
     )
 
 
 def hypersurface_presentation(s: Singularity) -> HypersurfaceFamily:
     """The e = 3 route: one deformed equation z1 z3 = z2^n + tail."""
-    if embedding_dimension(s) != 3:
+    # z2^n is packed last, so its exponent is checked before the n - 1 names
+    if check_ceilings(s) != 3:
         raise InputError("only for embedding dimension 3")
     n = s.n
     params = tuple(f"c{k}" for k in range(n - 1))
@@ -263,7 +303,7 @@ def hypersurface_presentation(s: Singularity) -> HypersurfaceFamily:
     return HypersurfaceFamily(equation=equation, parameters=params)
 
 
-def specialized_relations(pres: VersalPresentation) -> list[Polynomial]:
+def specialized_relations(pres: VersalRelations | VersalPresentation) -> list[Polynomial]:
     """The total-space relations at s = t = 0 (still over the big table):
     each relation's terms that share no bit with the parameter fields."""
     table = pres.variables.table
@@ -274,7 +314,9 @@ def specialized_relations(pres: VersalPresentation) -> list[Polynomial]:
     ]
 
 
-def specializes(s: Singularity, pres: VersalPresentation, relations) -> bool:
+def specializes(
+    s: Singularity, pres: VersalRelations | VersalPresentation, relations
+) -> bool:
     """Each relation of ``pres`` at s = t = 0 is the binomial relation of its
     own pair in ``relations`` (``defining_equations(s)`` in the reports), and
     there are as many of them."""

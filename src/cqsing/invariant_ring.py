@@ -8,9 +8,10 @@ and is verified by pure exponent arithmetic.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import NamedTuple
 
-from .cfrac import Singularity, dual_expand, ij_series
+from .cfrac import Singularity, dual_expand, ij_series, per_pair
 from .errors import ConsistencyError, InputError
 from .polyring import _LIMIT, _RANGE, Polynomial, VariableTable
 
@@ -42,19 +43,23 @@ def monomial_text(a: int, b: int) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def generators(s: Singularity) -> list[InvariantGenerator]:
+@per_pair
+def generators(s: Singularity) -> tuple[InvariantGenerator, ...]:
     series = ij_series(s)
-    return [
+    return tuple(
         InvariantGenerator(index=t, exponents=pair, name=f"z{t}")
         for t, pair in enumerate(series.pairs, start=1)
-    ]
+    )
 
 
-def _a_by_index(s: Singularity) -> dict[int, int]:
-    return {t: a for t, a in enumerate(dual_expand(s), start=2)}
+@per_pair
+def _a_by_index(s: Singularity) -> MappingProxyType:
+    """Read-only map t -> a_t, for 2 <= t <= e-1."""
+    return MappingProxyType(dict(enumerate(dual_expand(s), start=2)))
 
 
-def defining_equations(s: Singularity) -> list[BinomialRelation]:
+@per_pair
+def defining_equations(s: Singularity) -> tuple[BinomialRelation, ...]:
     """All (e-1)(e-2)/2 relations z_i z_j = p_ij, 1 <= i, i+2 <= j <= e.
 
     With a_t the dual-expansion entry at generator t, p_{i,i+2} is
@@ -74,7 +79,7 @@ def defining_equations(s: Singularity) -> list[BinomialRelation]:
             relations.append(BinomialRelation(left=(i, j), right=first + middle + last))
             if a[j - 1] > 2:  # z_{j-1} is interior from j + 1 on
                 middle += ((j - 1, a[j - 1] - 2),)
-    return relations
+    return tuple(relations)
 
 
 def verify_presentation(s: Singularity, relations) -> bool:

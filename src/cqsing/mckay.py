@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cfrac import Singularity, curve_count, ij_series, unrefined_series
+from .cfrac import Singularity, curve_count, ij_series, per_pair, unrefined_series
 from .errors import ConsistencyError
 
 
@@ -100,7 +100,8 @@ def g_basis(s: Singularity) -> list[tuple[int, int]]:
     return basis
 
 
-def special_reps(s: Singularity) -> set[int]:
+@per_pair
+def special_reps(s: Singularity) -> frozenset[int]:
     """Nontrivial classes k whose basis monomials of weight k are all pure
     powers (the L-shaped set); their count equals the curve count r.
 
@@ -108,10 +109,11 @@ def special_reps(s: Singularity) -> set[int]:
     unrefined exponent series.  The scan of ``g_basis`` is kept in the tests
     as an oracle for this formula.
     """
-    return set(unrefined_series(s).i_values[1:-1])
+    return frozenset(unrefined_series(s).i_values[1:-1])
 
 
-def g_clusters(s: Singularity) -> list[GCluster]:
+@per_pair
+def g_clusters(s: Singularity) -> tuple[GCluster, ...]:
     """All n-box diagrams whose weight map is a bijection onto Z/n, ordered
     by the exponent of the pure x-power generator (the width), ascending.
 
@@ -123,10 +125,10 @@ def g_clusters(s: Singularity) -> list[GCluster]:
     """
     series = unrefined_series(s)
     i, j = series.i_values, series.j_values
-    return [  # i_k decreases: widths ascend
+    return tuple(  # i_k decreases: widths ascend
         GCluster(i[k], j[k], i[k + 1], j[k + 1])
         for k in reversed(range(len(i) - 1))
-    ]
+    )
 
 
 def curve_rep_assignment(s: Singularity, clusters) -> list[tuple[int, int]]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cfrac import Singularity, dual_expand, hj_expand
+from .cfrac import Singularity, dual_expand, fraction, per_pair
 from .errors import InputError, UnsupportedError
 from .polyring import Polynomial, VariableTable
 
@@ -174,15 +174,16 @@ def quiver_from_fraction(fraction) -> ReconstructionQuiver:
     )
 
 
+@per_pair
 def reconstruction_quiver(s: Singularity) -> ReconstructionQuiver:
     """The quiver of a valid pair; a single exceptional curve (r = 1) has
     no reconstruction quiver, which is unsupported rather than bad input."""
-    fraction = hj_expand(s.n, s.q)
-    if len(fraction) < 2:
+    chain = fraction(s)
+    if len(chain) < 2:
         raise UnsupportedError(
             f"reconstruction needs r >= 2 exceptional curves; ({s.n}, {s.q}) has r = 1"
         )
-    return quiver_from_fraction(fraction)
+    return quiver_from_fraction(chain)
 
 
 def _in_second_group(rel: Relation, m: int) -> bool:

@@ -1,7 +1,25 @@
 from math import gcd
 
+from cqsing import cfrac, deform, invariant_ring, mckay, reconstruct
 from cqsing.gfan import _point_power
 from cqsing.invariant_ring import generators
+
+# every derivation that ``cfrac.per_pair`` memoizes on a Singularity
+MEMOIZED = (
+    cfrac.fraction,
+    cfrac.dual_expand,
+    cfrac.ij_series,
+    cfrac.unrefined_series,
+    cfrac.identities,
+    invariant_ring.generators,
+    invariant_ring._a_by_index,
+    invariant_ring.defining_equations,
+    mckay.g_clusters,
+    mckay.special_reps,
+    reconstruct.reconstruction_quiver,
+    deform.dim_t1,
+    deform.versal_relations,
+)
 
 
 def coprime_pairs(max_n, min_n=2):

@@ -10,6 +10,7 @@ from cqsing.cfrac import (
     embedding_dimension,
     hj_evaluate,
     hj_expand,
+    hj_length,
     identities,
     ij_series,
     is_t_singularity,
@@ -69,6 +70,68 @@ class TestExpand:
             hj_expand(3, 5)
         with pytest.raises(InputError):
             hj_expand(3, 0)
+
+
+def hj_evaluate_by_fractions(entries):
+    """The loop hj_evaluate replaced: one Fraction subtraction per entry."""
+    entries = tuple(entries)
+    if not entries:
+        raise InputError("empty continued fraction")
+    value = Fraction(entries[-1])
+    for b in reversed(entries[:-1]):
+        if value == 0:
+            raise InputError("continued fraction hits a zero tail")
+        value = b - 1 / value
+    return value
+
+
+def outcome(evaluate, entries):
+    try:
+        return evaluate(entries)
+    except InputError as exc:
+        return str(exc)
+
+
+class TestEvaluate:
+    def test_matches_fraction_loop_up_to_300(self):
+        for n, q in coprime_pairs(300):
+            entries = hj_expand(n, q)
+            assert hj_evaluate(entries) == hj_evaluate_by_fractions(entries) == Fraction(n, q)
+
+    def test_any_short_entries_match_fraction_loop(self):
+        # entries below 2, negative ones and zero tails included
+        values = range(-2, 4)
+        chains = [()] + [(a,) for a in values]
+        chains += [(a, b, c) for a in values for b in values for c in values]
+        chains += [(a, b, c, d) for a in values for b in values for c in (0, 1, 2) for d in (1, 2)]
+        for entries in chains:
+            expected = outcome(hj_evaluate_by_fractions, entries)
+            assert outcome(hj_evaluate, entries) == expected, entries
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ((), "empty continued fraction"),
+            ((3, 0), "continued fraction hits a zero tail"),
+            ((2, 1, 1), "continued fraction hits a zero tail"),
+            ((5, 2, 2, 1, 1), "continued fraction hits a zero tail"),
+        ],
+    )
+    def test_messages(self, entries, message):
+        with pytest.raises(InputError, match=message):
+            hj_evaluate(entries)
+
+
+class TestLength:
+    def test_matches_expansion_up_to_300(self):
+        for n, q in coprime_pairs(300):
+            assert hj_length(n, q) == len(hj_expand(n, q)), (n, q)
+
+    def test_long_runs_of_twos(self):
+        n = 10**9 + 7
+        assert hj_length(n, n - 1) == n - 1
+        assert hj_length(n, 1) == 1
+        assert hj_length(n, (n + 1) // 2) == 2  # n/((n+1)/2) = [2, (n+1)/2]
 
 
 class TestSingularity:

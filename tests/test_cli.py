@@ -424,6 +424,10 @@ class TestSizes:
             (["deform", "1000", "1"], "versal ceiling"),
             (["deform", "65533", "65531"], "versal ceiling of 2048"),
             (["verify", "16001", "15999"], "versal ceiling of 2048"),
+            (["deform", "1000000007", "1"], "versal ceiling"),
+            (["verify", "1000000007", "1"], "versal ceiling"),
+            (["verify", "1000000007", "1000000006"], "polyring exponents"),
+            (["deform", "1000000007", "1000000006"], "polyring exponents"),
         ],
         ids=[
             "verify-32768-32767",
@@ -433,6 +437,10 @@ class TestSizes:
             "deform-1000-1",
             "deform-65533-65531",
             "verify-16001-15999",
+            "deform-1000000007-1",
+            "verify-1000000007-1",
+            "verify-1000000007-1000000006",
+            "deform-1000000007-1000000006",
         ],
     )
     def test_over_a_ceiling_exits_2_fast(self, tmp_path, argv, reason):

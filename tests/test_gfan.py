@@ -439,7 +439,7 @@ class TestCertificate:
             ]
             with pytest.raises(ConsistencyError, match="does not vanish on the orbit"):
                 certify_basis_by_tuples(candidate, ideal, WeightedOrder(weights=cones[k].weight))
-            patched = clusters[:k] + [bad] + clusters[k + 1:]
+            patched = clusters[:k] + (bad,) + clusters[k + 1:]
             monkeypatch.setattr(gfan, "g_clusters", lambda s: patched)
             with pytest.raises(ConsistencyError, match="does not vanish on the orbit"):
                 groebner_fan(s)

@@ -97,7 +97,7 @@ class TestDefiningEquations:
             assert len(rels) == (e - 1) * (e - 2) // 2
             assert verify_presentation(s, rels)
             # the check reads the list it is given: z1*z3 = 1 fails
-            assert not verify_presentation(s, [rels[0]._replace(right=())] + rels[1:])
+            assert not verify_presentation(s, (rels[0]._replace(right=()),) + rels[1:])
 
     def test_relation_polynomials_text(self):
         s = Singularity(11, 7)

@@ -299,7 +299,7 @@ class TestClusters:
             s = Singularity(n, q)
             clusters = g_clusters(s)
             for k, bad in corrupted(s, clusters):
-                candidate = clusters[:k] + [bad] + clusters[k + 1:]
+                candidate = clusters[:k] + (bad,) + clusters[k + 1:]
                 verdict = cluster_weight_check(s, candidate)
                 assert verdict == cluster_weight_check_by_box(s, candidate), (
                     n, q, bad,

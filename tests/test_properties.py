@@ -1,5 +1,6 @@
 """Property checks over drawn coprime pairs: the identities of the two
-expansions, their q^-1 duality, and the closed-form class-T witness."""
+expansions, their q^-1 duality, the expansion length read without
+expanding, and the closed-form class-T witness."""
 
 from math import gcd
 
@@ -12,6 +13,7 @@ from cqsing.cfrac import (  # noqa: E402
     Singularity,
     embedding_dimension,
     hj_expand,
+    hj_length,
     identities,
     is_t_singularity,
 )
@@ -55,6 +57,13 @@ def test_identities_carry_the_expansions(s):
 @hypothesis.given(coprime_pairs())
 def test_inverse_reverses_the_expansion(s):
     assert hj_expand(s.n, pow(s.q, -1, s.n)) == hj_expand(s.n, s.q)[::-1]
+
+
+@settings
+@hypothesis.given(coprime_pairs(max_n=10**6))
+def test_length_of_both_expansions(s):
+    assert hj_length(s.n, s.q) == len(hj_expand(s.n, s.q))
+    assert hj_length(s.n, s.n - s.q) == len(hj_expand(s.n, s.n - s.q))
 
 
 @settings

@@ -1,6 +1,7 @@
 """The benchmark's span tracer (``perfbench/tracer.py``) over the package: a
 traced run prints what an untraced one does, ``restore`` undoes every
-patch, and the spans bound how often a request derives the expansions."""
+patch, and the spans bound how often a request derives the expansions: each
+memoized derivation runs at most once per request, and afresh in the next."""
 
 import collections
 import contextlib
@@ -12,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from cqsing import cli, polyring
+
+from conftest import MEMOIZED
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 ARGV = ["deform", "11", "4", "--format", "json"]
@@ -64,24 +67,54 @@ def test_traced_deform_prints_the_same_and_restores_every_binding():
     assert {"cli.main", "deform.versal_presentation", "deform.specializes"} <= names
 
 
-@pytest.mark.parametrize(
-    "argv, most_hj_expand, identities",
-    [
-        (["resolve", "11", "7"], 2, 1),
-        (["deform", "11", "4"], 6, 0),
-        (["verify", "11", "7"], 20, 1),
-    ],
-    ids=["resolve-11-7", "deform-11-4", "verify-11-7"],
-)
-def test_derivations_per_request(argv, most_hj_expand, identities):
-    # the counts include the expansions that cfrac's helpers make internally
+def traced_request(argv):
+    """Run argv once under the tracer; its span counts, and the calls of
+    each memoized derivation's undecorated function (read through
+    ``__wrapped__``), counted by a profile hook on their code objects since
+    the tracer's spans count memo hits too."""
+    codes = {fn.__wrapped__.__code__: fn.__name__ for fn in MEMOIZED}
+    derived = collections.Counter()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            derived[codes[frame.f_code]] += 1
+
     tracer = load_tracer().Tracer()
     tracer.install()
+    previous = sys.getprofile()
+    sys.setprofile(hook)
     try:
         code, _ = stdout_of(argv + ["--format", "json"])
     finally:
+        sys.setprofile(previous)
         tracer.restore()
     assert code == 0
-    counts = collections.Counter(row[3] for row in tracer.spans())
+    return collections.Counter(row[3] for row in tracer.spans()), derived
+
+
+@pytest.mark.parametrize(
+    "argv, most_hj_expand, identities, versal_presentation",
+    [
+        (["resolve", "11", "7"], 2, 1, 0),
+        (["deform", "11", "4"], 1, 0, 1),
+        # the two chains and the q^-1 duality check
+        (["verify", "11", "7"], 3, 1, 0),
+    ],
+    ids=["resolve-11-7", "deform-11-4", "verify-11-7"],
+)
+def test_derivations_per_request(argv, most_hj_expand, identities, versal_presentation):
+    counts, derived = traced_request(argv)
     assert counts["cfrac.hj_expand"] <= most_hj_expand
     assert counts["cfrac.identities"] == identities
+    assert counts["deform.versal_presentation"] == versal_presentation
+    assert derived and max(derived.values()) == 1, derived
+
+
+def test_nothing_carries_across_requests():
+    # the memo lives on the request's own Singularity: a second request on
+    # the same pair derives everything again
+    first = traced_request(["verify", "11", "7"])
+    second = traced_request(["verify", "11", "7"])
+    assert first[0]["cfrac.hj_expand"] == second[0]["cfrac.hj_expand"] == 3
+    assert first[1] == second[1]
+    assert set(second[1]) == {fn.__name__ for fn in MEMOIZED}
