@@ -131,7 +131,7 @@ def run_toric(s: Singularity) -> Report:
     fan_data = fan.serialize()
     checks = with_reference(
         {
-            "round_trip": selfint == cfrac.hj_expand(s.n, s.q),
+            "round_trip": selfint == cfrac.fraction(s),
             "hilbert_matches_generators": [tuple(p) for p in basis]
             == [g.exponents for g in gens],
         },

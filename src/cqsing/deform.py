@@ -320,7 +320,7 @@ def specializes(
     """Each relation of ``pres`` at s = t = 0 is the binomial relation of its
     own pair in ``relations`` (``defining_equations(s)`` in the reports), and
     there are as many of them."""
-    _, expected = relation_polynomials(s, relations, pres.variables.table)
+    expected = relation_polynomials(s, relations, pres.variables.table)
     by_pair = {rel.left: poly for rel, poly in zip(relations, expected)}
     got = specialized_relations(pres)
     return len(got) == len(expected) and dict(zip(pres.pairs, got)) == by_pair

@@ -19,10 +19,11 @@ and the L-shape, a fundamental domain of it, carries each residue once.
 Each generator m comes paired with its partner m', the box of the same
 weight, read off the corners: x^{i_k} with y^{j_k}, the step corner
 x^{i_k - i_{k+1}} y^{j_{k+1} - j_k} with 1, and y^{j_{k+1}} with
-x^{i_{k+1}}.  The candidate basis of cone k is {x^m - (p^m / p^m') x^m'},
-p the orbit point, and a weight w lies inside the cone iff the integer
-margins w.(m - m') are all positive, so a weight picks its cone before any
-polynomial is built.  A partner of another weight fails step 1 below.
+x^{i_{k+1}}.  The orbit is that of the point (1, 1), so the candidate
+basis of cone k is {x^m - x^m'}, and a weight w lies inside the cone iff
+the integer margins w.(m - m') are all positive, so a weight picks its cone
+before any polynomial is built.  A partner of another weight fails step 1
+below.
 Each x^m is packed straight into its code of the ("x", "y") table (x^a y^b
 is a in the field at bit 16 and b in the field at bit 0, a + b above them),
 under polyring's exponent ceiling, with no exponent tuple in between.
@@ -37,14 +38,14 @@ checked at run time: every inequality is >= 0 on it and one is 0.
 A candidate is certified before it is used, by a check linear in its
 terms that runs no division:
 
-1. Every element vanishes on the whole orbit of p.  The orbit is the set of
-   points (z p0, z^q p1) with z^n = 1, so f = sum c x^a y^b vanishes on it
-   iff, for every residue r mod n, the sum of c p0^a p1^b over the terms
-   with a + q*b = r (mod n) is 0.  The terms are decoded, by shift and
-   mask, from the codes of the emitted polynomial, not taken from the pairs
+1. Every element vanishes on the whole orbit of (1, 1).  The orbit is the
+   set of points (z, z^q) with z^n = 1, so f = sum c x^a y^b vanishes on it
+   iff, for every residue r mod n, the coefficients c of the terms with
+   a + q*b = r (mod n) sum to 0.  The terms are decoded, by shift and mask,
+   from the codes of the emitted polynomial, not taken from the pairs
    (m, m') that built it.  So the ideal J the candidate generates lies in
    the orbit ideal I, which has colength n: G acts freely on the torus, so
-   the orbit of p has n distinct points, and I is their ideal.
+   the orbit of (1, 1) has n distinct points, and I is their ideal.
 2. The leading terms under w leave exactly n standard monomials (the
    cluster boxes).  The initial ideal of J contains them, so J has
    colength at most n.
@@ -76,7 +77,6 @@ from .polyring import (
     VariableTable,
     WeightedOrder,
     _code_key,
-    _exact,
     _lead,
 )
 from .toric import Fan2D, RationalRay, primitive
@@ -87,20 +87,8 @@ class BoundaryWeightError(Exception):
     cone boundary and cannot name a single cone."""
 
 
-def _point_power(point, d):
-    """p0^d0 * p1^d1 exactly for integer d of any sign: an int whenever it
-    is integral (int ** negative would be a float)."""
-    num = den = 1
-    for p, e in zip(point, d):
-        u, v = (p.numerator, p.denominator) if e >= 0 else (p.denominator, p.numerator)
-        num *= u ** abs(e)
-        den *= v ** abs(e)
-    return num if den == 1 else _exact(Fraction(num, den))
-
-
 class OrbitIdeal(NamedTuple):
     singularity: Singularity
-    point: tuple[Fraction, Fraction]
     table: VariableTable
 
 
@@ -115,16 +103,10 @@ class GroebnerCone(NamedTuple):
     upper_ray: tuple[int, int]  # primitive, toward the y-axis
 
 
-def orbit_ideal(s: Singularity, point=(1, 1)) -> OrbitIdeal:
-    """Generated by f_t(x, y) - f_t(point) over the invariant generators.
-
-    Both coordinates must be nonzero so every generator is a monomial
-    minus a nonzero constant.
-    """
-    p = (Fraction(point[0]), Fraction(point[1]))
-    if p[0] == 0 or p[1] == 0:
-        raise InputError("base point must have nonzero coordinates")
-    return OrbitIdeal(singularity=s, point=p, table=VariableTable(["x", "y"]))
+def orbit_ideal(s: Singularity) -> OrbitIdeal:
+    """The ideal of the orbit of (1, 1), generated by f_t(x, y) - 1 over the
+    invariant generators f_t."""
+    return OrbitIdeal(singularity=s, table=VariableTable(["x", "y"]))
 
 
 def _standard_count(leads):
@@ -163,18 +145,11 @@ def certify_basis(basis, ideal: OrbitIdeal, order: WeightedOrder) -> None:
         leads.append((m >> _BITS & _MASK, m & _MASK))
     if _standard_count(leads) != n:
         raise ConsistencyError(f"candidate basis does not have {n} standard monomials")
-    # p0^a p1^b scaled by the positive v0^(top0 - a) v1^(top1 - b), p = u/v,
-    # so every sum stays in integers when the point is integral
-    (u0, v0), (u1, v1) = ((p.numerator, p.denominator) for p in ideal.point)
     for g in basis:
-        terms = [(m >> _BITS & _MASK, m & _MASK, c) for m, c in g._terms.items()]
-        top0 = max(a for a, _, _ in terms)
-        top1 = max(b for _, b, _ in terms)
         sums = {}
-        for a, b, c in terms:
-            r = (a + q * b) % n
-            value = u0**a * v0 ** (top0 - a) * u1**b * v1 ** (top1 - b)
-            sums[r] = sums.get(r, 0) + c * value
+        for m, c in g._terms.items():
+            r = ((m >> _BITS & _MASK) + q * (m & _MASK)) % n
+            sums[r] = sums.get(r, 0) + c
         if any(sums.values()):
             raise ConsistencyError(
                 "a candidate basis element does not vanish on the orbit"
@@ -195,12 +170,12 @@ def _margins(pairs, w):
 
 def _certified_cone(cluster, pairs, w, ideal: OrbitIdeal) -> GroebnerCone:
     """The cone of the cluster with (generator, partner) ``pairs`` whose
-    leading terms w already selects: the candidate {x^m - (p^m / p^m') x^m'},
+    leading terms w already selects: the candidate {x^m - x^m'},
     certified, and the rays read off the cluster's corners, checked against
     its inequalities.  Each x^m is packed straight into its code in
     ``ideal.table``, under the ceiling."""
     w0, w1 = w
-    table, point = ideal.table, ideal.point
+    table = ideal.table
     top = table._top
     rows = []
     for (a, b), (c, d) in pairs:
@@ -212,8 +187,7 @@ def _certified_cone(cluster, pairs, w, ideal: OrbitIdeal) -> GroebnerCone:
         rows.append((w0 * a + w1 * b, lead, tail, (a - c, b - d)))
     rows.sort()
     basis = tuple(
-        Polynomial._raw(table, {lead: 1, tail: -_point_power(point, diff)})
-        for _, lead, tail, diff in rows
+        Polynomial._raw(table, {lead: 1, tail: -1}) for _, lead, tail, _ in rows
     )
     order = WeightedOrder(weights=w)
     certify_basis(basis, ideal, order)
@@ -257,10 +231,10 @@ def cone_of_weight(ideal: OrbitIdeal, w) -> GroebnerCone:
     raise ConsistencyError(f"weight {w} lies in no cluster's cone")
 
 
-def groebner_fan(s: Singularity, point=(1, 1)):
+def groebner_fan(s: Singularity):
     """All maximal cones, swept from the x-axis to the y-axis, plus the fan
     of their boundary rays (scaled compatibly with the toric module)."""
-    ideal = orbit_ideal(s, point)
+    ideal = orbit_ideal(s)
     n = s.n
     if n >= _LIMIT:  # the cones at the two axes hold x^n and y^n
         raise InputError(_RANGE)

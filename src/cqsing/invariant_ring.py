@@ -100,15 +100,13 @@ def verify_presentation(s: Singularity, relations) -> bool:
     return True
 
 
-def relation_polynomials(s: Singularity, relations, table: VariableTable | None = None):
+def relation_polynomials(s: Singularity, relations, table: VariableTable):
     """The relations of the list (``defining_equations(s)`` in the reports) as
-    polynomials z_i z_j - p_ij over a z-variable table.  The code of each z_t
-    is made once; z_t^e is e times it, which stays in z_t's field only under
-    the exponent ceiling, so each e is checked against it."""
-    names = [g.name for g in generators(s)]
-    if table is None:
-        table = VariableTable(names)
-    z = [table._code(name) for name in names]
+    polynomials z_i z_j - p_ij over ``table``, which holds the z variables.
+    The code of each z_t is made once; z_t^e is e times it, which stays in
+    z_t's field only under the exponent ceiling, so each e is checked
+    against it."""
+    z = [table._code(g.name) for g in generators(s)]
     polys = []
     for rel in relations:
         i, j = rel.left
@@ -119,7 +117,7 @@ def relation_polynomials(s: Singularity, relations, table: VariableTable | None 
             right += e * z[t - 1]
         # z_i z_j never equals p_ij, whose indices lie strictly between
         polys.append(Polynomial._raw(table, {z[i - 1] + z[j - 1]: 1, right: -1}))
-    return table, polys
+    return polys
 
 
 def mckay_cycles(s: Singularity) -> list[tuple[int, ...]]:

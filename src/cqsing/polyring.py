@@ -370,17 +370,6 @@ def monic(f: Polynomial, order: WeightedOrder) -> Polynomial:
     return f * _quotient(1, c)
 
 
-def initial_form(f: Polynomial, weights) -> Polynomial:
-    """Sum of the terms of maximal weight dot-product."""
-    if not f:
-        raise InputError("zero polynomial has no initial form")
-    key = _code_key(weights, f.table)
-    if key is None:
-        return f
-    best = max(map(key, f._terms))[0]
-    return Polynomial._raw(f.table, {m: c for m, c in f._terms.items() if key(m)[0] == best})
-
-
 def normal_form(f: Polynomial, basis, order: WeightedOrder) -> Polynomial:
     """Remainder of f under division by basis; no remainder term is
     divisible by a basis leading term, and f - remainder lies in the ideal.

@@ -1,7 +1,6 @@
 from math import gcd
 
 from cqsing import cfrac, deform, invariant_ring, mckay, reconstruct
-from cqsing.gfan import _point_power
 from cqsing.invariant_ring import generators
 
 # every derivation that ``cfrac.per_pair`` memoizes on a Singularity
@@ -33,10 +32,10 @@ def coprime_pairs(max_n, min_n=2):
 
 
 def orbit_gens(ideal):
-    """f_t(x, y) - f_t(point) over the invariant generators: the generators
-    of the orbit ideal, for the Buchberger and division oracles (the cones
-    are certified without them)."""
+    """f_t(x, y) - 1 over the invariant generators: the generators of the
+    ideal of the orbit of (1, 1), for the Buchberger, division and sympy
+    oracles (the cones are certified without them)."""
     return tuple(
-        ideal.table.poly({a: 1, (0, 0): -_point_power(ideal.point, a)})
-        for a in (g.exponents for g in generators(ideal.singularity))
+        ideal.table.poly({g.exponents: 1, (0, 0): -1})
+        for g in generators(ideal.singularity)
     )

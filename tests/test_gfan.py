@@ -83,16 +83,11 @@ def certify_basis_by_tuples(basis, ideal, order):
     leads = [leading_term(g, order)[0] for g in basis]
     if gfan._standard_count(leads) != n:
         raise ConsistencyError(f"candidate basis does not have {n} standard monomials")
-    (u0, v0), (u1, v1) = ((p.numerator, p.denominator) for p in ideal.point)
     for g in basis:
-        terms = g.terms
-        top0 = max(a for a, _ in terms)
-        top1 = max(b for _, b in terms)
         sums = {}
-        for (a, b), c in terms.items():
+        for (a, b), c in g.terms.items():
             r = (a + q * b) % n
-            value = u0**a * v0 ** (top0 - a) * u1**b * v1 ** (top1 - b)
-            sums[r] = sums.get(r, 0) + c * value
+            sums[r] = sums.get(r, 0) + c
         if any(sums.values()):
             raise ConsistencyError(
                 "a candidate basis element does not vanish on the orbit"
@@ -171,14 +166,6 @@ class TestOrbitIdeal:
         assert [max(g.terms, key=sum) for g in orbit_gens(ideal)] == [
             (5, 0), (2, 1), (1, 3), (0, 5),
         ]
-
-    def test_general_point(self):
-        ideal = orbit_ideal(Singularity(2, 1), point=(2, Fraction(1, 3)))
-        assert term_map(orbit_gens(ideal)[0]) == {(2, 0): Fraction(1), (0, 0): Fraction(-4)}
-
-    def test_zero_coordinate_rejected(self):
-        with pytest.raises(InputError):
-            orbit_ideal(Singularity(2, 1), point=(1, 0))
 
 
 GOLDEN_BASES_11_7 = {
@@ -288,15 +275,12 @@ class TestConeOfWeight:
 
 class TestCertificate:
     def test_cone_bases_match_buchberger(self):
-        cases = [(Singularity(n, q), (1, 1)) for n, q in coprime_pairs(20)]
-        cases.append((Singularity(11, 7), (2, Fraction(1, 3))))
-        for s, point in cases:
-            ideal = orbit_ideal(s, point)
-            gens = orbit_gens(ideal)
-            _, cones = groebner_fan(s, point)
-            for cone in cones:
+        for n, q in coprime_pairs(20):
+            s = Singularity(n, q)
+            gens = orbit_gens(orbit_ideal(s))
+            for cone in groebner_fan(s)[1]:
                 oracle = buchberger(list(gens), WeightedOrder(weights=cone.weight))
-                assert list(cone.basis) == oracle, (s, point, cone.weight)
+                assert list(cone.basis) == oracle, (n, q, cone.weight)
 
     def test_altered_coefficient_rejected(self):
         ideal = orbit_ideal(Singularity(11, 7))
@@ -339,26 +323,22 @@ class TestCertificate:
             certify_by_division(smaller, gens, order, 12)
 
     def test_division_oracle_accepts_every_cone(self):
-        cases = [(Singularity(n, q), (1, 1)) for n, q in coprime_pairs(30)]
-        cases += [(Singularity(11, 7), (2, Fraction(1, 3))), (Singularity(11, 7), (2, 3))]
-        for s, point in cases:
-            ideal = orbit_ideal(s, point)
-            gens = orbit_gens(ideal)
-            for cone in groebner_fan(s, point)[1]:
+        for n, q in coprime_pairs(30):
+            s = Singularity(n, q)
+            gens = orbit_gens(orbit_ideal(s))
+            for cone in groebner_fan(s)[1]:
                 order = WeightedOrder(weights=cone.weight)
                 certify_by_division(cone.basis, gens, order, s.n)
 
     def test_mutations_rejected_by_both_certificates(self):
-        cases = [(Singularity(11, 7), (1, 1), sorted(GOLDEN_BASES_11_7))]
-        for n, q in coprime_pairs(9):
-            for point in [(1, 1), (2, Fraction(1, 3))]:
-                cases.append((Singularity(n, q), point, None))
+        cases = [(Singularity(11, 7), sorted(GOLDEN_BASES_11_7))]
+        cases += [(Singularity(n, q), None) for n, q in coprime_pairs(9)]
         rejected = dict.fromkeys(["colength", "drop", "double", "swap"], 0)
-        for s, point, weights in cases:
-            ideal = orbit_ideal(s, point)
+        for s, weights in cases:
+            ideal = orbit_ideal(s)
             gens = orbit_gens(ideal)
             if weights is None:
-                weights = [c.weight for c in groebner_fan(s, point)[1]]
+                weights = [c.weight for c in groebner_fan(s)[1]]
             for w in weights:
                 basis = cone_of_weight(ideal, w).basis
                 order = WeightedOrder(weights=w)
@@ -375,34 +355,29 @@ class TestCertificate:
         assert min(rejected.values()) > 0, rejected
 
     def test_tuple_oracle_accepts_every_cone(self):
-        # every cone of n <= 60 at (1, 1), and of n <= 15 at three other
-        # points; groebner_fan has run certify_basis on each already
-        cases = [(Singularity(n, q), (1, 1)) for n, q in coprime_pairs(60)]
-        for point in [(2, 3), (2, Fraction(1, 3)), (-1, 3)]:
-            cases += [(Singularity(n, q), point) for n, q in coprime_pairs(15)]
+        # every cone of n <= 60; groebner_fan has run certify_basis on each
+        # already
         count = 0
-        for s, point in cases:
-            ideal = orbit_ideal(s, point)
-            for cone in groebner_fan(s, point)[1]:
+        for n, q in coprime_pairs(60):
+            s = Singularity(n, q)
+            ideal = orbit_ideal(s)
+            for cone in groebner_fan(s)[1]:
                 order = WeightedOrder(weights=cone.weight)
                 certify_basis(cone.basis, ideal, order)
                 certify_basis_by_tuples(cone.basis, ideal, order)
                 count += 1
-        assert count == 8951 + 3 * 333
+        assert count == 8951
 
     def test_coefficients_are_exact(self):
-        # int ** negative is a float; every coefficient is p^(m - m') exactly
-        for point in [(1, 1), (2, 3), (2, Fraction(1, 3)), (-1, 3)]:
-            p0, p1 = (Fraction(c) for c in point)
-            for n, q in coprime_pairs(15):
-                for cone in groebner_fan(Singularity(n, q), point)[1]:
-                    order = WeightedOrder(weights=cone.weight)
-                    for g in cone.basis:
-                        assert all(type(c) in (int, Fraction) for c in g.terms.values())
-                        m, one = leading_term(g, order)
-                        (t, c), = [(t, c) for t, c in g.terms.items() if t != m]
-                        assert one == 1
-                        assert -c == p0 ** (m[0] - t[0]) * p1 ** (m[1] - t[1])
+        # every element is the binomial x^m - x^m', with int coefficients
+        for n, q in coprime_pairs(15):
+            for cone in groebner_fan(Singularity(n, q))[1]:
+                order = WeightedOrder(weights=cone.weight)
+                for g in cone.basis:
+                    m, one = leading_term(g, order)
+                    (c,) = [c for t, c in g.terms.items() if t != m]
+                    assert type(one) is int and one == 1
+                    assert type(c) is int and c == -1
 
     def test_no_reduction_runs(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -433,7 +408,6 @@ class TestCertificate:
             bad = SimpleNamespace(
                 ideal=cluster.ideal, partners=((0, 0),) + cluster.partners[1:]
             )
-            # at the point (1, 1) every coefficient p^(m - m') is 1
             candidate = [
                 ideal.table.poly({m: 1, t: -1}) for m, t in zip(bad.ideal, bad.partners)
             ]
@@ -443,6 +417,52 @@ class TestCertificate:
             monkeypatch.setattr(gfan, "g_clusters", lambda s: patched)
             with pytest.raises(ConsistencyError, match="does not vanish on the orbit"):
                 groebner_fan(s)
+
+
+def sympy_groebner(polys):
+    """sympy's reduced grevlex basis of the ideal ``polys`` generate, and
+    the exponent tuples of its leading terms: an oracle with no code in
+    common with ``polyring``."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    exprs = [
+        sympy.Add(*[c * x**a * y**b for (a, b), c in g.terms.items()]) for g in polys
+    ]
+    basis = sympy.groebner(exprs, x, y, order="grevlex")
+    leads = [sympy.Poly(g, x, y).monoms(order="grevlex")[0] for g in basis.exprs]
+    return basis, leads
+
+
+class TestSympyOracle:
+    def test_every_cone_generates_the_orbit_ideal(self):
+        # J = I by sympy alone: the cone basis and the orbit generators have
+        # the same reduced grevlex basis, whose staircase has n boxes, and
+        # the cone's own leads leave n boxes, so they generate in_w(I)
+        count = 0
+        for n, q in coprime_pairs(20):
+            s = Singularity(n, q)
+            orbit, leads = sympy_groebner(orbit_gens(orbit_ideal(s)))
+            assert standard_count_by_columns(leads) == n, (n, q)
+            for cone in groebner_fan(s)[1]:
+                assert sympy_groebner(cone.basis)[0] == orbit, (n, q, cone.weight)
+                order = WeightedOrder(weights=cone.weight)
+                cone_leads = [leading_term(g, order)[0] for g in cone.basis]
+                assert standard_count_by_columns(cone_leads) == n, (n, q, cone.weight)
+                count += 1
+        assert count == 670
+
+    def test_doubled_tail_changes_the_ideal(self):
+        s = Singularity(11, 7)
+        ideal = orbit_ideal(s)
+        orbit, _ = sympy_groebner(orbit_gens(ideal))
+        caught = 0
+        for cone in groebner_fan(s)[1]:
+            order = WeightedOrder(weights=cone.weight)
+            for label, altered, _ in mutations(ideal, cone.basis, order):
+                if label.startswith("double"):
+                    assert sympy_groebner(altered)[0] != orbit, (cone.weight, label)
+                    caught += 1
+        assert caught == 13
 
 
 class TestConeRays:
@@ -522,13 +542,6 @@ class TestGroebnerFan:
             s = Singularity(n, q)
             fan, _ = groebner_fan(s)
             assert fans_equal(fan, resolution_fan(s)), (n, q)
-
-    def test_base_point_does_not_move_rays(self):
-        for n, q in [(11, 7), (5, 2), (7, 4)]:
-            s = Singularity(n, q)
-            fan_default, _ = groebner_fan(s)
-            fan_other, _ = groebner_fan(s, point=(2, 3))
-            assert fans_equal(fan_default, fan_other)
 
     def test_exponent_past_the_ceiling_rejected(self):
         # the first cone holds x^n; from 2**16 on, x^n would carry out of its

@@ -6,7 +6,7 @@ from cqsing.invariant_ring import (
     relation_polynomials,
     verify_presentation,
 )
-from cqsing.polyring import poly_text
+from cqsing.polyring import VariableTable, poly_text
 
 from conftest import coprime_pairs
 
@@ -101,7 +101,8 @@ class TestDefiningEquations:
 
     def test_relation_polynomials_text(self):
         s = Singularity(11, 7)
-        table, polys = relation_polynomials(s, defining_equations(s))
+        table = VariableTable([g.name for g in generators(s)])
+        polys = relation_polynomials(s, defining_equations(s), table)
         assert poly_text(polys[0]) == "-z2^3 + z1*z3"
         z = {name: table.var(name) for name in table.names}
         assert polys[0] == z["z1"] * z["z3"] - z["z2"] ** 3

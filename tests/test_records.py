@@ -27,8 +27,10 @@ from conftest import MEMOIZED
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # nor the test-only sympy and hypothesis: the package is stdlib-only
     src = Path(cqsing.__file__).resolve().parent.parent
-    code = "import sys, cqsing.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    banned = "{'dataclasses', 'inspect', 'sympy', 'hypothesis'}"
+    code = f"import sys, cqsing.cli; print(sorted({banned} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
