@@ -394,10 +394,10 @@ def verify_checks(s: Singularity) -> dict[str, bool]:
         checks["curve_assignment"] = False
     gfan_fan, _ = gfan.groebner_fan(s)
     checks["groebner_fan_matches_toric"] = gfan.fans_equal(gfan_fan, fan)
-    cycles = invariant_ring.mckay_cycles(s)
+    # a walk of i x-steps (+1) and j y-steps (+q) from residue 0 has i + j
+    # arrows and ends at i + q*j (mod n): it closes iff x^i y^j is invariant
     checks["cycle_lengths"] = all(
-        len(c) - 1 == g.exponents[0] + g.exponents[1]
-        for c, g in zip(cycles, gens)
+        (i + s.q * j) % s.n == 0 for i, j in (g.exponents for g in gens)
     )
     quiver = reconstruct.reconstruction_quiver(s) if len(b) >= 2 else None
     if quiver is not None and quiver.relations is not None:

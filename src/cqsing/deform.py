@@ -73,7 +73,6 @@ its z2^n is over the polyring exponent ceiling from n = 32768 on, which
 
 from __future__ import annotations
 
-from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -157,18 +156,6 @@ def dim_t1(s: Singularity) -> int:
     if e == 3:
         return s.n - 1
     return sum(a - 1 for a in dual) + (e - 4)
-
-
-def discriminant(h) -> Fraction:
-    """prod_{i<j} (h_i - h_j)^2; zero exactly when a value repeats."""
-    values = [Fraction(x) for x in h]
-    if sum(values) != 0:
-        raise InputError("root values must sum to zero")
-    result = Fraction(1)
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            result *= (values[i] - values[j]) ** 2
-    return result
 
 
 def deformation_variables(s: Singularity) -> DeformationVariables:

@@ -12,7 +12,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .cfrac import Singularity, dual_expand, ij_series, per_pair
-from .errors import ConsistencyError, InputError
+from .errors import InputError
 from .polyring import _LIMIT, _RANGE, Polynomial, VariableTable
 
 
@@ -119,30 +119,3 @@ def relation_polynomials(s: Singularity, relations, table: VariableTable):
         polys.append(Polynomial._raw(table, {z[i - 1] + z[j - 1]: 1, right: -1}))
     return polys
 
-
-def mckay_cycles(s: Singularity) -> list[tuple[int, ...]]:
-    """One vertex cycle per generator in the quiver on residues mod n with
-    steps +1 (an x-arrow) and +q (a y-arrow).
-
-    The generator x^{i_t} y^{j_t} uses i_t x-steps and j_t y-steps; among
-    the valid interleavings we emit the lexicographically smallest vertex
-    sequence.  Each cycle starts and ends at 0 and has i_t + j_t arrows.
-    """
-    n, q = s.n, s.q
-    cycles = []
-    for gen in generators(s):
-        a, b = gen.exponents
-        seq = [0]
-        cur = 0
-        while a or b:
-            nxt_x = (cur + 1) % n
-            nxt_y = (cur + q) % n
-            if a and (not b or nxt_x <= nxt_y):
-                cur, a = nxt_x, a - 1
-            else:
-                cur, b = nxt_y, b - 1
-            seq.append(cur)
-        if seq[-1] != 0:
-            raise ConsistencyError(f"cycle for {gen.name} does not close")
-        cycles.append(tuple(seq))
-    return cycles

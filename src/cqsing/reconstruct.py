@@ -1,6 +1,6 @@
-"""Resolution-shaped quiver with its relations, the quasideterminantal
-presentation of the simultaneous-resolution component, and the deformed
-relations with their parameter base.
+"""Resolution-shaped quiver with its relations, the deformed relations with
+their parameter base, and the generalized minors of the len(dual) x dual[0]
+antidiagonal symbol layout (``quasidet_presentation``).
 
 The quiver on vertices b_0..b_r (b_0 the framing vertex) carries a doubled
 cycle (arrows a: i -> i+1 and c: i -> i-1, indices mod r+1) plus b_i - 2
@@ -23,6 +23,7 @@ expansion: each group carries one zero-sum constraint.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 from .cfrac import Singularity, dual_expand, fraction, per_pair
@@ -230,45 +231,39 @@ def deformed_relations(s: Singularity) -> DeformedRelations:
     )
 
 
-def _symbol(i, j):
-    return f"z{i}_{j}"
-
-
 def quasidet_presentation(s: Singularity) -> QuasidetPresentation:
-    """Symbol matrix with (rows, columns) = (dual length, first dual entry),
-    filled along antidiagonals, plus all generalized-minor relations
-    top_i * bottom_j - bottom_i * middles_i..j-1 * top_j for column pairs."""
+    """The generalized minors of the len(dual) x dual[0] symbol matrix filled
+    along antidiagonals: cell (r, c) holds z{i}_{j} with i = r + c and
+    j = r - max(0, i - (cols - 1)), and each column pair c1 < c2 gives
+    top_c1 * bottom_c2 - bottom_c1 * middles_c1..c2-1 * top_c2."""
     dual = dual_expand(s)
     if len(dual) < 2:
         raise UnsupportedError(
             "single-entry dual expansion: the matrix layout degenerates"
         )
     rows, cols = len(dual), dual[0]
-    matrix = []
-    for r in range(rows):
-        row = []
-        for c in range(cols):
-            i = r + c
-            j = r - max(0, i - (cols - 1))
-            row.append(_symbol(i, j))
-        matrix.append(tuple(row))
-    matrix = tuple(matrix)
-    names = sorted(
-        {name for row in matrix for name in row},
-        key=lambda t: tuple(int(x) for x in t[1:].split("_")),
-    )
-    table = VariableTable(names)
+    cells = [
+        [(r + c, r - max(0, r + c - (cols - 1))) for c in range(cols)]
+        for r in range(rows)
+    ]
+    matrix = tuple(tuple(f"z{i}_{j}" for i, j in row) for row in cells)
+    table = VariableTable(f"z{i}_{j}" for i, j in sorted(chain.from_iterable(cells)))
+    codes = [[table._code(name) for name in row] for row in matrix]
+    top, bottom = codes[0], codes[-1]
+    # the rows strictly between top and bottom, summed per column
+    inner = [sum(codes[r][c] for r in range(1, rows - 1)) for c in range(cols)]
+    # cell (r, c) is (i, r) while i < cols and (i, cols - 1 - c) past that,
+    # so the cells are pairwise distinct: every exponent is 1, no guard bit
+    # can be set, and the lead (two cells) never equals the tail (two other
+    # cells, or more than two)
     relations = []
     for c1 in range(cols):
+        middle = 0
         for c2 in range(c1 + 1, cols):
-            middle = table.one()
-            for c in range(c1, c2):
-                for r in range(1, rows - 1):
-                    middle = middle * table.var(matrix[r][c])
-            relations.append(
-                table.var(matrix[0][c1]) * table.var(matrix[rows - 1][c2])
-                - table.var(matrix[rows - 1][c1]) * middle * table.var(matrix[0][c2])
-            )
+            middle += inner[c2 - 1]
+            lead = top[c1] + bottom[c2]
+            tail = bottom[c1] + middle + top[c2]
+            relations.append(Polynomial._raw(table, {lead: 1, tail: -1}))
     return QuasidetPresentation(
         dual_fraction=dual,
         matrix=matrix,

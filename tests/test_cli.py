@@ -491,6 +491,41 @@ class TestBatch:
         assert payload["pairs"] == len(coprime_pairs(8))
 
 
+class TestFailingCycleCheck:
+    """A generator whose walk does not close fails the ``cycle_lengths``
+    check by name: verify exits 3 and batch lists the pair and the check."""
+
+    @pytest.fixture
+    def shifted_5_2(self, monkeypatch):
+        real = cli.invariant_ring.generators
+
+        def generators(s):
+            gens = real(s)
+            if (s.n, s.q) != (5, 2):
+                return gens
+            i, j = gens[1].exponents
+            return gens[:1] + (gens[1]._replace(exponents=(i + 1, j)),) + gens[2:]
+
+        monkeypatch.setattr(cli.invariant_ring, "generators", generators)
+
+    def test_verify_exits_3(self, capsys, shifted_5_2):
+        code, out, err = run(capsys, ["verify", "5", "2", "--format", "json"])
+        assert code == 3
+        assert out == ""
+        prefix = "error: verification failed: "
+        assert err.startswith(prefix)
+        assert json.loads(err[len(prefix):])["cycle_lengths"] is False
+
+    def test_batch_names_the_pair_and_check(self, capsys, shifted_5_2):
+        code, out, err = run(capsys, ["batch", "--max-n", "5", "--format", "json"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+        violations = json.loads(err[len("error: "):])["violations"]
+        assert {"n": 5, "q": 2, "check": "cycle_lengths"} in violations
+        assert {(v["n"], v["q"]) for v in violations} == {(5, 2)}
+
+
 class TestOutputFile:
     def test_writes_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

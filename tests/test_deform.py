@@ -7,7 +7,6 @@ from cqsing.deform import (
     _product,
     deformation_variables,
     dim_t1,
-    discriminant,
     hypersurface_presentation,
     specialized_relations,
     specializes,
@@ -92,22 +91,6 @@ class TestVersalFamily:
             for k in range(n - 1):
                 rhs = rhs + table.var(f"c{k}") * table.var("z2", k)
             assert fam.equation == table.var("z1") * table.var("z3") - rhs
-
-
-class TestDiscriminant:
-    def test_two_points(self):
-        assert discriminant([1, -1]) == 4
-
-    def test_repeated_roots(self):
-        assert discriminant([0, 0, 0]) == 0
-        assert discriminant([2, -1, -1]) == 0
-
-    def test_distinct(self):
-        assert discriminant([1, 0, -1]) == 4
-
-    def test_nonzero_sum_rejected(self):
-        with pytest.raises(InputError):
-            discriminant([1, 1])
 
 
 def golden_relations_11_4(v):

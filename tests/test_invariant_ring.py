@@ -1,8 +1,8 @@
+from cqsing import cli
 from cqsing.cfrac import Singularity, embedding_dimension
 from cqsing.invariant_ring import (
     defining_equations,
     generators,
-    mckay_cycles,
     relation_polynomials,
     verify_presentation,
 )
@@ -108,21 +108,42 @@ class TestDefiningEquations:
         assert polys[0] == z["z1"] * z["z3"] - z["z2"] ** 3
 
 
+def mckay_walks(s, gens):
+    """Oracle for the ``cycle_lengths`` check of ``verify``: for each
+    generator x^i y^j a walk from residue 0 in the quiver on residues mod n
+    with steps +1 (an x-arrow) and +q (a y-arrow), i x-steps and j y-steps,
+    the smaller next residue first.  It closes iff it ends at 0 again."""
+    n, q = s.n, s.q
+    walks = []
+    for gen in gens:
+        a, b = gen.exponents
+        seq = [0]
+        cur = 0
+        while a or b:
+            nxt_x = (cur + 1) % n
+            nxt_y = (cur + q) % n
+            if a and (not b or nxt_x <= nxt_y):
+                cur, a = nxt_x, a - 1
+            else:
+                cur, b = nxt_y, b - 1
+            seq.append(cur)
+        walks.append(tuple(seq))
+    return walks
+
+
+def shifted(gens, t, step):
+    """The generators with the t-th exponents moved by step."""
+    gen = gens[t]
+    moved = (gen.exponents[0] + step[0], gen.exponents[1] + step[1])
+    return gens[:t] + (gen._replace(exponents=moved),) + gens[t + 1 :]
+
+
 class TestCycles:
-    def test_11_7(self):
-        s = Singularity(11, 7)
-        cycles = mckay_cycles(s)
-        assert cycles[0] == tuple(range(11)) + (0,)  # pure x-power walk
-        assert cycles[1] == (0, 1, 2, 3, 4, 0)  # x^4*y, smallest interleaving
-
-    def test_chain_xy(self):
-        cycles = mckay_cycles(Singularity(6, 5))
-        assert cycles[1] == (0, 1, 0)
-
     def test_lengths_and_closure(self):
         for n, q in coprime_pairs(40):
             s = Singularity(n, q)
-            for cycle, gen in zip(mckay_cycles(s), generators(s)):
+            gens = generators(s)
+            for cycle, gen in zip(mckay_walks(s, gens), gens):
                 i, j = gen.exponents
                 assert len(cycle) == i + j + 1
                 assert cycle[0] == cycle[-1] == 0
@@ -130,19 +151,25 @@ class TestCycles:
                 for a, b in zip(cycle, cycle[1:]):
                     assert (b - a) % n in {1 % n, q % n}
 
-    def test_lexicographically_smallest(self):
-        # brute force over interleavings for a small case
-        from itertools import permutations
+    def test_check_is_true_exactly_where_every_walk_closes(self):
+        for n, q in coprime_pairs(40):
+            s = Singularity(n, q)
+            closes = all(w[-1] == 0 for w in mckay_walks(s, generators(s)))
+            assert closes
+            assert cli.verify_checks(s)["cycle_lengths"] is closes
 
-        s = Singularity(7, 3)
-        gen = generators(s)[1]  # x^4*y: i=4, j=1
-        i, j = gen.exponents
-        best = None
-        for pattern in set(permutations("x" * i + "y" * j)):
-            cur, seq = 0, [0]
-            for step in pattern:
-                cur = (cur + (1 if step == "x" else 3)) % 7
-                seq.append(cur)
-            if best is None or seq < best:
-                best = seq
-        assert mckay_cycles(s)[1] == tuple(best)
+    def test_check_follows_the_walks_off_the_generators(self, monkeypatch):
+        # (1, 0) moves a walk's end to residue 1; (n, 0) keeps it at 0
+        outcomes = set()
+        for n, q in coprime_pairs(9):
+            for step in ((1, 0), (0, 1), (n, 0), (0, n), (q, -1)):
+                s = Singularity(n, q)
+                gens = shifted(generators(s), len(generators(s)) // 2, step)
+                if min(min(g.exponents) for g in gens) < 0:
+                    continue
+                closes = all(w[-1] == 0 for w in mckay_walks(s, gens))
+                with monkeypatch.context() as m:
+                    m.setattr(cli.invariant_ring, "generators", lambda s, gens=gens: gens)
+                    assert cli.verify_checks(s)["cycle_lengths"] is closes, (n, q, step)
+                outcomes.add(closes)
+        assert outcomes == {True, False}

@@ -10,6 +10,7 @@ from cqsing.cfrac import (
 )
 from cqsing.deform import dim_t1
 from cqsing.errors import InputError, UnsupportedError
+from cqsing.polyring import VariableTable, poly_text
 from cqsing.reconstruct import (
     Arrow,
     DeformedRelations,
@@ -370,6 +371,46 @@ class TestQuasidet:
             assert assignment is not None
             assert all(a >= 0 and b >= 0 for a, b in assignment.values())
             _assert_relations_vanish(quasidet_presentation(s), assignment)
+
+    def test_matches_multiplication_oracle(self):
+        pairs = [(n, q) for n, q in coprime_pairs(40) if len(dual_expand(Singularity(n, q))) >= 2]
+        for n, q in pairs + [(100, 1)]:
+            s = Singularity(n, q)
+            pres = quasidet_presentation(s)
+            matrix, names, relations = quasidet_by_multiplication(s)
+            assert pres.matrix == matrix, (n, q)
+            assert pres.table.names == names, (n, q)
+            assert list(pres.relations) == relations, (n, q)
+            assert [poly_text(f) for f in pres.relations] == [poly_text(f) for f in relations]
+
+
+def quasidet_by_multiplication(s):
+    """Oracle for ``quasidet_presentation``: the symbols named first and
+    sorted by parsing their indices back, and each relation multiplied out
+    one variable at a time in ``Polynomial`` arithmetic."""
+    dual = dual_expand(s)
+    rows, cols = len(dual), dual[0]
+    matrix = tuple(
+        tuple(f"z{r + c}_{r - max(0, r + c - (cols - 1))}" for c in range(cols))
+        for r in range(rows)
+    )
+    names = sorted(
+        {name for row in matrix for name in row},
+        key=lambda t: tuple(int(x) for x in t[1:].split("_")),
+    )
+    table = VariableTable(names)
+    relations = []
+    for c1 in range(cols):
+        for c2 in range(c1 + 1, cols):
+            middle = table.one()
+            for c in range(c1, c2):
+                for r in range(1, rows - 1):
+                    middle = middle * table.var(matrix[r][c])
+            relations.append(
+                table.var(matrix[0][c1]) * table.var(matrix[rows - 1][c2])
+                - table.var(matrix[rows - 1][c1]) * middle * table.var(matrix[0][c2])
+            )
+    return matrix, table.names, relations
 
 
 def _assert_relations_vanish(pres, assignment):

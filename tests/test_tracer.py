@@ -118,3 +118,23 @@ def test_nothing_carries_across_requests():
     assert first[0]["cfrac.hj_expand"] == second[0]["cfrac.hj_expand"] == 3
     assert first[1] == second[1]
     assert set(second[1]) == {fn.__name__ for fn in MEMOIZED}
+
+
+@pytest.mark.parametrize("pair", [(11, 7), (11, 4), (13, 5), (20, 1), (20, 19), (29, 8)])
+def test_no_polynomial_arithmetic_at_run_time(pair):
+    # every binomial is packed from monomial codes: of the polyring layer a
+    # request calls only the renderer
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    codes = {}
+    try:
+        for command in cli.COMMANDS:
+            argv = [command, *map(str, pair), "--format", "json"]
+            codes[command] = stdout_of(argv)[0]
+    finally:
+        tracer.restore()
+    # artin on a one-entry dual and reconstruct at r = 1 are unsupported
+    assert set(codes.values()) <= {0, 4}, codes
+    names = {row[3] for row in tracer.spans()}
+    assert {"cli.main", "polyring.poly_text"} <= names
+    assert {name for name in names if name.startswith("polyring.")} == {"polyring.poly_text"}
