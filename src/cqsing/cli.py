@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import NamedTuple
@@ -106,7 +106,7 @@ def run_invariants(s: Singularity) -> Report:
     payload = {
         "generators": generators,
         "equations": [
-            {"left": list(rel.left), "right": [list(p) for p in rel.right], "text": eq}
+            {"left": rel.left, "right": rel.right, "text": eq}
             for rel, eq in zip(eqs, equations)
         ],
         "checks": with_reference(
@@ -241,16 +241,16 @@ def run_deform(s: Singularity) -> Report:
     e = deform.check_ceilings(s)
     dim = deform.dim_t1(s)
     if e == 3:
-        family = deform.hypersurface_presentation(s)
-        equation = poly_text(family.equation)
+        parameters = [f"c{k}" for k in range(s.n - 1)]
+        equation = deform.hypersurface_text(s.n)
         payload = {
             "deformation": {
                 "dim_t1": dim,
                 "kind": "hypersurface",
-                "parameters": list(family.parameters),
+                "parameters": parameters,
                 "equation": equation,
             },
-            "checks": {"parameter_count": len(family.parameters) == dim},
+            "checks": {"parameter_count": len(parameters) == dim},
         }
         return Report(payload, [f"dim T1 = {dim}", f"family: {equation} = 0"])
     pres = deform.versal_presentation(s)
@@ -370,12 +370,12 @@ def verify_checks(s: Singularity) -> dict[str, bool]:
     # size e^2, the binomial relations included, is built
     family = deform.versal_relations(s) if e >= 4 else None
     relations = invariant_ring.defining_equations(s)
-    if family is None:
-        params = deform.hypersurface_presentation(s).parameters
+    if family is None:  # e = 3: the hypersurface family's parameters are c_0..c_{n-2}
+        parameter_count = s.n - 1
     else:
-        params = family.variables.parameter_names
+        parameter_count = len(family.variables.parameter_names)
         checks["deform_specialization"] = deform.specializes(s, family, relations)
-    checks["deform_parameter_count"] = len(params) == deform.dim_t1(s)
+    checks["deform_parameter_count"] = parameter_count == deform.dim_t1(s)
     gens = invariant_ring.generators(s)
     checks["generator_count_is_e"] = len(gens) == ids.e
     checks["presentation"] = invariant_ring.verify_presentation(s, relations)
@@ -485,71 +485,141 @@ _SCALAR_TEXT = {
     bool: lambda v: "true" if v else "false",
     type(None): lambda v: "null",
 }
+_ARRAYS = frozenset((list, tuple))
 
 
-def _json_text(value, indent: str = "\n") -> str:
-    """The text of json.dumps(value, sort_keys=True, indent=2), for a value
-    at the nesting level whose line prefix is ``indent`` ("\\n" at the top).
+def _json_text(value) -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=2).
 
-    json.dumps with an indent runs the encoder's pure-Python generator; this
-    joins the same pieces with str.join.  A list of scalars renders in one
-    pass, and a list of equal-length rows of scalars (g_basis, heights,
-    ideals, pairs, quiver arrows) goes through one row template.  Only str,
-    int, bool, None, lists, tuples and dicts with str keys are accepted; a
-    record (a tuple subclass such as ``GCluster``) raises TypeError rather
-    than render as an array.
+    json.dumps with an indent runs the encoder's pure-Python generator,
+    value by value; ``_texts`` renders one nesting level at a time instead.
+    Only str, int, bool, None, lists, tuples and dicts with str keys are
+    accepted, and a tuple renders as an array; a record (a tuple subclass
+    such as ``GCluster``) raises TypeError rather than render as an array.
     """
+    return _text(value, "\n")
+
+
+def _text(value, indent: str) -> str:
+    """The JSON text of one value at the nesting level whose line prefix is
+    ``indent``: a scalar at once, anything else as a column of one."""
     render = _SCALAR_TEXT.get(type(value))
     if render is not None:
         return render(value)
-    inner = indent + "  "
+    if type(value) is dict:
+        return _record_texts([value], indent)[0]
+    if type(value) in _ARRAYS:
+        return _array_texts([value], indent)[0]
+    return _texts([value], indent)[0]
+
+
+def _texts(values, indent: str) -> list[str]:
+    """The JSON text of each of ``values``, a column of sibling values at
+    the nesting level whose line prefix is ``indent``.
+
+    A column of scalars is one map of their renderers, a column of arrays
+    goes to ``_array_texts`` and a column of dicts with one key set to
+    ``_record_texts``; anything else is rendered one value at a time.
+    """
+    kinds = set(map(type, values))
+    if kinds <= _SCALAR_TEXT.keys():
+        if len(kinds) == 1:
+            return list(map(_SCALAR_TEXT[kinds.pop()], values))
+        return [_SCALAR_TEXT[type(v)](v) for v in values]
+    if kinds <= _ARRAYS:
+        return _array_texts(values, indent)
+    if kinds == {dict} and len(set(map(frozenset, values))) == 1:
+        return _record_texts(values, indent)
+    if len(values) > 1:
+        return [_text(v, indent) for v in values]
+    # one value of a kind that the cases above do not take
+    (value,) = values
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # a key that is not a str makes encode_basestring_ascii raise TypeError
-        items = [
-            encode_basestring_ascii(k) + ": " + _json_text(v, inner)
-            for k, v in sorted(value.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if type(value) in (list, tuple):
-        if not value:
-            return "[]"
-        kinds = set(map(type, value))
-        if kinds <= _SCALAR_TEXT.keys():
-            items = [_SCALAR_TEXT[type(v)](v) for v in value]
-        else:
-            rows = _rows_text(value, indent) if kinds <= {list, tuple} else None
-            if rows is not None:
-                return rows
-            items = [_json_text(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+        return _record_texts(values, indent)
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return [encode_basestring_ascii(value)]
     if isinstance(value, int):
-        return int.__repr__(value)
+        return [int.__repr__(value)]
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _rows_text(rows, indent: str):
-    """``_json_text`` of a list of equal-length, nonempty rows of scalars,
-    filled into one template: %d cells from the ints themselves when all
-    are ints, else %s cells from their texts; None for any other list."""
-    width = len(rows[0])
-    if not width or set(map(len, rows)) != {width}:
-        return None
-    cells = tuple(chain.from_iterable(rows))
+def _array_texts(arrays, indent: str) -> list[str]:
+    """``_texts`` of a column of lists and tuples."""
+    parts, cells = _array_parts(arrays, indent)
+    if cells is None:
+        return parts
+    # One fill for the whole column, split apart at NULs, which no JSON text
+    # holds.  Each step drops the strings of the last, so that no more than
+    # two copies of the column's text are alive at once.
+    text = "\0".join(parts)
+    del parts
+    text %= cells
+    return text.split("\0")
+
+
+def _array_parts(arrays, indent: str):
+    """The texts of a column of arrays, as (texts, None), or as (templates,
+    cells) whose fill makes them.
+
+    The children of all the arrays form one column, rendered once and
+    regrouped per array; nested arrays regroup their children's templates,
+    so a tree of arrays is filled once, at its root.  Equal-length arrays
+    of leaves share one row template, where an int fills a %d cell itself
+    (no string is made per int) and any other leaf fills a %s cell with its
+    text.  Arrays of varying lengths are rendered one by one instead, as
+    one template per length would be as long, in all, as their text.
+    """
+    inner = indent + "  "
+    cells = tuple(chain.from_iterable(arrays))
     kinds = set(map(type, cells))
+    if kinds and kinds <= _ARRAYS:
+        children, cells = _array_parts(cells, inner)
+        if len(arrays) == 1:
+            return [_bracket(children, inner, indent)], cells
+        children = iter(children)
+        return [_bracket(list(islice(children, len(a))), inner, indent) for a in arrays], cells
+    if kinds != {int} and len(arrays) == 1:  # a join is all one array needs
+        return [_bracket(_texts(cells, inner), inner, indent)], None
+    lengths = set(map(len, arrays))
     if kinds == {int}:
+        if len(lengths) > 1:
+            return [_bracket(["%d"] * len(a), inner, indent) % tuple(a) for a in arrays], None
         cell = "%d"
-    elif kinds <= _SCALAR_TEXT.keys():
-        cell = "%s"
-        cells = tuple([_SCALAR_TEXT[type(v)](v) for v in cells])
+    elif len(lengths) > 1:
+        texts = iter(_texts(cells, inner))
+        return [_bracket(list(islice(texts, len(a))), inner, indent) for a in arrays], None
     else:
-        return None
-    inner, deeper = indent + "  ", indent + "    "
-    row = "[" + deeper + ("," + deeper).join([cell] * width) + inner + "]"
-    return ("[" + inner + ("," + inner).join([row] * len(rows)) + indent + "]") % cells
+        cell = "%s"
+        cells = tuple(_texts(cells, inner))
+    return [_bracket([cell] * lengths.pop(), inner, indent)] * len(arrays), cells
+
+
+def _bracket(items: list[str], inner: str, indent: str) -> str:
+    """The array of the texts (or templates) in ``items``, a list that it
+    reuses: the brackets go on its end items, so that a long array is
+    copied only by the join."""
+    if not items:
+        return "[]"
+    items[0] = "[" + inner + items[0]
+    items[-1] += indent + "]"
+    return ("," + inner).join(items)
+
+
+def _record_texts(records, indent: str) -> list[str]:
+    """``_texts`` of a column of dicts that share one key set: one column
+    per key, zipped through one record template."""
+    inner = indent + "  "
+    # a key that is not a str makes encode_basestring_ascii raise TypeError
+    keys = sorted(records[0])
+    if not keys:
+        return ["{}"] * len(records)
+    fields = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
+    template = "{" + inner + ("," + inner).join(fields) + indent + "}"
+    if len(records) == 1:  # one record: its values, one by one
+        (record,) = records
+        return [template % tuple([_text(record[k], inner) for k in keys])]
+    columns = [_texts([r[k] for r in records], inner) for k in keys]
+    return list(map(template.__mod__, zip(*columns)))
 
 
 def main(argv=None) -> int:

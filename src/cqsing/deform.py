@@ -68,7 +68,10 @@ first is read by ``check_ceilings`` in O(log n), before either expansion.
 For e = 3 the singularity is the hypersurface z1 z3 = z2^n and the versal
 family is the one-equation deformation by a degree-(n-2) polynomial in z2;
 its z2^n is over the polyring exponent ceiling from n = 32768 on, which
-``check_ceilings`` also refuses before any name is made.
+``check_ceilings`` also refuses before any name is made.  The reports
+write its text from the closed form (``hypersurface_text``) and count its
+n - 1 parameters; the packed family, n + 1 codes over n + 2 names, is the
+test oracle of that text.
 """
 
 from __future__ import annotations
@@ -274,8 +277,23 @@ def versal_presentation(s: Singularity) -> VersalPresentation:
     )
 
 
+def hypersurface_text(n: int) -> str:
+    """``poly_text`` of the e = 3 equation z1 z3 - z2^n - sum_k c_k z2^k
+    (k <= n - 2), written from its closed form without a table.
+
+    Its n + 1 terms go by descending degree: z2^n, then z2^k c_k of degree
+    k + 1 down to c_0, with z1 z3 first among those of degree 2 (before
+    z2^2 when n = 2, else before z2 c_1).
+    """
+    if n == 2:
+        return "z1*z3 - z2^2 - c0"
+    high = [f"z2^{n}"] + [f"z2^{k}*c{k}" for k in range(n - 2, 1, -1)]
+    return "-" + " - ".join(high) + " + z1*z3 - z2*c1 - c0"
+
+
 def hypersurface_presentation(s: Singularity) -> HypersurfaceFamily:
-    """The e = 3 route: one deformed equation z1 z3 = z2^n + tail."""
+    """The e = 3 family as a polynomial, one deformed equation z1 z3 = z2^n
+    + tail; the reports write it by ``hypersurface_text``."""
     # z2^n is packed last, so its exponent is checked before the n - 1 names
     if check_ceilings(s) != 3:
         raise InputError("only for embedding dimension 3")

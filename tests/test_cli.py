@@ -156,6 +156,57 @@ class TestJsonRenderer:
             "plain",
             None,
             True,
+            # columns: records that share keys and equal- or varying-length arrays
+            pytest.param(
+                [{"a": 1, "b": "x"}, {"b": "y", "a": 2}, {"a": 3, "b": "z"}],
+                id="same-key-records",
+            ),
+            pytest.param([{"a": 1}, {"b": 2}, {"a": 3}], id="mixed-key-records"),
+            pytest.param([{"a": 1}, {"a": 1, "b": [2]}, {"b": None}], id="growing-key-records"),
+            pytest.param(
+                [{"50%": 1, "%d": "%s", "%s%%": [3]}, {"50%": 4, "%d": "%", "%s%%": []}],
+                id="percent-keys-in-records",
+            ),
+            pytest.param({"%": "%d", "a%%b": {"%s": [1, "%"]}}, id="percent-keys-in-one-dict"),
+            pytest.param([{}, {}, {"a": 1}, {}], id="empty-dicts-among-records"),
+            pytest.param([{}, {}], id="empty-records"),
+            pytest.param(
+                [{"v": [1, 2]}, {"v": 3}, {"v": None}, {"v": "s"}, {"v": {"w": []}}],
+                id="record-values-mix-lists-and-scalars",
+            ),
+            pytest.param(
+                [{"v": [1, 2], "w": True}, {"v": [3], "w": False}, {"v": [], "w": None}],
+                id="record-values-lists-and-scalars-by-key",
+            ),
+            pytest.param([[1, 2, 3], [4, 5, 6], [7, 8, 9]], id="equal-length-int-arrays"),
+            pytest.param([[-(2**70), 0], [2**64, -1]], id="equal-length-big-ints"),
+            pytest.param([[[1, 2], [3, 4]], [[5, 6]], []], id="equal-length-nested-int-arrays"),
+            pytest.param([[1], [2, 3], [], [4, 5, 6], [7]], id="varying-length-int-arrays"),
+            pytest.param(
+                [[2**70], [1, -2], [[3]]],
+                id="varying-length-int-arrays-and-a-nested-one",
+            ),
+            pytest.param(
+                [{"h": [1]}, {"h": [2, 3]}, {"h": []}],
+                id="varying-length-int-arrays-in-records",
+            ),
+            pytest.param([[Level.LOW, 2], [3]], id="int-enum-in-int-arrays"),
+            pytest.param([[True, 1], [False, 0]], id="bools-in-equal-length-arrays"),
+            pytest.param(
+                [(1, "a"), (2, "b"), (3, None)],
+                id="equal-length-tuples-of-mixed-scalars",
+            ),
+            pytest.param(
+                [["%d", "%s"], ["\x00", "a%"], ["", "\u2603"]],
+                id="percent-and-nul-in-string-arrays",
+            ),
+            pytest.param([[{"a": 1}, {"a": 2}], [{"a": 3}], []], id="arrays-of-records"),
+            pytest.param(
+                [[{"a": [1, 2]}, {"a": [3]}], [{"b": "%d"}]],
+                id="arrays-of-records-with-arrays",
+            ),
+            pytest.param([[[{"x": 1}]], [[{"x": 2}, {"x": 3}]]], id="records-three-levels-down"),
+            pytest.param([[1, [2]], [3, [4, 5]]], id="arrays-mixing-ints-and-arrays"),
         ],
     )
     def test_matches_json_dumps(self, value):
@@ -164,7 +215,8 @@ class TestJsonRenderer:
     @pytest.mark.parametrize(
         "value",
         [1.5, [0.0], {"a": [[1, 2.5]]}, {1: 2}, {"a": 1, None: 2}, {(1, 2): 3},
-         [object()], {"a": {1, 2}}],
+         [object()], {"a": {1, 2}}, [[1, 2], [3, 4.5]], [[1], [2, 3.5]],
+         [{"a": 1}, {"a": 1.5}], [{"a": 1, 2: 3}, {"a": 1, 2: 4}], [[1], [2, {3}]]],
     )
     def test_rejects_what_it_does_not_render(self, value):
         with pytest.raises(TypeError):
@@ -174,7 +226,9 @@ class TestJsonRenderer:
         # a NamedTuple record is a tuple, but json.dumps would print it as
         # an array silently; its plain tuple still renders
         cluster = g_clusters(Singularity(11, 7))[1]
-        for value in ({"cluster": cluster}, [cluster], [[1, 2], cluster], cluster):
+        for value in ({"cluster": cluster}, [cluster], [[1, 2], cluster], cluster,
+                      [{"c": cluster}, {"c": cluster}], [[cluster, cluster]],
+                      [[1, 2], cluster, (3, 4)], [[(1, 2), cluster]]):
             with pytest.raises(TypeError, match="GCluster is not JSON serializable"):
                 cli._json_text(value)
         for value in ({"cluster": tuple(cluster)}, [tuple(cluster), (5, 6, 7, 8)]):
@@ -183,7 +237,9 @@ class TestJsonRenderer:
     @pytest.mark.parametrize(
         "argv",
         [["mckay", "30", "1"], ["hilb", "30", "11"], ["deform", "11", "2"],
-         ["invariants", "20", "3"], ["batch", "--max-n", "5"]],
+         ["invariants", "20", "3"], ["batch", "--max-n", "5"],
+         ["invariants", "28", "1"], ["hilb", "60", "59"], ["reconstruct", "60", "59"],
+         ["mckay", "60", "1"], ["deform", "21", "2"]],
     )
     def test_reports_match_json_dumps(self, capsys, argv):
         code, out, _ = run(capsys, argv + ["--format", "json"])
@@ -197,16 +253,32 @@ class TestJsonRenderer:
             st.none() | st.booleans() | st.integers() | st.integers(-3, 3)
             | st.text(max_size=8)
         )
-        rows = st.lists(st.lists(st.integers(), min_size=2, max_size=2), max_size=4)
+        rows = st.integers(0, 4).flatmap(
+            lambda width: st.lists(
+                st.lists(st.integers(), min_size=width, max_size=width), max_size=5
+            )
+        )
+        keys = st.lists(st.text(alphabet="ab%s\"\x00\u00e9", max_size=3), unique=True, max_size=4)
+
+        # st.dictionaries almost never draws two dicts with one key set:
+        # draw such columns of records on purpose
+        def records(inner):
+            return keys.flatmap(
+                lambda names: st.lists(
+                    st.fixed_dictionaries({k: inner for k in names}), max_size=5
+                )
+            )
+
         values = st.recursive(
             scalars | rows,
             lambda inner: st.lists(inner, max_size=4)
             | st.tuples(inner, inner)
-            | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-            max_leaves=20,
+            | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+            | records(inner),
+            max_leaves=30,
         )
 
-        @hypothesis.settings(max_examples=100, deadline=None, database=None)
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
         @hypothesis.given(values)
         def check(value):
             assert cli._json_text(value) == dumps(value)
@@ -402,6 +474,38 @@ class TestSizes:
         assert code == 0
         assert all(json.loads(out)["checks"].values())
         assert rss < 120
+
+    def test_verify_hypersurface_at_the_exponent_ceiling(self, tmp_path):
+        # e = 3: the n - 1 parameters are counted, not built as a family
+        code, out, _, _, _ = self.measured(
+            ["verify", "32767", "32766", "--format", "json"], tmp_path
+        )
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert checks["deform_parameter_count"] is True
+        assert all(checks.values())
+
+    def test_deform_hypersurface_at_the_exponent_ceiling(self, tmp_path):
+        # the equation is written from its closed form, with no table
+        code, out, _, seconds, rss = self.measured(
+            ["deform", "32767", "32766", "--format", "json"], tmp_path
+        )
+        assert code == 0
+        family = json.loads(out)["deformation"]
+        assert family["dim_t1"] == len(family["parameters"]) == 32766
+        assert family["equation"].startswith("-z2^32767 - z2^32765*c32765 - ")
+        assert family["equation"].endswith(" - z2^2*c2 + z1*z3 - z2*c1 - c0")
+        assert seconds < 5 and rss < 100
+
+    def test_hilb_long_chain_memory(self, tmp_path):
+        # 2000 clusters with 2,001,000 column heights in all, about 22.6 MB
+        # of JSON: the renderer makes no string per height
+        code, out, _, _, rss = self.measured(
+            ["hilb", "2000", "1999", "--format", "json"], tmp_path
+        )
+        assert code == 0
+        assert len(json.loads(out)["clusters"]) == 2000
+        assert rss < 130
 
     def test_t_witness_of_a_huge_pair_fast(self, tmp_path):
         # consecutive Fibonacci numbers: both chains are short, and the

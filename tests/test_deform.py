@@ -1,5 +1,6 @@
 import pytest
 
+from cqsing import cli, deform
 from cqsing.cfrac import Singularity, dual_expand, embedding_dimension
 from cqsing.deform import (
     MAX_VERSAL_E,
@@ -8,6 +9,7 @@ from cqsing.deform import (
     deformation_variables,
     dim_t1,
     hypersurface_presentation,
+    hypersurface_text,
     specialized_relations,
     specializes,
     versal_presentation,
@@ -16,6 +18,7 @@ from cqsing.errors import ConsistencyError, InputError
 from cqsing.invariant_ring import defining_equations
 from cqsing.polyring import (
     Polynomial,
+    poly_text,
     VariableTable,
     WeightedOrder,
     buchberger,
@@ -342,3 +345,20 @@ class TestHypersurfaceRoute:
     def test_only_for_e3(self):
         with pytest.raises(InputError):
             hypersurface_presentation(Singularity(11, 7))
+
+    def test_closed_form_text_matches_the_family(self):
+        # the polynomial family is the oracle of the text the reports print
+        for n in range(2, 301):
+            family = hypersurface_presentation(Singularity(n, n - 1))
+            assert hypersurface_text(n) == poly_text(family.equation)
+
+    def test_reports_do_not_build_the_family(self, monkeypatch):
+        def refuse(s):
+            raise AssertionError("the hypersurface family was built")
+
+        monkeypatch.setattr(deform, "hypersurface_presentation", refuse)
+        for n in (2, 3, 40):
+            assert cli.verify_checks(Singularity(n, n - 1))["deform_parameter_count"]
+            payload = cli.run_deform(Singularity(n, n - 1)).payload["deformation"]
+            assert payload["parameters"] == [f"c{k}" for k in range(n - 1)]
+            assert payload["equation"] == hypersurface_text(n)
