@@ -366,15 +366,16 @@ def verify_checks(s: Singularity) -> dict[str, bool]:
     checks["fraction_duality"] = (
         cfrac.hj_expand(s.n, q_inv) == tuple(reversed(b)) if q_inv != s.q else True
     )
-    # then the family: its parameter ceiling refuses before anything of
-    # size e^2, the binomial relations included, is built
-    family = deform.versal_relations(s) if e >= 4 else None
+    # then the family's variables: its parameter ceiling refuses before
+    # anything of size e^2, the binomial relations included, is built; the
+    # family itself never is, s = t = 0 is checked on its factor images
+    variables = deform.deformation_variables(s) if e >= 4 else None
     relations = invariant_ring.defining_equations(s)
-    if family is None:  # e = 3: the hypersurface family's parameters are c_0..c_{n-2}
+    if variables is None:  # e = 3: the hypersurface family's parameters are c_0..c_{n-2}
         parameter_count = s.n - 1
     else:
-        parameter_count = len(family.variables.parameter_names)
-        checks["deform_specialization"] = deform.specializes(s, family, relations)
+        parameter_count = len(variables.parameter_names)
+        checks["deform_specialization"] = deform.images_specialize(s, variables, relations)
     checks["deform_parameter_count"] = parameter_count == deform.dim_t1(s)
     gens = invariant_ring.generators(s)
     checks["generator_count_is_e"] = len(gens) == ids.e

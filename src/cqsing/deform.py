@@ -21,23 +21,26 @@ Construction data for e >= 4, with a_2..a_{e-1} the dual expansion:
   two evaluations H_z(P) (all z -> 0) and H_w(P) (z_j -> -t_j where w_j has
   a t, z -> 0 elsewhere), H_z first, dropping zeros and repeats.
 
-H_z and H_w only replace the z's, so each is a ring homomorphism: the image
-of a product is the product of the images.  Every P_ij is a product of w and
-trunc factors, so the images of each factor are computed once,
+H_z, H_w and S (s = t = 0) each send every variable to a polynomial, so
+each is a ring homomorphism: the image of a product is the product of the
+images.  Every P_ij is a product of w and trunc factors, so the images of
+each factor are computed once,
 
-    H_z(w_j) = t_j (0 if w_j has no t),   H_w(w_j) = 0,
-    H_z(trunc(m, d)) = s_m^(d),           H_w(trunc(m, d)) = trunc(m, d) at
-                                          z_m = -t_m (s_m^(d) if no t_m),
+    H_z(w_j) = t_j (0 if w_j has no t),   H_w(w_j) = 0,   S(w_j) = z_j,
+    H_z(trunc(m, d)) = s_m^(d),           S(trunc(m, d)) = z_m^d,
+    H_w(trunc(m, d)) = trunc(m, d) at z_m = -t_m (s_m^(d) if no t_m),
 
-and the factors of P, their H_z images and their H_w images are three
-factor families, each multiplied out by the same running product, where an
-image that is 0 stays 0.  For fixed i, P_{i,j+1} has one more interior
-factor than P_ij and another last factor, so a running product of the first
-and interior factors grows by one factor as j steps up; the interior
-factors trunc(m, 0) = 1 are skipped.  ``versal_relations`` multiplies out
-the P family alone, which is all that ``verify`` reads;
-``versal_presentation`` adds the two image families, for the pairs with
-i >= 2, and the base ideal they give.
+and the factors of P and their three image families are each multiplied
+out by the same running product, where an image that is 0 stays 0.  For
+fixed i, P_{i,j+1} has one more interior factor than P_ij and another last
+factor, so a running product of the first and interior factors grows by
+one factor as j steps up; the interior factors trunc(m, 0) = 1 are
+skipped.  ``versal_presentation`` multiplies out the P family, the
+relations that ``deform`` prints, and its H_z and H_w images, for the
+pairs with i >= 2, for the base ideal.  ``images_at_zero`` multiplies out
+the S images alone, over all pairs: every S image is one monomial, so
+S(P_ij) is one code, and ``verify`` checks s = t = 0 on these without
+building the family.
 
 The products run in code space: each factor and image is a dict from
 monomial code (see ``polyring``) to int coefficient, read off the table
@@ -52,12 +55,16 @@ len(f) * len(g) terms, so that a coincidence can never overwrite a term.
 z_i divides no term of P_ij, so the relation z_i w_j - P_ij is a dict merge.
 Each relation and base generator is range-checked once, as a Polynomial.
 
-The z's come first in the table, so the parameters fill its low fields, all
-below z_e's, and s = t = 0 is one mask: ``specialized_relations`` keeps the
-terms that share no bit with it.  ``specializes`` compares each with the
-binomial relation of its own pair, packed from the ``defining_equations``
-exponents by ``invariant_ring.relation_polynomials`` and never from the
-family's factors.
+s = t = 0 is checked one pair at a time: S(P_ij) must be the monomial p_ij
+of its own pair, packed from the ``defining_equations`` exponents by
+``invariant_ring.right_codes`` and never from the family's factors.
+``images_specialize``, which ``verify`` runs, reads S(P_ij) off
+``images_at_zero``.  ``specializes``, which ``deform`` runs, reads it off
+the printed relations: the z's come first in the table, so the parameters
+fill its low fields, all below z_e's, and S is one mask
+(``specialized_relations`` keeps the terms that share no bit with it);
+since S(z_i w_j) = z_i z_j, S(P_ij) = z_i z_j - S(z_i w_j - P_ij).  Both
+feed the same comparison.
 
 Two ceilings bound the family before any name or code is made: e <= 128
 (``MAX_VERSAL_E``) and at most 2048 parameters (``MAX_VERSAL_PARAMETERS``,
@@ -81,7 +88,7 @@ from typing import NamedTuple
 
 from .cfrac import Singularity, dual_expand, hj_length, per_pair
 from .errors import ConsistencyError, InputError
-from .invariant_ring import _a_by_index, relation_polynomials
+from .invariant_ring import _a_by_index, right_codes
 from .polyring import _LIMIT, _RANGE, Polynomial, VariableTable, _checked
 
 
@@ -109,16 +116,8 @@ class DeformationVariables(NamedTuple):
         return tuple(self.s_names.values()) + tuple(self.t_names.values())
 
 
-class VersalRelations(NamedTuple):
-    """The total space of the versal family (e >= 4)."""
-
-    variables: DeformationVariables
-    pairs: tuple[tuple[int, int], ...]
-    relations: tuple[Polynomial, ...]  # z_i w_j - P_ij, aligned with pairs
-
-
 class VersalPresentation(NamedTuple):
-    """``VersalRelations`` with the base ideal."""
+    """Base and total ideals of the versal family (e >= 4)."""
 
     variables: DeformationVariables
     pairs: tuple[tuple[int, int], ...]
@@ -226,19 +225,25 @@ def _running_products(v: DeformationVariables, w: dict, trunc, first: int) -> di
     return products
 
 
-@per_pair
-def versal_relations(s: Singularity) -> VersalRelations:
-    """The total-space relations z_i w_j - P_ij of the versal family (e >= 4).
+def _z_codes(v: DeformationVariables) -> dict[int, int]:
+    """j -> the code of z_j."""
+    code = v.table._code
+    return {j: code(name) for j, name in enumerate(v.z_names, start=1)}
+
+
+def versal_presentation(s: Singularity) -> VersalPresentation:
+    """Base and total ideals of the versal family (e >= 4): the relations
+    z_i w_j - P_ij and the base ideal of their H_z and H_w images.
 
     Pairs are listed adjacent ones first, then the rest lexicographically.
     """
     v = deformation_variables(s)
     e, table = len(v.z_names), v.table
-    code = table._code
-    z = {j: code(name) for j, name in enumerate(v.z_names, start=1)}
+    code, z = table._code, _z_codes(v)
+    t = {j: code(name) for j, name in v.t_names.items()}
     w = {j: {z[j]: 1} for j in z}
-    for j, name in v.t_names.items():
-        w[j][code(name)] = 1
+    for j, c in t.items():
+        w[j][c] = 1
     products = _running_products(v, w, lambda m, d: _trunc(v, m, d, z[m]), 1)
     adjacent = [(i, i + 2) for i in range(1, e - 1)]
     longer = [
@@ -251,16 +256,6 @@ def versal_relations(s: Singularity) -> VersalRelations:
         rel = _product({z[i]: 1}, w[j])
         rel.update({m: -c for m, c in products[(i, j)].items()})
         relations.append(_checked(table, rel))
-    return VersalRelations(variables=v, pairs=tuple(pairs), relations=tuple(relations))
-
-
-def versal_presentation(s: Singularity) -> VersalPresentation:
-    """Base and total ideals of the versal family (e >= 4): the relations of
-    ``versal_relations`` and the base ideal of their H_z and H_w images."""
-    family = versal_relations(s)
-    v = family.variables
-    code, z = v.table._code, range(1, len(v.z_names) + 1)
-    t = {j: code(name) for j, name in v.t_names.items()}
     # H_z(w_j) = t_j (0 without one) and H_w(w_j) = 0 (module docstring)
     w_z = {j: {t[j]: 1} if j in t else {} for j in z}
     h_z = _running_products(v, w_z, lambda m, d: _trunc(v, m, d), 2)
@@ -273,7 +268,10 @@ def versal_presentation(s: Singularity) -> VersalPresentation:
             if h:
                 base.setdefault(frozenset(h.items()), h)
     return VersalPresentation(
-        *family, base_ideal=tuple(_checked(v.table, h) for h in base.values())
+        variables=v,
+        pairs=tuple(pairs),
+        relations=tuple(relations),
+        base_ideal=tuple(_checked(table, h) for h in base.values()),
     )
 
 
@@ -308,7 +306,7 @@ def hypersurface_presentation(s: Singularity) -> HypersurfaceFamily:
     return HypersurfaceFamily(equation=equation, parameters=params)
 
 
-def specialized_relations(pres: VersalRelations | VersalPresentation) -> list[Polynomial]:
+def specialized_relations(pres: VersalPresentation) -> list[Polynomial]:
     """The total-space relations at s = t = 0 (still over the big table):
     each relation's terms that share no bit with the parameter fields."""
     table = pres.variables.table
@@ -319,13 +317,42 @@ def specialized_relations(pres: VersalRelations | VersalPresentation) -> list[Po
     ]
 
 
-def specializes(
-    s: Singularity, pres: VersalRelations | VersalPresentation, relations
-) -> bool:
-    """Each relation of ``pres`` at s = t = 0 is the binomial relation of its
-    own pair in ``relations`` (``defining_equations(s)`` in the reports), and
-    there are as many of them."""
-    expected = relation_polynomials(s, relations, pres.variables.table)
-    by_pair = {rel.left: poly for rel, poly in zip(relations, expected)}
-    got = specialized_relations(pres)
-    return len(got) == len(expected) and dict(zip(pres.pairs, got)) == by_pair
+def images_at_zero(v: DeformationVariables) -> dict[tuple[int, int], dict]:
+    """{(i, j): P_ij at s = t = 0} as code dicts, multiplied out over the
+    factor images w_j -> z_j and trunc(m, d) -> z_m^d, each one code, so
+    each image is one code too; no relation of the family is built."""
+    z = _z_codes(v)
+    w = {j: {c: 1} for j, c in z.items()}
+    return _running_products(v, w, lambda m, d: {d * z[m]: 1}, 1)
+
+
+def _binomial_at_zero(s: Singularity, relations, table, pairs, sides) -> bool:
+    """Each of ``sides``, P_ij at s = t = 0 as a code dict aligned with
+    ``pairs``, is the monomial p_ij of its own pair's binomial relation in
+    ``relations`` (``defining_equations(s)`` in the reports), and there are
+    as many."""
+    codes = right_codes(s, relations, table)
+    expected = {rel.left: {p: 1} for rel, p in zip(relations, codes)}
+    return len(sides) == len(expected) and dict(zip(pairs, sides)) == expected
+
+
+def specializes(s: Singularity, pres: VersalPresentation, relations) -> bool:
+    """The check of the relations that ``deform`` prints: masked to
+    s = t = 0, where z_i w_j is z_i z_j, each relation z_i w_j - P_ij is
+    z_i z_j - p_ij, the binomial relation of its own pair in ``relations``."""
+    z = _z_codes(pres.variables)
+    sides = []
+    for (i, j), rel in zip(pres.pairs, specialized_relations(pres)):
+        side = {z[i] + z[j]: 1}  # P_ij = z_i z_j - the relation, at s = t = 0
+        for m, c in rel._terms.items():
+            side[m] = side.get(m, 0) - c
+        sides.append({m: c for m, c in side.items() if c})
+    return _binomial_at_zero(s, relations, pres.variables.table, pres.pairs, sides)
+
+
+def images_specialize(s: Singularity, v: DeformationVariables, relations) -> bool:
+    """The check ``verify`` runs, with no family built: each P_ij at
+    s = t = 0, read off ``images_at_zero``, is the p_ij of its own pair in
+    ``relations``."""
+    images = images_at_zero(v)
+    return _binomial_at_zero(s, relations, v.table, images.keys(), images.values())

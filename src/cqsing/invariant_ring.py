@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .cfrac import Singularity, dual_expand, ij_series, per_pair
 from .errors import InputError
-from .polyring import _LIMIT, _RANGE, Polynomial, VariableTable
+from .polyring import _LIMIT, _RANGE, VariableTable
 
 
 class InvariantGenerator(NamedTuple):
@@ -100,22 +100,19 @@ def verify_presentation(s: Singularity, relations) -> bool:
     return True
 
 
-def relation_polynomials(s: Singularity, relations, table: VariableTable):
-    """The relations of the list (``defining_equations(s)`` in the reports) as
-    polynomials z_i z_j - p_ij over ``table``, which holds the z variables.
-    The code of each z_t is made once; z_t^e is e times it, which stays in
-    z_t's field only under the exponent ceiling, so each e is checked
-    against it."""
+def right_codes(s: Singularity, relations, table: VariableTable) -> list[int]:
+    """The code of p_ij over ``table``, which holds the z variables, for
+    each relation z_i z_j = p_ij of the list (``defining_equations(s)`` in
+    the reports).  The code of each z_t is made once; z_t^e is e times it,
+    which stays in z_t's field only under the exponent ceiling, so each e is
+    checked against it."""
     z = [table._code(g.name) for g in generators(s)]
-    polys = []
+    codes = []
     for rel in relations:
-        i, j = rel.left
         right = 0
         for t, e in rel.right:
             if e >= _LIMIT:
                 raise InputError(_RANGE)
             right += e * z[t - 1]
-        # z_i z_j never equals p_ij, whose indices lie strictly between
-        polys.append(Polynomial._raw(table, {z[i - 1] + z[j - 1]: 1, right: -1}))
-    return polys
-
+        codes.append(right)
+    return codes

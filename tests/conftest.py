@@ -17,7 +17,6 @@ MEMOIZED = (
     mckay.special_reps,
     reconstruct.reconstruction_quiver,
     deform.dim_t1,
-    deform.versal_relations,
 )
 
 

@@ -4,7 +4,6 @@ import hashlib
 import io
 import json
 import os
-import resource
 import subprocess
 import sys
 import time
@@ -435,6 +434,23 @@ class TestExitCodes:
         assert json.loads(out)["checks"][check] is True
 
 
+# A process forked from the test runner starts with the runner's resident
+# pages, and exec keeps that peak in its max RSS, so a run forked from here
+# would read at least the runner's size.  Each run is forked from this small
+# launcher instead; it caps the run and writes its exit code and max RSS.
+LAUNCHER = """\
+import os, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.executable, [sys.executable, "-m", "cqsing", *sys.argv[2:]])
+_, status, usage = os.wait4(pid, 0)
+with open(sys.argv[1], "w") as report:
+    report.write(f"{os.waitstatus_to_exitcode(status)} {usage.ru_maxrss}")
+"""
+
+
 class TestSizes:
     """Whole runs in a fresh interpreter, each capped at 1 GB of address
     space and 60 s of CPU, so that a regression fails instead of taking
@@ -443,27 +459,23 @@ class TestSizes:
     @staticmethod
     def measured(argv, tmp_path):
         """(exit code, stdout, stderr, wall seconds, peak RSS in MB)."""
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-            resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
-
         src = Path(cqsing.__file__).resolve().parent.parent
+        report = tmp_path / "report"
         with open(tmp_path / "out", "w+") as out, open(tmp_path / "err", "w+") as err:
             start = time.perf_counter()
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "cqsing", *argv],
+            subprocess.run(
+                [sys.executable, "-c", LAUNCHER, str(report), *argv],
                 stdout=out,
                 stderr=err,
                 env={**os.environ, "PYTHONPATH": str(src)},
-                preexec_fn=cap,
+                check=True,
             )
-            _, status, usage = os.wait4(proc.pid, 0)
             seconds = time.perf_counter() - start
-            proc.returncode = os.waitstatus_to_exitcode(status)
+            code, maxrss = map(int, report.read_text().split())
             out.seek(0)
             err.seek(0)
-            rss = usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
-            return proc.returncode, out.read(), err.read(), seconds, rss
+            rss = maxrss / 1024  # ru_maxrss is in KiB on Linux
+            return code, out.read(), err.read(), seconds, rss
 
     def test_verify_long_chain_memory(self, tmp_path):
         # 4000 clusters and cones: each cluster is its two series corners,
@@ -484,6 +496,18 @@ class TestSizes:
         checks = json.loads(out)["checks"]
         assert checks["deform_parameter_count"] is True
         assert all(checks.values())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "127", "1"], ["verify", "4095", "4093"]],
+        ids=["e-at-the-ceiling", "parameters-at-the-ceiling"],
+    )
+    def test_verify_at_the_versal_ceilings(self, tmp_path, argv):
+        # s = t = 0 is checked on the factor images, so no family is built
+        code, out, _, seconds, rss = self.measured(argv + ["--format", "json"], tmp_path)
+        assert code == 0
+        assert all(json.loads(out)["checks"].values())
+        assert seconds < 2 and rss < 50
 
     def test_deform_hypersurface_at_the_exponent_ceiling(self, tmp_path):
         # the equation is written from its closed form, with no table
@@ -555,19 +579,50 @@ class TestSizes:
         assert seconds < 5
 
 
+def bump_exponent(binomials):
+    (t, e), *rest = binomials[0].right
+    return (binomials[0]._replace(right=((t, e + 1), *rest)),) + binomials[1:]
+
+
+def swap_pairs(binomials):
+    first, second = binomials[:2]
+    return (first._replace(left=second.left), second._replace(left=first.left)) + binomials[2:]
+
+
+# mutations of the binomial relations that both checks are given
+BINOMIAL_MUTATIONS = {
+    "exponent-bumped": bump_exponent,
+    "pair-dropped": lambda binomials: binomials[:-1],
+    "pairs-swapped": swap_pairs,
+}
+
+
+def swap_images(images):
+    (p, f), (q, g) = list(images.items())[:2]
+    return {**images, p: g, q: f}
+
+
 class TestSpecializationCheck:
-    """The deform check compares each specialized relation with the binomial
-    relation of its own pair."""
+    """Both checks compare each P_ij at s = t = 0 with the binomial relation
+    of its own pair: ``specializes`` on the relations ``deform`` prints,
+    ``images_specialize`` (``verify``'s) on the factor images."""
 
     @staticmethod
-    def checked(relations):
+    def checked(relations=tuple, binomials=tuple):
         s = Singularity(11, 4)
         pres = deform.versal_presentation(s)
         pres = pres._replace(relations=relations(pres.relations))
-        return deform.specializes(s, pres, defining_equations(s))
+        return deform.specializes(s, pres, binomials(defining_equations(s)))
+
+    @staticmethod
+    def images_checked(binomials=tuple):
+        s = Singularity(11, 4)
+        variables = deform.deformation_variables(s)
+        return deform.images_specialize(s, variables, binomials(defining_equations(s)))
 
     def test_accepts_the_family(self):
-        assert self.checked(tuple)
+        assert self.checked()
+        assert self.images_checked()
 
     def test_relations_swapped_between_pairs(self):
         assert not self.checked(lambda rels: (rels[1], rels[0]) + rels[2:])
@@ -578,6 +633,21 @@ class TestSpecializationCheck:
     def test_extra_parameter_free_term(self):
         # z1 survives s = t = 0, so the first relation is no longer binomial
         assert not self.checked(lambda rels: (rels[0] + rels[0].table.var("z1"),) + rels[1:])
+
+    @pytest.mark.parametrize("mutate", BINOMIAL_MUTATIONS.values(), ids=BINOMIAL_MUTATIONS)
+    def test_binomials_mutated(self, mutate):
+        assert not self.checked(binomials=mutate)
+        assert not self.images_checked(mutate)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [lambda images: dict(list(images.items())[:-1]), swap_images],
+        ids=["pair-dropped", "pairs-swapped"],
+    )
+    def test_images_mutated(self, monkeypatch, mutate):
+        real = deform.images_at_zero
+        monkeypatch.setattr(deform, "images_at_zero", lambda v: mutate(real(v)))
+        assert not self.images_checked()
 
 
 class TestBatch:

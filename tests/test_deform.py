@@ -10,6 +10,8 @@ from cqsing.deform import (
     dim_t1,
     hypersurface_presentation,
     hypersurface_text,
+    images_at_zero,
+    images_specialize,
     specialized_relations,
     specializes,
     versal_presentation,
@@ -218,6 +220,9 @@ class TestVersalPresentation:
             assert len(v.parameter_names) == dim_t1(s)
 
     def test_specialization_sweep(self):
+        # the mask of the built family, against the binomials and as the
+        # oracle of verify's factor images, each image one code
+        swept = 0
         for n, q in coprime_pairs(40):
             s = Singularity(n, q)
             if embedding_dimension(s) < 4:
@@ -234,6 +239,24 @@ class TestVersalPresentation:
                 expected[rel.left] = lhs - rhs
             got = dict(zip(pres.pairs, specialized_relations(pres)))
             assert got == expected
+            images = images_at_zero(pres.variables)
+            assert images.keys() == got.keys()
+            for (i, j), image in images.items():
+                (p,) = image
+                lhs = table._code(f"z{i}") + table._code(f"z{j}")
+                assert got[(i, j)]._terms == {lhs: 1, p: -image[p]}, (n, q, i, j)
+            assert images_specialize(s, pres.variables, defining_equations(s))
+            swept += 1
+        assert swept == 450
+
+    def test_verify_does_not_build_the_family(self, monkeypatch):
+        def refuse(s):
+            raise AssertionError("the versal family was built")
+
+        monkeypatch.setattr(deform, "versal_presentation", refuse)
+        for n, q in coprime_pairs(20) + [(127, 1), (4095, 4093)]:
+            checks = cli.verify_checks(Singularity(n, q))
+            assert all(checks.values()), (n, q, checks)
 
     def test_mask_matches_substitution_oracle(self):
         for n, q in coprime_pairs(30):
@@ -325,6 +348,7 @@ class TestVersalPresentation:
             pres = versal_presentation(s)
             assert specialized_relations(pres)
             assert specializes(s, pres, defining_equations(s))
+            assert images_specialize(s, pres.variables, defining_equations(s))
         for n in (2, 6, 40):
             assert hypersurface_presentation(Singularity(n, n - 1)).equation
 

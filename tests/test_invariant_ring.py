@@ -3,10 +3,10 @@ from cqsing.cfrac import Singularity, embedding_dimension
 from cqsing.invariant_ring import (
     defining_equations,
     generators,
-    relation_polynomials,
+    right_codes,
     verify_presentation,
 )
-from cqsing.polyring import VariableTable, poly_text
+from cqsing.polyring import VariableTable
 
 from conftest import coprime_pairs
 
@@ -99,13 +99,17 @@ class TestDefiningEquations:
             # the check reads the list it is given: z1*z3 = 1 fails
             assert not verify_presentation(s, (rels[0]._replace(right=()),) + rels[1:])
 
-    def test_relation_polynomials_text(self):
+    def test_right_codes(self):
         s = Singularity(11, 7)
         table = VariableTable([g.name for g in generators(s)])
-        polys = relation_polynomials(s, defining_equations(s), table)
-        assert poly_text(polys[0]) == "-z2^3 + z1*z3"
-        z = {name: table.var(name) for name in table.names}
-        assert polys[0] == z["z1"] * z["z3"] - z["z2"] ** 3
+        rels = defining_equations(s)
+        codes = right_codes(s, rels, table)
+        assert codes[0] == table._code("z2", 3)
+        for rel, code in zip(rels, codes):
+            exponents = [0] * len(table)
+            for t, e in rel.right:
+                exponents[t - 1] = e
+            assert table._unpack(code) == tuple(exponents), rel
 
 
 def mckay_walks(s, gens):

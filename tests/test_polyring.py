@@ -7,7 +7,7 @@ import pytest
 
 from cqsing.cfrac import Singularity
 from cqsing.errors import InputError
-from cqsing.invariant_ring import defining_equations, generators, relation_polynomials
+from cqsing.invariant_ring import defining_equations, generators, right_codes
 from cqsing.polyring import (
     Polynomial,
     VariableTable,
@@ -689,11 +689,11 @@ class TestExponentCeiling:
         # the relation z1 z3 = z2^n of (n, n - 1)
         s = Singularity(32767, 32766)
         table = VariableTable([g.name for g in generators(s)])
-        (rel,) = relation_polynomials(s, defining_equations(s), table)
-        assert max(e for m in rel.terms for e in m) == 32767
+        (right,) = right_codes(s, defining_equations(s), table)
+        assert table._unpack(right) == (0, 32767, 0)
         # 2**16 times z2's code would carry into z1's field, past any guard bit
         for n in (32768, 65536):
             s = Singularity(n, n - 1)
             table = VariableTable([g.name for g in generators(s)])
             with pytest.raises(InputError, match="32767"):
-                relation_polynomials(s, defining_equations(s), table)
+                right_codes(s, defining_equations(s), table)
