@@ -21,7 +21,7 @@ from . import cfrac, deform, gfan, invariant_ring, mckay, reconstruct, toric
 from .cfrac import Singularity
 from .errors import ConsistencyError, InputError, UnsupportedError
 from .goldens import with_reference
-from .polyring import _code_key, poly_text
+from .polyring import poly_text
 
 
 def emit_dot(quiver) -> str:
@@ -212,10 +212,7 @@ def run_gfan(s: Singularity) -> Report:
     matches = gfan.fans_equal(fan, tfan)
     if not matches:
         raise ConsistencyError("fan does not match the lattice model")
-    bases = []
-    for c in cones:
-        key = _code_key(c.weight, c.basis[0].table)
-        bases.append([poly_text(g, key=key) for g in c.basis])
+    bases = [[gfan.binomial_text(g, c.weight) for g in c.basis] for c in cones]
     fan_data = fan.serialize()
     payload = {
         "fan": fan_data,

@@ -36,7 +36,11 @@ vector along (j_{k+1}, i_{k+1}), the upper along (j_k, i_k).  Each ray is
 checked at run time: every inequality is >= 0 on it and one is 0.
 
 A candidate is certified before it is used, by a check linear in its
-terms that runs no division:
+terms that runs no division and needs no monomial order: it takes the
+cone's weight pair (w0, w1), and one pass over each element's codes decodes
+every term x^a y^b by shift and mask, keeps the one of larger
+(w0*a + w1*b, code) as the lead (``WeightedOrder``'s comparison, on the
+codes) and sums the coefficients per residue for step 1:
 
 1. Every element vanishes on the whole orbit of (1, 1).  The orbit is the
    set of points (z, z^q) with z^n = 1, so f = sum c x^a y^b vanishes on it
@@ -54,9 +58,16 @@ terms that runs no division:
    Groebner basis of I under w (monic, with the cluster's minimal
    generators as leading terms and boxes as tails).
 
-Any failed step raises ConsistencyError.  Buchberger's algorithm stays in
-``polyring``, and the division certificate (S-pairs and orbit generators
-reduce to 0) in the tests, as oracles for these bases.
+Any failed step raises ConsistencyError, and so does a zero element, which
+has no lead.  Buchberger's algorithm stays in ``polyring``, and the
+division certificate (S-pairs and orbit generators reduce to 0) in the
+tests, as oracles for these bases.
+
+``binomial_text`` writes each basis element as lead - tail, in
+``poly_text``'s x^a*y^b form, from its two codes decoded as the
+certificate decodes them, with the lead picked by the same (w.m, code)
+comparison, never by dict order.  So a ``gfan`` request certifies and
+prints its cones with no call into ``polyring``.
 """
 
 from __future__ import annotations
@@ -75,9 +86,6 @@ from .polyring import (
     _RANGE,
     Polynomial,
     VariableTable,
-    WeightedOrder,
-    _code_key,
-    _lead,
 )
 from .toric import Fan2D, RationalRay, primitive
 
@@ -129,36 +137,46 @@ def _standard_count(leads):
     return None  # no pure power of x
 
 
-def certify_basis(basis, ideal: OrbitIdeal, order: WeightedOrder) -> None:
-    """Raise ConsistencyError unless ``basis`` is a Groebner basis under
-    ``order`` of the orbit ideal of ``ideal`` (steps 1-3 of the module
-    docstring): every element vanishes on the orbit and the leading terms
-    leave exactly n standard monomials, the colength of the ideal.  Each
-    lead and each term is decoded from its code in ``ideal.table``: x^a y^b
-    has a in the field at bit _BITS and b in the field at bit 0."""
+def certify_basis(basis, ideal: OrbitIdeal, w) -> None:
+    """Raise ConsistencyError unless ``basis`` is a Groebner basis under the
+    weight pair ``w`` (ties broken by code, so the order is that of
+    ``WeightedOrder(w)``) of the orbit ideal of ``ideal`` (steps 1-3 of the
+    module docstring): every element vanishes on the orbit and the leading
+    terms leave exactly n standard monomials, the colength of the ideal.
+    One pass over each element's codes decodes x^a y^b (a in the field at
+    bit _BITS, b in the field at bit 0), keeps the larger (w.m, code) as
+    the lead and sums the coefficients per residue a + q*b (mod n)."""
     s = ideal.singularity
     n, q = s.n, s.q
-    key = _code_key(order.weights, ideal.table)
+    w0, w1 = w
+    if w0 < 0 or w1 < 0:
+        raise InputError("weights must be nonnegative")
     leads = []
+    vanishes = True
     for g in basis:
-        m = _lead(g, key)[0]
-        leads.append((m >> _BITS & _MASK, m & _MASK))
-    if _standard_count(leads) != n:
-        raise ConsistencyError(f"candidate basis does not have {n} standard monomials")
-    for g in basis:
+        top = -1
         sums = {}
         for m, c in g._terms.items():
-            r = ((m >> _BITS & _MASK) + q * (m & _MASK)) % n
+            a, b = m >> _BITS & _MASK, m & _MASK
+            v = w0 * a + w1 * b
+            if v > top or (v == top and m > code):
+                top, code, lead = v, m, (a, b)
+            r = (a + q * b) % n
             sums[r] = sums.get(r, 0) + c
-        if any(sums.values()):
-            raise ConsistencyError(
-                "a candidate basis element does not vanish on the orbit"
-            )
+        if top < 0:
+            raise ConsistencyError("a candidate basis element is zero")
+        leads.append(lead)
+        if vanishes and any(sums.values()):
+            vanishes = False
+    if _standard_count(leads) != n:
+        raise ConsistencyError(f"candidate basis does not have {n} standard monomials")
+    if not vanishes:
+        raise ConsistencyError("a candidate basis element does not vanish on the orbit")
 
 
 def _pairs(cluster):
     """The (generator, partner) pairs of a cluster, read off its corners
-    once per cone for both the margins and the candidate basis."""
+    once per cone."""
     return tuple(zip(cluster.ideal, cluster.partners))
 
 
@@ -169,29 +187,31 @@ def _margins(pairs, w):
 
 
 def _certified_cone(cluster, pairs, w, ideal: OrbitIdeal) -> GroebnerCone:
-    """The cone of the cluster with (generator, partner) ``pairs`` whose
-    leading terms w already selects: the candidate {x^m - x^m'},
-    certified, and the rays read off the cluster's corners, checked against
-    its inequalities.  Each x^m is packed straight into its code in
-    ``ideal.table``, under the ceiling."""
+    """The cone of the cluster with (generator, partner) ``pairs`` at the
+    weight w: the candidate {x^m - x^m'}, certified, and the rays read off
+    the cluster's corners, checked against its inequalities.  One pass over
+    the pairs reads each one's margin (w must be inside the cone), packs
+    x^m and x^m' straight into their codes in ``ideal.table``, under the
+    ceiling, and takes its inequality."""
     w0, w1 = w
-    table = ideal.table
-    top = table._top
+    top = ideal.table._top
     rows = []
+    normals = set()
     for (a, b), (c, d) in pairs:
         if max(a, b, c, d) >= _LIMIT:
             raise InputError(_RANGE)
+        da, db = a - c, b - d
+        if da * w0 + db * w1 <= 0:
+            raise ConsistencyError(f"weight {w} is not inside the cone of its cluster")
         # w.m > w.m', so x^m leads its element; (w.m, code) is the order's key
         lead = (a + b) << top | a << _BITS | b
-        tail = (c + d) << top | c << _BITS | d
-        rows.append((w0 * a + w1 * b, lead, tail, (a - c, b - d)))
+        rows.append((w0 * a + w1 * b, lead, (c + d) << top | c << _BITS | d))
+        normals.add(primitive((da, db)))
     rows.sort()
-    basis = tuple(
-        Polynomial._raw(table, {lead: 1, tail: -1}) for _, lead, tail, _ in rows
-    )
-    order = WeightedOrder(weights=w)
-    certify_basis(basis, ideal, order)
-    inequalities = tuple(sorted({primitive(row[3]) for row in rows}))
+    table = ideal.table
+    basis = tuple([Polynomial._raw(table, {lead: 1, tail: -1}) for _, lead, tail in rows])
+    certify_basis(basis, ideal, w)
+    inequalities = tuple(sorted(normals))
     lower = primitive((cluster.j_next, cluster.i_next))
     upper = primitive((cluster.j, cluster.i))
     for ray in (lower, upper):
@@ -205,6 +225,37 @@ def _certified_cone(cluster, pairs, w, ideal: OrbitIdeal) -> GroebnerCone:
         lower_ray=lower,
         upper_ray=upper,
     )
+
+
+def _term_text(x, y, a, b, c):
+    """|c| x^a y^b in ``poly_text``'s form, without its sign."""
+    if a:
+        body = x if a == 1 else f"{x}^{a}"
+        if b:
+            body += f"*{y}" if b == 1 else f"*{y}^{b}"
+    elif b:
+        body = y if b == 1 else f"{y}^{b}"
+    else:
+        return str(abs(c))
+    if c == 1 or c == -1:
+        return body
+    return f"{abs(c)}*{body}"
+
+
+def binomial_text(g, w) -> str:
+    """``poly_text`` of the two-term basis element g under the weight pair w:
+    lead - tail, the lead being the term of larger (w.m, code), the one
+    ``certify_basis`` certifies, with the exponents decoded as it decodes
+    them.  Dict order never decides which term comes first."""
+    w0, w1 = w
+    (m, c), (t, d) = g._terms.items()
+    a, b, e, f = m >> _BITS & _MASK, m & _MASK, t >> _BITS & _MASK, t & _MASK
+    if (w0 * a + w1 * b, m) < (w0 * e + w1 * f, t):
+        a, b, c, e, f, d = e, f, d, a, b, c
+    x, y = g.table.names
+    sign = "-" if c < 0 else ""
+    op = "-" if d < 0 else "+"
+    return f"{sign}{_term_text(x, y, a, b, c)} {op} {_term_text(x, y, e, f, d)}"
 
 
 def cone_of_weight(ideal: OrbitIdeal, w) -> GroebnerCone:
@@ -241,12 +292,7 @@ def groebner_fan(s: Singularity):
     cones = []
     w = (n * n, 1)
     for cluster in g_clusters(s):
-        pairs = _pairs(cluster)
-        if min(_margins(pairs, w)) <= 0:
-            raise ConsistencyError(
-                f"sweep weight {w} is not inside cone {len(cones)}"
-            )
-        cone = _certified_cone(cluster, pairs, w, ideal)
+        cone = _certified_cone(cluster, _pairs(cluster), w, ideal)
         if cones and cones[-1].upper_ray != cone.lower_ray:
             raise ConsistencyError("adjacent cones do not share a ray")
         if not cones and cone.lower_ray != (1, 0):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cqsing
-from cqsing import cli, deform
+from cqsing import cli, deform, gfan, polyring
 from cqsing.cfrac import Singularity
 from cqsing.cli import main
 from cqsing.invariant_ring import defining_equations
@@ -348,17 +348,39 @@ class TestRepeatedMain:
 
 class TestRenderOnce:
     def test_gfan_renders_each_basis_element_once(self, capsys, monkeypatch):
+        # each element is written once, from the lead the certificate
+        # picks, and the generic renderer is never reached
         calls = []
+        binomial_text = gfan.binomial_text
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return poly_text(*args, **kwargs)
+            return binomial_text(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "poly_text", counted)
+        def refuse(*args, **kwargs):
+            raise AssertionError("gfan reached poly_text")
+
+        monkeypatch.setattr(gfan, "binomial_text", counted)
+        monkeypatch.setattr(cli, "poly_text", refuse)
+        monkeypatch.setattr(polyring, "poly_text", refuse)
         code, out, _ = run(capsys, ["gfan", "11", "7", "--format", "json"])
         assert code == 0
         cones = json.loads(out)["cones"]
         assert len(calls) == sum(len(c["basis"]) for c in cones) == 13
+
+    def test_zero_basis_element_exits_3(self, capsys, monkeypatch):
+        # a zero element has no lead: an internal inconsistency, not bad
+        # input
+        certify = gfan.certify_basis
+
+        def with_zero(basis, ideal, w):
+            return certify(basis + (ideal.table.zero(),), ideal, w)
+
+        monkeypatch.setattr(gfan, "certify_basis", with_zero)
+        code, out, err = run(capsys, ["gfan", "11", "7"])
+        assert code == 3
+        assert out == ""
+        assert "zero" in err
 
 
 class TestDot:

@@ -11,6 +11,7 @@ from cqsing.cfrac import Singularity, curve_count
 from cqsing.errors import ConsistencyError, InputError
 from cqsing.gfan import (
     BoundaryWeightError,
+    binomial_text,
     certify_basis,
     cone_of_weight,
     fans_equal,
@@ -19,10 +20,13 @@ from cqsing.gfan import (
 )
 from cqsing.mckay import g_clusters
 from cqsing.polyring import (
+    Polynomial,
     WeightedOrder,
+    _code_key,
     buchberger,
     leading_term,
     normal_form,
+    poly_text,
     s_polynomial,
 )
 from cqsing.toric import resolution_fan
@@ -74,12 +78,14 @@ def cone_rays_by_search(inequalities):
     return feasible[0], feasible[-1]
 
 
-def certify_basis_by_tuples(basis, ideal, order):
+def certify_basis_by_tuples(basis, ideal, w):
     """Oracle for ``certify_basis``: the same three steps, standard count,
     then vanishing on the orbit, read off the decoded exponent tuples of
-    ``leading_term`` and ``Polynomial.terms`` instead of the codes."""
+    ``leading_term`` under ``WeightedOrder(w)`` and ``Polynomial.terms``
+    instead of the codes."""
     s = ideal.singularity
     n, q = s.n, s.q
+    order = WeightedOrder(weights=w)
     leads = [leading_term(g, order)[0] for g in basis]
     if gfan._standard_count(leads) != n:
         raise ConsistencyError(f"candidate basis does not have {n} standard monomials")
@@ -287,7 +293,7 @@ class TestCertificate:
         for w in GOLDEN_BASES_11_7:
             basis = cone_of_weight(ideal, w).basis
             order = WeightedOrder(weights=w)
-            certify_basis(basis, ideal, order)
+            certify_basis(basis, ideal, w)
             for k, g in enumerate(basis):
                 terms = dict(g.terms)
                 tail = min(terms, key=order.key)
@@ -295,15 +301,14 @@ class TestCertificate:
                 altered = basis[:k] + (ideal.table.poly(terms),) + basis[k + 1 :]
                 for certify in (certify_basis, certify_basis_by_tuples):
                     with pytest.raises(ConsistencyError, match="does not vanish"):
-                        certify(altered, ideal, order)
+                        certify(altered, ideal, w)
 
     def test_wrong_colength_rejected(self):
         ideal = orbit_ideal(Singularity(11, 7))
         cone = cone_of_weight(ideal, (3, 3))
-        order = WeightedOrder(weights=(3, 3))
         for certify in (certify_basis, certify_basis_by_tuples):
             with pytest.raises(ConsistencyError, match="does not have 11 standard monomials"):
-                certify(cone.basis[:-1], ideal, order)
+                certify(cone.basis[:-1], ideal, (3, 3))
 
     def test_smaller_ideal_of_colength_12_rejected(self):
         # I (x, y) = I meet (x, y): it vanishes on the orbit and has a
@@ -318,7 +323,7 @@ class TestCertificate:
         assert gfan._standard_count(leads) == 12
         for certify in (certify_basis, certify_basis_by_tuples):
             with pytest.raises(ConsistencyError, match="does not have 11 standard monomials"):
-                certify(smaller, ideal, order)
+                certify(smaller, ideal, order.weights)
         with pytest.raises(ConsistencyError):
             certify_by_division(smaller, gens, order, 12)
 
@@ -342,13 +347,13 @@ class TestCertificate:
             for w in weights:
                 basis = cone_of_weight(ideal, w).basis
                 order = WeightedOrder(weights=w)
-                certify_basis(basis, ideal, order)
+                certify_basis(basis, ideal, w)
                 certify_by_division(basis, gens, order, s.n)
                 for label, altered, colength in mutations(ideal, basis, order):
                     if colength == s.n:  # certify_basis reads n off the ideal
                         for certify in (certify_basis, certify_basis_by_tuples):
                             with pytest.raises(ConsistencyError):
-                                certify(altered, ideal, order)
+                                certify(altered, ideal, w)
                     with pytest.raises(ConsistencyError):
                         certify_by_division(altered, gens, order, colength)
                     rejected[label.split(" ")[0]] += 1
@@ -362,11 +367,27 @@ class TestCertificate:
             s = Singularity(n, q)
             ideal = orbit_ideal(s)
             for cone in groebner_fan(s)[1]:
-                order = WeightedOrder(weights=cone.weight)
-                certify_basis(cone.basis, ideal, order)
-                certify_basis_by_tuples(cone.basis, ideal, order)
+                certify_basis(cone.basis, ideal, cone.weight)
+                certify_basis_by_tuples(cone.basis, ideal, cone.weight)
                 count += 1
         assert count == 8951
+
+    def test_zero_element_is_inconsistent(self):
+        # a zero element has no lead: ConsistencyError (exit 3), not the
+        # InputError of polyring's leading term
+        ideal = orbit_ideal(Singularity(11, 7))
+        for w in GOLDEN_BASES_11_7:
+            basis = cone_of_weight(ideal, w).basis
+            for k in range(len(basis) + 1):
+                candidate = basis[:k] + (ideal.table.zero(),) + basis[k:]
+                with pytest.raises(ConsistencyError, match="element is zero"):
+                    certify_basis(candidate, ideal, w)
+
+    def test_negative_weight_rejected(self):
+        ideal = orbit_ideal(Singularity(11, 7))
+        basis = cone_of_weight(ideal, (3, 3)).basis
+        with pytest.raises(InputError, match="nonnegative"):
+            certify_basis(basis, ideal, (3, -3))
 
     def test_coefficients_are_exact(self):
         # every element is the binomial x^m - x^m', with int coefficients
@@ -412,11 +433,24 @@ class TestCertificate:
                 ideal.table.poly({m: 1, t: -1}) for m, t in zip(bad.ideal, bad.partners)
             ]
             with pytest.raises(ConsistencyError, match="does not vanish on the orbit"):
-                certify_basis_by_tuples(candidate, ideal, WeightedOrder(weights=cones[k].weight))
+                certify_basis_by_tuples(candidate, ideal, cones[k].weight)
             patched = clusters[:k] + (bad,) + clusters[k + 1:]
             monkeypatch.setattr(gfan, "g_clusters", lambda s: patched)
             with pytest.raises(ConsistencyError, match="does not vanish on the orbit"):
                 groebner_fan(s)
+
+
+    def test_weight_outside_the_cluster_cone_rejected(self):
+        # the pairs of cluster k at the weight of another cone: some margin
+        # w.(m - m') is not positive, so x^m would not lead its binomial
+        s = Singularity(11, 7)
+        ideal = orbit_ideal(s)
+        clusters = g_clusters(s)
+        _, cones = groebner_fan(s)
+        for k, cluster in enumerate(clusters):
+            for other in cones[:k] + cones[k + 1 :]:
+                with pytest.raises(ConsistencyError, match="is not inside the cone"):
+                    gfan._certified_cone(cluster, gfan._pairs(cluster), other.weight, ideal)
 
 
 def sympy_groebner(polys):
@@ -463,6 +497,66 @@ class TestSympyOracle:
                     assert sympy_groebner(altered)[0] != orbit, (cone.weight, label)
                     caught += 1
         assert caught == 13
+
+
+def tail_first(basis):
+    """``basis`` with each element's dict listing its terms in reverse."""
+    return tuple(Polynomial._raw(g.table, dict(reversed(g._terms.items()))) for g in basis)
+
+
+class TestBinomialText:
+    def test_matches_poly_text_on_every_cone(self):
+        count = 0
+        for n, q in coprime_pairs(60):
+            for cone in groebner_fan(Singularity(n, q))[1]:
+                key = _code_key(cone.weight, cone.basis[0].table)
+                for g in cone.basis:
+                    assert binomial_text(g, cone.weight) == poly_text(g, key=key), (n, q)
+                count += 1
+        assert count == 8951
+
+    def test_tail_first_dicts_print_and_certify_the_same(self):
+        for n, q in coprime_pairs(15):
+            ideal = orbit_ideal(Singularity(n, q))
+            for cone in groebner_fan(ideal.singularity)[1]:
+                w = cone.weight
+                flipped = tail_first(cone.basis)
+                assert [list(g._terms) for g in flipped] == [
+                    list(g._terms)[::-1] for g in cone.basis
+                ]
+                assert flipped == cone.basis
+                assert [binomial_text(g, w) for g in flipped] == [
+                    binomial_text(g, w) for g in cone.basis
+                ]
+                for certify in (certify_basis, certify_basis_by_tuples):
+                    certify(flipped, ideal, w)
+                    for label, altered, colength in mutations(
+                        ideal, cone.basis, WeightedOrder(weights=w)
+                    ):
+                        if colength != n:
+                            continue
+                        messages = []
+                        for candidate in (altered, tail_first(altered)):
+                            with pytest.raises(ConsistencyError) as caught:
+                                certify(candidate, ideal, w)
+                            messages.append(str(caught.value))
+                        assert messages[0] == messages[1], label
+
+    def test_general_coefficients(self):
+        # poly_text's form for any two nonzero coefficients, ints or
+        # Fractions, and constant terms
+        table = orbit_ideal(Singularity(11, 7)).table
+        cases = [
+            ({(0, 2): 1, (3, 0): -1}, (2, 7)),
+            ({(0, 0): -1, (4, 1): 1}, (2, 7)),
+            ({(1, 0): Fraction(-3, 2), (0, 8): 2}, (9, 1)),
+            ({(1, 1): 5, (0, 0): Fraction(1, 3)}, (1, 1)),
+            ({(2, 0): 1, (0, 2): -1}, (1, 1)),  # a tie: the larger code leads
+            ({(0, 2): 1, (2, 0): -1}, (1, 1)),
+        ]
+        for terms, w in cases:
+            g = table.poly(terms)
+            assert binomial_text(g, w) == poly_text(g, WeightedOrder(weights=w))
 
 
 class TestConeRays:
@@ -559,6 +653,46 @@ class TestGroebnerFan:
         assert cones[-1].upper_ray == (0, 1)
         for c1, c2 in zip(cones, cones[1:]):
             assert c1.upper_ray == c2.lower_ray
+
+
+class TestDrawnPairs:
+    def test_cones_certify_and_doubled_tails_fail(self):
+        # drawn pairs with n <= 2000, the chain q = n - 1 of 2000 cones among
+        # them: every cone passes both certificates, the fan is toric's, and
+        # doubling the tail of a drawn element fails both
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def pairs(draw, max_n=2000):
+            n = draw(st.integers(2, max_n))
+            q = draw(st.integers(1, n - 1).filter(lambda q: gcd(n, q) == 1))
+            return Singularity(n, q)
+
+        @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(pairs(), st.data())
+        @hypothesis.example(Singularity(2000, 1999), None)
+        @hypothesis.example(Singularity(1999, 1), None)
+        def check(s, data):
+            ideal = orbit_ideal(s)
+            fan, cones = groebner_fan(s)
+            assert fans_equal(fan, resolution_fan(s))
+            for cone in cones:
+                certify_basis(cone.basis, ideal, cone.weight)
+                certify_basis_by_tuples(cone.basis, ideal, cone.weight)
+            if data is None:
+                return
+            cone = data.draw(st.sampled_from(cones))
+            k = data.draw(st.integers(0, len(cone.basis) - 1))
+            g = cone.basis[k]
+            lead = leading_term(g, WeightedOrder(weights=cone.weight))[0]
+            terms = {t: c if t == lead else 2 * c for t, c in g.terms.items()}
+            altered = cone.basis[:k] + (ideal.table.poly(terms),) + cone.basis[k + 1 :]
+            for certify in (certify_basis, certify_basis_by_tuples):
+                with pytest.raises(ConsistencyError, match="does not vanish"):
+                    certify(altered, ideal, cone.weight)
+
+        check()
 
 
 class TestFansEqual:

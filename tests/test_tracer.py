@@ -123,7 +123,8 @@ def test_nothing_carries_across_requests():
 @pytest.mark.parametrize("pair", [(11, 7), (11, 4), (13, 5), (20, 1), (20, 19), (29, 8)])
 def test_no_polynomial_arithmetic_at_run_time(pair):
     # every binomial is packed from monomial codes: of the polyring layer a
-    # request calls only the renderer
+    # request calls at most the renderer, which gfan and the e = 3 reports
+    # (q = n - 1) do not reach either
     tracer = load_tracer().Tracer()
     tracer.install()
     codes = {}
@@ -136,5 +137,32 @@ def test_no_polynomial_arithmetic_at_run_time(pair):
     # artin on a one-entry dual and reconstruct at r = 1 are unsupported
     assert set(codes.values()) <= {0, 4}, codes
     names = {row[3] for row in tracer.spans()}
-    assert {"cli.main", "polyring.poly_text"} <= names
-    assert {name for name in names if name.startswith("polyring.")} == {"polyring.poly_text"}
+    assert "cli.main" in names
+    assert {name for name in names if name.startswith("polyring.")} <= {"polyring.poly_text"}
+
+
+@pytest.mark.parametrize("command", ["gfan", "verify"])
+@pytest.mark.parametrize("pair", [(11, 7), (20, 1), (20, 19), (29, 8)])
+def test_groebner_fan_enters_no_polyring_function(command, pair):
+    # the cones are certified and printed from their codes: no span of the
+    # polyring layer, and of its code only the constructors run (of the
+    # variable table, of a polynomial from its codes, of a variable's code)
+    counts, _ = traced_request([command, *map(str, pair)])
+    assert counts["gfan.groebner_fan"] == 1
+    assert not [name for name in counts if name.startswith("polyring.")]
+    entered = set()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == polyring.__file__:
+            entered.add(frame.f_code.co_qualname)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        code, _ = stdout_of([command, *map(str, pair), "--format", "json"])
+    finally:
+        sys.setprofile(previous)
+    assert code == 0
+    assert "Polynomial._raw" in entered
+    assert {name.split(".")[0] for name in entered} <= {"Polynomial", "VariableTable"}
+    assert {name for name in entered if name.startswith("Polynomial.")} == {"Polynomial._raw"}
