@@ -17,7 +17,6 @@ from cqsing.cfrac import Singularity
 from cqsing.cli import main
 from cqsing.invariant_ring import defining_equations
 from cqsing.mckay import g_clusters
-from cqsing.polyring import poly_text
 
 from conftest import coprime_pairs
 
