@@ -212,7 +212,7 @@ def run_gfan(s: Singularity) -> Report:
     matches = gfan.fans_equal(fan, tfan)
     if not matches:
         raise ConsistencyError("fan does not match the lattice model")
-    bases = [[gfan.binomial_text(g, c.weight) for g in c.basis] for c in cones]
+    bases = [[gfan._binomial_text(g, c.weight) for g in c.basis] for c in cones]
     fan_data = fan.serialize()
     payload = {
         "fan": fan_data,

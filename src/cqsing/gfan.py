@@ -63,7 +63,7 @@ has no lead.  Buchberger's algorithm stays in ``polyring``, and the
 division certificate (S-pairs and orbit generators reduce to 0) in the
 tests, as oracles for these bases.
 
-``binomial_text`` writes each basis element as lead - tail, in
+``_binomial_text`` writes each basis element as lead - tail, in
 ``poly_text``'s x^a*y^b form, from its two codes decoded as the
 certificate decodes them, with the lead picked by the same (w.m, code)
 comparison, never by dict order.  So a ``gfan`` request certifies and
@@ -242,7 +242,7 @@ def _term_text(x, y, a, b, c):
     return f"{abs(c)}*{body}"
 
 
-def binomial_text(g, w) -> str:
+def _binomial_text(g, w) -> str:
     """``poly_text`` of the two-term basis element g under the weight pair w:
     lead - tail, the lead being the term of larger (w.m, code), the one
     ``certify_basis`` certifies, with the exponents decoded as it decodes

@@ -490,17 +490,14 @@ def buchberger(gens, order: WeightedOrder):
     return _reduce_basis(G, order)
 
 
-def poly_text(f: Polynomial, order: WeightedOrder | None = None, *, key=None) -> str:
+def poly_text(f: Polynomial, order: WeightedOrder | None = None) -> str:
     """Canonical text: terms by descending order, rational coefficients.  The
-    nonzero fields are found by ``bit_length``, most significant first.  A
-    caller rendering many polynomials under one order may pass its
-    ``_code_key`` as ``key`` in place of ``order``."""
+    nonzero fields are found by ``bit_length``, most significant first."""
     if not f:
         return "0"
     table = f.table
     names, last, terms = table.names, len(table.names) - 1, f._terms
-    if order is not None:
-        key = _code_key(order.weights, table)
+    key = None if order is None else _code_key(order.weights, table)
     parts = []
     for m in sorted(terms, key=key, reverse=True):
         c = terms[m]

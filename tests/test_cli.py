@@ -350,16 +350,16 @@ class TestRenderOnce:
         # each element is written once, from the lead the certificate
         # picks, and the generic renderer is never reached
         calls = []
-        binomial_text = gfan.binomial_text
+        _binomial_text = gfan._binomial_text
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return binomial_text(*args, **kwargs)
+            return _binomial_text(*args, **kwargs)
 
         def refuse(*args, **kwargs):
             raise AssertionError("gfan reached poly_text")
 
-        monkeypatch.setattr(gfan, "binomial_text", counted)
+        monkeypatch.setattr(gfan, "_binomial_text", counted)
         monkeypatch.setattr(cli, "poly_text", refuse)
         monkeypatch.setattr(polyring, "poly_text", refuse)
         code, out, _ = run(capsys, ["gfan", "11", "7", "--format", "json"])

@@ -11,7 +11,7 @@ from cqsing.cfrac import Singularity, curve_count
 from cqsing.errors import ConsistencyError, InputError
 from cqsing.gfan import (
     BoundaryWeightError,
-    binomial_text,
+    _binomial_text,
     certify_basis,
     cone_of_weight,
     fans_equal,
@@ -22,7 +22,6 @@ from cqsing.mckay import g_clusters
 from cqsing.polyring import (
     Polynomial,
     WeightedOrder,
-    _code_key,
     buchberger,
     leading_term,
     normal_form,
@@ -509,9 +508,9 @@ class TestBinomialText:
         count = 0
         for n, q in coprime_pairs(60):
             for cone in groebner_fan(Singularity(n, q))[1]:
-                key = _code_key(cone.weight, cone.basis[0].table)
+                order = WeightedOrder(weights=cone.weight)
                 for g in cone.basis:
-                    assert binomial_text(g, cone.weight) == poly_text(g, key=key), (n, q)
+                    assert _binomial_text(g, cone.weight) == poly_text(g, order), (n, q)
                 count += 1
         assert count == 8951
 
@@ -525,8 +524,8 @@ class TestBinomialText:
                     list(g._terms)[::-1] for g in cone.basis
                 ]
                 assert flipped == cone.basis
-                assert [binomial_text(g, w) for g in flipped] == [
-                    binomial_text(g, w) for g in cone.basis
+                assert [_binomial_text(g, w) for g in flipped] == [
+                    _binomial_text(g, w) for g in cone.basis
                 ]
                 for certify in (certify_basis, certify_basis_by_tuples):
                     certify(flipped, ideal, w)
@@ -556,7 +555,7 @@ class TestBinomialText:
         ]
         for terms, w in cases:
             g = table.poly(terms)
-            assert binomial_text(g, w) == poly_text(g, WeightedOrder(weights=w))
+            assert _binomial_text(g, w) == poly_text(g, WeightedOrder(weights=w))
 
 
 class TestConeRays:

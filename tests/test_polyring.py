@@ -584,7 +584,6 @@ class TestPackedCodes:
                 assert poly_text(f) == tuple_poly_text(f)
                 text = tuple_poly_text(f, WeightedOrder(weights))
                 assert poly_text(f, WeightedOrder(weights)) == text
-                assert poly_text(f, key=_code_key(weights, table)) == text
 
     def test_text_of_ends_at_the_ceiling(self):
         top = 32767
