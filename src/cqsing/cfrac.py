@@ -229,7 +229,9 @@ def identities(s: Singularity) -> Identities:
 
 
 def embedding_dimension(s: Singularity) -> int:
-    return len(dual_expand(s)) + 2
+    """e = len(dual_expand(s)) + 2, read off ``hj_length`` in O(log n)
+    without expanding the dual chain."""
+    return hj_length(s.n, s.n - s.q) + 2
 
 
 def is_t_singularity(s: Singularity) -> TWitness | None:

@@ -145,7 +145,7 @@ def run_toric(s: Singularity) -> Report:
         "checks": checks,
     }
     text = [
-        f"fan rays (x{s.n}): " + ", ".join(str(r.scaled) for r in fan.rays),
+        f"fan rays (x{s.n}): " + ", ".join(map(str, fan.rays)),
         f"hilbert basis: " + ", ".join(str(p) for p in basis),
         f"self intersections: {list(selfint)}",
     ]
@@ -227,7 +227,7 @@ def run_gfan(s: Singularity) -> Report:
         ],
         "checks": with_reference({"matches_toric": matches}, s, fan_rays=fan_data["rays"]),
     }
-    text = [f"rays (x{s.n}): " + ", ".join(str(r.scaled) for r in fan.rays)]
+    text = [f"rays (x{s.n}): " + ", ".join(map(str, fan.rays))]
     for c, basis in zip(cones, bases):
         text.append(f"cone at weight {c.weight}: rays {c.lower_ray}..{c.upper_ray}")
         text += [f"  {g}" for g in basis]

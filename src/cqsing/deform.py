@@ -1,5 +1,6 @@
-"""Versal deformation equations: tangent dimension, the hypersurface family,
-and the explicit base/total ideals for embedding dimension >= 4.
+"""Versal deformation equations: tangent dimension, the text of the
+hypersurface family, and the explicit base/total ideals for embedding
+dimension >= 4.
 
 Construction data for e >= 4, with a_2..a_{e-1} the dual expansion:
 
@@ -77,8 +78,8 @@ family is the one-equation deformation by a degree-(n-2) polynomial in z2;
 its z2^n is over the polyring exponent ceiling from n = 32768 on, which
 ``check_ceilings`` also refuses before any name is made.  The reports
 write its text from the closed form (``hypersurface_text``) and count its
-n - 1 parameters; the packed family, n + 1 codes over n + 2 names, is the
-test oracle of that text.
+n - 1 parameters; no table or polynomial of it is built.  The tests pack
+the family, n + 1 codes over n + 2 names, as the oracle of that text.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .cfrac import Singularity, dual_expand, hj_length, per_pair
+from .cfrac import Singularity, dual_expand, embedding_dimension, per_pair
 from .errors import ConsistencyError, InputError
 from .invariant_ring import _a_by_index, right_codes
 from .polyring import _LIMIT, _RANGE, Polynomial, VariableTable, _checked
@@ -125,19 +126,12 @@ class VersalPresentation(NamedTuple):
     base_ideal: tuple[Polynomial, ...]
 
 
-class HypersurfaceFamily(NamedTuple):
-    """z1 z3 = z2^n deformed by the tail c_0 + c_1 z2 + ... + c_{n-2} z2^{n-2}
-    (no z2^{n-1} term), over the table (z1, z2, z3, c_0, ..., c_{n-2})."""
-
-    equation: Polynomial
-    parameters: tuple[str, ...]
-
-
 def check_ceilings(s: Singularity) -> int:
-    """The embedding dimension e, read off the length of the dual expansion
-    without expanding it, after checking the ceilings of the families on it:
-    e <= 128 and, for e = 3, z2^n under the polyring exponent ceiling."""
-    e = hj_length(s.n, s.n - s.q) + 2
+    """The embedding dimension e, read without expanding the dual chain
+    (``embedding_dimension``), after checking the ceilings of the families
+    on it: e <= 128 and, for e = 3, z2^n under the polyring exponent
+    ceiling."""
+    e = embedding_dimension(s)
     if e > MAX_VERSAL_E:
         raise InputError(f"e = {e} is over the versal ceiling e <= {MAX_VERSAL_E}")
     if e == 3 and s.n >= _LIMIT:
@@ -287,23 +281,6 @@ def hypersurface_text(n: int) -> str:
         return "z1*z3 - z2^2 - c0"
     high = [f"z2^{n}"] + [f"z2^{k}*c{k}" for k in range(n - 2, 1, -1)]
     return "-" + " - ".join(high) + " + z1*z3 - z2*c1 - c0"
-
-
-def hypersurface_presentation(s: Singularity) -> HypersurfaceFamily:
-    """The e = 3 family as a polynomial, one deformed equation z1 z3 = z2^n
-    + tail; the reports write it by ``hypersurface_text``."""
-    # z2^n is packed last, so its exponent is checked before the n - 1 names
-    if check_ceilings(s) != 3:
-        raise InputError("only for embedding dimension 3")
-    n = s.n
-    params = tuple(f"c{k}" for k in range(n - 1))
-    table = VariableTable(("z1", "z2", "z3") + params)
-    code = table._code
-    # z1 z3 - z2^n - sum_k c_k z2^k, its n + 1 terms packed into one dict
-    terms = {code("z1") + code("z3"): 1, code("z2", n): -1}
-    terms.update({code("z2", k) + code(c): -1 for k, c in enumerate(params)})
-    equation = Polynomial._raw(table, terms)
-    return HypersurfaceFamily(equation=equation, parameters=params)
 
 
 def specialized_relations(pres: VersalPresentation) -> list[Polynomial]:

@@ -26,7 +26,9 @@ before any polynomial is built.  A partner of another weight fails step 1
 below.
 Each x^m is packed straight into its code of the ("x", "y") table (x^a y^b
 is a in the field at bit 16 and b in the field at bit 0, a + b above them),
-under polyring's exponent ceiling, with no exponent tuple in between.
+with no exponent tuple in between.  Every corner and partner exponent is at
+most n, so the one check of n against polyring's exponent ceiling, in
+``orbit_ideal``, keeps every code in its fields.
 
 The boundary rays come off the same corners, with no search.  The two
 pure-power pairs give the inequalities (i_k, -j_k) and (-i_{k+1}, j_{k+1}),
@@ -64,10 +66,11 @@ division certificate (S-pairs and orbit generators reduce to 0) in the
 tests, as oracles for these bases.
 
 ``_binomial_text`` writes each basis element as lead - tail, in
-``poly_text``'s x^a*y^b form, from its two codes decoded as the
-certificate decodes them, with the lead picked by the same (w.m, code)
-comparison, never by dict order.  So a ``gfan`` request certifies and
-prints its cones with no call into ``polyring``.
+``poly_text``'s form, from its two codes decoded as the certificate decodes
+them, with the lead picked by the same (w.m, code) comparison, never by
+dict order; each monomial x^a*y^b is ``invariant_ring.monomial_text``.  So
+a ``gfan`` request certifies and prints its cones with no call into
+``polyring``.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ from typing import NamedTuple
 
 from .cfrac import Singularity, curve_count
 from .errors import ConsistencyError, InputError
+from .invariant_ring import monomial_text
 from .mckay import g_clusters
 from .polyring import (
     _BITS,
@@ -87,7 +91,7 @@ from .polyring import (
     Polynomial,
     VariableTable,
 )
-from .toric import Fan2D, RationalRay, primitive
+from .toric import Fan2D, primitive
 
 
 class BoundaryWeightError(Exception):
@@ -113,7 +117,10 @@ class GroebnerCone(NamedTuple):
 
 def orbit_ideal(s: Singularity) -> OrbitIdeal:
     """The ideal of the orbit of (1, 1), generated by f_t(x, y) - 1 over the
-    invariant generators f_t."""
+    invariant generators f_t.  Its cones at the two axes hold x^n and y^n,
+    so n must lie under polyring's exponent ceiling."""
+    if s.n >= _LIMIT:
+        raise InputError(_RANGE)
     return OrbitIdeal(singularity=s, table=VariableTable(["x", "y"]))
 
 
@@ -191,15 +198,14 @@ def _certified_cone(cluster, pairs, w, ideal: OrbitIdeal) -> GroebnerCone:
     weight w: the candidate {x^m - x^m'}, certified, and the rays read off
     the cluster's corners, checked against its inequalities.  One pass over
     the pairs reads each one's margin (w must be inside the cone), packs
-    x^m and x^m' straight into their codes in ``ideal.table``, under the
-    ceiling, and takes its inequality."""
+    x^m and x^m' straight into their codes in ``ideal.table`` (every
+    exponent is at most n, under the ceiling ``orbit_ideal`` checked) and
+    takes its inequality."""
     w0, w1 = w
     top = ideal.table._top
     rows = []
     normals = set()
     for (a, b), (c, d) in pairs:
-        if max(a, b, c, d) >= _LIMIT:
-            raise InputError(_RANGE)
         da, db = a - c, b - d
         if da * w0 + db * w1 <= 0:
             raise ConsistencyError(f"weight {w} is not inside the cone of its cluster")
@@ -227,19 +233,12 @@ def _certified_cone(cluster, pairs, w, ideal: OrbitIdeal) -> GroebnerCone:
     )
 
 
-def _term_text(x, y, a, b, c):
+def _term_text(a, b, c):
     """|c| x^a y^b in ``poly_text``'s form, without its sign."""
-    if a:
-        body = x if a == 1 else f"{x}^{a}"
-        if b:
-            body += f"*{y}" if b == 1 else f"*{y}^{b}"
-    elif b:
-        body = y if b == 1 else f"{y}^{b}"
-    else:
-        return str(abs(c))
+    body = monomial_text(a, b)
     if c == 1 or c == -1:
         return body
-    return f"{abs(c)}*{body}"
+    return str(abs(c)) if body == "1" else f"{abs(c)}*{body}"
 
 
 def _binomial_text(g, w) -> str:
@@ -252,10 +251,9 @@ def _binomial_text(g, w) -> str:
     a, b, e, f = m >> _BITS & _MASK, m & _MASK, t >> _BITS & _MASK, t & _MASK
     if (w0 * a + w1 * b, m) < (w0 * e + w1 * f, t):
         a, b, c, e, f, d = e, f, d, a, b, c
-    x, y = g.table.names
     sign = "-" if c < 0 else ""
     op = "-" if d < 0 else "+"
-    return f"{sign}{_term_text(x, y, a, b, c)} {op} {_term_text(x, y, e, f, d)}"
+    return f"{sign}{_term_text(a, b, c)} {op} {_term_text(e, f, d)}"
 
 
 def cone_of_weight(ideal: OrbitIdeal, w) -> GroebnerCone:
@@ -287,8 +285,6 @@ def groebner_fan(s: Singularity):
     of their boundary rays (scaled compatibly with the toric module)."""
     ideal = orbit_ideal(s)
     n = s.n
-    if n >= _LIMIT:  # the cones at the two axes hold x^n and y^n
-        raise InputError(_RANGE)
     cones = []
     w = (n * n, 1)
     for cluster in g_clusters(s):
@@ -306,13 +302,10 @@ def groebner_fan(s: Singularity):
         raise ConsistencyError("cone sweep did not reach the y-axis")
     if len(cones) != curve_count(s) + 1:
         raise ConsistencyError("cone count does not match the curve count")
-    rays = [(n, 0)]
-    rays += [c.upper_ray for c in cones[:-1]]
-    rays.append((0, n))
-    fan = Fan2D(rays=tuple(RationalRay(scaled=r) for r in rays), den=n)
-    return fan, cones
+    rays = ((n, 0), *[c.upper_ray for c in cones[:-1]], (0, n))
+    return Fan2D(rays=rays, den=n), cones
 
 
 def fans_equal(a: Fan2D, b: Fan2D) -> bool:
     """Equality as collections of ray directions (primitive integer form)."""
-    return a.primitive_ray_set() == b.primitive_ray_set()
+    return set(map(primitive, a.rays)) == set(map(primitive, b.rays))

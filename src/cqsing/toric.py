@@ -5,7 +5,8 @@ positive quadrant; this is unimodularly equivalent to the usual cone
 spanned by (n, n-q) and (0, 1) over Z^2, and has the advantage that fan
 rays compare coordinate-free with the Groebner-fan rays.  Scaling by n
 identifies N with the sublattice {(A, B) in Z^2 : B = q*A (mod n)}, which
-is how rays are stored (integer vector plus the denominator n).
+is how rays are stored: each ray is its integer pair (A, B), and the fan
+holds the one denominator n.
 
 The resolution fan's rays are the lattice points on the boundary polyline
 of the convex hull of the nonzero lattice points of the quadrant; points
@@ -36,26 +37,16 @@ def _det(u, v) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-class RationalRay(NamedTuple):
-    """A ray direction stored as the integer vector n*direction (n is the
-    fan's ``den``)."""
-
-    scaled: tuple[int, int]
-
-    @property
-    def primitive(self) -> tuple[int, int]:
-        return primitive(self.scaled)
-
-
-class Fan2D(NamedTuple("Fan2D", [("rays", tuple[RationalRay, ...]), ("den", int)])):
-    """Rays sorted by angle from the x-axis, boundary rays included;
-    maximal cones are the consecutive ray pairs."""
+class Fan2D(NamedTuple("Fan2D", [("rays", tuple[tuple[int, int], ...]), ("den", int)])):
+    """Rays, each the integer vector n*direction (n is ``den``), sorted by
+    angle from the x-axis, boundary rays included; maximal cones are the
+    consecutive ray pairs."""
 
     __slots__ = ()
 
-    def __new__(cls, rays: tuple[RationalRay, ...], den: int):
+    def __new__(cls, rays: tuple[tuple[int, int], ...], den: int):
         self = super().__new__(cls, rays, den)
-        if any(_det(r1.scaled, r2.scaled) <= 0 for r1, r2 in self.maximal_cones):
+        if any(_det(r1, r2) <= 0 for r1, r2 in self.maximal_cones):
             raise InputError("fan rays must be strictly sorted by angle")
         return self
 
@@ -66,11 +57,8 @@ class Fan2D(NamedTuple("Fan2D", [("rays", tuple[RationalRay, ...]), ("den", int)
     def maximal_cones(self):
         return tuple(zip(self.rays, self.rays[1:]))
 
-    def primitive_ray_set(self):
-        return frozenset(r.primitive for r in self.rays)
-
     def serialize(self):
-        return {"den": self.den, "rays": [list(r.scaled) for r in self.rays]}
+        return {"den": self.den, "rays": [list(r) for r in self.rays]}
 
 
 def _staircase(n: int, slope: int):
@@ -112,10 +100,7 @@ def resolution_fan(s: Singularity) -> Fan2D:
     the hull boundary of the nonzero quadrant lattice points."""
     rays = _hull_boundary(_staircase(s.n, s.q))
     rays.reverse()  # staircase runs from the y-axis down; fans sort from the x-axis up
-    fan = Fan2D(
-        rays=tuple(RationalRay(scaled=p) for p in rays),
-        den=s.n,
-    )
+    fan = Fan2D(rays=tuple(rays), den=s.n)
     _check_unimodular(fan)
     return fan
 
@@ -123,14 +108,14 @@ def resolution_fan(s: Singularity) -> Fan2D:
 def _check_unimodular(fan: Fan2D):
     # consecutive rays must span the working lattice: |det| = n in scaled coords
     for r1, r2 in fan.maximal_cones:
-        if abs(_det(r1.scaled, r2.scaled)) != fan.den:
+        if abs(_det(r1, r2)) != fan.den:
             raise ConsistencyError("fan cone is not unimodular in the lattice")
 
 
 def self_intersections(fan: Fan2D) -> tuple[int, ...]:
     """Recover the expansion entries b_k from the ray recursion
     v_{k-1} + v_{k+1} = b_k * v_k, walking from the y-axis to the x-axis."""
-    rays = [r.scaled for r in reversed(fan.rays)]
+    rays = fan.rays[::-1]
     entries = []
     for k in range(1, len(rays) - 1):
         prev, cur, nxt = rays[k - 1], rays[k], rays[k + 1]

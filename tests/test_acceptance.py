@@ -25,7 +25,7 @@ from cqsing.reconstruct import (
     quasidet_presentation,
     reconstruction_quiver,
 )
-from cqsing.toric import resolution_fan, self_intersections
+from cqsing.toric import primitive, resolution_fan, self_intersections
 
 from conftest import coprime_pairs
 
@@ -137,7 +137,7 @@ def test_criterion_5_groebner():
                 {m: Fraction(c) for m, c in t.items()} for t in expected
             ], w
         fan, cones = groebner_fan(Singularity(11, 7))
-        assert {r.primitive for r in fan.rays} == {
+        assert {primitive(r) for r in fan.rays} == {
             (1, 0), (8, 1), (5, 2), (2, 3), (1, 7), (0, 1),
         }
         assert len(cones) == 5

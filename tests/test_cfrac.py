@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,12 @@ class TestLength:
         assert hj_length(n, n - 1) == n - 1
         assert hj_length(n, 1) == 1
         assert hj_length(n, (n + 1) // 2) == 2  # n/((n+1)/2) = [2, (n+1)/2]
+
+    def test_embedding_dimension_without_the_dual_chain(self):
+        # the dual chain of (n, 1) is n 2s; e is read off its length alone
+        start = time.perf_counter()
+        assert embedding_dimension(Singularity(10**9 + 7, 1)) == 10**9 + 8
+        assert time.perf_counter() - start < 1
 
 
 class TestSingularity:

@@ -1,9 +1,8 @@
-import contextlib
 import enum
-import hashlib
-import io
+import glob
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -19,6 +18,7 @@ from cqsing.invariant_ring import defining_equations
 from cqsing.mckay import g_clusters
 
 from conftest import coprime_pairs
+from gate_replay import gate_entry
 
 
 def run(capsys, argv):
@@ -759,21 +759,51 @@ def gate_argvs():
             yield ["batch", "--max-n", max_n, "--format", fmt]
 
 
-def gate_entry(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except Exception:  # an uncaught error ends the real CLI with exit 1
-            code = 1
-    return [code, hashlib.sha256(out.getvalue().encode()).hexdigest(), err.getvalue()]
-
-
 def test_output_gate():
     want = json.loads(GATE.read_text())
     got = {" ".join(argv): gate_entry(argv) for argv in gate_argvs()}
     assert len(got) == 426
     assert sorted(k for k in got if got[k] != want.get(k)) == []
+
+
+def other_pythons():
+    """One interpreter for each CPython 3.N, N >= 10, other than the running
+    one: the first python3.N that starts, along PATH and then in pyenv's
+    installed versions (pyenv's shims on PATH start only the selected
+    ones)."""
+    dirs = os.get_exec_path()
+    pyenv = shutil.which("pyenv")
+    if pyenv:
+        root = subprocess.run([pyenv, "root"], capture_output=True, text=True).stdout.strip()
+        dirs += sorted(glob.glob(os.path.join(root, "versions", "*", "bin")))
+    probe = "import platform, sys; print(platform.python_implementation(), *sys.version_info[:2])"
+    found = {str(sys.version_info[1]): None}  # the running one is not replayed
+    for d in dirs:
+        for exe in sorted(glob.glob(os.path.join(d, "python3.*"))):
+            minor = os.path.basename(exe)[len("python3."):]
+            if not minor.isdigit() or int(minor) < 10 or minor in found:
+                continue
+            done = subprocess.run([exe, "-c", probe], capture_output=True, text=True, timeout=60)
+            if done.returncode == 0 and done.stdout.split() == ["CPython", "3", minor]:
+                found[minor] = exe
+    return [exe for _, exe in sorted(found.items(), key=lambda item: int(item[0])) if exe]
+
+
+def test_output_gate_in_other_pythons():
+    # requires-python = ">=3.10": the gate's 426 argvs give the same bytes
+    # in every other CPython found, replayed by a stdlib-only script since
+    # pytest may be installed for this interpreter only
+    pythons = other_pythons()
+    if not pythons:
+        pytest.skip("no other CPython >= 3.10 found")
+    env = dict(os.environ, PYTHONPATH=str(Path(cqsing.__file__).parents[1]),
+               PYTHONDONTWRITEBYTECODE="1")
+    replay = Path(__file__).with_name("gate_replay.py")
+    for exe in pythons:
+        done = subprocess.run([exe, str(replay), str(GATE)], capture_output=True,
+                              text=True, env=env, timeout=600)
+        assert done.returncode == 0, (exe, done.stderr)
+        assert json.loads(done.stdout) == {"replayed": 426, "differ": []}, exe
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ from cqsing.deform import (
     _product,
     deformation_variables,
     dim_t1,
-    hypersurface_presentation,
     hypersurface_text,
     images_at_zero,
     images_specialize,
@@ -28,6 +27,19 @@ from cqsing.polyring import (
 )
 
 from conftest import coprime_pairs
+
+
+def hypersurface_family(n):
+    """Oracle: the e = 3 family z1 z3 - z2^n - sum_k c_k z2^k (k <= n - 2)
+    as a polynomial over the table (z1, z2, z3, c_0, ..., c_{n-2}), packed
+    from exponent tuples; returns it with its parameter names."""
+    params = tuple(f"c{k}" for k in range(n - 1))
+    table = VariableTable(("z1", "z2", "z3") + params)
+    zero = (0,) * (n - 1)
+    terms = {(1, 0, 1) + zero: 1, (0, n, 0) + zero: -1}
+    for k in range(n - 1):
+        terms[(0, k, 0) + zero[:k] + (1,) + zero[k + 1:]] = -1
+    return table.poly(terms), params
 
 
 def tjurina_dimension(m):
@@ -62,40 +74,41 @@ class TestDimT1:
 
 
 class TestVersalFamily:
-    """The e = 3 family z1 z3 = z2^m + c_{m-2} z2^{m-2} + ... + c0, m = n,
-    over the table (z1, z2, z3, c0, ..., c_{m-2})."""
+    """The oracle of the e = 3 family, z1 z3 = z2^m + c_{m-2} z2^{m-2} + ...
+    + c0 with m = n over the table (z1, z2, z3, c0, ..., c_{m-2}), as
+    ``hypersurface_family`` builds it."""
 
     def test_m2(self):
-        fam = hypersurface_presentation(Singularity(2, 1))
-        assert fam.equation.table.names == ("z1", "z2", "z3", "c0")
-        assert fam.parameters == ("c0",)
-        assert fam.equation.terms[(1, 0, 1, 0)] == 1
-        assert fam.equation.terms[(0, 2, 0, 0)] == -1
+        equation, params = hypersurface_family(2)
+        assert equation.table.names == ("z1", "z2", "z3", "c0")
+        assert params == ("c0",)
+        assert equation.terms[(1, 0, 1, 0)] == 1
+        assert equation.terms[(0, 2, 0, 0)] == -1
 
     def test_m3_shape(self):
-        fam = hypersurface_presentation(Singularity(3, 2))
-        assert fam.parameters == ("c0", "c1")
+        equation, params = hypersurface_family(3)
+        assert params == ("c0", "c1")
         # z1*z3 - z2^3 - c1*z2 - c0, no z2^2 term
-        exps = set(fam.equation.terms)
+        exps = set(equation.terms)
         assert (0, 3, 0, 0, 0) in exps
         assert not any(e[1] == 2 for e in exps)
 
     def test_m5_count(self):
-        assert len(hypersurface_presentation(Singularity(5, 4)).parameters) == 4
+        assert len(hypersurface_family(5)[1]) == 4
 
     def test_shape_sweep(self):
         for n in range(2, 12):
-            fam = hypersurface_presentation(Singularity(n, n - 1))
-            assert fam.equation.terms[(0, n, 0) + (0,) * (n - 1)] == -1  # z2^n
-            assert fam.parameters == tuple(f"c{k}" for k in range(n - 1))
-            assert fam.equation.table.names == ("z1", "z2", "z3") + fam.parameters
-            assert not any(e[1] == n - 1 for e in fam.equation.terms)
-            # oracle: the same family summed term by term
-            table = fam.equation.table
+            equation, params = hypersurface_family(n)
+            assert equation.terms[(0, n, 0) + (0,) * (n - 1)] == -1  # z2^n
+            assert params == tuple(f"c{k}" for k in range(n - 1))
+            assert equation.table.names == ("z1", "z2", "z3") + params
+            assert not any(e[1] == n - 1 for e in equation.terms)
+            # cross-check: the same family summed term by term
+            table = equation.table
             rhs = table.var("z2", n)
             for k in range(n - 1):
                 rhs = rhs + table.var(f"c{k}") * table.var("z2", k)
-            assert fam.equation == table.var("z1") * table.var("z3") - rhs
+            assert equation == table.var("z1") * table.var("z3") - rhs
 
 
 def golden_relations_11_4(v):
@@ -349,38 +362,32 @@ class TestVersalPresentation:
             assert specialized_relations(pres)
             assert specializes(s, pres, defining_equations(s))
             assert images_specialize(s, pres.variables, defining_equations(s))
-        for n in (2, 6, 40):
-            assert hypersurface_presentation(Singularity(n, n - 1)).equation
 
 
 class TestHypersurfaceRoute:
     def test_parameters_match_dim_t1(self):
         for n in range(2, 10):
             s = Singularity(n, n - 1)
-            assert len(hypersurface_presentation(s).parameters) == dim_t1(s) == n - 1
+            assert len(hypersurface_family(n)[1]) == dim_t1(s) == n - 1
 
     def test_specializes_to_binomial(self):
-        fam = hypersurface_presentation(Singularity(6, 5))
-        at_zero = fam.equation.substitute({p: 0 for p in fam.parameters})
-        table = fam.equation.table
+        equation, params = hypersurface_family(6)
+        at_zero = equation.substitute({p: 0 for p in params})
+        table = equation.table
         expected = table.var("z1") * table.var("z3") - table.var("z2", 6)
         assert at_zero == expected
-
-    def test_only_for_e3(self):
-        with pytest.raises(InputError):
-            hypersurface_presentation(Singularity(11, 7))
 
     def test_closed_form_text_matches_the_family(self):
         # the polynomial family is the oracle of the text the reports print
         for n in range(2, 301):
-            family = hypersurface_presentation(Singularity(n, n - 1))
-            assert hypersurface_text(n) == poly_text(family.equation)
+            assert hypersurface_text(n) == poly_text(hypersurface_family(n)[0])
 
     def test_reports_do_not_build_the_family(self, monkeypatch):
-        def refuse(s):
-            raise AssertionError("the hypersurface family was built")
+        def refuse(*args):
+            raise AssertionError("a variable table was built")
 
-        monkeypatch.setattr(deform, "hypersurface_presentation", refuse)
+        # the e = 3 reports build no table, so no family either
+        monkeypatch.setattr(deform, "VariableTable", refuse)
         for n in (2, 3, 40):
             assert cli.verify_checks(Singularity(n, n - 1))["deform_parameter_count"]
             payload = cli.run_deform(Singularity(n, n - 1)).payload["deformation"]

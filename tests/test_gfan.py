@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cqsing import gfan, polyring
+from cqsing import gfan, polyring, toric
 from cqsing.cfrac import Singularity, curve_count
 from cqsing.errors import ConsistencyError, InputError
 from cqsing.gfan import (
@@ -243,7 +243,7 @@ class TestConeOfWeight:
         for n, q in [(11, 7), (12, 5)]:
             s = Singularity(n, q)
             ideal = orbit_ideal(s)
-            rays = [r.primitive for r in resolution_fan(s).rays[1:-1]]
+            rays = [toric.primitive(r) for r in resolution_fan(s).rays[1:-1]]
             assert rays
             for ray in rays:
                 with pytest.raises(BoundaryWeightError):
@@ -614,14 +614,14 @@ class TestStandardCount:
 class TestGroebnerFan:
     def test_11_7_rays(self):
         fan, cones = groebner_fan(Singularity(11, 7))
-        assert [r.scaled for r in fan.rays] == [
+        assert list(fan.rays) == [
             (11, 0), (8, 1), (5, 2), (2, 3), (1, 7), (0, 11),
         ]
         assert len(cones) == 5
 
     def test_2_1(self):
         fan, cones = groebner_fan(Singularity(2, 1))
-        assert [r.scaled for r in fan.rays] == [(2, 0), (1, 1), (0, 2)]
+        assert list(fan.rays) == [(2, 0), (1, 1), (0, 2)]
         assert len(cones) == 2
 
     def test_n_1_has_two_cones(self):
@@ -645,6 +645,14 @@ class TestGroebnerFan:
                 groebner_fan(s)
             with pytest.raises(InputError, match="0..32767"):
                 cone_of_weight(orbit_ideal(s), (n * n, 1))
+
+    def test_orbit_ideal_checks_the_ceiling_once(self):
+        # every corner and partner exponent is at most n, so the cones need
+        # no check of their own
+        with pytest.raises(InputError) as info:
+            orbit_ideal(Singularity(32768, 32767))
+        assert str(info.value) == polyring._RANGE
+        assert orbit_ideal(Singularity(32767, 32766)).singularity.n == 32767
 
     def test_cones_tile(self):
         _, cones = groebner_fan(Singularity(11, 7))

@@ -21,7 +21,7 @@ from cqsing.errors import InputError, UnsupportedError
 from cqsing.mckay import g_clusters
 from cqsing.polyring import Polynomial, VariableTable, WeightedOrder
 from cqsing.reconstruct import Arrow
-from cqsing.toric import Fan2D, RationalRay, resolution_fan
+from cqsing.toric import Fan2D, resolution_fan
 
 from conftest import MEMOIZED
 
@@ -59,7 +59,7 @@ def test_fields_cannot_be_set(record):
 
 
 def _unsorted_fan():
-    return Fan2D(rays=(RationalRay((0, 2)), RationalRay((2, 0))), den=2)
+    return Fan2D(rays=((0, 2), (2, 0)), den=2)
 
 
 @pytest.mark.parametrize(
