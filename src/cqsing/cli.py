@@ -1,8 +1,9 @@
 """Command-line driver: per-topic reports, DOT export, a one-pair
 cross-check suite (verify) and a range sweep (batch).
 
-Exit codes: 0 success, 2 invalid input, 3 internal consistency failure,
-4 unsupported request.  Output is deterministic byte-for-byte.
+Exit codes: 0 success, 2 invalid input, 3 internal consistency failure
+(a report with a false check is not written), 4 unsupported request.
+Output is deterministic byte-for-byte.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ def emit_dot(quiver) -> str:
     """Render either quiver flavor as a DOT digraph, deterministically."""
     if isinstance(quiver, mckay.Quiver):
         name = "mckay"
-        vertices = quiver.vertices
-        edges = [(t, h, label) for t, h, label in quiver.arrows]
+        edges = quiver.arrows  # (tail, head, label) already
     elif isinstance(quiver, reconstruct.ReconstructionQuiver):
         name = "reconstruction"
-        vertices = quiver.vertices
         edges = [(a.tail, a.head, a.label) for a in quiver.arrows]
     else:
         raise InputError("cannot render this object as DOT")
+    vertices = quiver.vertices
     lines = [f"digraph {name} {{"]
     for v in vertices:
         lines.append(f'  "{v}";')
@@ -60,8 +60,8 @@ class Report(NamedTuple):
 def run_resolve(s: Singularity) -> Report:
     ids = cfrac.identities(s)
     data = {
-        "fraction": list(ids.fraction),
-        "dual_fraction": list(ids.dual),
+        "fraction": ids.fraction,
+        "dual_fraction": ids.dual,
         "e": ids.e,
         "r": len(ids.fraction),
     }
@@ -75,8 +75,8 @@ def run_resolve(s: Singularity) -> Report:
         "checks": with_reference({"identities": True}, s, **data),
     }
     text = [
-        f"fraction {s.n}/{s.q} = {data['fraction']}",
-        f"dual fraction {s.n}/{s.n - s.q} = {data['dual_fraction']}",
+        f"fraction {s.n}/{s.q} = {list(ids.fraction)}",
+        f"dual fraction {s.n}/{s.n - s.q} = {list(ids.dual)}",
         f"e = {data['e']}, r = {data['r']}",
         f"t_singularity = {t_singularity}",
     ]
@@ -87,8 +87,6 @@ def run_invariants(s: Singularity) -> Report:
     gens = invariant_ring.generators(s)
     eqs = invariant_ring.defining_equations(s)
     ok = invariant_ring.verify_presentation(s, eqs)
-    if not ok:
-        raise ConsistencyError("presentation substitution failed")
 
     def eq_text(rel):
         i, j = rel.left
@@ -100,7 +98,7 @@ def run_invariants(s: Singularity) -> Report:
     monomials = [g.monomial_text for g in gens]
     equations = [eq_text(rel) for rel in eqs]
     generators = [
-        {"index": g.index, "exponents": list(g.exponents), "monomial": m}
+        {"index": g.index, "exponents": g.exponents, "monomial": m}
         for g, m in zip(gens, monomials)
     ]
     payload = {
@@ -128,20 +126,18 @@ def run_toric(s: Singularity) -> Report:
     basis = toric.hilbert_basis_dual(s)
     selfint = toric.self_intersections(fan)
     gens = invariant_ring.generators(s)
-    fan_data = fan.serialize()
     checks = with_reference(
         {
             "round_trip": selfint == cfrac.fraction(s),
-            "hilbert_matches_generators": [tuple(p) for p in basis]
-            == [g.exponents for g in gens],
+            "hilbert_matches_generators": basis == [g.exponents for g in gens],
         },
         s,
-        fan_rays=fan_data["rays"],
+        fan_rays=fan.rays,
     )
     payload = {
-        "fan": fan_data,
-        "hilbert_basis": [list(p) for p in basis],
-        "self_intersections": list(selfint),
+        "fan": fan.serialize(),
+        "hilbert_basis": basis,
+        "self_intersections": selfint,
         "checks": checks,
     }
     text = [
@@ -158,11 +154,8 @@ def run_mckay(s: Singularity) -> Report:
     basis = mckay.g_basis(s)
     payload = {
         "special": special,
-        "g_basis": [list(p) for p in basis],
-        "quiver": {
-            "vertices": list(quiver.vertices),
-            "arrows": [list(a) for a in quiver.arrows],
-        },
+        "g_basis": basis,
+        "quiver": {"vertices": quiver.vertices, "arrows": quiver.arrows},
         "checks": with_reference(
             {"special_count_is_r": len(special) == cfrac.curve_count(s)},
             s,
@@ -182,15 +175,9 @@ def run_hilb(s: Singularity) -> Report:
     curves = mckay.curve_rep_assignment(s, clusters)
     entries = []
     for c in clusters:
-        ideal = c.ideal  # a property: read once per cluster
+        ideal = c.ideal  # properties: read once per cluster
         monomials = ", ".join(invariant_ring.monomial_text(a, b) for a, b in ideal)
-        entries.append(
-            {
-                "heights": list(c.heights),
-                "ideal": [list(p) for p in ideal],
-                "ideal_text": f"<{monomials}>",
-            }
-        )
+        entries.append({"heights": c.heights, "ideal": ideal, "ideal_text": f"<{monomials}>"})
     payload = {
         "clusters": entries,
         "curves": [{"curve": k, "class": w} for k, w in curves],
@@ -201,31 +188,27 @@ def run_hilb(s: Singularity) -> Report:
         ),
     }
     text = [f"clusters ({len(clusters)}):"]
-    text += [f"  {c['ideal_text']}  heights={c['heights']}" for c in entries]
+    text += [f"  {c['ideal_text']}  heights={list(c['heights'])}" for c in entries]
     text += ["curves: " + ", ".join(f"E{k} -> class {w}" for k, w in curves)]
     return Report(payload, text)
 
 
 def run_gfan(s: Singularity) -> Report:
     fan, cones = gfan.groebner_fan(s)
-    tfan = toric.resolution_fan(s)
-    matches = gfan.fans_equal(fan, tfan)
-    if not matches:
-        raise ConsistencyError("fan does not match the lattice model")
+    matches = gfan.fans_equal(fan, toric.resolution_fan(s))
     bases = [[gfan._binomial_text(g, c.weight) for g in c.basis] for c in cones]
-    fan_data = fan.serialize()
     payload = {
-        "fan": fan_data,
+        "fan": fan.serialize(),
         "cones": [
             {
-                "weight": list(c.weight),
-                "inequalities": [list(d) for d in c.inequalities],
-                "rays": [list(c.lower_ray), list(c.upper_ray)],
+                "weight": c.weight,
+                "inequalities": c.inequalities,
+                "rays": (c.lower_ray, c.upper_ray),
                 "basis": basis,
             }
             for c, basis in zip(cones, bases)
         ],
-        "checks": with_reference({"matches_toric": matches}, s, fan_rays=fan_data["rays"]),
+        "checks": with_reference({"matches_toric": matches}, s, fan_rays=fan.rays),
     }
     text = [f"rays (x{s.n}): " + ", ".join(map(str, fan.rays))]
     for c, basis in zip(cones, bases):
@@ -258,8 +241,8 @@ def run_deform(s: Singularity) -> Report:
         "deformation": {
             "dim_t1": dim,
             "kind": "binomial",
-            "parameters": list(params),
-            "pairs": [list(p) for p in pres.pairs],
+            "parameters": params,
+            "pairs": pres.pairs,
             "relations": relations,
             "base_ideal": base_ideal,
         },
@@ -275,8 +258,6 @@ def run_deform(s: Singularity) -> Report:
             base_ideal_size=len(pres.base_ideal),
         ),
     }
-    if not payload["checks"]["specialization"]:
-        raise ConsistencyError("s = t = 0 does not recover the binomial equations")
     text = [f"dim T1 = {dim}", "relations:"]
     text += [f"  {rel} = 0" for rel in relations]
     text += ["base ideal:"] + [f"  {g}" for g in base_ideal]
@@ -285,15 +266,14 @@ def run_deform(s: Singularity) -> Report:
 
 def run_artin(s: Singularity) -> Report:
     pres = reconstruct.quasidet_presentation(s)
-    matrix = [list(row) for row in pres.matrix]
     relations = [poly_text(rel) for rel in pres.relations]
     payload = {
         "reconstruction": {
-            "dual_fraction": list(pres.dual_fraction),
-            "quasidet_matrix": matrix,
+            "dual_fraction": pres.dual_fraction,
+            "quasidet_matrix": pres.matrix,
             "quasidet_relations": relations,
         },
-        "checks": with_reference({}, s, quasidet_matrix=matrix),
+        "checks": with_reference({}, s, quasidet_matrix=pres.matrix),
     }
     text = ["matrix:"] + ["  [" + ", ".join(row) + "]" for row in pres.matrix]
     text += ["relations:"] + [f"  {rel} = 0" for rel in relations]
@@ -303,8 +283,8 @@ def run_artin(s: Singularity) -> Report:
 def run_reconstruct(s: Singularity) -> Report:
     quiver = reconstruct.reconstruction_quiver(s)
     data = {
-        "fraction": list(quiver.fraction),
-        "vertices": list(quiver.vertices),
+        "fraction": quiver.fraction,
+        "vertices": quiver.vertices,
         "arrows": [[a.kind, a.tail, a.head, a.slot] for a in quiver.arrows],
     }
     payload = {"reconstruction": data, "checks": {}}
@@ -315,6 +295,9 @@ def run_reconstruct(s: Singularity) -> Report:
         text.append(f"relations unavailable: {quiver.unsupported_reason}")
         return Report(payload, text, quiver, "relations unavailable for this shape")
     deformed = reconstruct.deformed_relations(s)
+    group_sizes = [len(g) for g in deformed.groups]
+    if tuple(group_sizes) != cfrac.dual_expand(s):
+        raise UnsupportedError("parameter grouping does not match the dual expansion")
 
     def entry(rel):
         # each relation is a difference of two paths, deformed ones = parameter
@@ -332,8 +315,7 @@ def run_reconstruct(s: Singularity) -> Report:
 
     data["relations"] = [entry(rel) for rel in quiver.relations]
     data["deformed_relations"] = [entry(rel) for rel in deformed.relations]
-    group_sizes = [len(g) for g in deformed.groups]
-    data["parameter_groups"] = [list(g) for g in deformed.groups]
+    data["parameter_groups"] = deformed.groups
     data["base_dimension"] = deformed.base_dimension
     payload["checks"] = with_reference(
         {},
@@ -379,9 +361,7 @@ def verify_checks(s: Singularity) -> dict[str, bool]:
     checks["presentation"] = invariant_ring.verify_presentation(s, relations)
     fan = toric.resolution_fan(s)
     checks["fan_round_trip"] = toric.self_intersections(fan) == b
-    checks["hilbert_basis"] = [tuple(p) for p in toric.hilbert_basis_dual(s)] == [
-        g.exponents for g in gens
-    ]
+    checks["hilbert_basis"] = toric.hilbert_basis_dual(s) == [g.exponents for g in gens]
     checks["special_count"] = len(mckay.special_reps(s)) == len(b)
     clusters = mckay.g_clusters(s)
     checks["clusters"] = mckay.cluster_weight_check(s, clusters)
@@ -408,8 +388,6 @@ def verify_checks(s: Singularity) -> dict[str, bool]:
 def run_verify(s: Singularity) -> Report:
     checks = verify_checks(s)
     text = [f"{name}: {'ok' if ok else 'FAIL'}" for name, ok in sorted(checks.items())]
-    if not all(checks.values()):
-        raise ConsistencyError("verification failed: " + json.dumps(checks, sort_keys=True))
     return Report({"checks": checks}, text)
 
 
@@ -491,16 +469,17 @@ def _json_text(value) -> str:
 
     json.dumps with an indent runs the encoder's pure-Python generator,
     value by value; ``_texts`` renders one nesting level at a time instead.
-    Only str, int, bool, None, lists, tuples and dicts with str keys are
-    accepted, and a tuple renders as an array; a record (a tuple subclass
-    such as ``GCluster``) raises TypeError rather than render as an array.
+    Only values of the exact types str, int, bool, None, list, tuple and
+    dict (with str keys) are accepted, and a tuple renders as an array; a
+    subclass of any of them, such as a record (``GCluster``) or an IntEnum,
+    raises TypeError.
     """
     return _text(value, "\n")
 
 
 def _text(value, indent: str) -> str:
     """The JSON text of one value at the nesting level whose line prefix is
-    ``indent``: a scalar at once, anything else as a column of one."""
+    ``indent``: a scalar at once, an array or a dict as a column of one."""
     render = _SCALAR_TEXT.get(type(value))
     if render is not None:
         return render(value)
@@ -508,7 +487,7 @@ def _text(value, indent: str) -> str:
         return _record_texts([value], indent)[0]
     if type(value) in _ARRAYS:
         return _array_texts([value], indent)[0]
-    return _texts([value], indent)[0]
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _texts(values, indent: str) -> list[str]:
@@ -528,17 +507,7 @@ def _texts(values, indent: str) -> list[str]:
         return _array_texts(values, indent)
     if kinds == {dict} and len(set(map(frozenset, values))) == 1:
         return _record_texts(values, indent)
-    if len(values) > 1:
-        return [_text(v, indent) for v in values]
-    # one value of a kind that the cases above do not take
-    (value,) = values
-    if isinstance(value, dict):
-        return _record_texts(values, indent)
-    if isinstance(value, str):
-        return [encode_basestring_ascii(value)]
-    if isinstance(value, int):
-        return [int.__repr__(value)]
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return [_text(v, indent) for v in values]
 
 
 def _array_texts(arrays, indent: str) -> list[str]:
@@ -626,6 +595,11 @@ def main(argv=None) -> int:
         if args.command in COMMANDS:
             s = Singularity(args.n, args.q)
             report = COMMANDS[args.command](s)
+            checks = report.payload["checks"]
+            if not all(checks.values()):
+                raise ConsistencyError(
+                    "verification failed: " + json.dumps(checks, sort_keys=True)
+                )
             report.payload["input"] = {"n": s.n, "q": s.q}
         else:
             report = run_batch(args.max_n)

@@ -17,8 +17,9 @@ k-arrow leaves, group 2 holds each relation whose k-side path contains an
 a-arrow (the cycle 0 -> ... -> m -> 0, read from 0 or from m) and the loop
 relation at each vertex past m; group 1 holds the rest, so an all-2 chain
 has one group.  Parameter t{g}_{j} is the j-th relation of group g in
-vertex order, j counting from 0, and the group sizes must be the dual
-expansion: each group carries one zero-sum constraint.
+vertex order, j counting from 0.  Each group carries one zero-sum
+constraint, and the group sizes must be the dual expansion; the CLI checks
+that (``verify``) or refuses the report (``reconstruct``).
 """
 
 from __future__ import annotations
@@ -199,8 +200,9 @@ def _in_second_group(rel: Relation, m: int) -> bool:
 def deformed_relations(s: Singularity) -> DeformedRelations:
     """One parameter per relation of ``reconstruction_quiver(s)``, oriented
     and grouped by the rules of the module docstring, with a zero-sum
-    constraint per group; at parameters zero the plain relations return (up
-    to an overall sign per relation)."""
+    constraint per group, so the base has the parameters less one dimension
+    per group; at parameters zero the plain relations return (up to an
+    overall sign per relation)."""
     quiver = reconstruction_quiver(s)
     if quiver.relations is None:
         raise UnsupportedError(quiver.unsupported_reason)
@@ -217,17 +219,12 @@ def deformed_relations(s: Singularity) -> DeformedRelations:
         if neg == _right_loop(rel.vertex, count):
             pos, neg = neg, pos
         relations.append(Relation(rel.vertex, pos, neg, parameter))
-    dual = dual_expand(s)
     groups = tuple(tuple(group) for group in names.values() if group)
-    if tuple(map(len, groups)) != dual:
-        raise UnsupportedError(
-            "parameter grouping does not match the dual expansion"
-        )
     relations.sort(key=lambda rel: (rel.vertex, rel.parameter))
     return DeformedRelations(
         relations=tuple(relations),
         groups=groups,
-        base_dimension=sum(a - 1 for a in dual),
+        base_dimension=sum(len(g) - 1 for g in groups),
     )
 
 

@@ -58,7 +58,7 @@ class Fan2D(NamedTuple("Fan2D", [("rays", tuple[tuple[int, int], ...]), ("den", 
         return tuple(zip(self.rays, self.rays[1:]))
 
     def serialize(self):
-        return {"den": self.den, "rays": [list(r) for r in self.rays]}
+        return {"den": self.den, "rays": self.rays}
 
 
 def _staircase(n: int, slope: int):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cqsing
-from cqsing import cli, deform, gfan, polyring
+from cqsing import cli, deform, gfan, goldens, polyring, reconstruct
 from cqsing.cfrac import Singularity
 from cqsing.cli import main
 from cqsing.invariant_ring import defining_equations
@@ -144,11 +144,9 @@ class TestJsonRenderer:
             [[1], [2, 3], []],
             [[0, 1, "x"], [0, 7, "y"], [10, 0, "x"]],
             [["a", 1], ["b", 2]],
-            [Level.LOW, Tag("t")],
-            [[Level.LOW, 2], [3, 4]],
-            {Tag("k"): Level.LOW},
-            [[[1, 2]], [[3, 4]]],
-            {"b": [[1, 2]], "a": None, "c": {"d": [True]}},
+            # explicit ids, so that these two keep the names they are known by
+            pytest.param([[[1, 2]], [[3, 4]]], id="value27"),
+            pytest.param({"b": [[1, 2]], "a": None, "c": {"d": [True]}}, id="value28"),
             1,
             -5,
             "plain",
@@ -188,7 +186,6 @@ class TestJsonRenderer:
                 [{"h": [1]}, {"h": [2, 3]}, {"h": []}],
                 id="varying-length-int-arrays-in-records",
             ),
-            pytest.param([[Level.LOW, 2], [3]], id="int-enum-in-int-arrays"),
             pytest.param([[True, 1], [False, 0]], id="bools-in-equal-length-arrays"),
             pytest.param(
                 [(1, "a"), (2, "b"), (3, None)],
@@ -214,7 +211,16 @@ class TestJsonRenderer:
         "value",
         [1.5, [0.0], {"a": [[1, 2.5]]}, {1: 2}, {"a": 1, None: 2}, {(1, 2): 3},
          [object()], {"a": {1, 2}}, [[1, 2], [3, 4.5]], [[1], [2, 3.5]],
-         [{"a": 1}, {"a": 1.5}], [{"a": 1, 2: 3}, {"a": 1, 2: 4}], [[1], [2, {3}]]],
+         [{"a": 1}, {"a": 1.5}], [{"a": 1, 2: 3}, {"a": 1, 2: 4}], [[1], [2, {3}]],
+         # subclasses of the types it renders, which json.dumps prints
+         pytest.param(Level.LOW, id="int-enum"),
+         pytest.param(Tag("t"), id="str-subclass"),
+         pytest.param([Level.LOW, Tag("t")], id="int-enum-and-str-subclass"),
+         pytest.param([[Level.LOW, 2], [3, 4]], id="int-enum-in-equal-length-arrays"),
+         pytest.param({Tag("k"): Level.LOW}, id="int-enum-under-a-str-subclass-key"),
+         pytest.param([[Level.LOW, 2], [3]], id="int-enum-in-int-arrays"),
+         pytest.param({"a": Tag("t")}, id="str-subclass-in-a-dict"),
+         pytest.param([Tag("t")], id="str-subclass-in-an-array")],
     )
     def test_rejects_what_it_does_not_render(self, value):
         with pytest.raises(TypeError):
@@ -552,6 +558,14 @@ class TestSizes:
         assert len(json.loads(out)["clusters"]) == 2000
         assert rss < 130
 
+    def test_mckay_basis_memory(self, tmp_path):
+        # 500,500 basis monomials, about 16.9 MB of JSON: the payload holds
+        # the layer's tuples, with no list copy of each
+        code, out, _, _, rss = self.measured(["mckay", "1000", "1", "--format", "json"], tmp_path)
+        assert code == 0
+        assert len(json.loads(out)["g_basis"]) == 500500
+        assert rss < 115
+
     def test_t_witness_of_a_huge_pair_fast(self, tmp_path):
         # consecutive Fibonacci numbers: both chains are short, and the
         # witness is one gcd, not a search over sqrt(n) ~ 10^9 values
@@ -721,6 +735,84 @@ class TestFailingCycleCheck:
         assert {(v["n"], v["q"]) for v in violations} == {(5, 2)}
 
 
+def reference_changed(key, value):
+    """A fault in the stored (11, 7) reference: ``matches_reference`` fails."""
+    return lambda monkeypatch: monkeypatch.setitem(goldens.REFERENCE[(11, 7)], key, value)
+
+
+def layer_faulted(module, name, value):
+    """A layer function that returns ``value`` whatever it is given."""
+    return lambda monkeypatch: monkeypatch.setattr(module, name, lambda *args: value)
+
+
+# per pair command: an argv, a fault that makes one of its checks false,
+# and the name of that check
+FORCED_FALSE_CHECKS = {
+    "resolve": (["11", "7"], reference_changed("e", 5), "matches_reference"),
+    "invariants": (
+        ["11", "7"], layer_faulted(cli.invariant_ring, "verify_presentation", False),
+        "substitution",
+    ),
+    "toric": (["11", "7"], layer_faulted(cli.toric, "self_intersections", ()), "round_trip"),
+    "mckay": (["11", "7"], layer_faulted(cli.cfrac, "curve_count", 0), "special_count_is_r"),
+    "hilb": (
+        ["11", "7"], layer_faulted(cli.mckay, "cluster_weight_check", False),
+        "regular_representation",
+    ),
+    "gfan": (["11", "7"], layer_faulted(cli.gfan, "fans_equal", False), "matches_toric"),
+    "deform": (["11", "4"], layer_faulted(cli.deform, "specializes", False), "specialization"),
+    "artin": (["11", "7"], reference_changed("quasidet_matrix", ()), "matches_reference"),
+    "reconstruct": (["11", "7"], reference_changed("relation_count", 8), "matches_reference"),
+    "verify": (["11", "7"], layer_faulted(cli.mckay, "cluster_weight_check", False), "clusters"),
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_false_check_exits_3(capsys, monkeypatch, command, fmt):
+    # one rule for every pair command: a false check writes no report
+    pair, fault, check = FORCED_FALSE_CHECKS[command]
+    fault(monkeypatch)
+    code, out, err = run(capsys, [command, *pair, "--format", fmt])
+    assert code == 3
+    assert out == ""
+    prefix = "error: verification failed: "
+    assert err.startswith(prefix)
+    checks = json.loads(err[len(prefix):])
+    assert checks[check] is False
+    assert [name for name, ok in checks.items() if not ok] == [check]
+
+
+class TestFailingGroupingCheck:
+    """Relations grouped apart from the dual expansion: verify fails
+    ``reconstruction_groups`` by name and batch lists the pairs (the
+    reconstruct report refuses, see ``tests/test_reconstruct.py``)."""
+
+    @pytest.fixture
+    def one_group(self, monkeypatch):
+        monkeypatch.setattr(reconstruct, "_in_second_group", lambda rel, m: False)
+
+    def test_verify_exits_3(self, capsys, one_group):
+        code, out, err = run(capsys, ["verify", "11", "7", "--format", "json"])
+        assert code == 3
+        assert out == ""
+        prefix = "error: verification failed: "
+        assert err.startswith(prefix)
+        checks = json.loads(err[len(prefix):])
+        assert checks["reconstruction_groups"] is False
+        # one group of 7 parameters has a 6-dimensional base, not 5
+        assert checks["reconstruction_base"] is False
+
+    def test_batch_names_the_pairs(self, capsys, one_group):
+        code, out, err = run(capsys, ["batch", "--max-n", "8", "--format", "json"])
+        assert code == 3
+        assert out == ""
+        violations = json.loads(err[len("error: "):])["violations"]
+        assert {"n": 5, "q": 3, "check": "reconstruction_groups"} in violations
+        # an all-2 chain has one group anyway
+        assert {"n": 8, "q": 7, "check": "reconstruction_groups"} not in violations
+
+
 class TestOutputFile:
     def test_writes_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -764,6 +856,18 @@ def test_output_gate():
     got = {" ".join(argv): gate_entry(argv) for argv in gate_argvs()}
     assert len(got) == 426
     assert sorted(k for k in got if got[k] != want.get(k)) == []
+
+
+DIGESTS = Path(__file__).parents[1] / "perfbench" / "digests.json"
+
+
+def test_benchmark_digests():
+    # every argv of the benchmark's workloads that has a reference output,
+    # with the sha256 of its JSON stdout (perfbench/record_digests.py)
+    want = json.loads(DIGESTS.read_text())
+    got = {key: gate_entry(key.split() + ["--format", "json"])[1] for key in want}
+    assert len(got) == 676
+    assert sorted(k for k in want if got[k] != want[k]) == []
 
 
 def other_pythons():

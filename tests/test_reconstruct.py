@@ -1,6 +1,6 @@
 import pytest
 
-from cqsing import reconstruct
+from cqsing import cfrac
 from cqsing.cfrac import (
     Singularity,
     curve_count,
@@ -8,6 +8,7 @@ from cqsing.cfrac import (
     embedding_dimension,
     ij_series,
 )
+from cqsing.cli import main
 from cqsing.deform import dim_t1
 from cqsing.errors import InputError, UnsupportedError
 from cqsing.polyring import VariableTable, poly_text
@@ -82,8 +83,6 @@ def deformed_relations_by_shape(s):
             Relation(v, right(v), left(v), f"t2_{j}")
             for j, v in enumerate(range(m + 1, r + 1), start=2)
         ]
-        if (len(group1), len(group2)) != (dual[0], dual[1]):
-            raise UnsupportedError("parameter grouping does not match the dual expansion")
         relations = sorted(group1 + group2, key=lambda rel: (rel.vertex, rel.parameter))
         groups = (
             tuple(rel.parameter for rel in group1),
@@ -276,13 +275,16 @@ class TestDeformedRelations:
                 assert str(got.value) == str(exc), (n, q)
                 continue
             assert deformed_relations(s) == expected, (n, q)
+            assert tuple(map(len, expected.groups)) == dual_expand(s), (n, q)
 
-    def test_grouping_checked_against_dual_expansion(self, monkeypatch):
+    def test_grouping_checked_against_dual_expansion(self, monkeypatch, capsys):
         # both shapes refuse a dual expansion their groups do not match
         for (n, q), dual in [((11, 7), (4, 3)), ((6, 5), (3, 3))]:
-            monkeypatch.setattr(reconstruct, "dual_expand", lambda s, dual=dual: dual)
-            with pytest.raises(UnsupportedError, match="does not match the dual expansion"):
-                deformed_relations(Singularity(n, q))
+            monkeypatch.setattr(cfrac, "dual_expand", lambda s, dual=dual: dual)
+            assert main(["reconstruct", str(n), str(q)]) == 4
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: parameter grouping does not match the dual expansion\n"
 
     def test_chain_base(self):
         for n in range(3, 12):

@@ -188,4 +188,4 @@ class TestFanType:
 
     def test_serialize(self):
         fan = resolution_fan(Singularity(2, 1))
-        assert fan.serialize() == {"den": 2, "rays": [[2, 0], [1, 1], [0, 2]]}
+        assert fan.serialize() == {"den": 2, "rays": ((2, 0), (1, 1), (0, 2))}
