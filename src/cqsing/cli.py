@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
@@ -47,12 +48,13 @@ def emit_dot(quiver) -> str:
 
 class Report(NamedTuple):
     """One command's report: the JSON payload (main adds the input echo),
-    the text lines, the quiver that --format dot renders (None for commands
-    without one), and, for a partial report, why it is partial; main then
-    writes it and exits 4."""
+    a function that builds the text lines (main calls it for --format text
+    only), the quiver that --format dot renders (None for commands without
+    one), and, for a partial report, why it is partial; main then writes it
+    and exits 4."""
 
     payload: dict
-    text: list[str]
+    text: Callable[[], list[str]]
     quiver: object = None
     unsupported: str | None = None
 
@@ -74,13 +76,12 @@ def run_resolve(s: Singularity) -> Report:
         "t_singularity": t_singularity,
         "checks": with_reference({"identities": True}, s, **data),
     }
-    text = [
+    return Report(payload, lambda: [
         f"fraction {s.n}/{s.q} = {list(ids.fraction)}",
         f"dual fraction {s.n}/{s.n - s.q} = {list(ids.dual)}",
         f"e = {data['e']}, r = {data['r']}",
         f"t_singularity = {t_singularity}",
-    ]
-    return Report(payload, text)
+    ])
 
 
 def run_invariants(s: Singularity) -> Report:
@@ -116,8 +117,12 @@ def run_invariants(s: Singularity) -> Report:
             generators=[g["exponents"] for g in generators],
         ),
     }
-    text = ["generators: " + ", ".join(monomials)]
-    text += ["equations:"] + [f"  {eq}" for eq in equations]
+
+    def text():
+        return ["generators: " + ", ".join(monomials), "equations:"] + [
+            f"  {eq}" for eq in equations
+        ]
+
     return Report(payload, text)
 
 
@@ -140,12 +145,11 @@ def run_toric(s: Singularity) -> Report:
         "self_intersections": selfint,
         "checks": checks,
     }
-    text = [
+    return Report(payload, lambda: [
         f"fan rays (x{s.n}): " + ", ".join(map(str, fan.rays)),
         f"hilbert basis: " + ", ".join(str(p) for p in basis),
         f"self intersections: {list(selfint)}",
-    ]
-    return Report(payload, text)
+    ])
 
 
 def run_mckay(s: Singularity) -> Report:
@@ -162,12 +166,11 @@ def run_mckay(s: Singularity) -> Report:
             special=special,
         ),
     }
-    text = [
+    return Report(payload, lambda: [
         f"special classes: {special}",
         f"basis size: {len(basis)}",
         f"quiver: {len(quiver.vertices)} vertices, {len(quiver.arrows)} arrows",
-    ]
-    return Report(payload, text, quiver)
+    ], quiver)
 
 
 def run_hilb(s: Singularity) -> Report:
@@ -187,9 +190,13 @@ def run_hilb(s: Singularity) -> Report:
             cluster_ideals=[c["ideal"] for c in entries],
         ),
     }
-    text = [f"clusters ({len(clusters)}):"]
-    text += [f"  {c['ideal_text']}  heights={list(c['heights'])}" for c in entries]
-    text += ["curves: " + ", ".join(f"E{k} -> class {w}" for k, w in curves)]
+
+    def text():
+        lines = [f"clusters ({len(clusters)}):"]
+        lines += [f"  {c['ideal_text']}  heights={list(c['heights'])}" for c in entries]
+        lines.append("curves: " + ", ".join(f"E{k} -> class {w}" for k, w in curves))
+        return lines
+
     return Report(payload, text)
 
 
@@ -210,10 +217,14 @@ def run_gfan(s: Singularity) -> Report:
         ],
         "checks": with_reference({"matches_toric": matches}, s, fan_rays=fan.rays),
     }
-    text = [f"rays (x{s.n}): " + ", ".join(map(str, fan.rays))]
-    for c, basis in zip(cones, bases):
-        text.append(f"cone at weight {c.weight}: rays {c.lower_ray}..{c.upper_ray}")
-        text += [f"  {g}" for g in basis]
+
+    def text():
+        lines = [f"rays (x{s.n}): " + ", ".join(map(str, fan.rays))]
+        for c, basis in zip(cones, bases):
+            lines.append(f"cone at weight {c.weight}: rays {c.lower_ray}..{c.upper_ray}")
+            lines += [f"  {g}" for g in basis]
+        return lines
+
     return Report(payload, text)
 
 
@@ -232,7 +243,7 @@ def run_deform(s: Singularity) -> Report:
             },
             "checks": {"parameter_count": len(parameters) == dim},
         }
-        return Report(payload, [f"dim T1 = {dim}", f"family: {equation} = 0"])
+        return Report(payload, lambda: [f"dim T1 = {dim}", f"family: {equation} = 0"])
     pres = deform.versal_presentation(s)
     params = pres.variables.parameter_names
     relations = [poly_text(rel) for rel in pres.relations]
@@ -258,9 +269,11 @@ def run_deform(s: Singularity) -> Report:
             base_ideal_size=len(pres.base_ideal),
         ),
     }
-    text = [f"dim T1 = {dim}", "relations:"]
-    text += [f"  {rel} = 0" for rel in relations]
-    text += ["base ideal:"] + [f"  {g}" for g in base_ideal]
+
+    def text():
+        lines = [f"dim T1 = {dim}", "relations:"] + [f"  {rel} = 0" for rel in relations]
+        return lines + ["base ideal:"] + [f"  {g}" for g in base_ideal]
+
     return Report(payload, text)
 
 
@@ -275,8 +288,11 @@ def run_artin(s: Singularity) -> Report:
         },
         "checks": with_reference({}, s, quasidet_matrix=pres.matrix),
     }
-    text = ["matrix:"] + ["  [" + ", ".join(row) + "]" for row in pres.matrix]
-    text += ["relations:"] + [f"  {rel} = 0" for rel in relations]
+
+    def text():
+        lines = ["matrix:"] + ["  [" + ", ".join(row) + "]" for row in pres.matrix]
+        return lines + ["relations:"] + [f"  {rel} = 0" for rel in relations]
+
     return Report(payload, text)
 
 
@@ -288,11 +304,22 @@ def run_reconstruct(s: Singularity) -> Report:
         "arrows": [[a.kind, a.tail, a.head, a.slot] for a in quiver.arrows],
     }
     payload = {"reconstruction": data, "checks": {}}
-    text = [f"quiver: {len(quiver.vertices)} vertices, {len(quiver.arrows)} arrows"]
+
+    def text():
+        lines = [f"quiver: {len(quiver.vertices)} vertices, {len(quiver.arrows)} arrows"]
+        if quiver.relations is None:
+            return lines + [f"relations unavailable: {quiver.unsupported_reason}"]
+        lines += ["relations:"] + [f"  {e['text']} = 0" for e in data["relations"]]
+        lines += ["deformed:"] + [f"  {e['text']}" for e in data["deformed_relations"]]
+        lines.append(
+            "base: A^%d with one zero-sum constraint per group %s"
+            % (data["base_dimension"], [len(g) for g in data["parameter_groups"]])
+        )
+        return lines
+
     if quiver.relations is None:
         data["relations"] = None
         data["unsupported_reason"] = quiver.unsupported_reason
-        text.append(f"relations unavailable: {quiver.unsupported_reason}")
         return Report(payload, text, quiver, "relations unavailable for this shape")
     deformed = reconstruct.deformed_relations(s)
     group_sizes = [len(g) for g in deformed.groups]
@@ -300,17 +327,14 @@ def run_reconstruct(s: Singularity) -> Report:
         raise UnsupportedError("parameter grouping does not match the dual expansion")
 
     def entry(rel):
-        # each relation is a difference of two paths, deformed ones = parameter
-        out = {
-            "vertex": rel.vertex,
-            "sum": [
-                [1, [a.label for a in rel.positive]],
-                [-1, [a.label for a in rel.negative]],
-            ],
-        }
+        # each relation is a difference of two paths, deformed ones = parameter;
+        # each path is labelled once, for its "sum" and its "text"
+        positive = [a.label for a in rel.positive]
+        negative = [a.label for a in rel.negative]
+        out = {"vertex": rel.vertex, "sum": [[1, positive], [-1, negative]]}
         if rel.parameter is not None:
             out["parameter"] = rel.parameter
-        out["text"] = rel.text()
+        out["text"] = reconstruct._relation_text(positive, negative, rel.parameter)
         return out
 
     data["relations"] = [entry(rel) for rel in quiver.relations]
@@ -323,12 +347,6 @@ def run_reconstruct(s: Singularity) -> Report:
         relation_count=len(quiver.relations),
         parameter_group_sizes=group_sizes,
         base_dimension=deformed.base_dimension,
-    )
-    text += ["relations:"] + [f"  {e['text']} = 0" for e in data["relations"]]
-    text += ["deformed:"] + [f"  {e['text']}" for e in data["deformed_relations"]]
-    text.append(
-        "base: A^%d with one zero-sum constraint per group %s"
-        % (deformed.base_dimension, group_sizes)
     )
     return Report(payload, text, quiver)
 
@@ -387,8 +405,10 @@ def verify_checks(s: Singularity) -> dict[str, bool]:
 
 def run_verify(s: Singularity) -> Report:
     checks = verify_checks(s)
-    text = [f"{name}: {'ok' if ok else 'FAIL'}" for name, ok in sorted(checks.items())]
-    return Report({"checks": checks}, text)
+    return Report(
+        {"checks": checks},
+        lambda: [f"{name}: {'ok' if ok else 'FAIL'}" for name, ok in sorted(checks.items())],
+    )
 
 
 def run_batch(max_n: int) -> Report:
@@ -411,10 +431,12 @@ def run_batch(max_n: int) -> Report:
         "pairs": pairs,
         "violations": violations,
     }
-    text = [f"checked {pairs} pairs up to n = {max_n}", f"violations: {len(violations)}"]
     if violations:
         raise ConsistencyError(json.dumps(payload, sort_keys=True))
-    return Report(payload, text)
+    return Report(
+        payload,
+        lambda: [f"checked {pairs} pairs up to n = {max_n}", f"violations: {len(violations)}"],
+    )
 
 
 # The commands on one pair (n, q); batch is the one command over a range.
@@ -496,7 +518,11 @@ def _texts(values, indent: str) -> list[str]:
 
     A column of scalars is one map of their renderers, a column of arrays
     goes to ``_array_texts`` and a column of dicts with one key set to
-    ``_record_texts``; anything else is rendered one value at a time.
+    ``_record_texts``.  A column that mixes kinds (a kind is a type, an
+    array, or a dict with one key set) is split into one column per kind,
+    and their texts are put back in order.  A column of one kind that none
+    of these takes, such as a subclass of a rendered type, goes to
+    ``_text``, which raises TypeError.
     """
     kinds = set(map(type, values))
     if kinds <= _SCALAR_TEXT.keys():
@@ -505,9 +531,23 @@ def _texts(values, indent: str) -> list[str]:
         return [_SCALAR_TEXT[type(v)](v) for v in values]
     if kinds <= _ARRAYS:
         return _array_texts(values, indent)
-    if kinds == {dict} and len(set(map(frozenset, values))) == 1:
-        return _record_texts(values, indent)
-    return [_text(v, indent) for v in values]
+    if kinds == {dict}:
+        if len(set(map(frozenset, values))) == 1:
+            return _record_texts(values, indent)
+    elif len(kinds) == 1:
+        return [_text(v, indent) for v in values]
+    places = {}
+    for i, v in enumerate(values):
+        # tuples join the lists; a dict's kind is its key set, a frozenset,
+        # which no type object equals
+        kind = type(v)
+        kind = frozenset(v) if kind is dict else list if kind is tuple else kind
+        places.setdefault(kind, []).append(i)
+    texts = [""] * len(values)
+    for column in places.values():
+        for i, text in zip(column, _texts([values[i] for i in column], indent)):
+            texts[i] = text
+    return texts
 
 
 def _array_texts(arrays, indent: str) -> list[str]:
@@ -606,7 +646,7 @@ def main(argv=None) -> int:
         if args.format == "json":
             out = _json_text(report.payload) + "\n"
         elif args.format == "text":
-            out = "\n".join(report.text) + "\n"
+            out = "\n".join(report.text()) + "\n"
         elif report.quiver is None:
             raise InputError("dot format is only available for quiver commands")
         else:

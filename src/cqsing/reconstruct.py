@@ -55,11 +55,17 @@ class Relation(NamedTuple):
     parameter: str | None = None
 
     def text(self) -> str:
-        pos = "*".join(a.label for a in self.positive)
-        neg = "*".join(a.label for a in self.negative)
-        if self.parameter is None:
-            return f"{pos} - {neg}"
-        return f"{pos} - {neg} = {self.parameter}"
+        return _relation_text(
+            [a.label for a in self.positive],
+            [a.label for a in self.negative],
+            self.parameter,
+        )
+
+
+def _relation_text(positive: list[str], negative: list[str], parameter: str | None) -> str:
+    """The text of a relation from the arrow labels of its two paths."""
+    text = f"{'*'.join(positive)} - {'*'.join(negative)}"
+    return text if parameter is None else f"{text} = {parameter}"
 
 
 class ReconstructionQuiver(NamedTuple):

@@ -12,7 +12,7 @@ import pytest
 
 import cqsing
 from cqsing import cli, deform, gfan, goldens, polyring, reconstruct
-from cqsing.cfrac import Singularity
+from cqsing.cfrac import Singularity, curve_count
 from cqsing.cli import main
 from cqsing.invariant_ring import defining_equations
 from cqsing.mckay import g_clusters
@@ -202,6 +202,19 @@ class TestJsonRenderer:
             ),
             pytest.param([[[{"x": 1}]], [[{"x": 2}, {"x": 3}]]], id="records-three-levels-down"),
             pytest.param([[1, [2]], [3, [4, 5]]], id="arrays-mixing-ints-and-arrays"),
+            # columns that mix kinds, rendered one column per kind
+            pytest.param(
+                [[1, ["a"]], [-1, ["b", "c"]], ["x", {"k": 1}], [None, {"j": []}]],
+                id="pairs-mixing-scalars-arrays-and-two-key-sets",
+            ),
+            pytest.param(
+                [1, "s", None, [2, "t"], (3,), {"k": 1}, {"j": []}, {"k": [4]}, True, []],
+                id="one-column-of-every-kind",
+            ),
+            pytest.param(
+                {"v": [[1, [2, 3]], [-1, []], [1, ["a", "b"]], [-1, ("c",)]]},
+                id="signed-paths-like-reconstruct-sums",
+            ),
         ],
     )
     def test_matches_json_dumps(self, value):
@@ -220,7 +233,11 @@ class TestJsonRenderer:
          pytest.param({Tag("k"): Level.LOW}, id="int-enum-under-a-str-subclass-key"),
          pytest.param([[Level.LOW, 2], [3]], id="int-enum-in-int-arrays"),
          pytest.param({"a": Tag("t")}, id="str-subclass-in-a-dict"),
-         pytest.param([Tag("t")], id="str-subclass-in-an-array")],
+         pytest.param([Tag("t")], id="str-subclass-in-an-array"),
+         # a subclass inside a column that is split by kind
+         pytest.param([[1, [Level.LOW]], [2, ["a"]]], id="int-enum-in-a-split-column"),
+         pytest.param([{"a": 1}, {"b": Tag("t")}], id="str-subclass-in-a-split-column"),
+         pytest.param([{list: 1, tuple: 2}, [1]], id="dict-keyed-by-the-array-types")],
     )
     def test_rejects_what_it_does_not_render(self, value):
         with pytest.raises(TypeError):
@@ -386,6 +403,88 @@ class TestRenderOnce:
         assert code == 3
         assert out == ""
         assert "zero" in err
+
+
+class TestTextOnRequest:
+    """The text lines are built for --format text only."""
+
+    @staticmethod
+    def spied(name, builder):
+        calls = []
+
+        def spy(*args):
+            report = builder(*args)
+
+            def text():
+                calls.append(name)
+                return report.text()
+
+            return report._replace(text=text)
+
+        return spy, calls
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_json_and_dot_build_no_text(self, capsys, monkeypatch, command):
+        spy, calls = self.spied(command, cli.COMMANDS[command])
+        monkeypatch.setitem(cli.COMMANDS, command, spy)
+        assert run(capsys, [command, "11", "7", "--format", "json"])[0] == 0
+        quiver = command in ("mckay", "reconstruct")
+        assert run(capsys, [command, "11", "7", "--format", "dot"])[0] == (0 if quiver else 2)
+        assert calls == []
+        assert run(capsys, [command, "11", "7", "--format", "text"])[0] == 0
+        assert calls == [command]
+
+    def test_batch_json_builds_no_text(self, capsys, monkeypatch):
+        spy, calls = self.spied("batch", cli.run_batch)
+        monkeypatch.setattr(cli, "run_batch", spy)
+        assert run(capsys, ["batch", "--max-n", "5", "--format", "json"])[0] == 0
+        assert calls == []
+        assert run(capsys, ["batch", "--max-n", "5", "--format", "text"])[0] == 0
+        assert calls == ["batch"]
+
+
+class TestReconstructEntries:
+    def test_texts_match_relation_text(self):
+        # every supported shape with n <= 40: each plain and deformed entry
+        # reads as its Relation's own text, and its "sum" holds the labels
+        shapes = [
+            s
+            for s in (Singularity(n, q) for n, q in coprime_pairs(40))
+            if curve_count(s) >= 2 and reconstruct.reconstruction_quiver(s).relations
+        ]
+        assert shapes
+        for s in shapes:
+            data = cli.run_reconstruct(s).payload["reconstruction"]
+            relations = (
+                (data["relations"], reconstruct.reconstruction_quiver(s).relations),
+                (data["deformed_relations"], reconstruct.deformed_relations(s).relations),
+            )
+            for entries, rels in relations:
+                assert len(entries) == len(rels)
+                for entry, rel in zip(entries, rels):
+                    assert entry["text"] == rel.text()
+                    assert entry["sum"] == [
+                        [1, [a.label for a in rel.positive]],
+                        [-1, [a.label for a in rel.negative]],
+                    ]
+
+    def test_each_path_labelled_once(self, monkeypatch):
+        s = Singularity(11, 7)
+        paths = [
+            rel.positive + rel.negative
+            for rel in reconstruct.reconstruction_quiver(s).relations
+            + reconstruct.deformed_relations(s).relations
+        ]
+        calls = []
+        label = reconstruct.Arrow.label
+
+        def counted(arrow):
+            calls.append(arrow)
+            return label.fget(arrow)
+
+        monkeypatch.setattr(reconstruct.Arrow, "label", property(counted))
+        cli.run_reconstruct(s)
+        assert len(calls) == sum(map(len, paths))
 
 
 class TestDot:
