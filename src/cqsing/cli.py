@@ -516,38 +516,22 @@ def _texts(values, indent: str) -> list[str]:
     """The JSON text of each of ``values``, a column of sibling values at
     the nesting level whose line prefix is ``indent``.
 
-    A column of scalars is one map of their renderers, a column of arrays
-    goes to ``_array_texts`` and a column of dicts with one key set to
-    ``_record_texts``.  A column that mixes kinds (a kind is a type, an
-    array, or a dict with one key set) is split into one column per kind,
-    and their texts are put back in order.  A column of one kind that none
-    of these takes, such as a subclass of a rendered type, goes to
-    ``_text``, which raises TypeError.
+    A column of one scalar type is one map of its renderer, a column of
+    arrays goes to ``_array_texts`` and a column of dicts with one key set
+    to ``_record_texts``.  Any other column, one that mixes kinds or holds
+    a subclass of a rendered type, goes value by value to ``_text``, which
+    raises TypeError for what it does not render.
     """
     kinds = set(map(type, values))
-    if kinds <= _SCALAR_TEXT.keys():
-        if len(kinds) == 1:
-            return list(map(_SCALAR_TEXT[kinds.pop()], values))
-        return [_SCALAR_TEXT[type(v)](v) for v in values]
-    if kinds <= _ARRAYS:
-        return _array_texts(values, indent)
-    if kinds == {dict}:
-        if len(set(map(frozenset, values))) == 1:
+    if len(kinds) == 1:
+        (kind,) = kinds
+        if kind in _SCALAR_TEXT:
+            return list(map(_SCALAR_TEXT[kind], values))
+        if kind is dict and len(set(map(frozenset, values))) == 1:
             return _record_texts(values, indent)
-    elif len(kinds) == 1:
-        return [_text(v, indent) for v in values]
-    places = {}
-    for i, v in enumerate(values):
-        # tuples join the lists; a dict's kind is its key set, a frozenset,
-        # which no type object equals
-        kind = type(v)
-        kind = frozenset(v) if kind is dict else list if kind is tuple else kind
-        places.setdefault(kind, []).append(i)
-    texts = [""] * len(values)
-    for column in places.values():
-        for i, text in zip(column, _texts([values[i] for i in column], indent)):
-            texts[i] = text
-    return texts
+    if kinds and kinds <= _ARRAYS:
+        return _array_texts(values, indent)
+    return [_text(v, indent) for v in values]
 
 
 def _array_texts(arrays, indent: str) -> list[str]:
@@ -571,10 +555,12 @@ def _array_parts(arrays, indent: str):
     The children of all the arrays form one column, rendered once and
     regrouped per array; nested arrays regroup their children's templates,
     so a tree of arrays is filled once, at its root.  Equal-length arrays
-    of leaves share one row template, where an int fills a %d cell itself
-    (no string is made per int) and any other leaf fills a %s cell with its
-    text.  Arrays of varying lengths are rendered one by one instead, as
-    one template per length would be as long, in all, as their text.
+    of leaves share one row template, rendered one position at a time: a
+    position whose values are all ints fills %d cells itself (no string is
+    made per int), and any other position fills %s cells from one
+    ``_texts`` call on its values.  Arrays of varying lengths are rendered
+    one by one instead, as one template per length would be as long, in
+    all, as their text.
     """
     inner = indent + "  "
     cells = tuple(chain.from_iterable(arrays))
@@ -588,17 +574,21 @@ def _array_parts(arrays, indent: str):
     if kinds != {int} and len(arrays) == 1:  # a join is all one array needs
         return [_bracket(_texts(cells, inner), inner, indent)], None
     lengths = set(map(len, arrays))
-    if kinds == {int}:
-        if len(lengths) > 1:
+    if len(lengths) > 1:
+        if kinds == {int}:
             return [_bracket(["%d"] * len(a), inner, indent) % tuple(a) for a in arrays], None
-        cell = "%d"
-    elif len(lengths) > 1:
         texts = iter(_texts(cells, inner))
         return [_bracket(list(islice(texts, len(a))), inner, indent) for a in arrays], None
-    else:
-        cell = "%s"
-        cells = tuple(_texts(cells, inner))
-    return [_bracket([cell] * lengths.pop(), inner, indent)] * len(arrays), cells
+    width = lengths.pop()
+    row = ["%d"] * width
+    if kinds != {int}:
+        columns = [cells[k::width] for k in range(width)]
+        for k, column in enumerate(columns):
+            if set(map(type, column)) != {int}:
+                row[k] = "%s"
+                columns[k] = _texts(column, inner)
+        cells = tuple(chain.from_iterable(zip(*columns)))
+    return [_bracket(row, inner, indent)] * len(arrays), cells
 
 
 def _bracket(items: list[str], inner: str, indent: str) -> str:

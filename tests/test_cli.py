@@ -18,7 +18,7 @@ from cqsing.invariant_ring import defining_equations
 from cqsing.mckay import g_clusters
 
 from conftest import coprime_pairs
-from gate_replay import gate_entry
+from gate_replay import gate_entry, replay
 
 
 def run(capsys, argv):
@@ -202,7 +202,7 @@ class TestJsonRenderer:
             ),
             pytest.param([[[{"x": 1}]], [[{"x": 2}, {"x": 3}]]], id="records-three-levels-down"),
             pytest.param([[1, [2]], [3, [4, 5]]], id="arrays-mixing-ints-and-arrays"),
-            # columns that mix kinds, rendered one column per kind
+            # columns that mix kinds, rendered value by value
             pytest.param(
                 [[1, ["a"]], [-1, ["b", "c"]], ["x", {"k": 1}], [None, {"j": []}]],
                 id="pairs-mixing-scalars-arrays-and-two-key-sets",
@@ -234,7 +234,7 @@ class TestJsonRenderer:
          pytest.param([[Level.LOW, 2], [3]], id="int-enum-in-int-arrays"),
          pytest.param({"a": Tag("t")}, id="str-subclass-in-a-dict"),
          pytest.param([Tag("t")], id="str-subclass-in-an-array"),
-         # a subclass inside a column that is split by kind
+         # a subclass inside a column that mixes kinds
          pytest.param([[1, [Level.LOW]], [2, ["a"]]], id="int-enum-in-a-split-column"),
          pytest.param([{"a": 1}, {"b": Tag("t")}], id="str-subclass-in-a-split-column"),
          pytest.param([{list: 1, tuple: 2}, [1]], id="dict-keyed-by-the-array-types")],
@@ -274,7 +274,18 @@ class TestJsonRenderer:
             st.none() | st.booleans() | st.integers() | st.integers(-3, 3)
             | st.text(max_size=8)
         )
-        rows = st.integers(0, 4).flatmap(
+        # equal-width rows: each position draws from its own kinds, so that
+        # a position holds one kind or mixes them
+        cell = st.sampled_from([
+            st.integers(), st.booleans(), st.none(), st.text(max_size=4),
+            st.lists(st.integers(-3, 3), max_size=3),
+        ])
+        rows = st.lists(st.lists(cell, min_size=1, max_size=3), max_size=4).flatmap(
+            lambda positions: st.lists(
+                st.tuples(*[st.one_of(*kinds) for kinds in positions]).map(list),
+                max_size=5,
+            )
+        ) | st.integers(0, 4).flatmap(
             lambda width: st.lists(
                 st.lists(st.integers(), min_size=width, max_size=width), max_size=5
             )
@@ -964,9 +975,35 @@ def test_benchmark_digests():
     # every argv of the benchmark's workloads that has a reference output,
     # with the sha256 of its JSON stdout (perfbench/record_digests.py)
     want = json.loads(DIGESTS.read_text())
-    got = {key: gate_entry(key.split() + ["--format", "json"])[1] for key in want}
+    got = {key: replay(key, digest) for key, digest in want.items()}
     assert len(got) == 676
     assert sorted(k for k in want if got[k] != want[k]) == []
+
+
+def test_no_column_rendered_value_by_value(monkeypatch):
+    # on every benchmark argv and every JSON argv of the gate, each column
+    # that _texts gets has one kind: it hands no value to _text one by one
+    text, handed = cli._text, []
+
+    def spy(value, indent):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "<listcomp>":  # a frame of its own before 3.12
+            caller = caller.f_back
+        if caller.f_code is cli._texts.__code__:
+            handed.append(value)
+        return text(value, indent)
+
+    monkeypatch.setattr(cli, "_text", spy)
+    argvs = [key.split() + ["--format", "json"] for key in json.loads(DIGESTS.read_text())]
+    argvs += [argv for argv in gate_argvs() if "json" in argv]
+    assert len(argvs) == 676 + 143
+    by_value = []
+    for argv in argvs:
+        gate_entry(argv)
+        if handed:
+            by_value.append(" ".join(argv))
+            handed.clear()
+    assert by_value == []
 
 
 def other_pythons():
@@ -992,21 +1029,31 @@ def other_pythons():
     return [exe for _, exe in sorted(found.items(), key=lambda item: int(item[0])) if exe]
 
 
-def test_output_gate_in_other_pythons():
-    # requires-python = ">=3.10": the gate's 426 argvs give the same bytes
-    # in every other CPython found, replayed by a stdlib-only script since
+def replay_in_other_pythons(record: Path, count: int):
+    # requires-python = ">=3.10": the record's argvs give the same bytes in
+    # every other CPython found, replayed by a stdlib-only script since
     # pytest may be installed for this interpreter only
     pythons = other_pythons()
     if not pythons:
         pytest.skip("no other CPython >= 3.10 found")
     env = dict(os.environ, PYTHONPATH=str(Path(cqsing.__file__).parents[1]),
                PYTHONDONTWRITEBYTECODE="1")
-    replay = Path(__file__).with_name("gate_replay.py")
+    script = Path(__file__).with_name("gate_replay.py")
     for exe in pythons:
-        done = subprocess.run([exe, str(replay), str(GATE)], capture_output=True,
+        done = subprocess.run([exe, str(script), str(record)], capture_output=True,
                               text=True, env=env, timeout=600)
         assert done.returncode == 0, (exe, done.stderr)
-        assert json.loads(done.stdout) == {"replayed": 426, "differ": []}, exe
+        assert json.loads(done.stdout) == {"replayed": count, "differ": []}, exe
+
+
+def test_output_gate_in_other_pythons():
+    replay_in_other_pythons(GATE, 426)
+
+
+def test_benchmark_digests_in_other_pythons():
+    # the gate's pairs stop at n = 30; the digests hold the lattice reports
+    # of n = 60-100, whose long equal-length rows render by position
+    replay_in_other_pythons(DIGESTS, 676)
 
 
 if __name__ == "__main__":

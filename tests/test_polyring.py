@@ -69,6 +69,22 @@ class TestArithmetic:
         assert f.substitute({"y": 0}) == XY.zero()
         assert f.substitute({"x": y}) == y**3 - 3 * y
 
+    def test_scalar_minus_polynomial(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            f = random_poly(rng)
+            assert 3 - f == -(f - 3)
+            assert Fraction(1, 2) - f == -(f - Fraction(1, 2))
+
+    def test_equal_tables_hash_equal(self):
+        twin = VariableTable(["x", "y"])
+        assert twin is not XY and twin == XY and hash(twin) == hash(XY)
+        assert VariableTable(["y", "x"]) != XY
+        degrees = {XY: 2, VariableTable(["u"]): 1}
+        assert degrees[twin] == 2
+        assert len({XY, twin, VariableTable(["y", "x"])}) == 2
+        assert repr(twin) == "VariableTable('x', 'y')"
+
 
 XYZ = VariableTable(["x", "y", "z"])
 
@@ -293,6 +309,13 @@ class TestText:
     def test_fraction_coefficient(self):
         f = p({(1, 1): Fraction(3, 2), (0, 0): -1})
         assert poly_text(f) == "3/2*x*y - 1"
+
+    def test_repr_is_the_text(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            f = random_poly(rng)
+            assert repr(f) == poly_text(f)
+        assert repr(XY.zero()) == poly_text(XY.zero())
 
     def test_default_order_is_deglex(self):
         rng = random.Random(5)
