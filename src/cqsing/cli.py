@@ -8,8 +8,6 @@ Output is deterministic byte-for-byte.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 from collections.abc import Callable
@@ -412,6 +410,8 @@ def run_verify(s: Singularity) -> Report:
 
 
 def run_batch(max_n: int) -> Report:
+    if max_n < 0:
+        raise InputError("batch --max-n must be at least 0")
     if max_n >= deform.MAX_VERSAL_E:  # the pair (max_n, 1) has e = max_n + 1
         limit = deform.MAX_VERSAL_E - 1
         raise InputError(f"batch --max-n is limited to {limit} by the versal ceiling")
@@ -456,24 +456,73 @@ COMMANDS = {
 EXIT_CODES = {InputError: 2, ConsistencyError: 3, UnsupportedError: 4}
 
 
-@functools.cache  # built on first use, not at import, so importing the CLI stays cheap
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cqsing",
-        description="exact data for two-dimensional cyclic quotient surface singularities",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("n", type=int)
-        p.add_argument("q", type=int)
-        p.add_argument("--format", choices=["json", "text", "dot"], default="text")
-        p.add_argument("--output", default=None)
-    p = sub.add_parser("batch")
-    p.add_argument("--max-n", type=int, default=20)
-    p.add_argument("--format", choices=["json", "text"], default="text")
-    p.add_argument("--output", default=None)
-    return parser
+_CHOICES = ", ".join([*COMMANDS, "batch"])
+USAGE = f"""\
+usage: cqsing <command> N Q [--format json|text|dot] [--output FILE]
+       cqsing batch [--max-n N] [--format json|text] [--output FILE]
+
+exact data for two-dimensional cyclic quotient surface singularities
+
+commands: {_CHOICES}
+Write an option as --opt VALUE or --opt=VALUE, anywhere after the command;
+the last one given wins.  --format defaults to text and --max-n to 20.
+Without --output the report goes to stdout.
+"""
+_FORMATS = ("json", "text", "dot")
+
+
+def _parse(argv: list[str]):
+    """The request that argv makes, as (command, numbers, format, output):
+    numbers is (n, q) for a pair command and (max_n,) for batch, and output
+    is None without --output.
+
+    The grammar is the one in USAGE; anything outside it raises InputError:
+    an unknown command or option (an abbreviation included), a missing or
+    extra argument, an option without a value, a --format outside its
+    choices.  N, Q and --max-n are read by int().
+    """
+    if not argv:
+        raise InputError(f"no command given; choose from {_CHOICES}")
+    command = argv[0]
+    if command in COMMANDS:
+        formats, options = _FORMATS, {"--format": "text", "--output": None}
+    elif command == "batch":
+        formats, options = _FORMATS[:2], {"--max-n": "20", "--format": "text", "--output": None}
+    else:
+        raise InputError(f"unknown command {command!r}; choose from {_CHOICES}")
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("--"):
+            positionals.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        if name not in options:
+            raise InputError(f"{command} has no option {name}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise InputError(f"option {name} needs a value")
+        options[name] = value
+    fmt = options["--format"]
+    if fmt not in formats:
+        raise InputError(f"--format must be one of {', '.join(formats)}, not {fmt!r}")
+    if command == "batch":
+        if positionals:
+            raise InputError(f"batch takes no N Q, got {' '.join(positionals)}")
+        return command, (_int("--max-n", options["--max-n"]),), fmt, options["--output"]
+    if len(positionals) != 2:
+        raise InputError(f"{command} takes N Q, got {' '.join(positionals) or 'none'}")
+    n, q = positionals
+    return command, (_int("N", n), _int("Q", q)), fmt, options["--output"]
+
+
+def _int(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # a long text is cut short in the message
+        shown = text if len(text) <= 20 else text[:17] + "..."
+        raise InputError(f"{name} must be an integer, not {shown!r}") from None
 
 
 # JSON text of the scalars, by exact type (bool is not taken for int)
@@ -620,22 +669,27 @@ def _record_texts(records, indent: str) -> list[str]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE)
+        return 0
     try:
-        if args.command in COMMANDS:
-            s = Singularity(args.n, args.q)
-            report = COMMANDS[args.command](s)
+        command, numbers, fmt, output = _parse(argv)
+        if command == "batch":
+            report = run_batch(*numbers)
+        else:
+            s = Singularity(*numbers)
+            report = COMMANDS[command](s)
             checks = report.payload["checks"]
             if not all(checks.values()):
                 raise ConsistencyError(
                     "verification failed: " + json.dumps(checks, sort_keys=True)
                 )
             report.payload["input"] = {"n": s.n, "q": s.q}
-        else:
-            report = run_batch(args.max_n)
-        if args.format == "json":
+        if fmt == "json":
             out = _json_text(report.payload) + "\n"
-        elif args.format == "text":
+        elif fmt == "text":
             out = "\n".join(report.text()) + "\n"
         elif report.quiver is None:
             raise InputError("dot format is only available for quiver commands")
@@ -644,7 +698,7 @@ def main(argv=None) -> int:
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES[type(exc)]
-    if not _write(out, args.output):
+    if not _write(out, output):
         return 2
     if report.unsupported is not None:
         print(f"error: {report.unsupported}", file=sys.stderr)
@@ -652,10 +706,11 @@ def main(argv=None) -> int:
     return 0
 
 
-def _write(out: str, path) -> bool:
-    """Write the report to path, or stdout without one; False (with an
-    error line on stderr) if the path cannot be written."""
-    if not path:
+def _write(out: str, path: str | None) -> bool:
+    """Write the report to path, or stdout without one (None); False (with
+    an error line on stderr) if the path cannot be written, as the empty
+    path cannot."""
+    if path is None:
         sys.stdout.write(out)
         return True
     try:

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -341,13 +342,60 @@ class TestDeterminism:
         assert out1
 
 
+# Argvs that exit 2 with one error line: outside the CLI's grammar, and
+# a pair or --max-n out of range.
+MALFORMED = [
+    [],
+    ["frobnicate", "11", "7"],
+    ["resolve", "11"],
+    ["resolve", "11", "7", "9"],
+    ["gfan", "11", "x"],
+    ["resolve", "1" * 5000, "7"],  # over int()'s digit limit
+    ["resolve", "11", "7", "--format", "xml"],
+    ["batch", "--format", "dot"],
+    ["batch", "11", "7"],
+    ["resolve", "11", "7", "--output"],
+    ["resolve", "11", "7", "--verbose"],
+    ["resolve", "11", "7", "--form", "json"],  # abbreviations are not taken
+    ["resolve", "-11", "7"],
+    ["batch", "--max-n", "-3"],
+]
+
+# Other spellings of gate argvs, each with the canonical one it must match.
+SPELLINGS = {
+    "resolve 11 7 --format=json": "resolve 11 7 --format json",
+    "toric --format json 11 7": "toric 11 7 --format json",
+    "mckay 11 7 --format json --format dot": "mckay 11 7 --format dot",
+    "gfan +11 4 --format json": "gfan 11 4 --format json",
+    "hilb 1_1 7 --format text": "hilb 11 7 --format text",
+    "batch --format=json --max-n=6": "batch --max-n 6 --format json",
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", MALFORMED, ids=lambda argv: " ".join(argv)[:40])
+    def test_malformed_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_spellings_match_the_canonical_argv(self, capsys, spelling):
+        assert run(capsys, spelling.split()) == run(capsys, SPELLINGS[spelling].split())
+
+    @pytest.mark.parametrize(
+        "argv", [["-h"], ["--help"], ["resolve", "-h"], ["batch", "--max-n", "x", "--help"]]
+    )
+    def test_help_prints_the_usage(self, capsys, argv):
+        assert run(capsys, argv) == (0, cli.USAGE, "")
+
+
 class TestRepeatedMain:
     @staticmethod
     def in_process(capsys, argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the arguments
-            code = exc.code
+        code = main(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
@@ -364,17 +412,19 @@ class TestRepeatedMain:
         return proc.returncode, proc.stdout, proc.stderr
 
     def test_calls_in_one_process_match_fresh_ones(self, capsys):
-        # main reuses one parser per process; a rejected request must leave
-        # nothing behind that changes the next one
+        # a rejected request, by the parser or by a layer, must leave
+        # nothing behind in the process that changes the next one
         argvs = [
             ["resolve", "11", "7"],
             ["resolve", "6", "4"],
             ["deform", "11", "4", "--format", "json"],
             ["gfan", "11", "x"],
             ["invariants", "13", "5", "--format", "text"],
+            ["-h"],
         ]
+        argvs += [*MALFORMED, ["resolve", "11", "7"]]
         got = [self.in_process(capsys, argv) for argv in argvs]
-        assert [code for code, _, _ in got] == [0, 2, 0, 2, 0]
+        assert [code for code, _, _ in got] == [0, 2, 0, 2, 0, 0] + [2] * len(MALFORMED) + [0]
         for argv, result in zip(argvs, got):
             assert result == self.fresh_interpreter(argv), argv
 
@@ -802,6 +852,17 @@ class TestBatch:
         assert out == ""
         assert err == "error: batch --max-n is limited to 127 by the versal ceiling\n"
 
+    def test_negative_max_n_exits_2(self, capsys):
+        assert run(capsys, ["batch", "--max-n", "-3"]) == (
+            2, "", "error: batch --max-n must be at least 0\n"
+        )
+
+    @pytest.mark.parametrize("max_n", ["0", "1"])
+    def test_no_pair_below_2(self, capsys, max_n):
+        code, out, _ = run(capsys, ["batch", "--max-n", max_n, "--format", "json"])
+        assert code == 0
+        assert json.loads(out) == {"max_n": int(max_n), "pairs": 0, "violations": []}
+
     def test_small_sweep_clean(self, capsys):
         code, out, _ = run(capsys, ["batch", "--max-n", "8", "--format", "json"])
         assert code == 0
@@ -940,6 +1001,13 @@ class TestOutputFile:
         assert err.startswith("error: cannot write")
         assert not target.exists()
 
+    @pytest.mark.parametrize("argv", [["--output", ""], ["--output="]])
+    def test_empty_path_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, ["resolve", "11", "7", *argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write")
+
 
 # Every pair command in every format on a fixed set of pairs, plus batch.
 # Each argv's (exit code, sha256 of stdout, stderr) is held in
@@ -961,10 +1029,15 @@ def gate_argvs():
             yield ["batch", "--max-n", max_n, "--format", fmt]
 
 
+# The gate also holds the MALFORMED argvs, the other SPELLINGS and a help
+# request, added to it after the 426 above.
+GATE_FORMS = [*MALFORMED, *map(str.split, SPELLINGS), ["-h"]]
+
+
 def test_output_gate():
     want = json.loads(GATE.read_text())
-    got = {" ".join(argv): gate_entry(argv) for argv in gate_argvs()}
-    assert len(got) == 426
+    got = {" ".join(argv): gate_entry(argv) for argv in chain(gate_argvs(), GATE_FORMS)}
+    assert len(got) == 426 + 21
     assert sorted(k for k in got if got[k] != want.get(k)) == []
 
 
@@ -1047,7 +1120,7 @@ def replay_in_other_pythons(record: Path, count: int):
 
 
 def test_output_gate_in_other_pythons():
-    replay_in_other_pythons(GATE, 426)
+    replay_in_other_pythons(GATE, 426 + 21)
 
 
 def test_benchmark_digests_in_other_pythons():
@@ -1057,5 +1130,5 @@ def test_benchmark_digests_in_other_pythons():
 
 
 if __name__ == "__main__":
-    record = {" ".join(argv): gate_entry(argv) for argv in gate_argvs()}
+    record = {" ".join(argv): gate_entry(argv) for argv in chain(gate_argvs(), GATE_FORMS)}
     GATE.write_text(json.dumps(record, indent=0, sort_keys=True) + "\n")

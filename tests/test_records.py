@@ -27,9 +27,10 @@ from conftest import MEMOIZED
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # nor the test-only sympy and hypothesis: the package is stdlib-only
+    # nor the test-only sympy and hypothesis: the package is stdlib-only;
+    # nor argparse and the gettext it pulls in: the CLI parses its own grammar
     src = Path(cqsing.__file__).resolve().parent.parent
-    banned = "{'dataclasses', 'inspect', 'sympy', 'hypothesis'}"
+    banned = "{'dataclasses', 'inspect', 'sympy', 'hypothesis', 'argparse', 'gettext'}"
     code = f"import sys, cqsing.cli; print(sorted({banned} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", code],
