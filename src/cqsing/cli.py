@@ -9,6 +9,7 @@ Output is deterministic byte-for-byte.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from collections.abc import Callable
 from fractions import Fraction
@@ -676,6 +677,8 @@ def main(argv=None) -> int:
         return 0
     try:
         command, numbers, fmt, output = _parse(argv)
+        if output is not None:
+            _check_directory(output)
         if command == "batch":
             report = run_batch(*numbers)
         else:
@@ -704,6 +707,20 @@ def main(argv=None) -> int:
         print(f"error: {report.unsupported}", file=sys.stderr)
         return 4
     return 0
+
+
+def _check_directory(path: str) -> None:
+    """Refuse, before any report is built, an output path whose directory
+    does not exist, with the error line ``_write`` would give; every other
+    way the path can fail to open is still found by ``_write``."""
+    directory = os.path.dirname(path)
+    if directory:
+        try:
+            os.stat(directory)
+        except FileNotFoundError as exc:
+            raise InputError(f"cannot write {path}: {exc.strerror}") from None
+        except OSError:  # a name too long, say: _write reports it as before
+            pass
 
 
 def _write(out: str, path: str | None) -> bool:

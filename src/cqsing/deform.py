@@ -38,10 +38,12 @@ factor, so a running product of the first and interior factors grows by
 one factor as j steps up; the interior factors trunc(m, 0) = 1 are
 skipped.  ``versal_presentation`` multiplies out the P family, the
 relations that ``deform`` prints, and its H_z and H_w images, for the
-pairs with i >= 2, for the base ideal.  ``images_at_zero`` multiplies out
-the S images alone, over all pairs: every S image is one monomial, so
-S(P_ij) is one code, and ``verify`` checks s = t = 0 on these without
-building the family.
+pairs with i >= 2, for the base ideal.  ``images_at_zero`` walks the same
+running product over the S images alone, over all pairs: every S image is
+one monomial with coefficient 1, so it is kept as its code, the product of
+two is the sum of their codes (``operator.add`` in place of the dict
+product), S(P_ij) is one code, and ``verify`` checks s = t = 0 on these
+without building the family.
 
 The products run in code space: each factor and image is a dict from
 monomial code (see ``polyring``) to int coefficient, read off the table
@@ -53,8 +55,16 @@ tells z_m * z_m^(d-k) s_m^(k) from t_m * z_m^(d-k) s_m^(k); the images are
 products in disjoint variables too.  So a product is the comprehension
 {m1 + m2: c1 * c2}, and it raises ``ConsistencyError`` unless it has
 len(f) * len(g) terms, so that a coincidence can never overwrite a term.
-z_i divides no term of P_ij, so the relation z_i w_j - P_ij is a dict merge.
-Each relation and base generator is range-checked once, as a Polynomial.
+z_i divides no term of P_ij, so the relation z_i w_j - P_ij is one dict:
+the terms of z_i w_j, then those of P_ij negated.
+
+No code is range-checked term by term.  Every exponent of the family and
+of its H images is at most max a_m: z_{i+1}^{a_{i+1}} in P_{i,i+2}, and
+t_m^{a_m - 1} in H_w(trunc(m, a_m - 1)); every other exponent is 1 or
+below a_m.  So ``deformation_variables`` refuses max a_m >= 32768, the
+polyring exponent ceiling, once per family, and each relation and base
+generator is made a Polynomial as it stands, no guard bit possible.  The
+parameter ceiling below already keeps max a_m <= 2049.
 
 s = t = 0 is checked one pair at a time: S(P_ij) must be the monomial p_ij
 of its own pair, packed from the ``defining_equations`` exponents by
@@ -62,10 +72,12 @@ of its own pair, packed from the ``defining_equations`` exponents by
 ``images_specialize``, which ``verify`` runs, reads S(P_ij) off
 ``images_at_zero``.  ``specializes``, which ``deform`` runs, reads it off
 the printed relations: the z's come first in the table, so the parameters
-fill its low fields, all below z_e's, and S is one mask
-(``specialized_relations`` keeps the terms that share no bit with it);
-since S(z_i w_j) = z_i z_j, S(P_ij) = z_i z_j - S(z_i w_j - P_ij).  Both
-feed the same comparison.
+fill its low fields, all below z_e's, and S is one mask.  One pass over
+each relation's codes keeps the terms that share no bit with it; since
+S(z_i w_j) = z_i z_j, S(P_ij) = z_i z_j - S(z_i w_j - P_ij), which must be
+one code with coefficient 1.  Both feed the same comparison of pair -> code
+maps.  (``specialized_relations`` builds the masked relations as
+Polynomials, for the tests.)
 
 Two ceilings bound the family before any name or code is made: e <= 128
 (``MAX_VERSAL_E``) and at most 2048 parameters (``MAX_VERSAL_PARAMETERS``,
@@ -84,13 +96,14 @@ the family, n + 1 codes over n + 2 names, as the oracle of that text.
 
 from __future__ import annotations
 
+from operator import add, neg
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .cfrac import Singularity, dual_expand, embedding_dimension, per_pair
 from .errors import ConsistencyError, InputError
 from .invariant_ring import _a_by_index, right_codes
-from .polyring import _LIMIT, _RANGE, Polynomial, VariableTable, _checked
+from .polyring import _LIMIT, _RANGE, Polynomial, VariableTable
 
 
 # The versal family's memory grows as e^3 (Theta(e^2) relations over Theta(e)
@@ -165,6 +178,10 @@ def deformation_variables(s: Singularity) -> DeformationVariables:
             f"{MAX_VERSAL_PARAMETERS}"
         )
     a_entries = _a_by_index(s)
+    # every exponent of the family and of its H images is at most max a_m
+    # (module docstring), so this one bound keeps every code in its fields
+    if max(a_entries.values()) >= _LIMIT:
+        raise InputError(_RANGE)
     z_names = tuple(f"z{i}" for i in range(1, e + 1))
     s_names = {}
     for i in range(2, e):
@@ -202,20 +219,23 @@ def _product(f: dict, g: dict) -> dict:
     return res
 
 
-def _running_products(v: DeformationVariables, w: dict, trunc, first: int) -> dict:
+def _running_products(
+    v: DeformationVariables, w: dict, trunc, first: int, product=_product
+) -> dict:
     """{(i, j): P_ij} over the pairs with i >= first, in one factor family:
-    w[j] is the family's w_j and trunc(m, d) its trunc(m, d), d >= 1."""
+    w[j] is the family's w_j, trunc(m, d) its trunc(m, d), d >= 1, and
+    product multiplies two of them."""
     a, e = v.a_entries, len(v.z_names)
     last = {m: trunc(m, a[m] - 1) for m in a}
     inner = {m: trunc(m, a[m] - 2) for m in a if a[m] > 2}  # F(m) = w_m inner[m]
     products = {}
     for i in range(first, e - 1):
-        products[(i, i + 2)] = _product(w[i + 1], last[i + 1])
-        run = _product(w[i + 1], inner[i + 1]) if i + 1 in inner else last[i + 1]
+        products[(i, i + 2)] = product(w[i + 1], last[i + 1])
+        run = product(w[i + 1], inner[i + 1]) if i + 1 in inner else last[i + 1]
         for j in range(i + 3, e + 1):
-            products[(i, j)] = _product(run, last[j - 1])
+            products[(i, j)] = product(run, last[j - 1])
             if j - 1 in inner:  # z_{j-1} is interior from j + 1 on
-                run = _product(run, inner[j - 1])
+                run = product(run, inner[j - 1])
     return products
 
 
@@ -247,9 +267,10 @@ def versal_presentation(s: Singularity) -> VersalPresentation:
     relations = []
     for i, j in pairs:
         # z_i divides no term of P_ij, so the two sides share no monomial
-        rel = _product({z[i]: 1}, w[j])
-        rel.update({m: -c for m, c in products[(i, j)].items()})
-        relations.append(_checked(table, rel))
+        p = products[(i, j)]
+        rel = {z[i] + m: 1 for m in w[j]}
+        rel.update(zip(p, map(neg, p.values())))
+        relations.append(Polynomial._raw(table, rel))
     # H_z(w_j) = t_j (0 without one) and H_w(w_j) = 0 (module docstring)
     w_z = {j: {t[j]: 1} if j in t else {} for j in z}
     h_z = _running_products(v, w_z, lambda m, d: _trunc(v, m, d), 2)
@@ -265,7 +286,7 @@ def versal_presentation(s: Singularity) -> VersalPresentation:
         variables=v,
         pairs=tuple(pairs),
         relations=tuple(relations),
-        base_ideal=tuple(_checked(table, h) for h in base.values()),
+        base_ideal=tuple(Polynomial._raw(table, h) for h in base.values()),
     )
 
 
@@ -283,53 +304,63 @@ def hypersurface_text(n: int) -> str:
     return "-" + " - ".join(high) + " + z1*z3 - z2*c1 - c0"
 
 
+def _parameter_mask(v: DeformationVariables) -> int:
+    """The bits of the parameter fields: the z's come first in the table,
+    so the parameters fill every field below z_e's."""
+    return (v.table._code(v.z_names[-1]) & v.table._fields) - 1
+
+
 def specialized_relations(pres: VersalPresentation) -> list[Polynomial]:
     """The total-space relations at s = t = 0 (still over the big table):
     each relation's terms that share no bit with the parameter fields."""
-    table = pres.variables.table
-    params = (table._code(pres.variables.z_names[-1]) & table._fields) - 1
+    table, params = pres.variables.table, _parameter_mask(pres.variables)
     return [
         Polynomial._raw(table, {m: c for m, c in rel._terms.items() if not m & params})
         for rel in pres.relations
     ]
 
 
-def images_at_zero(v: DeformationVariables) -> dict[tuple[int, int], dict]:
-    """{(i, j): P_ij at s = t = 0} as code dicts, multiplied out over the
-    factor images w_j -> z_j and trunc(m, d) -> z_m^d, each one code, so
-    each image is one code too; no relation of the family is built."""
+def images_at_zero(v: DeformationVariables) -> dict[tuple[int, int], int]:
+    """{(i, j): the code of P_ij at s = t = 0}, multiplied out over the
+    factor images w_j -> z_j and trunc(m, d) -> z_m^d: each is one code, so
+    a product of them is a sum of codes; no relation of the family is
+    built."""
     z = _z_codes(v)
-    w = {j: {c: 1} for j, c in z.items()}
-    return _running_products(v, w, lambda m, d: {d * z[m]: 1}, 1)
+    return _running_products(v, z, lambda m, d: d * z[m], 1, add)
 
 
-def _binomial_at_zero(s: Singularity, relations, table, pairs, sides) -> bool:
-    """Each of ``sides``, P_ij at s = t = 0 as a code dict aligned with
-    ``pairs``, is the monomial p_ij of its own pair's binomial relation in
-    ``relations`` (``defining_equations(s)`` in the reports), and there are
-    as many."""
-    codes = right_codes(s, relations, table)
-    expected = {rel.left: {p: 1} for rel, p in zip(relations, codes)}
-    return len(sides) == len(expected) and dict(zip(pairs, sides)) == expected
+def _binomial_at_zero(s: Singularity, relations, table, pairs, codes) -> bool:
+    """Each of ``codes``, the code of P_ij at s = t = 0 aligned with
+    ``pairs`` (None where it is no monomial p with coefficient 1), is the
+    code of p_ij in its own pair's binomial relation in ``relations``
+    (``defining_equations(s)`` in the reports), and there are as many."""
+    expected = dict(zip((rel.left for rel in relations), right_codes(s, relations, table)))
+    return len(codes) == len(expected) and dict(zip(pairs, codes)) == expected
 
 
 def specializes(s: Singularity, pres: VersalPresentation, relations) -> bool:
     """The check of the relations that ``deform`` prints: masked to
     s = t = 0, where z_i w_j is z_i z_j, each relation z_i w_j - P_ij is
-    z_i z_j - p_ij, the binomial relation of its own pair in ``relations``."""
-    z = _z_codes(pres.variables)
-    sides = []
-    for (i, j), rel in zip(pres.pairs, specialized_relations(pres)):
-        side = {z[i] + z[j]: 1}  # P_ij = z_i z_j - the relation, at s = t = 0
+    z_i z_j - p_ij, the binomial relation of its own pair in ``relations``.
+
+    Each relation's parameter-free terms are read in one pass over its
+    codes; S(P_ij) = z_i z_j - S(z_i w_j - P_ij) must be one code p with
+    coefficient 1."""
+    z, params = _z_codes(pres.variables), _parameter_mask(pres.variables)
+    codes = []
+    for (i, j), rel in zip(pres.pairs, pres.relations):
+        side = {z[i] + z[j]: 1}
         for m, c in rel._terms.items():
-            side[m] = side.get(m, 0) - c
-        sides.append({m: c for m, c in side.items() if c})
-    return _binomial_at_zero(s, relations, pres.variables.table, pres.pairs, sides)
+            if not m & params:
+                side[m] = side.get(m, 0) - c
+        kept = [m for m, c in side.items() if c]
+        codes.append(kept[0] if len(kept) == 1 and side[kept[0]] == 1 else None)
+    return _binomial_at_zero(s, relations, pres.variables.table, pres.pairs, codes)
 
 
 def images_specialize(s: Singularity, v: DeformationVariables, relations) -> bool:
-    """The check ``verify`` runs, with no family built: each P_ij at
-    s = t = 0, read off ``images_at_zero``, is the p_ij of its own pair in
-    ``relations``."""
+    """The check ``verify`` runs, with no family built: the code of each
+    P_ij at s = t = 0, read off ``images_at_zero``, is the code of p_ij in
+    its own pair in ``relations``."""
     images = images_at_zero(v)
     return _binomial_at_zero(s, relations, v.table, images.keys(), images.values())

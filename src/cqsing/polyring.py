@@ -492,33 +492,38 @@ def buchberger(gens, order: WeightedOrder):
 
 def poly_text(f: Polynomial, order: WeightedOrder | None = None) -> str:
     """Canonical text: terms by descending order, rational coefficients.  The
-    nonzero fields are found by ``bit_length``, most significant first."""
+    nonzero fields are found by ``bit_length``, most significant first.
+
+    One list takes every piece of the text: each term's sign, then its
+    coefficient and its factors (a name and its ``^e``), each closed by a
+    ``*``.  The ``*`` after a term's last piece is popped, the first sign
+    loses its spaces, and the list is joined once."""
     if not f:
         return "0"
     table = f.table
-    names, last, terms = table.names, len(table.names) - 1, f._terms
+    names, last, fields, terms = table.names, len(table.names) - 1, table._fields, f._terms
     key = None if order is None else _code_key(order.weights, table)
-    parts = []
+    pieces = []
+    append = pieces.append
     for m in sorted(terms, key=key, reverse=True):
         c = terms[m]
-        factors = []
-        m &= table._fields
+        if c < 0:
+            append(" - ")
+            c = -c
+        else:
+            append(" + ")
+        m &= fields
+        if c != 1 or not m:
+            append(str(c))
+            append("*")
         while m:
             shift = (m.bit_length() - 1) & -_BITS
             e = m >> shift
             m ^= e << shift
-            name = names[last - shift // _BITS]
-            factors.append(name if e == 1 else f"{name}^{e}")
-        body = "*".join(factors)
-        mag = abs(c)
-        if not body:
-            piece = str(mag)
-        elif mag == 1:
-            piece = body
-        else:
-            piece = f"{mag}*{body}"
-        if not parts:
-            parts.append(piece if c > 0 else f"-{piece}")
-        else:
-            parts.append(f"+ {piece}" if c > 0 else f"- {piece}")
-    return " ".join(parts)
+            append(names[last - shift // _BITS])
+            if e != 1:
+                append(f"^{e}")
+            append("*")
+        pieces.pop()
+    pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)

@@ -834,10 +834,42 @@ class TestSpecializationCheck:
         assert not self.checked(binomials=mutate)
         assert not self.images_checked(mutate)
 
+    @pytest.mark.parametrize("term", [("z1", "z3"), ("z2", "z2")], ids=["z_i-z_j", "p_ij"])
+    def test_z_only_coefficient_flipped(self, term):
+        # the first relation, z1 w3 - z2 (z2 + s2(1)), with the sign of one of
+        # its parameter-free terms flipped
+        def flip(rels):
+            code = rels[0].table._code
+            terms = dict(rels[0]._terms)
+            m = code(term[0]) + code(term[1])
+            terms[m] = -terms[m]
+            return (polyring.Polynomial._raw(rels[0].table, terms),) + rels[1:]
+
+        assert not self.checked(flip)
+
+    @pytest.mark.parametrize("drop", [0, 6, -1])
+    def test_pair_dropped(self, drop):
+        # a pair dropped with its relation: every relation left is right
+        s = Singularity(11, 4)
+        pres = deform.versal_presentation(s)
+        keep = [k for k in range(len(pres.pairs)) if k != drop % len(pres.pairs)]
+        pres = pres._replace(
+            pairs=tuple(pres.pairs[k] for k in keep),
+            relations=tuple(pres.relations[k] for k in keep),
+        )
+        assert not deform.specializes(s, pres, defining_equations(s))
+
     @pytest.mark.parametrize(
         "mutate",
-        [lambda images: dict(list(images.items())[:-1]), swap_images],
-        ids=["pair-dropped", "pairs-swapped"],
+        [
+            lambda images: dict(list(images.items())[:-1]),
+            lambda images: dict(list(images.items())[1:]),
+            swap_images,
+            lambda images: {k: {p: -1} if k == (1, 3) else p for k, p in images.items()},
+            lambda images: {k: 2 * p if k == (1, 3) else p for k, p in images.items()},
+        ],
+        ids=["pair-dropped", "first-pair-dropped", "pairs-swapped",
+             "coefficient-flipped", "exponents-doubled"],
     )
     def test_images_mutated(self, monkeypatch, mutate):
         real = deform.images_at_zero
@@ -1000,6 +1032,35 @@ class TestOutputFile:
         assert out == ""
         assert err.startswith("error: cannot write")
         assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["hilb", "2000", "1999", "--format", "json"], ["verify", "4", "2"], ["batch"]],
+        ids=["hilb", "bad-pair", "batch"],
+    )
+    def test_missing_directory_exits_2_before_any_layer(self, capsys, monkeypatch, tmp_path, argv):
+        # refused right after the parse: no pair is made, no report built
+        def refuse(*args):
+            raise AssertionError("a report was started")
+
+        monkeypatch.setattr(cli, "Singularity", refuse)
+        monkeypatch.setitem(cli.COMMANDS, "hilb", refuse)
+        monkeypatch.setattr(cli, "run_batch", refuse)
+        target = tmp_path / "missing" / "report.json"
+        assert run(capsys, [*argv, "--output", str(target)]) == (
+            2, "", f"error: cannot write {target}: No such file or directory\n"
+        )
+
+    def test_other_open_failures_come_after_the_report(self, capsys, monkeypatch, tmp_path):
+        # a directory that exists but cannot hold the file is found on open
+        built = []
+        real = cli.COMMANDS["resolve"]
+        monkeypatch.setitem(cli.COMMANDS, "resolve", lambda s: built.append(s) or real(s))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for target in (blocker / "report.json", tmp_path):
+            assert run(capsys, ["resolve", "11", "7", "--output", str(target)])[0] == 2
+        assert len(built) == 2
 
     @pytest.mark.parametrize("argv", [["--output", ""], ["--output="]])
     def test_empty_path_exits_2(self, capsys, argv):

@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from cqsing import cli, deform
+from cqsing import cli, deform, polyring
 from cqsing.cfrac import Singularity, dual_expand, embedding_dimension
 from cqsing.deform import (
     MAX_VERSAL_E,
@@ -27,6 +29,32 @@ from cqsing.polyring import (
 )
 
 from conftest import coprime_pairs
+
+
+def entries(function, run, inside=None):
+    """How many times ``function`` is entered while run() runs, told by its
+    code object, so that a call through any name, a default argument or an
+    imported alias is seen; with ``inside``, only the entries made while
+    that function is on the stack."""
+    code, outer = function.__code__, inside and inside.__code__
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event != "call" or frame.f_code is not code:
+            return
+        caller = frame.f_back
+        while outer is not None and caller is not None and caller.f_code is not outer:
+            caller = caller.f_back
+        if outer is None or caller is not None:
+            count += 1
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
 
 
 def hypersurface_family(n):
@@ -254,10 +282,9 @@ class TestVersalPresentation:
             assert got == expected
             images = images_at_zero(pres.variables)
             assert images.keys() == got.keys()
-            for (i, j), image in images.items():
-                (p,) = image
+            for (i, j), p in images.items():
                 lhs = table._code(f"z{i}") + table._code(f"z{j}")
-                assert got[(i, j)]._terms == {lhs: 1, p: -image[p]}, (n, q, i, j)
+                assert got[(i, j)]._terms == {lhs: 1, p: -1}, (n, q, i, j)
             assert images_specialize(s, pres.variables, defining_equations(s))
             swept += 1
         assert swept == 450
@@ -339,6 +366,30 @@ class TestVersalPresentation:
         with pytest.raises(InputError, match="2049 deformation parameters .* 2048"):
             deformation_variables(Singularity(4097, 4095))
 
+    def test_codes_stay_inside_their_fields(self):
+        # the one bound per family stands for the guard-bit check that each
+        # relation and base generator no longer gets
+        for n, q in coprime_pairs(40) + [(127, 1), (4095, 4093)]:
+            s = Singularity(n, q)
+            if embedding_dimension(s) < 4:
+                continue
+            pres = versal_presentation(s)
+            for f in pres.relations + pres.base_ideal:
+                polyring._checked(pres.variables.table, f._terms)
+
+    def test_exponent_bound_refuses_before_any_name(self, monkeypatch):
+        # (65535, 65533) has a_2 = 32768, over the polyring exponent ceiling;
+        # only the parameter ceiling refuses it today, so lift that one
+        def refuse(names):
+            raise AssertionError("a variable table was built")
+
+        monkeypatch.setattr(deform, "MAX_VERSAL_PARAMETERS", 10**6)
+        monkeypatch.setattr(deform, "VariableTable", refuse)
+        s = Singularity(65535, 65533)
+        assert dual_expand(s) == (32768, 2)
+        with pytest.raises(InputError, match="0..32767"):
+            deformation_variables(s)
+
     def test_product_refuses_coinciding_terms(self):
         code = deformation_variables(Singularity(11, 4)).table._code
         w3 = {code("z3"): 1, code("t3"): 1}
@@ -362,6 +413,28 @@ class TestVersalPresentation:
             assert specialized_relations(pres)
             assert specializes(s, pres, defining_equations(s))
             assert images_specialize(s, pres.variables, defining_equations(s))
+
+
+class TestOnePass:
+    """Each stage touches each term once: no guard-bit scan per polynomial,
+    no masked family built, no dict product for the s = t = 0 codes."""
+
+    def test_deform_builds_no_checked_or_masked_polynomial(self, capsys):
+        def run():
+            assert cli.main(["deform", "28", "1", "--format", "json"]) == 0
+
+        assert entries(deform._product, run) > 0  # the hook sees deform's calls
+        assert entries(polyring._checked, run) == 0
+        assert entries(deform.specialized_relations, run) == 0
+        capsys.readouterr()
+
+    def test_verify_multiplies_codes_at_zero(self, capsys):
+        def run():
+            assert cli.main(["verify", "20", "1"]) == 0
+
+        assert entries(deform.images_at_zero, run) == 1
+        assert entries(deform._product, run, inside=deform.images_at_zero) == 0
+        capsys.readouterr()
 
 
 class TestHypersurfaceRoute:

@@ -608,6 +608,36 @@ class TestPackedCodes:
                 text = tuple_poly_text(f, WeightedOrder(weights))
                 assert poly_text(f, WeightedOrder(weights)) == text
 
+    @pytest.mark.parametrize("width", [81, 87, 120])
+    def test_text_of_wide_tables(self, width):
+        # as wide as the versal tables ((28, 1) has 81 names), each case the
+        # one-join text treats apart met at least once in either order
+        rng = random.Random(width)
+        table = VariableTable([f"v{k}" for k in range(width)])
+        orders = (None, WeightedOrder(tuple(rng.randint(0, 3) for _ in range(width))))
+        coefficients = (1, -1, 2, -3, Fraction(-5, 2), Fraction(7, 3), Fraction(4, 2))
+        seen = set()
+        for _ in range(120):
+            terms = {
+                random_exps(rng, width, top=rng.choice((1, 2, 9, 32767))): rng.choice(coefficients)
+                for _ in range(rng.randint(1, 8))
+            }
+            if rng.random() < 0.3:
+                terms[(0,) * width] = rng.choice(coefficients)
+            f = table.poly(terms)
+            for order in orders:
+                text = poly_text(f, order)
+                assert text == tuple_poly_text(f, order), (terms, order)
+                seen.add("negative first" if text.startswith("-") else "positive first")
+            for exps, c in f.terms.items():
+                if not any(exps):
+                    seen.add("constant")
+                elif abs(c) == 1:
+                    seen.add("unit")
+                if isinstance(c, Fraction):
+                    seen.add("fraction")
+        assert seen == {"negative first", "positive first", "constant", "unit", "fraction"}
+
     def test_text_of_ends_at_the_ceiling(self):
         top = 32767
         last = len(WIDE) - 1
