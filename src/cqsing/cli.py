@@ -25,17 +25,9 @@ from .goldens import with_reference
 from .polyring import poly_text
 
 
-def emit_dot(quiver) -> str:
-    """Render either quiver flavor as a DOT digraph, deterministically."""
-    if isinstance(quiver, mckay.Quiver):
-        name = "mckay"
-        edges = quiver.arrows  # (tail, head, label) already
-    elif isinstance(quiver, reconstruct.ReconstructionQuiver):
-        name = "reconstruction"
-        edges = [(a.tail, a.head, a.label) for a in quiver.arrows]
-    else:
-        raise InputError("cannot render this object as DOT")
-    vertices = quiver.vertices
+def _dot_text(name: str, vertices, edges) -> str:
+    """The DOT digraph ``name`` of a quiver, deterministically: its vertices,
+    then its edges (tail index, head index, label) in sorted order."""
     lines = [f"digraph {name} {{"]
     for v in vertices:
         lines.append(f'  "{v}";')
@@ -48,13 +40,13 @@ def emit_dot(quiver) -> str:
 class Report(NamedTuple):
     """One command's report: the JSON payload (main adds the input echo),
     a function that builds the text lines (main calls it for --format text
-    only), the quiver that --format dot renders (None for commands without
-    one), and, for a partial report, why it is partial; main then writes it
-    and exits 4."""
+    only), one that builds the DOT text of the command's quiver (main calls
+    it for --format dot only; None for commands without a quiver), and, for
+    a partial report, why it is partial; main then writes it and exits 4."""
 
     payload: dict
     text: Callable[[], list[str]]
-    quiver: object = None
+    dot: Callable[[], str] | None = None
     unsupported: str | None = None
 
 
@@ -169,7 +161,7 @@ def run_mckay(s: Singularity) -> Report:
         f"special classes: {special}",
         f"basis size: {len(basis)}",
         f"quiver: {len(quiver.vertices)} vertices, {len(quiver.arrows)} arrows",
-    ], quiver)
+    ], lambda: _dot_text("mckay", quiver.vertices, quiver.arrows))
 
 
 def run_hilb(s: Singularity) -> Report:
@@ -316,10 +308,14 @@ def run_reconstruct(s: Singularity) -> Report:
         )
         return lines
 
+    def dot():
+        edges = [(a.tail, a.head, a.label) for a in quiver.arrows]
+        return _dot_text("reconstruction", quiver.vertices, edges)
+
     if quiver.relations is None:
         data["relations"] = None
         data["unsupported_reason"] = quiver.unsupported_reason
-        return Report(payload, text, quiver, "relations unavailable for this shape")
+        return Report(payload, text, dot, "relations unavailable for this shape")
     deformed = reconstruct.deformed_relations(s)
     group_sizes = [len(g) for g in deformed.groups]
     if tuple(group_sizes) != cfrac.dual_expand(s):
@@ -347,7 +343,7 @@ def run_reconstruct(s: Singularity) -> Report:
         parameter_group_sizes=group_sizes,
         base_dimension=deformed.base_dimension,
     )
-    return Report(payload, text, quiver)
+    return Report(payload, text, dot)
 
 
 def verify_checks(s: Singularity) -> dict[str, bool]:
@@ -694,10 +690,10 @@ def main(argv=None) -> int:
             out = _json_text(report.payload) + "\n"
         elif fmt == "text":
             out = "\n".join(report.text()) + "\n"
-        elif report.quiver is None:
+        elif report.dot is None:
             raise InputError("dot format is only available for quiver commands")
         else:
-            out = emit_dot(report.quiver)
+            out = report.dot()
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES[type(exc)]

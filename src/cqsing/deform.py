@@ -20,7 +20,15 @@ Construction data for e >= 4, with a_2..a_{e-1} the dual expansion:
   binomial equations exactly;
 * the base ideal collects, over the pairs with i >= 2 in sorted order, the
   two evaluations H_z(P) (all z -> 0) and H_w(P) (z_j -> -t_j where w_j has
-  a t, z -> 0 elsewhere), H_z first, dropping zeros and repeats.
+  a t, z -> 0 elsewhere), H_z first, dropping zeros.  No two are equal, so
+  no repeat is searched for.  H_z(P_ij) is 0 or a monomial whose s-variables
+  run from index i + 1 to j - 1, both present (the one index i + 1, with
+  t_{i+1}, when j = i + 2), so distinct pairs give distinct monomials.
+  H_w(P_ij) is nonzero only when j > i + 2 and a_{i+1} = 2 (else w_{i+1},
+  with H_w(w_{i+1}) = 0, is a factor); then t_{i+1} exists, as
+  3 <= i + 1 <= e - 2, so it has at least two terms, and its all-s term is
+  H_z(P_ij).  ``_running_products`` inserts the pairs lexicographically,
+  so they come sorted.  A test sweep checks both facts.
 
 H_z, H_w and S (s = t = 0) each send every variable to a polynomial, so
 each is a ring homomorphism: the image of a product is the product of the
@@ -56,7 +64,9 @@ products in disjoint variables too.  So a product is the comprehension
 {m1 + m2: c1 * c2}, and it raises ``ConsistencyError`` unless it has
 len(f) * len(g) terms, so that a coincidence can never overwrite a term.
 z_i divides no term of P_ij, so the relation z_i w_j - P_ij is one dict:
-the terms of z_i w_j, then those of P_ij negated.
+the terms of z_i w_j, then those of P_ij negated.  ``deformation_variables``
+makes the code of each z_j once (``DeformationVariables.z``); the
+families, the parameter mask and both s = t = 0 checks read it there.
 
 No code is range-checked term by term.  Every exponent of the family and
 of its H images is at most max a_m: z_{i+1}^{a_{i+1}} in P_{i,i+2}, and
@@ -67,8 +77,8 @@ generator is made a Polynomial as it stands, no guard bit possible.  The
 parameter ceiling below already keeps max a_m <= 2049.
 
 s = t = 0 is checked one pair at a time: S(P_ij) must be the monomial p_ij
-of its own pair, packed from the ``defining_equations`` exponents by
-``invariant_ring.right_codes`` and never from the family's factors.
+of its own pair, packed from the ``defining_equations`` exponents and the
+z codes by ``invariant_ring.right_codes``, never from the family's factors.
 ``images_specialize``, which ``verify`` runs, reads S(P_ij) off
 ``images_at_zero``.  ``specializes``, which ``deform`` runs, reads it off
 the printed relations: the z's come first in the table, so the parameters
@@ -121,7 +131,7 @@ MAX_VERSAL_PARAMETERS = 2048
 class DeformationVariables(NamedTuple):
     a_entries: MappingProxyType[int, int]  # index t -> a_t, for 2 <= t <= e-1
     table: VariableTable
-    z_names: tuple[str, ...]
+    z: MappingProxyType[int, int]  # index j -> the code of z_j, for 1 <= j <= e
     s_names: MappingProxyType[tuple[int, int], str]
     t_names: MappingProxyType[int, str]
 
@@ -194,7 +204,7 @@ def deformation_variables(s: Singularity) -> DeformationVariables:
     return DeformationVariables(
         a_entries=a_entries,
         table=table,
-        z_names=z_names,
+        z=MappingProxyType({j: table._code(f"z{j}") for j in range(1, e + 1)}),
         s_names=MappingProxyType(s_names),
         t_names=MappingProxyType(t_names),
     )
@@ -225,7 +235,7 @@ def _running_products(
     """{(i, j): P_ij} over the pairs with i >= first, in one factor family:
     w[j] is the family's w_j, trunc(m, d) its trunc(m, d), d >= 1, and
     product multiplies two of them."""
-    a, e = v.a_entries, len(v.z_names)
+    a, e = v.a_entries, len(v.z)
     last = {m: trunc(m, a[m] - 1) for m in a}
     inner = {m: trunc(m, a[m] - 2) for m in a if a[m] > 2}  # F(m) = w_m inner[m]
     products = {}
@@ -239,12 +249,6 @@ def _running_products(
     return products
 
 
-def _z_codes(v: DeformationVariables) -> dict[int, int]:
-    """j -> the code of z_j."""
-    code = v.table._code
-    return {j: code(name) for j, name in enumerate(v.z_names, start=1)}
-
-
 def versal_presentation(s: Singularity) -> VersalPresentation:
     """Base and total ideals of the versal family (e >= 4): the relations
     z_i w_j - P_ij and the base ideal of their H_z and H_w images.
@@ -252,9 +256,8 @@ def versal_presentation(s: Singularity) -> VersalPresentation:
     Pairs are listed adjacent ones first, then the rest lexicographically.
     """
     v = deformation_variables(s)
-    e, table = len(v.z_names), v.table
-    code, z = table._code, _z_codes(v)
-    t = {j: code(name) for j, name in v.t_names.items()}
+    e, table, z = len(v.z), v.table, v.z
+    t = {j: table._code(name) for j, name in v.t_names.items()}
     w = {j: {z[j]: 1} for j in z}
     for j, c in t.items():
         w[j][c] = 1
@@ -276,17 +279,13 @@ def versal_presentation(s: Singularity) -> VersalPresentation:
     h_z = _running_products(v, w_z, lambda m, d: _trunc(v, m, d), 2)
     w_w = dict.fromkeys(z, {})
     h_w = _running_products(v, w_w, lambda m, d: _trunc(v, m, d, t.get(m), -1), 2)
-    # keyed by the terms: the first of equal generators, in insertion order
-    base = {}
-    for pair in sorted(h_z):
-        for h in (h_z[pair], h_w[pair]):
-            if h:
-                base.setdefault(frozenset(h.items()), h)
+    # sorted pairs, and no two nonzero images are equal (module docstring)
+    base = [h for pair in h_z for h in (h_z[pair], h_w[pair]) if h]
     return VersalPresentation(
         variables=v,
         pairs=tuple(pairs),
         relations=tuple(relations),
-        base_ideal=tuple(Polynomial._raw(table, h) for h in base.values()),
+        base_ideal=tuple(Polynomial._raw(table, h) for h in base),
     )
 
 
@@ -307,7 +306,7 @@ def hypersurface_text(n: int) -> str:
 def _parameter_mask(v: DeformationVariables) -> int:
     """The bits of the parameter fields: the z's come first in the table,
     so the parameters fill every field below z_e's."""
-    return (v.table._code(v.z_names[-1]) & v.table._fields) - 1
+    return (v.z[len(v.z)] & v.table._fields) - 1
 
 
 def specialized_relations(pres: VersalPresentation) -> list[Polynomial]:
@@ -325,16 +324,16 @@ def images_at_zero(v: DeformationVariables) -> dict[tuple[int, int], int]:
     factor images w_j -> z_j and trunc(m, d) -> z_m^d: each is one code, so
     a product of them is a sum of codes; no relation of the family is
     built."""
-    z = _z_codes(v)
-    return _running_products(v, z, lambda m, d: d * z[m], 1, add)
+    return _running_products(v, v.z, lambda m, d: d * v.z[m], 1, add)
 
 
-def _binomial_at_zero(s: Singularity, relations, table, pairs, codes) -> bool:
+def _binomial_at_zero(v: DeformationVariables, relations, pairs, codes) -> bool:
     """Each of ``codes``, the code of P_ij at s = t = 0 aligned with
     ``pairs`` (None where it is no monomial p with coefficient 1), is the
-    code of p_ij in its own pair's binomial relation in ``relations``
-    (``defining_equations(s)`` in the reports), and there are as many."""
-    expected = dict(zip((rel.left for rel in relations), right_codes(s, relations, table)))
+    code of p_ij over ``v``'s table in its own pair's binomial relation in
+    ``relations`` (``defining_equations(s)`` in the reports), and there are
+    as many."""
+    expected = dict(zip((rel.left for rel in relations), right_codes(relations, v.z)))
     return len(codes) == len(expected) and dict(zip(pairs, codes)) == expected
 
 
@@ -346,7 +345,7 @@ def specializes(s: Singularity, pres: VersalPresentation, relations) -> bool:
     Each relation's parameter-free terms are read in one pass over its
     codes; S(P_ij) = z_i z_j - S(z_i w_j - P_ij) must be one code p with
     coefficient 1."""
-    z, params = _z_codes(pres.variables), _parameter_mask(pres.variables)
+    z, params = pres.variables.z, _parameter_mask(pres.variables)
     codes = []
     for (i, j), rel in zip(pres.pairs, pres.relations):
         side = {z[i] + z[j]: 1}
@@ -355,7 +354,7 @@ def specializes(s: Singularity, pres: VersalPresentation, relations) -> bool:
                 side[m] = side.get(m, 0) - c
         kept = [m for m, c in side.items() if c]
         codes.append(kept[0] if len(kept) == 1 and side[kept[0]] == 1 else None)
-    return _binomial_at_zero(s, relations, pres.variables.table, pres.pairs, codes)
+    return _binomial_at_zero(pres.variables, relations, pres.pairs, codes)
 
 
 def images_specialize(s: Singularity, v: DeformationVariables, relations) -> bool:
@@ -363,4 +362,4 @@ def images_specialize(s: Singularity, v: DeformationVariables, relations) -> boo
     P_ij at s = t = 0, read off ``images_at_zero``, is the code of p_ij in
     its own pair in ``relations``."""
     images = images_at_zero(v)
-    return _binomial_at_zero(s, relations, v.table, images.keys(), images.values())
+    return _binomial_at_zero(v, relations, images.keys(), images.values())

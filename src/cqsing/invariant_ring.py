@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .cfrac import Singularity, dual_expand, ij_series, per_pair
 from .errors import InputError
-from .polyring import _LIMIT, _RANGE, VariableTable
+from .polyring import _LIMIT, _RANGE
 
 
 class InvariantGenerator(NamedTuple):
@@ -100,19 +100,17 @@ def verify_presentation(s: Singularity, relations) -> bool:
     return True
 
 
-def right_codes(s: Singularity, relations, table: VariableTable) -> list[int]:
-    """The code of p_ij over ``table``, which holds the z variables, for
-    each relation z_i z_j = p_ij of the list (``defining_equations(s)`` in
-    the reports).  The code of each z_t is made once; z_t^e is e times it,
-    which stays in z_t's field only under the exponent ceiling, so each e is
-    checked against it."""
-    z = [table._code(g.name) for g in generators(s)]
+def right_codes(relations, z) -> list[int]:
+    """The code of p_ij for each relation z_i z_j = p_ij of the list
+    (``defining_equations(s)`` in the reports), where z maps each index t
+    to the code of z_t.  z_t^e is e times that code, which stays in z_t's
+    field only under the exponent ceiling, so each e is checked against it."""
     codes = []
     for rel in relations:
         right = 0
         for t, e in rel.right:
             if e >= _LIMIT:
                 raise InputError(_RANGE)
-            right += e * z[t - 1]
+            right += e * z[t]
         codes.append(right)
     return codes

@@ -1,0 +1,102 @@
+"""A dead-code guard over ``src/cqsing``, read with the standard library's
+``ast``: every imported name is used in its module, and every module-level
+function, class and constant is referenced somewhere in ``src/`` or
+``tests/`` outside its own definition.
+
+A reference is found by name: a variable read, an attribute, or a string
+equal to the name (as in ``monkeypatch.setattr(deform, "VariableTable",
+...)``).  ``from __future__ import annotations`` and the re-exports of
+``__init__`` are exempt, as are dunder names such as ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cqsing"
+TREES = {
+    path: ast.parse(path.read_text(), filename=str(path))
+    for folder in ("src", "tests")
+    for path in sorted((ROOT / folder).rglob("*.py"))
+}
+MODULES = sorted(path for path in TREES if path.parent == PACKAGE)
+
+
+def _imports(tree):
+    """(name, line) of each name an import binds, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _reads(tree):
+    """The names a module reads as variables."""
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+
+
+def _references(tree):
+    """(name, line) of each read of a variable, each attribute and each
+    string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def _definitions(tree):
+    """(name, first line, last line) of each module-level function, class
+    and assigned constant, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            yield node.name, first, node.end_lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield name.id, node.lineno, node.end_lineno
+
+
+REFERENCES = {}  # name -> [(path, line), ...]
+for _path, _tree in TREES.items():
+    for _name, _line in _references(_tree):
+        REFERENCES.setdefault(_name, []).append((_path, _line))
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.stem
+)
+def test_every_import_is_used(path):
+    tree = TREES[path]
+    reads = _reads(tree)
+    unused = [f"{name} (line {n})" for name, n in _imports(tree) if name not in reads]
+    assert not unused, f"{path.name} imports but never uses {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_definition_is_referenced(path):
+    unreferenced = [
+        f"{name} (line {first})"
+        for name, first, last in _definitions(TREES[path])
+        if not any(
+            where != path or not first <= line <= last
+            for where, line in REFERENCES.get(name, ())
+        )
+    ]
+    assert not unreferenced, (
+        f"{path.name} defines but nothing references {', '.join(unreferenced)}"
+    )

@@ -1,4 +1,5 @@
 import sys
+from operator import add
 
 import pytest
 
@@ -216,7 +217,7 @@ def full_product(v, i, j):
 class TestVersalPresentation:
     def test_variables_11_4(self):
         v = deformation_variables(Singularity(11, 4))
-        assert len(v.z_names) == 6
+        assert len(v.z) == 6
         assert v.parameter_names == (
             "s2(1)", "s3(1)", "s3(2)", "s4(1)", "s5(1)", "t3", "t4",
         )
@@ -324,12 +325,13 @@ class TestVersalPresentation:
             v = pres.variables
             table = v.table
             relmap = dict(zip(pres.pairs, pres.relations))
-            zero_z = {name: 0 for name in v.z_names}
+            z_names = table.names[: len(v.z)]
+            zero_z = {name: 0 for name in z_names}
             minus_t = {
                 name: (
                     -table.var(v.t_names[j]) if j in v.t_names else table.constant(0)
                 )
-                for j, name in enumerate(v.z_names, start=1)
+                for j, name in enumerate(z_names, start=1)
             }
             rebuilt = []
             for pair in sorted(pres.pairs):
@@ -342,9 +344,30 @@ class TestVersalPresentation:
                 p_poly = table.var(f"z{i}") * w_j - relmap[pair]
                 for sub in (zero_z, minus_t):
                     h = p_poly.substitute(sub)
-                    if h and h not in rebuilt:
+                    if h:
                         rebuilt.append(h)
+            # no two images coincide, so none is dropped as a repeat
+            assert len({frozenset(h._terms.items()) for h in rebuilt}) == len(rebuilt)
             assert rebuilt == list(pres.base_ideal)
+
+    def test_base_generators_are_distinct(self):
+        # the oracle of the argument that lets versal_presentation keep every
+        # nonzero image with no search for repeats (deform's docstring)
+        pairs = [
+            (n, q) for n, q in coprime_pairs(80)
+            if embedding_dimension(Singularity(n, q)) >= 4
+        ] + [(127, 1), (4095, 4093), (100, 3), (200, 7), (90, 37), (97, 13)]
+        images = 0
+        for n, q in pairs:
+            pres = versal_presentation(Singularity(n, q))
+            v = pres.variables
+            base = {frozenset(g._terms.items()) for g in pres.base_ideal}
+            assert len(base) == len(pres.base_ideal), (n, q)
+            # every family's pairs come in the same order; H_z's from i = 2
+            order = list(deform._running_products(v, v.z, lambda m, d: d * v.z[m], 2, add))
+            assert order == sorted(order), (n, q)
+            images += len(base)
+        assert (len(pairs), images) == (1892, 292_754)
 
     def test_e3_rejected(self):
         with pytest.raises(InputError):
@@ -354,14 +377,14 @@ class TestVersalPresentation:
         # (n, 1) has e = n + 1: the last pair under the ceiling builds its
         # variables, the first over it is refused before any of them
         v = deformation_variables(Singularity(MAX_VERSAL_E - 1, 1))
-        assert len(v.z_names) == MAX_VERSAL_E
+        assert len(v.z) == MAX_VERSAL_E
         with pytest.raises(InputError, match="versal ceiling"):
             deformation_variables(Singularity(MAX_VERSAL_E, 1))
 
     def test_parameter_ceiling(self):
         # (n, n - 2), n odd, has e = 4 and (n + 1)/2 parameters
         v = deformation_variables(Singularity(4095, 4093))
-        assert len(v.z_names) == 4
+        assert len(v.z) == 4
         assert len(v.parameter_names) == MAX_VERSAL_PARAMETERS == 2048
         with pytest.raises(InputError, match="2049 deformation parameters .* 2048"):
             deformation_variables(Singularity(4097, 4095))

@@ -101,9 +101,10 @@ class TestDefiningEquations:
 
     def test_right_codes(self):
         s = Singularity(11, 7)
-        table = VariableTable([g.name for g in generators(s)])
+        gens = generators(s)
+        table = VariableTable([g.name for g in gens])
         rels = defining_equations(s)
-        codes = right_codes(s, rels, table)
+        codes = right_codes(rels, {g.index: table._code(g.name) for g in gens})
         assert codes[0] == table._code("z2", 3)
         for rel, code in zip(rels, codes):
             exponents = [0] * len(table)

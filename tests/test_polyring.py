@@ -741,11 +741,13 @@ class TestExponentCeiling:
         # the relation z1 z3 = z2^n of (n, n - 1)
         s = Singularity(32767, 32766)
         table = VariableTable([g.name for g in generators(s)])
-        (right,) = right_codes(s, defining_equations(s), table)
+        z = {g.index: table._code(g.name) for g in generators(s)}
+        (right,) = right_codes(defining_equations(s), z)
         assert table._unpack(right) == (0, 32767, 0)
         # 2**16 times z2's code would carry into z1's field, past any guard bit
         for n in (32768, 65536):
             s = Singularity(n, n - 1)
             table = VariableTable([g.name for g in generators(s)])
+            z = {g.index: table._code(g.name) for g in generators(s)}
             with pytest.raises(InputError, match="32767"):
-                right_codes(s, defining_equations(s), table)
+                right_codes(defining_equations(s), z)
