@@ -252,7 +252,7 @@ def run_deform(s: Singularity) -> Report:
             {
                 "parameter_count": len(params) == dim,
                 "specialization": deform.specializes(
-                    s, pres, invariant_ring.defining_equations(s)
+                    pres, invariant_ring.defining_equations(s)
                 ),
             },
             s,
@@ -367,7 +367,7 @@ def verify_checks(s: Singularity) -> dict[str, bool]:
         parameter_count = s.n - 1
     else:
         parameter_count = len(variables.parameter_names)
-        checks["deform_specialization"] = deform.images_specialize(s, variables, relations)
+        checks["deform_specialization"] = deform.images_specialize(variables, relations)
     checks["deform_parameter_count"] = parameter_count == deform.dim_t1(s)
     gens = invariant_ring.generators(s)
     checks["generator_count_is_e"] = len(gens) == ids.e
@@ -527,7 +527,7 @@ _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
     bool: lambda v: "true" if v else "false",
-    type(None): lambda v: "null",
+    type(None): lambda _: "null",
 }
 _ARRAYS = frozenset((list, tuple))
 

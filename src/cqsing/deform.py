@@ -337,7 +337,7 @@ def _binomial_at_zero(v: DeformationVariables, relations, pairs, codes) -> bool:
     return len(codes) == len(expected) and dict(zip(pairs, codes)) == expected
 
 
-def specializes(s: Singularity, pres: VersalPresentation, relations) -> bool:
+def specializes(pres: VersalPresentation, relations) -> bool:
     """The check of the relations that ``deform`` prints: masked to
     s = t = 0, where z_i w_j is z_i z_j, each relation z_i w_j - P_ij is
     z_i z_j - p_ij, the binomial relation of its own pair in ``relations``.
@@ -357,7 +357,7 @@ def specializes(s: Singularity, pres: VersalPresentation, relations) -> bool:
     return _binomial_at_zero(pres.variables, relations, pres.pairs, codes)
 
 
-def images_specialize(s: Singularity, v: DeformationVariables, relations) -> bool:
+def images_specialize(v: DeformationVariables, relations) -> bool:
     """The check ``verify`` runs, with no family built: the code of each
     P_ij at s = t = 0, read off ``images_at_zero``, is the code of p_ij in
     its own pair in ``relations``."""

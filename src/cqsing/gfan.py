@@ -224,13 +224,7 @@ def _certified_cone(cluster, pairs, w, ideal: OrbitIdeal) -> GroebnerCone:
         dots = [d[0] * ray[0] + d[1] * ray[1] for d in inequalities]
         if min(dots) != 0:
             raise ConsistencyError(f"ray {ray} does not bound the cone of weight {w}")
-    return GroebnerCone(
-        weight=w,
-        basis=basis,
-        inequalities=inequalities,
-        lower_ray=lower,
-        upper_ray=upper,
-    )
+    return GroebnerCone(w, basis, inequalities, lower, upper)
 
 
 def _term_text(a, b, c):

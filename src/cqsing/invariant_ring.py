@@ -47,7 +47,7 @@ def monomial_text(a: int, b: int) -> str:
 def generators(s: Singularity) -> tuple[InvariantGenerator, ...]:
     series = ij_series(s)
     return tuple(
-        InvariantGenerator(index=t, exponents=pair, name=f"z{t}")
+        InvariantGenerator(t, pair, f"z{t}")
         for t, pair in enumerate(series.pairs, start=1)
     )
 
@@ -71,12 +71,12 @@ def defining_equations(s: Singularity) -> tuple[BinomialRelation, ...]:
     e = len(a) + 2
     relations = []
     for i in range(1, e - 1):
-        relations.append(BinomialRelation(left=(i, i + 2), right=((i + 1, a[i + 1]),)))
+        relations.append(BinomialRelation((i, i + 2), ((i + 1, a[i + 1]),)))
         first = ((i + 1, a[i + 1] - 1),)
         middle = ()
         for j in range(i + 3, e + 1):
             last = ((j - 1, a[j - 1] - 1),)
-            relations.append(BinomialRelation(left=(i, j), right=first + middle + last))
+            relations.append(BinomialRelation((i, j), first + middle + last))
             if a[j - 1] > 2:  # z_{j-1} is interior from j + 1 on
                 middle += ((j - 1, a[j - 1] - 2),)
     return tuple(relations)

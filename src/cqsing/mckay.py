@@ -20,6 +20,7 @@ columns are expanded only to print them.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import NamedTuple
 
 from .cfrac import Singularity, curve_count, ij_series, per_pair, unrefined_series
@@ -96,7 +97,7 @@ def g_basis(s: Singularity) -> list[tuple[int, int]]:
     for a in range(s.n):
         while i[t - 1] <= a:  # i_0 = n > a ends the walk
             t -= 1
-        basis.extend((a, b) for b in range(j[t]))
+        basis += zip(repeat(a), range(j[t]))
     return basis
 
 

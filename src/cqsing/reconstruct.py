@@ -89,97 +89,52 @@ class QuasidetPresentation(NamedTuple):
     relations: tuple[Polynomial, ...]
 
 
-def _a_arrow(i, count):
-    return Arrow(kind="a", tail=i, head=(i + 1) % count)
-
-
-def _c_arrow(i, count):
-    return Arrow(kind="c", tail=i, head=(i - 1) % count)
-
-
-def _left_loop(v, count):
-    # down to v-1 and back
-    return (_c_arrow(v, count), _a_arrow((v - 1) % count, count))
-
-
-def _right_loop(v, count):
-    # up to v+1 and back
-    return (_a_arrow(v, count), _c_arrow((v + 1) % count, count))
-
-
-def _forward_path(m, count):
-    # 0 -> 1 -> ... -> m
-    return tuple(_a_arrow(i, count) for i in range(m))
-
-
-def _backward_path(m, count):
-    # 0 -> r -> r-1 -> ... -> m
-    return (_c_arrow(0, count),) + tuple(
-        _c_arrow(i, count) for i in range(count - 1, m, -1)
-    )
-
-
 def quiver_from_fraction(fraction) -> ReconstructionQuiver:
     """Build the quiver (and relations where the shape is supported) from
-    an expansion [b_1, ..., b_r] with every entry >= 2 and r >= 2."""
+    an expansion [b_1, ..., b_r] with every entry >= 2 and r >= 2.  Each
+    arrow is built once: the relations' loops and paths hold the very
+    ``Arrow`` objects of ``arrows``, which lists a_0..a_r, then c_0..c_r,
+    then the k-arrows."""
     fraction = tuple(fraction)
     r = len(fraction)
     if r < 2 or any(b < 2 for b in fraction):
         raise InputError("need at least two entries, all >= 2")
     count = r + 1
     vertices = tuple(f"b{i}" for i in range(count))
-    arrows = []
-    for i in range(count):
-        arrows.append(_a_arrow(i, count))
-    for i in range(count):
-        arrows.append(_c_arrow(i, count))
+    a = [Arrow("a", i, (i + 1) % count) for i in range(count)]
+    c = [Arrow("c", i, (i - 1) % count) for i in range(count)]
+    arrows = a + c
     heavy = [i for i, b in enumerate(fraction, start=1) if b > 2]
     for i in heavy:
         for slot in range(1, fraction[i - 1] - 1):
-            arrows.append(Arrow(kind="k", tail=i, head=0, slot=slot))
+            arrows.append(Arrow("k", i, 0, slot))
 
-    relations, reason = None, None
-    if not heavy:
-        relations = tuple(
-            Relation(vertex=v, positive=_left_loop(v, count), negative=_right_loop(v, count))
-            for v in range(count)
-        )
-    elif len(heavy) == 1 and fraction[heavy[0] - 1] == 3:
-        m = heavy[0]
-        k_arrow = Arrow(kind="k", tail=m, head=0, slot=1)
-        relations = []
-        for v in range(count):
-            if v == 0:
-                relations.append(
-                    Relation(0, _forward_path(m, count) + (k_arrow,), _left_loop(0, count))
-                )
-                relations.append(
-                    Relation(0, _backward_path(m, count) + (k_arrow,), _right_loop(0, count))
-                )
-            elif v == m:
-                relations.append(
-                    Relation(m, (k_arrow,) + _backward_path(m, count), _left_loop(m, count))
-                )
-                relations.append(
-                    Relation(m, (k_arrow,) + _forward_path(m, count), _right_loop(m, count))
-                )
-            else:
-                relations.append(
-                    Relation(v, _left_loop(v, count), _right_loop(v, count))
-                )
-        relations = tuple(relations)
-    else:
+    if heavy and (len(heavy) > 1 or fraction[heavy[0] - 1] > 3):
         reason = (
             "relations are only emitted for weight chains that are all 2 or "
             "have a single 3; got " + str(list(fraction))
         )
-    return ReconstructionQuiver(
-        fraction=fraction,
-        vertices=vertices,
-        arrows=tuple(arrows),
-        relations=relations,
-        unsupported_reason=reason,
-    )
+        return ReconstructionQuiver(fraction, vertices, tuple(arrows), None, reason)
+    left = [(c[v], a[v - 1]) for v in range(count)]  # down to v-1 and back
+    right = [(a[v], c[(v + 1) % count]) for v in range(count)]  # up to v+1 and back
+    if not heavy:
+        relations = [Relation(v, left[v], right[v]) for v in range(count)]
+    else:
+        m = heavy[0]
+        k = arrows[-1]  # the one k-arrow, m -> 0
+        forward = tuple(a[:m])  # 0 -> 1 -> ... -> m
+        backward = (c[0], *c[:m:-1])  # 0 -> r -> r-1 -> ... -> m
+        relations = []
+        for v in range(count):
+            if v == 0:
+                relations.append(Relation(0, forward + (k,), left[0]))
+                relations.append(Relation(0, backward + (k,), right[0]))
+            elif v == m:
+                relations.append(Relation(m, (k,) + backward, left[m]))
+                relations.append(Relation(m, (k,) + forward, right[m]))
+            else:
+                relations.append(Relation(v, left[v], right[v]))
+    return ReconstructionQuiver(fraction, vertices, tuple(arrows), tuple(relations))
 
 
 @per_pair
@@ -212,9 +167,10 @@ def deformed_relations(s: Singularity) -> DeformedRelations:
     quiver = reconstruction_quiver(s)
     if quiver.relations is None:
         raise UnsupportedError(quiver.unsupported_reason)
+    arrows = quiver.arrows
     count = len(quiver.fraction) + 1
     # the vertex the k-arrow leaves; past every vertex on an all-2 chain
-    m = next((a.tail for a in quiver.arrows if a.kind == "k"), count)
+    m = next((a.tail for a in arrows if a.kind == "k"), count)
     names = {1: [], 2: []}
     relations = []
     for rel in quiver.relations:  # in vertex order
@@ -222,9 +178,11 @@ def deformed_relations(s: Singularity) -> DeformedRelations:
         parameter = f"t{g}_{len(names[g])}"
         names[g].append(parameter)
         pos, neg = rel.positive, rel.negative
-        if neg == _right_loop(rel.vertex, count):
+        # the right loop at v (up to v+1 and back) is a_v, c_{v+1}
+        v = rel.vertex
+        if neg == (arrows[v], arrows[count + (v + 1) % count]):
             pos, neg = neg, pos
-        relations.append(Relation(rel.vertex, pos, neg, parameter))
+        relations.append(Relation(v, pos, neg, parameter))
     groups = tuple(tuple(group) for group in names.values() if group)
     relations.sort(key=lambda rel: (rel.vertex, rel.parameter))
     return DeformedRelations(

@@ -10,11 +10,35 @@ holds the one denominator n.
 
 The resolution fan's rays are the lattice points on the boundary polyline
 of the convex hull of the nonzero lattice points of the quadrant; points
-interior to a hull edge carry self-intersection 2, corners more.  One
-monotone-chain pass over the lowest lattice point of each column finds
-them: it drops a point only at a strict clockwise turn, so the points
-inside an edge stay.  Fan rays are ordered in integers by the cross
-product: each ray must lie strictly counterclockwise of the one before.
+interior to a hull edge carry self-intersection 2, corners more.  The
+same boundary on the dual lattice {(a, b) : a + q*b = 0 (mod n)}, that is
+b = -a/q (mod n), is the Hilbert basis of the invariant monomials.  Both
+are read off the exponent series of ``cfrac`` in closed form, with no
+search: the rays are the points (j_k, i_k) of ``unrefined_series`` and the
+Hilbert basis the points (i_t, j_t) of ``ij_series``.  Each list passes a
+certificate linear in its length before it is used (Oda 1988, section
+1.6).  Points v_0, ..., v_L of the lattice L = {(A, B) : B = slope*A
+(mod n)}, slope a unit mod n, are exactly the lattice points on that hull
+boundary, in order, if
+
+1. v_0 = (n, 0) and v_L = (0, n), the first points of L on the two axes;
+2. every v_k lies in L;
+3. det(v_k, v_{k+1}) = n, the index of L, so each consecutive pair is a
+   basis of L and the closed triangle 0, v_k, v_{k+1} holds no other
+   point of L;
+4. every interior v_k has v_{k-1} + v_{k+1} = c*v_k with c >= 2.
+
+With d_k = det(v_0, v_k), rule 4 gives d_{k+1} - d_k >= d_k - d_{k-1}, so
+d_k rises from d_1 = n and every v_k past v_0 lies above the x-axis; in
+the same way every v_k before v_L lies right of the y-axis.  So the cones
+of rule 3 tile the quadrant in order, each triangle holds no point of L
+but its corners, and rule 4 makes the polyline convex: every nonzero point
+of L in the quadrant lies on or beyond it, and on it only the v_k.  The
+tests keep a hull walk over the lattice staircase as the oracle of both
+closed forms.
+
+Fan rays are ordered in integers by the cross product: each ray must lie
+strictly counterclockwise of the one before.
 """
 
 from __future__ import annotations
@@ -22,7 +46,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .cfrac import Singularity
+from .cfrac import Singularity, ij_series, unrefined_series
 from .errors import ConsistencyError, InputError
 
 
@@ -61,25 +85,25 @@ class Fan2D(NamedTuple("Fan2D", [("rays", tuple[tuple[int, int], ...]), ("den", 
         return {"den": self.den, "rays": self.rays}
 
 
-def _staircase(n: int, slope: int):
-    """For each A in 0..n the lowest point (A, B) of the lattice
-    {(A, B) : B = slope*A (mod n)} in the quadrant, the origin excluded."""
-    return [(0, n)] + [(a, slope * a % n) for a in range(1, n + 1)]
-
-
-def _hull_boundary(staircase):
-    """The staircase points on the boundary of the convex hull of the
-    lattice points above it: the hull corners and the lattice points inside
-    hull edges, in staircase order (from the y-axis down to the x-axis)."""
-    hull = []
-    for p in staircase:
-        while len(hull) >= 2:
-            (ox, oy), (ax, ay) = hull[-2], hull[-1]
-            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) >= 0:
-                break
-            hull.pop()
-        hull.append(p)
-    return hull
+def _certify_boundary(points, n: int, slope: int) -> None:
+    """Raise ConsistencyError unless ``points`` are, in order, the lattice
+    points on the compact boundary of the convex hull of the nonzero points
+    of the lattice {(A, B) : B = slope*A (mod n)} in the quadrant, from the
+    x-axis to the y-axis (module docstring); slope is a unit mod n."""
+    if points[0] != (n, 0) or points[-1] != (0, n):
+        raise ConsistencyError("hull boundary does not run from (n, 0) to (0, n)")
+    for (a0, b0), (a, b) in zip(points, points[1:]):  # (n, 0) is on the lattice
+        if (b - slope * a) % n:
+            raise ConsistencyError(f"hull boundary point {(a, b)} is off the lattice")
+        if a0 * b - b0 * a != n:
+            raise ConsistencyError(
+                f"hull boundary points {(a0, b0)}, {(a, b)} do not span the lattice"
+            )
+    for (a0, b0), (a, b), (a2, b2) in zip(points, points[1:], points[2:]):
+        sa, sb = a0 + a2, b0 + b2
+        c = sa // a if a else sb // b
+        if c < 2 or (sa, sb) != (c * a, c * b):
+            raise ConsistencyError(f"hull boundary does not turn convexly at {(a, b)}")
 
 
 def hilbert_basis_dual(s: Singularity) -> list[tuple[int, int]]:
@@ -88,28 +112,23 @@ def hilbert_basis_dual(s: Singularity) -> list[tuple[int, int]]:
 
     In dimension two the Hilbert basis of a cone is the set of lattice
     points on the compact boundary of the convex hull of its nonzero
-    lattice points (Oda 1988), so the same hull walk as the resolution fan
-    runs on the dual staircase b = -a/q (mod n).
+    lattice points (Oda 1988).  Those are the pairs (i_t, j_t) of
+    ``ij_series``, certified on the dual lattice b = -a/q (mod n).
     """
-    n = s.n
-    return _hull_boundary(_staircase(n, -pow(s.q, -1, n)))[::-1]
+    series = ij_series(s)
+    basis = list(zip(series.i_values, series.j_values))
+    _certify_boundary(basis, s.n, -pow(s.q, -1, s.n))
+    return basis
 
 
 def resolution_fan(s: Singularity) -> Fan2D:
     """The minimal resolution fan: boundary rays plus the lattice points on
-    the hull boundary of the nonzero quadrant lattice points."""
-    rays = _hull_boundary(_staircase(s.n, s.q))
-    rays.reverse()  # staircase runs from the y-axis down; fans sort from the x-axis up
-    fan = Fan2D(rays=tuple(rays), den=s.n)
-    _check_unimodular(fan)
-    return fan
-
-
-def _check_unimodular(fan: Fan2D):
-    # consecutive rays must span the working lattice: |det| = n in scaled coords
-    for r1, r2 in fan.maximal_cones:
-        if abs(_det(r1, r2)) != fan.den:
-            raise ConsistencyError("fan cone is not unimodular in the lattice")
+    the hull boundary of the nonzero quadrant lattice points, which are the
+    points (j_k, i_k) of ``unrefined_series`` from the x-axis up."""
+    series = unrefined_series(s)
+    rays = tuple(zip(series.j_values[::-1], series.i_values[::-1]))
+    _certify_boundary(rays, s.n, s.q)
+    return Fan2D(rays, s.n)
 
 
 def self_intersections(fan: Fan2D) -> tuple[int, ...]:

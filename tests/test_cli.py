@@ -737,6 +737,21 @@ class TestSizes:
         assert (payload["e"], payload["r"]) == (45, 44)
         assert seconds < 5
 
+    def test_toric_and_verify_on_a_fibonacci_pair(self, tmp_path):
+        # (F_46, F_44): the chain is [3] * 22 and e = 25, so the fan and the
+        # Hilbert basis are read off the two series in O(r + e), with no
+        # staircase of n + 1 points; verify then stops at gfan's orbit ideal
+        n, q = "1836311903", "701408733"
+        code, out, _, seconds, _ = self.measured(["toric", n, q, "--format", "json"], tmp_path)
+        assert code == 0 and seconds < 0.5
+        payload = json.loads(out)
+        assert payload["self_intersections"] == [3] * 22
+        assert len(payload["fan"]["rays"]) == 24 and len(payload["hilbert_basis"]) == 25
+        assert all(payload["checks"].values())
+        code, out, err, _, _ = self.measured(["verify", n, q, "--format", "json"], tmp_path)
+        assert code == 2 and out == ""
+        assert err == "error: polyring exponents must lie in 0..32767\n"
+
     @pytest.mark.parametrize(
         "argv, reason",
         [
@@ -807,13 +822,13 @@ class TestSpecializationCheck:
         s = Singularity(11, 4)
         pres = deform.versal_presentation(s)
         pres = pres._replace(relations=relations(pres.relations))
-        return deform.specializes(s, pres, binomials(defining_equations(s)))
+        return deform.specializes(pres, binomials(defining_equations(s)))
 
     @staticmethod
     def images_checked(binomials=tuple):
         s = Singularity(11, 4)
         variables = deform.deformation_variables(s)
-        return deform.images_specialize(s, variables, binomials(defining_equations(s)))
+        return deform.images_specialize(variables, binomials(defining_equations(s)))
 
     def test_accepts_the_family(self):
         assert self.checked()
@@ -857,7 +872,7 @@ class TestSpecializationCheck:
             pairs=tuple(pres.pairs[k] for k in keep),
             relations=tuple(pres.relations[k] for k in keep),
         )
-        assert not deform.specializes(s, pres, defining_equations(s))
+        assert not deform.specializes(pres, defining_equations(s))
 
     @pytest.mark.parametrize(
         "mutate",

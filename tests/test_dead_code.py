@@ -1,12 +1,17 @@
 """A dead-code guard over ``src/cqsing``, read with the standard library's
-``ast``: every imported name is used in its module, and every module-level
+``ast``: every imported name is used in its module, every module-level
 function, class and constant is referenced somewhere in ``src/`` or
-``tests/`` outside its own definition.
+``tests/`` outside its own definition, and every parameter of a function
+or lambda is read in its body.
 
 A reference is found by name: a variable read, an attribute, or a string
 equal to the name (as in ``monkeypatch.setattr(deform, "VariableTable",
 ...)``).  ``from __future__ import annotations`` and the re-exports of
-``__init__`` are exempt, as are dunder names such as ``__all__``.
+``__init__`` are exempt, as are dunder names such as ``__all__``.  A
+parameter counts as read when its name is read anywhere in the body, a
+nested function or lambda included; the parameters of dunder methods,
+which keep the signature Python calls them with, and parameters named with
+a leading underscore are exempt.
 """
 
 import ast
@@ -71,6 +76,25 @@ def _definitions(tree):
                         yield name.id, node.lineno, node.end_lineno
 
 
+def _unread_parameters(tree):
+    """(function, parameter, line) of each parameter that its function's
+    body never reads, exemptions aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Lambda):
+            name, body = "lambda", [node.body]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            name, body = node.name, node.body
+        else:
+            continue
+        reads = set().union(*map(_reads, body))
+        args = node.args
+        for arg in (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg):
+            if arg is not None and not arg.arg.startswith("_") and arg.arg not in reads:
+                yield name, arg.arg, arg.lineno
+
+
 REFERENCES = {}  # name -> [(path, line), ...]
 for _path, _tree in TREES.items():
     for _name, _line in _references(_tree):
@@ -100,3 +124,11 @@ def test_every_definition_is_referenced(path):
     assert not unreferenced, (
         f"{path.name} defines but nothing references {', '.join(unreferenced)}"
     )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_parameter_is_read(path):
+    unread = [
+        f"{name}({arg}) (line {line})" for name, arg, line in _unread_parameters(TREES[path])
+    ]
+    assert not unread, f"{path.name} never reads the parameters {', '.join(unread)}"

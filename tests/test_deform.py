@@ -286,7 +286,7 @@ class TestVersalPresentation:
             for (i, j), p in images.items():
                 lhs = table._code(f"z{i}") + table._code(f"z{j}")
                 assert got[(i, j)]._terms == {lhs: 1, p: -1}, (n, q, i, j)
-            assert images_specialize(s, pres.variables, defining_equations(s))
+            assert images_specialize(pres.variables, defining_equations(s))
             swept += 1
         assert swept == 450
 
@@ -434,8 +434,8 @@ class TestVersalPresentation:
             s = Singularity(n, q)
             pres = versal_presentation(s)
             assert specialized_relations(pres)
-            assert specializes(s, pres, defining_equations(s))
-            assert images_specialize(s, pres.variables, defining_equations(s))
+            assert specializes(pres, defining_equations(s))
+            assert images_specialize(pres.variables, defining_equations(s))
 
 
 class TestOnePass:

@@ -145,6 +145,16 @@ class TestQuiverStructure:
             expected = 2 * (len(b) + 1) + sum(w - 2 for w in b)
             assert len(quiver.arrows) == expected
 
+    def test_relations_hold_the_quiver_arrows(self):
+        # each arrow is built once: every path of a plain or a deformed
+        # relation holds the very objects of quiver.arrows
+        for n, q in supported_pairs(40):
+            s = Singularity(n, q)
+            quiver = reconstruction_quiver(s)
+            built = set(map(id, quiver.arrows))
+            for rel in quiver.relations + deformed_relations(s).relations:
+                assert all(id(a) in built for a in rel.positive + rel.negative), (n, q)
+
     def test_reversed_fraction_isomorphic(self):
         for n, q in coprime_pairs(25):
             s = Singularity(n, q)

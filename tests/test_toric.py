@@ -1,7 +1,7 @@
 import pytest
 
 from cqsing.cfrac import Singularity, curve_count, embedding_dimension, hj_expand
-from cqsing.errors import InputError
+from cqsing.errors import ConsistencyError, InputError
 from cqsing.invariant_ring import generators
 from cqsing import toric
 from cqsing.toric import (
@@ -30,8 +30,40 @@ def recursion_rays(n, q):
     return list(reversed(rays))
 
 
+def staircase(n, slope):
+    """For each A in 0..n the lowest point (A, B) of the lattice
+    {(A, B) : B = slope*A (mod n)} in the quadrant, the origin excluded."""
+    return [(0, n)] + [(a, slope * a % n) for a in range(1, n + 1)]
+
+
+def hull_boundary(points):
+    """Oracle for the closed forms of ``toric``: the staircase points on the
+    boundary of the convex hull of the lattice points above it, the hull
+    corners and the lattice points inside hull edges, in staircase order
+    (from the y-axis down to the x-axis).  One monotone-chain pass drops a
+    point only at a strict clockwise turn, so the points inside an edge
+    stay."""
+    hull = []
+    for p in points:
+        while len(hull) >= 2:
+            (ox, oy), (ax, ay) = hull[-2], hull[-1]
+            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) >= 0:
+                break
+            hull.pop()
+        hull.append(p)
+    return hull
+
+
+def check_unimodular(fan):
+    """Consecutive rays span the working lattice: |det| = n in scaled
+    coordinates."""
+    for (a1, b1), (a2, b2) in fan.maximal_cones:
+        if abs(a1 * b2 - b1 * a2) != fan.den:
+            raise ConsistencyError("fan cone is not unimodular in the lattice")
+
+
 def hull_boundary_two_pass(staircase):
-    """Oracle for ``toric._hull_boundary``: the hull corners first, popping
+    """Oracle for ``hull_boundary``: the hull corners first, popping
     collinear points too, then a second walk that keeps every staircase
     point on a corner or on the line of the hull edge above its column."""
 
@@ -60,10 +92,63 @@ class TestHullBoundary:
         # q -> -q^{-1} (mod n) permutes the units mod n, so the fan
         # staircases (slope q) include every Hilbert-basis staircase
         for n, q in coprime_pairs(150):
-            staircase = toric._staircase(n, q)
-            assert toric._hull_boundary(staircase) == hull_boundary_two_pass(
-                staircase
-            ), (n, q)
+            points = staircase(n, q)
+            assert hull_boundary(points) == hull_boundary_two_pass(points), (n, q)
+
+    def test_closed_forms_match_the_hull_walk(self):
+        for n, q in coprime_pairs(150):
+            s = Singularity(n, q)
+            assert list(resolution_fan(s).rays) == hull_boundary(staircase(n, q))[::-1]
+            dual = hull_boundary(staircase(n, -pow(q, -1, n)))[::-1]
+            assert hilbert_basis_dual(s) == dual, (n, q)
+
+
+class TestCertificate:
+    """``toric._certify_boundary`` on mutations of valid boundaries: each
+    breaks one of the four rules of the module docstring."""
+
+    N, Q = 11, 7
+    RAYS = [(11, 0), (8, 1), (5, 2), (2, 3), (1, 7), (0, 11)]  # resolution_fan(11, 7)
+
+    def certify(self, points):
+        toric._certify_boundary(points, self.N, self.Q)
+
+    def test_accepts_the_fan_and_the_hilbert_basis(self):
+        self.certify(self.RAYS)
+        toric._certify_boundary([(11, 0), (4, 1), (1, 3), (0, 11)], 11, -pow(7, -1, 11))
+
+    def test_rejects_a_dropped_interior_point(self):
+        with pytest.raises(ConsistencyError, match="do not span"):
+            self.certify(self.RAYS[:2] + self.RAYS[3:])
+
+    def test_rejects_two_swapped_points(self):
+        rays = list(self.RAYS)
+        rays[2], rays[3] = rays[3], rays[2]
+        with pytest.raises(ConsistencyError, match="do not span"):
+            self.certify(rays)
+
+    def test_rejects_a_point_off_the_lattice(self):
+        rays = list(self.RAYS)
+        rays[2] = (6, 2)
+        with pytest.raises(ConsistencyError, match="off the lattice"):
+            self.certify(rays)
+
+    def test_rejects_a_turn_with_c_1(self):
+        # the blow-up point v_1 + v_2 keeps every point on the lattice and
+        # every det at n, but the boundary bends away from the origin there
+        rays = list(self.RAYS)
+        rays.insert(2, (rays[1][0] + rays[2][0], rays[1][1] + rays[2][1]))
+        with pytest.raises(ConsistencyError, match="convexly at \\(13, 3\\)"):
+            self.certify(rays)
+
+    @pytest.mark.parametrize(
+        "points",
+        [RAYS[:-1], RAYS[1:], RAYS[:-1] + [(0, 22)]],
+        ids=["short-of-the-y-axis", "off-the-x-axis", "past-the-first-point"],
+    )
+    def test_rejects_a_wrong_end_point(self, points):
+        with pytest.raises(ConsistencyError, match="does not run from"):
+            self.certify(points)
 
 
 class TestResolutionFan:
@@ -95,10 +180,7 @@ class TestResolutionFan:
 
     def test_unimodularity_sweep(self):
         for n, q in coprime_pairs(120):
-            fan = resolution_fan(Singularity(n, q))
-            for r1, r2 in fan.maximal_cones:
-                (a1, b1), (a2, b2) = r1, r2
-                assert abs(a1 * b2 - b1 * a2) == n
+            check_unimodular(resolution_fan(Singularity(n, q)))
 
 
 class TestSelfIntersections:
@@ -114,8 +196,6 @@ class TestSelfIntersections:
             assert fan_matches_expansion(Singularity(n, q)), (n, q)
 
     def test_malformed_fan_rejected(self):
-        from cqsing.errors import ConsistencyError
-
         bad = Fan2D(rays=((3, 0), (2, 1), (0, 3)), den=3)
         with pytest.raises(ConsistencyError):
             self_intersections(bad)
