@@ -194,7 +194,8 @@ def run_hilb(s: Singularity) -> Report:
 def run_gfan(s: Singularity) -> Report:
     fan, cones = gfan.groebner_fan(s)
     matches = gfan.fans_equal(fan, toric.resolution_fan(s))
-    bases = [[gfan._binomial_text(g, c.weight) for g in c.basis] for c in cones]
+    monomial = invariant_ring.monomial_text
+    bases = [[f"{monomial(*m)} - {monomial(*t)}" for m, t in c.basis] for c in cones]
     payload = {
         "fan": fan.serialize(),
         "cones": [

@@ -19,16 +19,10 @@ and the L-shape, a fundamental domain of it, carries each residue once.
 Each generator m comes paired with its partner m', the box of the same
 weight, read off the corners: x^{i_k} with y^{j_k}, the step corner
 x^{i_k - i_{k+1}} y^{j_{k+1} - j_k} with 1, and y^{j_{k+1}} with
-x^{i_{k+1}}.  The orbit is that of the point (1, 1), so the candidate
-basis of cone k is {x^m - x^m'}, and a weight w lies inside the cone iff
-the integer margins w.(m - m') are all positive, so a weight picks its cone
-before any polynomial is built.  A partner of another weight fails step 1
-below.
-Each x^m is packed straight into its code of the ("x", "y") table (x^a y^b
-is a in the field at bit 16 and b in the field at bit 0, a + b above them),
-with no exponent tuple in between.  Every corner and partner exponent is at
-most n, so the one check of n against polyring's exponent ceiling, in
-``orbit_ideal``, keeps every code in its fields.
+x^{i_{k+1}}.  The orbit is that of the point (1, 1), so the basis of
+cone k is {x^m - x^m'}.  A cone holds it as rows (m, m') of exponent
+pairs, the lead first, sorted by (w.m, total degree, x-degree) at the
+cone's weight w (``WeightedOrder``'s order), and no polynomial is built.
 
 The boundary rays come off the same corners, with no search.  The two
 pure-power pairs give the inequalities (i_k, -j_k) and (-i_{k+1}, j_{k+1}),
@@ -37,71 +31,55 @@ their sum, so it never bounds the cone.  The lower ray is the primitive
 vector along (j_{k+1}, i_{k+1}), the upper along (j_k, i_k).  Each ray is
 checked at run time: every inequality is >= 0 on it and one is 0.
 
-A candidate is certified before it is used, by a check linear in its
-terms that runs no division and needs no monomial order: it takes the
-cone's weight pair (w0, w1), and one pass over each element's codes decodes
-every term x^a y^b by shift and mask, keeps the one of larger
-(w0*a + w1*b, code) as the lead (``WeightedOrder``'s comparison, on the
-codes) and sums the coefficients per residue for step 1:
+The rows are certified before they are used, by ``certify_basis``: one
+pass over them, linear in their number, that runs no division.  It takes
+the cone's weight pair (w0, w1):
 
-1. Every element vanishes on the whole orbit of (1, 1).  The orbit is the
-   set of points (z, z^q) with z^n = 1, so f = sum c x^a y^b vanishes on it
-   iff, for every residue r mod n, the coefficients c of the terms with
-   a + q*b = r (mod n) sum to 0.  The terms are decoded, by shift and mask,
-   from the codes of the emitted polynomial, not taken from the pairs
-   (m, m') that built it.  So the ideal J the candidate generates lies in
-   the orbit ideal I, which has colength n: G acts freely on the torus, so
-   the orbit of (1, 1) has n distinct points, and I is their ideal.
-2. The leading terms under w leave exactly n standard monomials (the
-   cluster boxes).  The initial ideal of J contains them, so J has
-   colength at most n.
-3. J in I with colength(J) <= n = colength(I) gives J = I, and the leading
-   terms generate the initial ideal of I: the candidate is the reduced
-   Groebner basis of I under w (monic, with the cluster's minimal
-   generators as leading terms and boxes as tails).
+1. Every margin w.(m - m') is positive.  So x^m leads its binomial under
+   every order that refines w, with no tie to break, and no element is
+   zero (a zero one has m = m' and margin 0).  A margin of 0 on distinct
+   terms puts w on a boundary of the cone, and a negative one puts it
+   outside.
+2. Every element vanishes on the whole orbit of (1, 1).  The orbit is the
+   set of points (z, z^q) with z^n = 1, so x^m - x^m' vanishes on it iff
+   m = (a, b) and m' = (c, d) have one residue a + q*b = c + q*d (mod n).
+   So the ideal J the rows generate lies in the orbit ideal I, which has
+   colength n: G acts freely on the torus, so the orbit of (1, 1) has n
+   distinct points, and I is their ideal.
+3. The leads leave exactly n standard monomials (the cluster boxes).  The
+   initial ideal of J contains them, so J has colength at most n.
 
-Any failed step raises ConsistencyError, and so does a zero element, which
-has no lead.  Buchberger's algorithm stays in ``polyring``, and the
-division certificate (S-pairs and orbit generators reduce to 0) in the
-tests, as oracles for these bases.
+J in I with colength(J) <= n = colength(I) gives J = I, and the leads
+generate the initial ideal of I: the rows are the reduced Groebner basis
+of I under w (monic, with the cluster's minimal generators as leading
+terms and boxes as tails).  Any failed step raises ConsistencyError, each
+with its own message.  Buchberger's algorithm stays in ``polyring``; the
+same certificate decoded from polyring's codes, the division certificate
+(S-pairs and orbit generators reduce to 0) and sympy stay in the tests, as
+oracles for these rows read as polynomials.
 
-``_binomial_text`` writes each basis element as lead - tail, in
-``poly_text``'s form, from its two codes decoded as the certificate decodes
-them, with the lead picked by the same (w.m, code) comparison, never by
-dict order; each monomial x^a*y^b is ``invariant_ring.monomial_text``.  So
-a ``gfan`` request certifies and prints its cones with no call into
+The CLI writes each row as ``x^m - x^m'`` with ``invariant_ring``'s
+``monomial_text``, which is ``poly_text``'s form of the binomial, so a
+``gfan`` request certifies and prints its cones with no call into
 ``polyring``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
 from .cfrac import Singularity, curve_count
 from .errors import ConsistencyError, InputError
-from .invariant_ring import monomial_text
 from .mckay import g_clusters
-from .polyring import (
-    _BITS,
-    _LIMIT,
-    _MASK,
-    _RANGE,
-    Polynomial,
-    VariableTable,
-)
+from .polyring import _LIMIT, _RANGE
 from .toric import Fan2D, primitive
 
 
-class BoundaryWeightError(Exception):
-    """The weight ties two terms of a reduced basis element: it lies on a
-    cone boundary and cannot name a single cone."""
-
-
 class OrbitIdeal(NamedTuple):
+    """The ideal of the orbit of (1, 1), for a pair whose n passed the
+    exponent ceiling."""
+
     singularity: Singularity
-    table: VariableTable
 
 
 class GroebnerCone(NamedTuple):
@@ -109,7 +87,7 @@ class GroebnerCone(NamedTuple):
     defining half-planes, and the two boundary rays."""
 
     weight: tuple[int, int]
-    basis: tuple[Polynomial, ...]
+    basis: tuple[tuple[tuple[int, int], tuple[int, int]], ...]  # (m, m'): x^m - x^m'
     inequalities: tuple[tuple[int, int], ...]  # normals d, cone = {d.w >= 0}
     lower_ray: tuple[int, int]  # primitive, toward the x-axis
     upper_ray: tuple[int, int]  # primitive, toward the y-axis
@@ -118,10 +96,12 @@ class GroebnerCone(NamedTuple):
 def orbit_ideal(s: Singularity) -> OrbitIdeal:
     """The ideal of the orbit of (1, 1), generated by f_t(x, y) - 1 over the
     invariant generators f_t.  Its cones at the two axes hold x^n and y^n,
-    so n must lie under polyring's exponent ceiling."""
+    so n must lie under polyring's exponent ceiling: every row is then a
+    polynomial of ``polyring``, as the tests' oracles read it, and gfan
+    keeps the one exponent range of the package."""
     if s.n >= _LIMIT:
         raise InputError(_RANGE)
-    return OrbitIdeal(singularity=s, table=VariableTable(["x", "y"]))
+    return OrbitIdeal(singularity=s)
 
 
 def _standard_count(leads):
@@ -145,79 +125,46 @@ def _standard_count(leads):
 
 
 def certify_basis(basis, ideal: OrbitIdeal, w) -> None:
-    """Raise ConsistencyError unless ``basis`` is a Groebner basis under the
-    weight pair ``w`` (ties broken by code, so the order is that of
-    ``WeightedOrder(w)``) of the orbit ideal of ``ideal`` (steps 1-3 of the
-    module docstring): every element vanishes on the orbit and the leading
-    terms leave exactly n standard monomials, the colength of the ideal.
-    One pass over each element's codes decodes x^a y^b (a in the field at
-    bit _BITS, b in the field at bit 0), keeps the larger (w.m, code) as
-    the lead and sums the coefficients per residue a + q*b (mod n)."""
+    """Raise ConsistencyError unless the rows ``basis``, each (m, m') for
+    x^m - x^m', are a Groebner basis of the orbit ideal of ``ideal`` under
+    the weight pair ``w`` (steps 1-3 of the module docstring): every margin
+    w.(m - m') is positive, m and m' have one residue a + q*b (mod n), and
+    the leads m leave exactly n standard monomials, the colength of the
+    ideal."""
     s = ideal.singularity
     n, q = s.n, s.q
     w0, w1 = w
     if w0 < 0 or w1 < 0:
         raise InputError("weights must be nonnegative")
-    leads = []
-    vanishes = True
-    for g in basis:
-        top = -1
-        sums = {}
-        for m, c in g._terms.items():
-            a, b = m >> _BITS & _MASK, m & _MASK
-            v = w0 * a + w1 * b
-            if v > top or (v == top and m > code):
-                top, code, lead = v, m, (a, b)
-            r = (a + q * b) % n
-            sums[r] = sums.get(r, 0) + c
-        if top < 0:
-            raise ConsistencyError("a candidate basis element is zero")
-        leads.append(lead)
-        if vanishes and any(sums.values()):
-            vanishes = False
-    if _standard_count(leads) != n:
-        raise ConsistencyError(f"candidate basis does not have {n} standard monomials")
-    if not vanishes:
-        raise ConsistencyError("a candidate basis element does not vanish on the orbit")
-
-
-def _pairs(cluster):
-    """The (generator, partner) pairs of a cluster, read off its corners
-    once per cone."""
-    return tuple(zip(cluster.ideal, cluster.partners))
-
-
-def _margins(pairs, w):
-    """w.(m - m') per (generator, partner) pair of a cluster: all positive
-    iff w is inside its cone."""
-    return [(m[0] - t[0]) * w[0] + (m[1] - t[1]) * w[1] for m, t in pairs]
-
-
-def _certified_cone(cluster, pairs, w, ideal: OrbitIdeal) -> GroebnerCone:
-    """The cone of the cluster with (generator, partner) ``pairs`` at the
-    weight w: the candidate {x^m - x^m'}, certified, and the rays read off
-    the cluster's corners, checked against its inequalities.  One pass over
-    the pairs reads each one's margin (w must be inside the cone), packs
-    x^m and x^m' straight into their codes in ``ideal.table`` (every
-    exponent is at most n, under the ceiling ``orbit_ideal`` checked) and
-    takes its inequality."""
-    w0, w1 = w
-    top = ideal.table._top
-    rows = []
-    normals = set()
-    for (a, b), (c, d) in pairs:
+    for (a, b), (c, d) in basis:
         da, db = a - c, b - d
-        if da * w0 + db * w1 <= 0:
-            raise ConsistencyError(f"weight {w} is not inside the cone of its cluster")
-        # w.m > w.m', so x^m leads its element; (w.m, code) is the order's key
-        lead = (a + b) << top | a << _BITS | b
-        rows.append((w0 * a + w1 * b, lead, (c + d) << top | c << _BITS | d))
-        normals.add(primitive((da, db)))
-    rows.sort()
-    table = ideal.table
-    basis = tuple([Polynomial._raw(table, {lead: 1, tail: -1}) for _, lead, tail in rows])
+        margin = da * w0 + db * w1
+        if margin <= 0:
+            if not (da or db):
+                raise ConsistencyError("a candidate basis element is zero")
+            if margin:
+                raise ConsistencyError(f"weight {w} is not inside the cone of its cluster")
+            raise ConsistencyError(f"weight {w} lies on a boundary of the cone of its cluster")
+        if (da + q * db) % n:
+            raise ConsistencyError("a candidate basis element does not vanish on the orbit")
+    if _standard_count([m for m, _ in basis]) != n:
+        raise ConsistencyError(f"candidate basis does not have {n} standard monomials")
+
+
+def _certified_cone(cluster, w, ideal: OrbitIdeal) -> GroebnerCone:
+    """The cone of ``cluster`` at the weight w: its rows (m, m'), read once
+    off the cluster's (generator, partner) pairs, sorted and certified, and
+    the rays read off its corners, checked against its inequalities."""
+    w0, w1 = w
+    # (w.m, total degree, x-degree) is WeightedOrder(w)'s key of the lead m
+    basis = tuple(
+        sorted(
+            zip(cluster.ideal, cluster.partners),
+            key=lambda row: (w0 * row[0][0] + w1 * row[0][1], row[0][0] + row[0][1], row[0][0]),
+        )
+    )
     certify_basis(basis, ideal, w)
-    inequalities = tuple(sorted(normals))
+    inequalities = tuple(sorted({primitive((a - c, b - d)) for (a, b), (c, d) in basis}))
     lower = primitive((cluster.j_next, cluster.i_next))
     upper = primitive((cluster.j, cluster.i))
     for ray in (lower, upper):
@@ -225,53 +172,6 @@ def _certified_cone(cluster, pairs, w, ideal: OrbitIdeal) -> GroebnerCone:
         if min(dots) != 0:
             raise ConsistencyError(f"ray {ray} does not bound the cone of weight {w}")
     return GroebnerCone(w, basis, inequalities, lower, upper)
-
-
-def _term_text(a, b, c):
-    """|c| x^a y^b in ``poly_text``'s form, without its sign."""
-    body = monomial_text(a, b)
-    if c == 1 or c == -1:
-        return body
-    return str(abs(c)) if body == "1" else f"{abs(c)}*{body}"
-
-
-def _binomial_text(g, w) -> str:
-    """``poly_text`` of the two-term basis element g under the weight pair w:
-    lead - tail, the lead being the term of larger (w.m, code), the one
-    ``certify_basis`` certifies, with the exponents decoded as it decodes
-    them.  Dict order never decides which term comes first."""
-    w0, w1 = w
-    (m, c), (t, d) = g._terms.items()
-    a, b, e, f = m >> _BITS & _MASK, m & _MASK, t >> _BITS & _MASK, t & _MASK
-    if (w0 * a + w1 * b, m) < (w0 * e + w1 * f, t):
-        a, b, c, e, f, d = e, f, d, a, b, c
-    sign = "-" if c < 0 else ""
-    op = "-" if d < 0 else "+"
-    return f"{sign}{_term_text(a, b, c)} {op} {_term_text(e, f, d)}"
-
-
-def cone_of_weight(ideal: OrbitIdeal, w) -> GroebnerCone:
-    """The maximal cone containing the weight w (interior required).
-
-    The cone is that of the cluster whose strict inequalities w.m > w.m'
-    w satisfies, picked by integer margins; only its basis is built and
-    certified on the orbit.
-    """
-    w0, w1 = Fraction(w[0]), Fraction(w[1])
-    if w0 <= 0 or w1 <= 0:
-        raise InputError("weight must lie in the open quadrant")
-    scale = w0.denominator * w1.denominator // gcd(w0.denominator, w1.denominator)
-    w = (int(w0 * scale), int(w1 * scale))
-    on_boundary = False
-    for cluster in g_clusters(ideal.singularity):
-        pairs = _pairs(cluster)
-        low = min(_margins(pairs, w))
-        if low > 0:
-            return _certified_cone(cluster, pairs, w, ideal)
-        on_boundary = on_boundary or low == 0
-    if on_boundary:
-        raise BoundaryWeightError(f"weight {w} ties terms of a basis element")
-    raise ConsistencyError(f"weight {w} lies in no cluster's cone")
 
 
 def groebner_fan(s: Singularity):
@@ -282,7 +182,7 @@ def groebner_fan(s: Singularity):
     cones = []
     w = (n * n, 1)
     for cluster in g_clusters(s):
-        cone = _certified_cone(cluster, _pairs(cluster), w, ideal)
+        cone = _certified_cone(cluster, w, ideal)
         if cones and cones[-1].upper_ray != cone.lower_ray:
             raise ConsistencyError("adjacent cones do not share a ray")
         if not cones and cone.lower_ray != (1, 0):

@@ -1,7 +1,10 @@
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
-from cqsing import cfrac, deform, invariant_ring, mckay, reconstruct
+from cqsing import cfrac, deform, gfan, invariant_ring, mckay, reconstruct
+from cqsing.errors import ConsistencyError, InputError
 from cqsing.invariant_ring import generators
+from cqsing.polyring import VariableTable
 
 # every derivation that ``cfrac.per_pair`` memoizes on a Singularity
 MEMOIZED = (
@@ -30,11 +33,57 @@ def coprime_pairs(max_n, min_n=2):
     ]
 
 
+# the ring of the orbit ideal, for the oracles that read gfan's rows as
+# polynomials
+XY = VariableTable(["x", "y"])
+
+
 def orbit_gens(ideal):
     """f_t(x, y) - 1 over the invariant generators: the generators of the
     ideal of the orbit of (1, 1), for the Buchberger, division and sympy
     oracles (the cones are certified without them)."""
     return tuple(
-        ideal.table.poly({g.exponents: 1, (0, 0): -1})
+        XY.poly({g.exponents: 1, (0, 0): -1})
         for g in generators(ideal.singularity)
     )
+
+
+def row_poly(row):
+    """The binomial x^m - x^m' of a Groebner cone's row (m, m')."""
+    m, t = row
+    return XY.poly({m: 1, t: -1})
+
+
+def row_polys(basis):
+    """A cone's rows as polynomials, in their order."""
+    return tuple(map(row_poly, basis))
+
+
+class BoundaryWeightError(Exception):
+    """The weight ties two terms of a reduced basis element: it lies on a
+    cone boundary and cannot name a single cone."""
+
+
+def cone_of_weight(ideal, w):
+    """Oracle: the maximal cone of ``gfan`` containing the weight w
+    (interior required), found by a search over every cluster instead of
+    the sweep.  The cone is that of the cluster whose strict inequalities
+    w.m > w.m' w satisfies, picked by integer margins; only its rows are
+    read and certified, by ``gfan._certified_cone``."""
+    w0, w1 = Fraction(w[0]), Fraction(w[1])
+    if w0 <= 0 or w1 <= 0:
+        raise InputError("weight must lie in the open quadrant")
+    scale = lcm(w0.denominator, w1.denominator)
+    w = (int(w0 * scale), int(w1 * scale))
+    on_boundary = False
+    for cluster in mckay.g_clusters(ideal.singularity):
+        low = min(
+            (m[0] - t[0]) * w[0] + (m[1] - t[1]) * w[1]
+            for m, t in zip(cluster.ideal, cluster.partners)
+        )
+        if low > 0:
+            return gfan._certified_cone(cluster, w, ideal)
+        on_boundary = on_boundary or low == 0
+    if on_boundary:
+        raise BoundaryWeightError(f"weight {w} ties terms of a basis element")
+    raise ConsistencyError(f"weight {w} lies in no cluster's cone")

@@ -16,7 +16,7 @@ from cqsing.cfrac import (
 )
 from cqsing.cli import main
 from cqsing.deform import dim_t1, specialized_relations, versal_presentation
-from cqsing.gfan import cone_of_weight, fans_equal, groebner_fan, orbit_ideal
+from cqsing.gfan import fans_equal, groebner_fan, orbit_ideal
 from cqsing.invariant_ring import defining_equations, generators
 from cqsing.mckay import cluster_weight_check, g_clusters, special_reps
 from cqsing.polyring import WeightedOrder, buchberger, normal_form, s_polynomial
@@ -27,7 +27,7 @@ from cqsing.reconstruct import (
 )
 from cqsing.toric import primitive, resolution_fan, self_intersections
 
-from conftest import coprime_pairs
+from conftest import cone_of_weight, coprime_pairs, row_poly
 
 
 class _Budget:
@@ -132,7 +132,7 @@ def test_criterion_5_groebner():
         ideal = orbit_ideal(Singularity(11, 7))
         for w, expected in GOLDEN_BASES.items():
             cone = cone_of_weight(ideal, w)
-            got = [dict(g.terms) for g in cone.basis]
+            got = [dict(row_poly(row).terms) for row in cone.basis]
             assert got == [
                 {m: Fraction(c) for m, c in t.items()} for t in expected
             ], w

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cqsing
-from cqsing import cli, deform, gfan, goldens, polyring, reconstruct
+from cqsing import cli, deform, gfan, goldens, invariant_ring, polyring, reconstruct
 from cqsing.cfrac import Singularity, curve_count
 from cqsing.cli import main
 from cqsing.invariant_ring import defining_equations
@@ -431,25 +431,27 @@ class TestRepeatedMain:
 
 class TestRenderOnce:
     def test_gfan_renders_each_basis_element_once(self, capsys, monkeypatch):
-        # each element is written once, from the lead the certificate
-        # picks, and the generic renderer is never reached
+        # each row (m, m') is written once, as x^m - x^m' with its lead
+        # first, and the generic renderer is never reached
         calls = []
-        _binomial_text = gfan._binomial_text
+        monomial_text = invariant_ring.monomial_text
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return _binomial_text(*args, **kwargs)
+            return monomial_text(*args, **kwargs)
 
         def refuse(*args, **kwargs):
             raise AssertionError("gfan reached poly_text")
 
-        monkeypatch.setattr(gfan, "_binomial_text", counted)
+        monkeypatch.setattr(invariant_ring, "monomial_text", counted)
         monkeypatch.setattr(cli, "poly_text", refuse)
         monkeypatch.setattr(polyring, "poly_text", refuse)
         code, out, _ = run(capsys, ["gfan", "11", "7", "--format", "json"])
         assert code == 0
         cones = json.loads(out)["cones"]
-        assert len(calls) == sum(len(c["basis"]) for c in cones) == 13
+        assert len(calls) == 2 * sum(len(c["basis"]) for c in cones) == 26
+        _, rows = gfan.groebner_fan(Singularity(11, 7))
+        assert calls == [v for c in rows for row in c.basis for v in row]
 
     def test_zero_basis_element_exits_3(self, capsys, monkeypatch):
         # a zero element has no lead: an internal inconsistency, not bad
@@ -457,13 +459,45 @@ class TestRenderOnce:
         certify = gfan.certify_basis
 
         def with_zero(basis, ideal, w):
-            return certify(basis + (ideal.table.zero(),), ideal, w)
+            return certify(basis + (((1, 0), (1, 0)),), ideal, w)
 
         monkeypatch.setattr(gfan, "certify_basis", with_zero)
         code, out, err = run(capsys, ["gfan", "11", "7"])
         assert code == 3
         assert out == ""
         assert "zero" in err
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda rows: rows[1:], "standard monomials"),
+            (lambda rows: (rows[0][::-1],) + rows[1:], "is not inside the cone"),
+            # x - 1 in place of x - y^8, the last row of the first cone
+            (lambda rows: rows[:-1] + ((rows[-1][0], (0, 0)),), "does not vanish"),
+        ],
+        ids=["dropped", "swapped", "other-residue"],
+    )
+    def test_corrupted_row_exits_3(self, capsys, monkeypatch, corrupt, message):
+        certify = gfan.certify_basis
+        monkeypatch.setattr(
+            gfan, "certify_basis", lambda basis, ideal, w: certify(corrupt(basis), ideal, w)
+        )
+        code, out, err = run(capsys, ["gfan", "11", "7"])
+        assert code == 3
+        assert out == ""
+        assert message in err
+
+    def test_verify_builds_no_basis_text(self, capsys, monkeypatch):
+        # verify certifies every cone and prints none of them
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify wrote a monomial")
+
+        monkeypatch.setattr(invariant_ring, "monomial_text", refuse)
+        monkeypatch.setattr(cli, "poly_text", refuse)
+        for pair in (("11", "7"), ("20", "1"), ("20", "19"), ("29", "8")):
+            code, out, _ = run(capsys, ["verify", *pair, "--format", "json"])
+            assert code == 0
+            assert json.loads(out)["checks"]["groebner_fan_matches_toric"] is True
 
 
 class TestTextOnRequest:

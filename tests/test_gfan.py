@@ -1,3 +1,4 @@
+import ast
 import random
 from fractions import Fraction
 from math import gcd
@@ -6,20 +7,19 @@ from types import SimpleNamespace
 
 import pytest
 
-from cqsing import gfan, polyring, toric
+from cqsing import cli, gfan, polyring, toric
 from cqsing.cfrac import Singularity, curve_count
 from cqsing.errors import ConsistencyError, InputError
 from cqsing.gfan import (
-    BoundaryWeightError,
-    _binomial_text,
     certify_basis,
-    cone_of_weight,
     fans_equal,
     groebner_fan,
     orbit_ideal,
 )
 from cqsing.mckay import g_clusters
 from cqsing.polyring import (
+    _BITS,
+    _MASK,
     Polynomial,
     WeightedOrder,
     buchberger,
@@ -30,15 +30,19 @@ from cqsing.polyring import (
 )
 from cqsing.toric import resolution_fan
 
-from conftest import coprime_pairs, orbit_gens
+from conftest import (
+    XY,
+    BoundaryWeightError,
+    cone_of_weight,
+    coprime_pairs,
+    orbit_gens,
+    row_poly,
+    row_polys,
+)
 
 
 def term_map(poly):
     return dict(poly.terms)
-
-
-def xy_poly(table, terms):
-    return table.poly(terms)
 
 
 def standard_count_by_columns(leads):
@@ -77,11 +81,46 @@ def cone_rays_by_search(inequalities):
     return feasible[0], feasible[-1]
 
 
+def certify_basis_by_codes(basis, ideal, w):
+    """Oracle for ``certify_basis`` over polynomials: steps 2-3 of the gfan
+    module docstring decoded from polyring's codes.  One pass over each
+    element's codes decodes x^a y^b (a in the field at bit _BITS, b in the
+    field at bit 0), keeps the larger (w.m, code) as the lead (the order of
+    ``WeightedOrder(w)``) and sums the coefficients per residue
+    a + q*b (mod n); the leads must leave n standard monomials."""
+    s = ideal.singularity
+    n, q = s.n, s.q
+    w0, w1 = w
+    if w0 < 0 or w1 < 0:
+        raise InputError("weights must be nonnegative")
+    leads = []
+    vanishes = True
+    for g in basis:
+        top = -1
+        sums = {}
+        for m, c in g._terms.items():
+            a, b = m >> _BITS & _MASK, m & _MASK
+            v = w0 * a + w1 * b
+            if v > top or (v == top and m > code):
+                top, code, lead = v, m, (a, b)
+            r = (a + q * b) % n
+            sums[r] = sums.get(r, 0) + c
+        if top < 0:
+            raise ConsistencyError("a candidate basis element is zero")
+        leads.append(lead)
+        if vanishes and any(sums.values()):
+            vanishes = False
+    if gfan._standard_count(leads) != n:
+        raise ConsistencyError(f"candidate basis does not have {n} standard monomials")
+    if not vanishes:
+        raise ConsistencyError("a candidate basis element does not vanish on the orbit")
+
+
 def certify_basis_by_tuples(basis, ideal, w):
-    """Oracle for ``certify_basis``: the same three steps, standard count,
-    then vanishing on the orbit, read off the decoded exponent tuples of
-    ``leading_term`` under ``WeightedOrder(w)`` and ``Polynomial.terms``
-    instead of the codes."""
+    """Oracle for ``certify_basis`` over polynomials: the checks of
+    ``certify_basis_by_codes``, standard count, then vanishing on the orbit,
+    read off the decoded exponent tuples of ``leading_term`` under
+    ``WeightedOrder(w)`` and ``Polynomial.terms`` instead of the codes."""
     s = ideal.singularity
     n, q = s.n, s.q
     order = WeightedOrder(weights=w)
@@ -97,6 +136,10 @@ def certify_basis_by_tuples(basis, ideal, w):
             raise ConsistencyError(
                 "a candidate basis element does not vanish on the orbit"
             )
+
+
+# the two oracles of the row certificate that read polynomials
+POLY_CERTIFICATES = (certify_basis_by_codes, certify_basis_by_tuples)
 
 
 def certify_by_division(basis, known, order, colength):
@@ -118,21 +161,27 @@ def certify_by_division(basis, known, order, colength):
             raise ConsistencyError("the candidate basis misses part of the ideal")
 
 
-def mutations(ideal, basis, order):
-    """(label, basis, colength) per mutation of a certified cone basis; each
-    is no reduced Groebner basis of the orbit ideal of that colength."""
-    n, q = ideal.singularity.n, ideal.singularity.q
-    leads = [leading_term(g, order)[0] for g in basis]
-    boxes = [
+def standard_boxes(n, leads):
+    """The exponents (a, b) with a, b < n that no lead divides."""
+    return [
         (a, b)
         for a in range(n)
         for b in range(n)
         if not any(a >= la and b >= lb for la, lb in leads)
     ]
+
+
+def mutations(ideal, basis, order):
+    """(label, basis, colength) per mutation of a certified cone basis, as
+    polynomials; each is no reduced Groebner basis of the orbit ideal of
+    that colength."""
+    n, q = ideal.singularity.n, ideal.singularity.q
+    leads = [leading_term(g, order)[0] for g in basis]
+    boxes = standard_boxes(n, leads)
     out = [("colength n + 1", basis, n + 1)]
     for k, g in enumerate(basis):
         def replaced(terms):
-            return basis[:k] + (ideal.table.poly(terms),) + basis[k + 1 :]
+            return basis[:k] + (XY.poly(terms),) + basis[k + 1 :]
 
         out.append((f"drop {k}", basis[:k] + basis[k + 1 :], n))
         terms = dict(g.terms)
@@ -145,6 +194,60 @@ def mutations(ideal, basis, order):
         )
         out.append((f"swap tail {k}", replaced({lead: terms[lead], other: terms[tail]}), n))
     return out
+
+
+ROW_MESSAGES = {
+    "residue": "a candidate basis element does not vanish on the orbit",
+    "drop": "candidate basis does not have {n} standard monomials",
+    "swap": "weight {w} is not inside the cone of its cluster",
+    "zero": "a candidate basis element is zero",
+    "boundary": "weight {w} lies on a boundary of the cone of its cluster",
+}
+
+
+def row_mutations(ideal, cone):
+    """(kind, rows, weight) per mutation of a cone's certified rows:
+    a tail of another residue (of lower weight, so the margin stays
+    positive), a dropped row, a lead and tail swapped, a lead equal to its
+    tail, and the rows at each ray of the cone off the axes, on its
+    boundary.  ``certify_basis`` rejects each kind with its own message."""
+    n, q = ideal.singularity.n, ideal.singularity.q
+    basis, w = cone.basis, cone.weight
+    boxes = standard_boxes(n, [m for m, _ in basis])
+
+    def dot(v):
+        return w[0] * v[0] + w[1] * v[1]
+
+    out = []
+    for k, (m, t) in enumerate(basis):
+        def replaced(row):
+            return basis[:k] + (row,) + basis[k + 1 :]
+
+        residue = (m[0] + q * m[1]) % n
+        other = min(
+            (b for b in boxes if (b[0] + q * b[1]) % n != residue), key=lambda b: (dot(b), b)
+        )
+        assert dot(other) < dot(m)
+        out.append(("residue", replaced((m, other)), w))
+        out.append(("drop", basis[:k] + basis[k + 1 :], w))
+        out.append(("swap", replaced((t, m)), w))
+        out.append(("zero", replaced((m, m)), w))
+    for ray in (cone.lower_ray, cone.upper_ray):
+        if all(ray):
+            out.append(("boundary", basis, ray))
+    return out
+
+
+def rows_of(basis, order):
+    """The rows (m, m') of a basis of binomials x^m - x^m', m leading under
+    ``order``."""
+    rows = []
+    for g in basis:
+        m, c = leading_term(g, order)
+        ((t, d),) = [(t, d) for t, d in g.terms.items() if t != m]
+        assert (c, d) == (1, -1)
+        rows.append((m, t))
+    return tuple(rows)
 
 
 class TestOrbitIdeal:
@@ -213,7 +316,7 @@ class TestConeOfWeight:
     def test_golden_bases(self, w):
         ideal = orbit_ideal(Singularity(11, 7))
         cone = cone_of_weight(ideal, w)
-        got = [term_map(g) for g in cone.basis]
+        got = [term_map(g) for g in row_polys(cone.basis)]
         expected = [
             {k: Fraction(v) for k, v in t.items()} for t in GOLDEN_BASES_11_7[w]
         ]
@@ -269,60 +372,72 @@ class TestConeOfWeight:
             for c1, c2 in zip(cones, cones[1:]):
                 lt1 = {
                     leading_term(g, WeightedOrder(weights=c1.weight))[0]
-                    for g in c1.basis
+                    for g in row_polys(c1.basis)
                 }
                 lt2 = {
                     leading_term(g, WeightedOrder(weights=c2.weight))[0]
-                    for g in c2.basis
+                    for g in row_polys(c2.basis)
                 }
                 assert lt1 != lt2
 
 
 class TestCertificate:
     def test_cone_bases_match_buchberger(self):
+        # the rows, as polynomials, are Buchberger's reduced basis and pass
+        # the code-decoding certificate
         for n, q in coprime_pairs(20):
             s = Singularity(n, q)
-            gens = orbit_gens(orbit_ideal(s))
+            ideal = orbit_ideal(s)
+            gens = orbit_gens(ideal)
             for cone in groebner_fan(s)[1]:
                 oracle = buchberger(list(gens), WeightedOrder(weights=cone.weight))
-                assert list(cone.basis) == oracle, (n, q, cone.weight)
+                basis = row_polys(cone.basis)
+                assert list(basis) == oracle, (n, q, cone.weight)
+                certify_basis_by_codes(basis, ideal, cone.weight)
 
     def test_altered_coefficient_rejected(self):
         ideal = orbit_ideal(Singularity(11, 7))
+        # a coefficient other than -1 has no row: the oracles over
+        # polynomials refuse it
         for w in GOLDEN_BASES_11_7:
-            basis = cone_of_weight(ideal, w).basis
+            rows = cone_of_weight(ideal, w).basis
+            certify_basis(rows, ideal, w)
+            basis = row_polys(rows)
             order = WeightedOrder(weights=w)
-            certify_basis(basis, ideal, w)
             for k, g in enumerate(basis):
                 terms = dict(g.terms)
                 tail = min(terms, key=order.key)
                 terms[tail] *= 2
-                altered = basis[:k] + (ideal.table.poly(terms),) + basis[k + 1 :]
-                for certify in (certify_basis, certify_basis_by_tuples):
+                altered = basis[:k] + (XY.poly(terms),) + basis[k + 1 :]
+                for certify in POLY_CERTIFICATES:
                     with pytest.raises(ConsistencyError, match="does not vanish"):
                         certify(altered, ideal, w)
 
     def test_wrong_colength_rejected(self):
         ideal = orbit_ideal(Singularity(11, 7))
         cone = cone_of_weight(ideal, (3, 3))
-        for certify in (certify_basis, certify_basis_by_tuples):
+        cases = [(certify_basis, cone.basis[:-1])]
+        cases += [(certify, row_polys(cone.basis[:-1])) for certify in POLY_CERTIFICATES]
+        for certify, basis in cases:
             with pytest.raises(ConsistencyError, match="does not have 11 standard monomials"):
-                certify(cone.basis[:-1], ideal, (3, 3))
+                certify(basis, ideal, (3, 3))
 
     def test_smaller_ideal_of_colength_12_rejected(self):
         # I (x, y) = I meet (x, y): it vanishes on the orbit and has a
         # Groebner basis with 12 standard monomials, but it is not I
         s = Singularity(11, 7)
         ideal = orbit_ideal(s)
-        x, y = ideal.table.var("x"), ideal.table.var("y")
+        x, y = XY.var("x"), XY.var("y")
         order = WeightedOrder(weights=(3, 3))
         gens = orbit_gens(ideal)
         smaller = buchberger([v * g for g in gens for v in (x, y)], order)
         leads = [leading_term(g, order)[0] for g in smaller]
         assert gfan._standard_count(leads) == 12
-        for certify in (certify_basis, certify_basis_by_tuples):
+        cases = [(certify_basis, rows_of(smaller, order))]
+        cases += [(certify, smaller) for certify in POLY_CERTIFICATES]
+        for certify, basis in cases:
             with pytest.raises(ConsistencyError, match="does not have 11 standard monomials"):
-                certify(smaller, ideal, order.weights)
+                certify(basis, ideal, order.weights)
         with pytest.raises(ConsistencyError):
             certify_by_division(smaller, gens, order, 12)
 
@@ -332,7 +447,7 @@ class TestCertificate:
             gens = orbit_gens(orbit_ideal(s))
             for cone in groebner_fan(s)[1]:
                 order = WeightedOrder(weights=cone.weight)
-                certify_by_division(cone.basis, gens, order, s.n)
+                certify_by_division(row_polys(cone.basis), gens, order, s.n)
 
     def test_mutations_rejected_by_both_certificates(self):
         cases = [(Singularity(11, 7), sorted(GOLDEN_BASES_11_7))]
@@ -344,13 +459,17 @@ class TestCertificate:
             if weights is None:
                 weights = [c.weight for c in groebner_fan(s)[1]]
             for w in weights:
-                basis = cone_of_weight(ideal, w).basis
+                cone = cone_of_weight(ideal, w)
+                certify_basis(cone.basis, ideal, w)
+                for kind, rows, at in row_mutations(ideal, cone):
+                    with pytest.raises(ConsistencyError):
+                        certify_basis(rows, ideal, at)
+                basis = row_polys(cone.basis)
                 order = WeightedOrder(weights=w)
-                certify_basis(basis, ideal, w)
                 certify_by_division(basis, gens, order, s.n)
                 for label, altered, colength in mutations(ideal, basis, order):
-                    if colength == s.n:  # certify_basis reads n off the ideal
-                        for certify in (certify_basis, certify_basis_by_tuples):
+                    if colength == s.n:  # the certificates read n off the ideal
+                        for certify in POLY_CERTIFICATES:
                             with pytest.raises(ConsistencyError):
                                 certify(altered, ideal, w)
                     with pytest.raises(ConsistencyError):
@@ -367,35 +486,48 @@ class TestCertificate:
             ideal = orbit_ideal(s)
             for cone in groebner_fan(s)[1]:
                 certify_basis(cone.basis, ideal, cone.weight)
-                certify_basis_by_tuples(cone.basis, ideal, cone.weight)
+                basis = row_polys(cone.basis)
+                for certify in POLY_CERTIFICATES:
+                    certify(basis, ideal, cone.weight)
                 count += 1
         assert count == 8951
 
     def test_zero_element_is_inconsistent(self):
         # a zero element has no lead: ConsistencyError (exit 3), not the
-        # InputError of polyring's leading term
+        # InputError of polyring's leading term; as a row its lead is its
+        # tail
         ideal = orbit_ideal(Singularity(11, 7))
         for w in GOLDEN_BASES_11_7:
-            basis = cone_of_weight(ideal, w).basis
+            rows = cone_of_weight(ideal, w).basis
+            basis = row_polys(rows)
             for k in range(len(basis) + 1):
-                candidate = basis[:k] + (ideal.table.zero(),) + basis[k:]
+                for m in ((0, 0), (1, 1), rows[0][0]):
+                    with pytest.raises(ConsistencyError, match="element is zero"):
+                        certify_basis(rows[:k] + ((m, m),) + rows[k:], ideal, w)
+                candidate = basis[:k] + (XY.zero(),) + basis[k:]
                 with pytest.raises(ConsistencyError, match="element is zero"):
-                    certify_basis(candidate, ideal, w)
+                    certify_basis_by_codes(candidate, ideal, w)
 
     def test_negative_weight_rejected(self):
         ideal = orbit_ideal(Singularity(11, 7))
-        basis = cone_of_weight(ideal, (3, 3)).basis
+        rows = cone_of_weight(ideal, (3, 3)).basis
         with pytest.raises(InputError, match="nonnegative"):
-            certify_basis(basis, ideal, (3, -3))
+            certify_basis(rows, ideal, (3, -3))
+        with pytest.raises(InputError, match="nonnegative"):
+            certify_basis_by_codes(row_polys(rows), ideal, (3, -3))
 
     def test_coefficients_are_exact(self):
-        # every element is the binomial x^m - x^m', with int coefficients
+        # every element is a row (m, m') of int exponent pairs, the binomial
+        # x^m - x^m' whose lead is m under the cone's order, with int
+        # coefficients as a polynomial
         for n, q in coprime_pairs(15):
             for cone in groebner_fan(Singularity(n, q))[1]:
                 order = WeightedOrder(weights=cone.weight)
-                for g in cone.basis:
-                    m, one = leading_term(g, order)
-                    (c,) = [c for t, c in g.terms.items() if t != m]
+                for row in cone.basis:
+                    assert all(type(e) is int and e >= 0 for v in row for e in v), row
+                    m, one = leading_term(row_poly(row), order)
+                    (c,) = [c for t, c in row_poly(row).terms.items() if t != m]
+                    assert m == row[0]
                     assert type(one) is int and one == 1
                     assert type(c) is int and c == -1
 
@@ -428,9 +560,7 @@ class TestCertificate:
             bad = SimpleNamespace(
                 ideal=cluster.ideal, partners=((0, 0),) + cluster.partners[1:]
             )
-            candidate = [
-                ideal.table.poly({m: 1, t: -1}) for m, t in zip(bad.ideal, bad.partners)
-            ]
+            candidate = [row_poly(row) for row in zip(bad.ideal, bad.partners)]
             with pytest.raises(ConsistencyError, match="does not vanish on the orbit"):
                 certify_basis_by_tuples(candidate, ideal, cones[k].weight)
             patched = clusters[:k] + (bad,) + clusters[k + 1:]
@@ -449,7 +579,60 @@ class TestCertificate:
         for k, cluster in enumerate(clusters):
             for other in cones[:k] + cones[k + 1 :]:
                 with pytest.raises(ConsistencyError, match="is not inside the cone"):
-                    gfan._certified_cone(cluster, gfan._pairs(cluster), other.weight, ideal)
+                    gfan._certified_cone(cluster, other.weight, ideal)
+
+
+class TestRowCertificate:
+    def test_each_mutation_rejected_with_its_own_message(self):
+        # every cone of n <= 12: a tail of another residue, a dropped row, a
+        # lead and tail swapped, a lead equal to its tail and a weight on a
+        # ray of the cone each fail their own step
+        seen = dict.fromkeys(ROW_MESSAGES, 0)
+        for n, q in coprime_pairs(12):
+            s = Singularity(n, q)
+            ideal = orbit_ideal(s)
+            for cone in groebner_fan(s)[1]:
+                for kind, rows, w in row_mutations(ideal, cone):
+                    with pytest.raises(ConsistencyError) as caught:
+                        certify_basis(rows, ideal, w)
+                    assert str(caught.value) == ROW_MESSAGES[kind].format(n=n, w=w), (
+                        n, q, cone.weight, kind,
+                    )
+                    seen[kind] += 1
+        assert min(seen.values()) > 0, seen
+        messages = [m.format(n=11, w=(3, 3)) for m in ROW_MESSAGES.values()]
+        assert len(set(messages)) == len(messages)
+
+
+class TestNoPolynomial:
+    @pytest.fixture
+    def refuse_polynomials(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Polynomial was constructed")
+
+        monkeypatch.setattr(polyring.Polynomial, "__init__", refuse)
+        monkeypatch.setattr(polyring.Polynomial, "_raw", classmethod(refuse))
+
+    def test_groebner_fan_builds_no_polynomial(self, refuse_polynomials):
+        for n, q in coprime_pairs(25) + [(2000, 1999), (1999, 1)]:
+            groebner_fan(Singularity(n, q))
+        with pytest.raises(AssertionError, match="Polynomial was constructed"):
+            XY.poly({(1, 0): 1})
+
+    def test_gfan_request_builds_no_polynomial(self, refuse_polynomials, capsys):
+        for argv in (["gfan", "11", "7"], ["gfan", "20", "19", "--format", "json"]):
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out
+
+    def test_gfan_imports_only_the_ceiling_from_polyring(self):
+        tree = ast.parse(Path(gfan.__file__).read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "polyring"
+            for alias in node.names
+        }
+        assert imported == {"_LIMIT", "_RANGE"}
 
 
 def sympy_groebner(polys):
@@ -477,9 +660,10 @@ class TestSympyOracle:
             orbit, leads = sympy_groebner(orbit_gens(orbit_ideal(s)))
             assert standard_count_by_columns(leads) == n, (n, q)
             for cone in groebner_fan(s)[1]:
-                assert sympy_groebner(cone.basis)[0] == orbit, (n, q, cone.weight)
+                basis = row_polys(cone.basis)
+                assert sympy_groebner(basis)[0] == orbit, (n, q, cone.weight)
                 order = WeightedOrder(weights=cone.weight)
-                cone_leads = [leading_term(g, order)[0] for g in cone.basis]
+                cone_leads = [leading_term(g, order)[0] for g in basis]
                 assert standard_count_by_columns(cone_leads) == n, (n, q, cone.weight)
                 count += 1
         assert count == 670
@@ -491,7 +675,7 @@ class TestSympyOracle:
         caught = 0
         for cone in groebner_fan(s)[1]:
             order = WeightedOrder(weights=cone.weight)
-            for label, altered, _ in mutations(ideal, cone.basis, order):
+            for label, altered, _ in mutations(ideal, row_polys(cone.basis), order):
                 if label.startswith("double"):
                     assert sympy_groebner(altered)[0] != orbit, (cone.weight, label)
                     caught += 1
@@ -505,33 +689,39 @@ def tail_first(basis):
 
 class TestBinomialText:
     def test_matches_poly_text_on_every_cone(self):
+        # the report writes each row (m, m') as poly_text writes x^m - x^m'
         count = 0
         for n, q in coprime_pairs(60):
-            for cone in groebner_fan(Singularity(n, q))[1]:
+            s = Singularity(n, q)
+            printed = cli.run_gfan(s).payload["cones"]
+            _, cones = groebner_fan(s)
+            assert len(printed) == len(cones)
+            for entry, cone in zip(printed, cones):
                 order = WeightedOrder(weights=cone.weight)
-                for g in cone.basis:
-                    assert _binomial_text(g, cone.weight) == poly_text(g, order), (n, q)
+                expected = [poly_text(g, order) for g in row_polys(cone.basis)]
+                assert entry["basis"] == expected, (n, q)
                 count += 1
         assert count == 8951
 
     def test_tail_first_dicts_print_and_certify_the_same(self):
+        # the oracles over polynomials and poly_text never read dict order
         for n, q in coprime_pairs(15):
             ideal = orbit_ideal(Singularity(n, q))
             for cone in groebner_fan(ideal.singularity)[1]:
                 w = cone.weight
-                flipped = tail_first(cone.basis)
+                order = WeightedOrder(weights=w)
+                basis = row_polys(cone.basis)
+                flipped = tail_first(basis)
                 assert [list(g._terms) for g in flipped] == [
-                    list(g._terms)[::-1] for g in cone.basis
+                    list(g._terms)[::-1] for g in basis
                 ]
-                assert flipped == cone.basis
-                assert [_binomial_text(g, w) for g in flipped] == [
-                    _binomial_text(g, w) for g in cone.basis
+                assert flipped == basis
+                assert [poly_text(g, order) for g in flipped] == [
+                    poly_text(g, order) for g in basis
                 ]
-                for certify in (certify_basis, certify_basis_by_tuples):
+                for certify in POLY_CERTIFICATES:
                     certify(flipped, ideal, w)
-                    for label, altered, colength in mutations(
-                        ideal, cone.basis, WeightedOrder(weights=w)
-                    ):
+                    for label, altered, colength in mutations(ideal, basis, order):
                         if colength != n:
                             continue
                         messages = []
@@ -540,22 +730,6 @@ class TestBinomialText:
                                 certify(candidate, ideal, w)
                             messages.append(str(caught.value))
                         assert messages[0] == messages[1], label
-
-    def test_general_coefficients(self):
-        # poly_text's form for any two nonzero coefficients, ints or
-        # Fractions, and constant terms
-        table = orbit_ideal(Singularity(11, 7)).table
-        cases = [
-            ({(0, 2): 1, (3, 0): -1}, (2, 7)),
-            ({(0, 0): -1, (4, 1): 1}, (2, 7)),
-            ({(1, 0): Fraction(-3, 2), (0, 8): 2}, (9, 1)),
-            ({(1, 1): 5, (0, 0): Fraction(1, 3)}, (1, 1)),
-            ({(2, 0): 1, (0, 2): -1}, (1, 1)),  # a tie: the larger code leads
-            ({(0, 2): 1, (2, 0): -1}, (1, 1)),
-        ]
-        for terms, w in cases:
-            g = table.poly(terms)
-            assert _binomial_text(g, w) == poly_text(g, WeightedOrder(weights=w))
 
 
 class TestConeRays:
@@ -577,15 +751,17 @@ class TestConeRays:
         clusters = g_clusters(s)
         _, cones = groebner_fan(s)
         for k, cluster in enumerate(clusters):
-            pairs = gfan._pairs(cluster)
             neighbour = clusters[k + 1 if k + 1 < len(clusters) else k - 1]
             inside = cluster._replace(
                 i_next=cluster.i_next + cluster.i,
                 j_next=cluster.j_next + cluster.j,
             )
             for corners in (neighbour, inside):
+                stand_in = SimpleNamespace(
+                    ideal=cluster.ideal, partners=cluster.partners, **corners._asdict()
+                )
                 with pytest.raises(ConsistencyError, match="does not bound the cone"):
-                    gfan._certified_cone(corners, pairs, cones[k].weight, ideal)
+                    gfan._certified_cone(stand_in, cones[k].weight, ideal)
 
 
 class TestStandardCount:
@@ -593,7 +769,8 @@ class TestStandardCount:
         for n, q in coprime_pairs(40):
             for cone in groebner_fan(Singularity(n, q))[1]:
                 order = WeightedOrder(weights=cone.weight)
-                leads = [leading_term(g, order)[0] for g in cone.basis]
+                leads = [leading_term(g, order)[0] for g in row_polys(cone.basis)]
+                assert leads == [m for m, _ in cone.basis]
                 assert gfan._standard_count(leads) == standard_count_by_columns(leads) == n
 
     def test_infinite_staircases(self):
@@ -686,16 +863,17 @@ class TestDrawnPairs:
             assert fans_equal(fan, resolution_fan(s))
             for cone in cones:
                 certify_basis(cone.basis, ideal, cone.weight)
-                certify_basis_by_tuples(cone.basis, ideal, cone.weight)
+                certify_basis_by_tuples(row_polys(cone.basis), ideal, cone.weight)
             if data is None:
                 return
             cone = data.draw(st.sampled_from(cones))
             k = data.draw(st.integers(0, len(cone.basis) - 1))
-            g = cone.basis[k]
+            basis = row_polys(cone.basis)
+            g = basis[k]
             lead = leading_term(g, WeightedOrder(weights=cone.weight))[0]
             terms = {t: c if t == lead else 2 * c for t, c in g.terms.items()}
-            altered = cone.basis[:k] + (ideal.table.poly(terms),) + cone.basis[k + 1 :]
-            for certify in (certify_basis, certify_basis_by_tuples):
+            altered = basis[:k] + (XY.poly(terms),) + basis[k + 1 :]
+            for certify in POLY_CERTIFICATES:
                 with pytest.raises(ConsistencyError, match="does not vanish"):
                     certify(altered, ideal, cone.weight)
 
@@ -723,11 +901,10 @@ class TestMembershipOracle:
         from cqsing.polyring import buchberger
 
         basis = buchberger(list(orbit_gens(ideal)), order)
-        table = ideal.table
         samples = [
-            table.poly({(7, 1): 1, (0, 0): -1}),  # not invariant: stays out
-            table.poly({(4, 1): 1, (0, 0): -1}),  # generator: reduces to 0
-            table.poly({(15, 1): 1, (0, 0): -1}),  # x^15*y = x^11 * x^4*y
+            XY.poly({(7, 1): 1, (0, 0): -1}),  # not invariant: stays out
+            XY.poly({(4, 1): 1, (0, 0): -1}),  # generator: reduces to 0
+            XY.poly({(15, 1): 1, (0, 0): -1}),  # x^15*y = x^11 * x^4*y
         ]
         for f in samples:
             residue = [Fraction(0)] * 11
