@@ -251,7 +251,8 @@ def is_t_singularity(s: Singularity) -> TWitness | None:
 
 def are_isomorphic(s1: Singularity, s2: Singularity) -> bool:
     """True iff the two quotients are isomorphic: equal n and q1 = q2 or
-    q1*q2 = 1 (mod n)."""
+    q1*q2 = 1 (mod n).  No report calls it; it is package API, exported by
+    ``cqsing.__all__``."""
     if s1.n != s2.n:
         return False
     return s1.q == s2.q or (s1.q * s2.q) % s1.n == 1

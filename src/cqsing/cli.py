@@ -21,7 +21,6 @@ from typing import NamedTuple
 from . import cfrac, deform, gfan, invariant_ring, mckay, reconstruct, toric
 from .cfrac import Singularity
 from .errors import ConsistencyError, InputError, UnsupportedError
-from .goldens import with_reference
 from .polyring import poly_text
 
 
@@ -52,25 +51,23 @@ class Report(NamedTuple):
 
 def run_resolve(s: Singularity) -> Report:
     ids = cfrac.identities(s)
-    data = {
-        "fraction": ids.fraction,
-        "dual_fraction": ids.dual,
-        "e": ids.e,
-        "r": len(ids.fraction),
-    }
+    r = len(ids.fraction)
     witness = cfrac.is_t_singularity(s)
     t_singularity = (
         None if witness is None else {"d": witness.d, "m": witness.m, "a": witness.a}
     )
     payload = {
-        **data,
+        "fraction": ids.fraction,
+        "dual_fraction": ids.dual,
+        "e": ids.e,
+        "r": r,
         "t_singularity": t_singularity,
-        "checks": with_reference({"identities": True}, s, **data),
+        "checks": {"identities": True},
     }
     return Report(payload, lambda: [
         f"fraction {s.n}/{s.q} = {list(ids.fraction)}",
         f"dual fraction {s.n}/{s.n - s.q} = {list(ids.dual)}",
-        f"e = {data['e']}, r = {data['r']}",
+        f"e = {ids.e}, r = {r}",
         f"t_singularity = {t_singularity}",
     ])
 
@@ -99,14 +96,10 @@ def run_invariants(s: Singularity) -> Report:
             {"left": rel.left, "right": rel.right, "text": eq}
             for rel, eq in zip(eqs, equations)
         ],
-        "checks": with_reference(
-            {
-                "substitution": ok,
-                "relation_count": len(eqs) == (len(gens) - 1) * (len(gens) - 2) // 2,
-            },
-            s,
-            generators=[g["exponents"] for g in generators],
-        ),
+        "checks": {
+            "substitution": ok,
+            "relation_count": len(eqs) == (len(gens) - 1) * (len(gens) - 2) // 2,
+        },
     }
 
     def text():
@@ -122,19 +115,14 @@ def run_toric(s: Singularity) -> Report:
     basis = toric.hilbert_basis_dual(s)
     selfint = toric.self_intersections(fan)
     gens = invariant_ring.generators(s)
-    checks = with_reference(
-        {
-            "round_trip": selfint == cfrac.fraction(s),
-            "hilbert_matches_generators": basis == [g.exponents for g in gens],
-        },
-        s,
-        fan_rays=fan.rays,
-    )
     payload = {
         "fan": fan.serialize(),
         "hilbert_basis": basis,
         "self_intersections": selfint,
-        "checks": checks,
+        "checks": {
+            "round_trip": selfint == cfrac.fraction(s),
+            "hilbert_matches_generators": basis == [g.exponents for g in gens],
+        },
     }
     return Report(payload, lambda: [
         f"fan rays (x{s.n}): " + ", ".join(map(str, fan.rays)),
@@ -151,11 +139,7 @@ def run_mckay(s: Singularity) -> Report:
         "special": special,
         "g_basis": basis,
         "quiver": {"vertices": quiver.vertices, "arrows": quiver.arrows},
-        "checks": with_reference(
-            {"special_count_is_r": len(special) == cfrac.curve_count(s)},
-            s,
-            special=special,
-        ),
+        "checks": {"special_count_is_r": len(special) == cfrac.curve_count(s)},
     }
     return Report(payload, lambda: [
         f"special classes: {special}",
@@ -175,11 +159,7 @@ def run_hilb(s: Singularity) -> Report:
     payload = {
         "clusters": entries,
         "curves": [{"curve": k, "class": w} for k, w in curves],
-        "checks": with_reference(
-            {"regular_representation": mckay.cluster_weight_check(s, clusters)},
-            s,
-            cluster_ideals=[c["ideal"] for c in entries],
-        ),
+        "checks": {"regular_representation": mckay.cluster_weight_check(s, clusters)},
     }
 
     def text():
@@ -207,7 +187,7 @@ def run_gfan(s: Singularity) -> Report:
             }
             for c, basis in zip(cones, bases)
         ],
-        "checks": with_reference({"matches_toric": matches}, s, fan_rays=fan.rays),
+        "checks": {"matches_toric": matches},
     }
 
     def text():
@@ -249,17 +229,12 @@ def run_deform(s: Singularity) -> Report:
             "relations": relations,
             "base_ideal": base_ideal,
         },
-        "checks": with_reference(
-            {
-                "parameter_count": len(params) == dim,
-                "specialization": deform.specializes(
-                    pres, invariant_ring.defining_equations(s)
-                ),
-            },
-            s,
-            dim_t1=dim,
-            base_ideal_size=len(pres.base_ideal),
-        ),
+        "checks": {
+            "parameter_count": len(params) == dim,
+            "specialization": deform.specializes(
+                pres, invariant_ring.defining_equations(s)
+            ),
+        },
     }
 
     def text():
@@ -278,7 +253,7 @@ def run_artin(s: Singularity) -> Report:
             "quasidet_matrix": pres.matrix,
             "quasidet_relations": relations,
         },
-        "checks": with_reference({}, s, quasidet_matrix=pres.matrix),
+        "checks": {},
     }
 
     def text():
@@ -318,8 +293,7 @@ def run_reconstruct(s: Singularity) -> Report:
         data["unsupported_reason"] = quiver.unsupported_reason
         return Report(payload, text, dot, "relations unavailable for this shape")
     deformed = reconstruct.deformed_relations(s)
-    group_sizes = [len(g) for g in deformed.groups]
-    if tuple(group_sizes) != cfrac.dual_expand(s):
+    if tuple(len(g) for g in deformed.groups) != cfrac.dual_expand(s):
         raise UnsupportedError("parameter grouping does not match the dual expansion")
 
     def entry(rel):
@@ -337,13 +311,6 @@ def run_reconstruct(s: Singularity) -> Report:
     data["deformed_relations"] = [entry(rel) for rel in deformed.relations]
     data["parameter_groups"] = deformed.groups
     data["base_dimension"] = deformed.base_dimension
-    payload["checks"] = with_reference(
-        {},
-        s,
-        relation_count=len(quiver.relations),
-        parameter_group_sizes=group_sizes,
-        base_dimension=deformed.base_dimension,
-    )
     return Report(payload, text, dot)
 
 

@@ -86,8 +86,7 @@ fill its low fields, all below z_e's, and S is one mask.  One pass over
 each relation's codes keeps the terms that share no bit with it; since
 S(z_i w_j) = z_i z_j, S(P_ij) = z_i z_j - S(z_i w_j - P_ij), which must be
 one code with coefficient 1.  Both feed the same comparison of pair -> code
-maps.  (``specialized_relations`` builds the masked relations as
-Polynomials, for the tests.)
+maps.
 
 Two ceilings bound the family before any name or code is made: e <= 128
 (``MAX_VERSAL_E``) and at most 2048 parameters (``MAX_VERSAL_PARAMETERS``,
@@ -307,16 +306,6 @@ def _parameter_mask(v: DeformationVariables) -> int:
     """The bits of the parameter fields: the z's come first in the table,
     so the parameters fill every field below z_e's."""
     return (v.z[len(v.z)] & v.table._fields) - 1
-
-
-def specialized_relations(pres: VersalPresentation) -> list[Polynomial]:
-    """The total-space relations at s = t = 0 (still over the big table):
-    each relation's terms that share no bit with the parameter fields."""
-    table, params = pres.variables.table, _parameter_mask(pres.variables)
-    return [
-        Polynomial._raw(table, {m: c for m, c in rel._terms.items() if not m & params})
-        for rel in pres.relations
-    ]
 
 
 def images_at_zero(v: DeformationVariables) -> dict[tuple[int, int], int]:

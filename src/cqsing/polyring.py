@@ -358,7 +358,10 @@ def _lead(f, key):
 
 
 def leading_term(f: Polynomial, order: WeightedOrder):
-    """(exponent tuple, coefficient) of the order-largest term."""
+    """(exponent tuple, coefficient) of the order-largest term.
+
+    No request calls it: it is public as part of the Groebner API that the
+    tests' Buchberger and sympy oracles import from this module."""
     m, c = _lead(f, _code_key(order.weights, f.table))
     return f.table._unpack(m), c
 
@@ -463,6 +466,9 @@ def buchberger(gens, order: WeightedOrder):
 
     Normal selection strategy (lowest lcm degree first) with the coprime
     leading-term criterion; plenty at this problem's scale.
+
+    No request calls it: it is public as the tests' Buchberger oracle for
+    the Groebner cones and the versal base ideal.
     """
     gens = [g for g in gens if g]
     if not gens:

@@ -87,3 +87,11 @@ def cone_of_weight(ideal, w):
     if on_boundary:
         raise BoundaryWeightError(f"weight {w} ties terms of a basis element")
     raise ConsistencyError(f"weight {w} lies in no cluster's cone")
+
+
+def specialized_relations(pres):
+    """Oracle: the relations of a versal family at s = t = 0, still over
+    the family's table, with every parameter substituted by 0 (the masked
+    relations that ``deform.specializes`` reads)."""
+    zero = dict.fromkeys(pres.variables.parameter_names, 0)
+    return [rel.substitute(zero) for rel in pres.relations]

@@ -15,7 +15,7 @@ from cqsing.cfrac import (
     identities,
 )
 from cqsing.cli import main
-from cqsing.deform import dim_t1, specialized_relations, versal_presentation
+from cqsing.deform import dim_t1, versal_presentation
 from cqsing.gfan import fans_equal, groebner_fan, orbit_ideal
 from cqsing.invariant_ring import defining_equations, generators
 from cqsing.mckay import cluster_weight_check, g_clusters, special_reps
@@ -27,7 +27,7 @@ from cqsing.reconstruct import (
 )
 from cqsing.toric import primitive, resolution_fan, self_intersections
 
-from conftest import cone_of_weight, coprime_pairs, row_poly
+from conftest import cone_of_weight, coprime_pairs, row_poly, specialized_relations
 
 
 class _Budget:

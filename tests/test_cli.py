@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import cqsing
-from cqsing import cli, deform, gfan, goldens, invariant_ring, polyring, reconstruct
+from cqsing import cli, deform, gfan, invariant_ring, polyring, reconstruct
 from cqsing.cfrac import Singularity, curve_count
 from cqsing.cli import main
+from cqsing.errors import ConsistencyError
 from cqsing.invariant_ring import defining_equations
 from cqsing.mckay import g_clusters
 
@@ -76,7 +77,6 @@ class TestJson:
             [11, 0], [8, 1], [5, 2], [2, 3], [1, 7], [0, 11],
         ]
         assert payload["checks"]["matches_toric"] is True
-        assert payload["checks"]["matches_reference"] is True
 
     def test_reconstruct_signed_paths(self, capsys):
         _, out, _ = run(capsys, ["reconstruct", "11", "7", "--format", "json"])
@@ -92,15 +92,23 @@ class TestJson:
         assert {rel["parameter"] for rel in deformed} == {
             "t1_0", "t1_1", "t1_2", "t2_0", "t2_1", "t2_2", "t2_3",
         }
-        assert payload["checks"]["matches_reference"] is True
 
     def test_reference_flags(self, capsys):
-        for command in ["resolve", "invariants", "toric", "mckay", "hilb", "deform", "artin"]:
-            _, out, _ = run(capsys, [command, "11", "7", "--format", "json"])
-            assert json.loads(out)["checks"]["matches_reference"] is True
-        # inputs without stored references carry no flag
-        _, out, _ = run(capsys, ["resolve", "7", "3", "--format", "json"])
-        assert "matches_reference" not in json.loads(out)["checks"]
+        # a report's checks are the ones it computes: no JSON argv of the
+        # gate, the anchor pairs (11, 7) and (11, 4) included, prints a flag
+        # read off stored values
+        argvs = [
+            argv for argv in chain(gate_argvs(), GATE_FORMS)
+            if "json" in " ".join(argv) and "dot" not in argv
+        ]
+        assert len(argvs) == 148
+        printed = 0
+        for argv in argvs:
+            code, out, _ = run(capsys, argv)
+            if code == 0 and argv[0] in cli.COMMANDS:
+                assert "matches_reference" not in json.loads(out)["checks"], argv
+                printed += 1
+        assert printed == 111
 
 
 def dumps(value):
@@ -987,20 +995,28 @@ class TestFailingCycleCheck:
         assert {(v["n"], v["q"]) for v in violations} == {(5, 2)}
 
 
-def reference_changed(key, value):
-    """A fault in the stored (11, 7) reference: ``matches_reference`` fails."""
-    return lambda monkeypatch: monkeypatch.setitem(goldens.REFERENCE[(11, 7)], key, value)
-
-
 def layer_faulted(module, name, value):
     """A layer function that returns ``value`` whatever it is given."""
     return lambda monkeypatch: monkeypatch.setattr(module, name, lambda *args: value)
 
 
+LAYER_FAULT = "a layer identity failed"
+
+
+def layer_inconsistent(module, name):
+    """A layer function that raises ConsistencyError whatever it is given."""
+    def raises(*args):
+        raise ConsistencyError(LAYER_FAULT)
+
+    return lambda monkeypatch: monkeypatch.setattr(module, name, raises)
+
+
 # per pair command: an argv, a fault that makes one of its checks false,
-# and the name of that check
+# and the name of that check; resolve (whose one check is the constant
+# ``identities``), artin and reconstruct (no checks) print no check that
+# can be false, so their fault is a layer's ConsistencyError, named None
 FORCED_FALSE_CHECKS = {
-    "resolve": (["11", "7"], reference_changed("e", 5), "matches_reference"),
+    "resolve": (["11", "7"], layer_inconsistent(cli.cfrac, "identities"), None),
     "invariants": (
         ["11", "7"], layer_faulted(cli.invariant_ring, "verify_presentation", False),
         "substitution",
@@ -1013,8 +1029,12 @@ FORCED_FALSE_CHECKS = {
     ),
     "gfan": (["11", "7"], layer_faulted(cli.gfan, "fans_equal", False), "matches_toric"),
     "deform": (["11", "4"], layer_faulted(cli.deform, "specializes", False), "specialization"),
-    "artin": (["11", "7"], reference_changed("quasidet_matrix", ()), "matches_reference"),
-    "reconstruct": (["11", "7"], reference_changed("relation_count", 8), "matches_reference"),
+    "artin": (
+        ["11", "7"], layer_inconsistent(cli.reconstruct, "quasidet_presentation"), None,
+    ),
+    "reconstruct": (
+        ["11", "7"], layer_inconsistent(cli.reconstruct, "reconstruction_quiver"), None,
+    ),
     "verify": (["11", "7"], layer_faulted(cli.mckay, "cluster_weight_check", False), "clusters"),
 }
 
@@ -1022,12 +1042,16 @@ FORCED_FALSE_CHECKS = {
 @pytest.mark.parametrize("command", cli.COMMANDS)
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_false_check_exits_3(capsys, monkeypatch, command, fmt):
-    # one rule for every pair command: a false check writes no report
+    # one rule for every pair command: a false check, or a layer's
+    # inconsistency, writes no report
     pair, fault, check = FORCED_FALSE_CHECKS[command]
     fault(monkeypatch)
     code, out, err = run(capsys, [command, *pair, "--format", fmt])
     assert code == 3
     assert out == ""
+    if check is None:
+        assert err == f"error: {LAYER_FAULT}\n"
+        return
     prefix = "error: verification failed: "
     assert err.startswith(prefix)
     checks = json.loads(err[len(prefix):])

@@ -8,6 +8,8 @@ A reference is found by name: a variable read, an attribute, or a string
 equal to the name (as in ``monkeypatch.setattr(deform, "VariableTable",
 ...)``).  ``from __future__ import annotations`` and the re-exports of
 ``__init__`` are exempt, as are dunder names such as ``__all__``.  A
+public definition referenced from ``tests/`` only fails too, unless
+``cqsing.__all__`` exports it or ``TEST_ONLY`` names it with a reason.  A
 parameter counts as read when its name is read anywhere in the body, a
 nested function or lambda included; the parameters of dunder methods,
 which keep the signature Python calls them with, and parameters named with
@@ -18,6 +20,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import cqsing
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cqsing"
@@ -132,3 +136,31 @@ def test_every_parameter_is_read(path):
         f"{name}({arg}) (line {line})" for name, arg, line in _unread_parameters(TREES[path])
     ]
     assert not unread, f"{path.name} never reads the parameters {', '.join(unread)}"
+
+
+# The public definitions that only tests/ references, each with the reason
+# it stays in the package.
+TEST_ONLY = {
+    "buchberger": "polyring's Groebner API: the tests' Buchberger oracle",
+    "leading_term": "polyring's Groebner API: the oracles' reading of a lead",
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_definition_is_test_only(path):
+    # a reference from src/ outside the definition itself, the re-exports
+    # of __init__ aside, keeps a public definition; so do cqsing.__all__
+    # and TEST_ONLY
+    test_only = [
+        f"{name} (line {first})"
+        for name, first, last in _definitions(TREES[path])
+        if not name.startswith("_")
+        and name not in cqsing.__all__
+        and name not in TEST_ONLY
+        and not any(
+            where.parent == PACKAGE and where.name != "__init__.py"
+            and (where != path or not first <= line <= last)
+            for where, line in REFERENCES.get(name, ())
+        )
+    ]
+    assert not test_only, f"{path.name} defines for the tests only {', '.join(test_only)}"

@@ -1,7 +1,9 @@
 """Property checks over drawn coprime pairs: the identities of the two
 expansions, their q^-1 duality, the expansion length read without
-expanding, and the closed-form class-T witness."""
+expanding, the closed-form class-T witness, and the outside checker's
+verdict on the reports of the pair."""
 
+import json
 from math import gcd
 
 import pytest
@@ -17,6 +19,7 @@ from cqsing.cfrac import (  # noqa: E402
     identities,
     is_t_singularity,
 )
+from report_check import CHECKS, check, report  # noqa: E402
 
 settings = hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
 
@@ -76,3 +79,13 @@ def test_t_witness_of_a_t_shaped_pair(dma):
     assert witness.d * witness.m**2 == n
     assert witness.d * witness.m * witness.a - 1 == q
     assert gcd(witness.a, witness.m) == 1
+
+
+@hypothesis.settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@hypothesis.given(coprime_pairs(max_n=400))
+def test_reports_pass_the_outside_checker(s):
+    # invariants prints C(e - 1, 2) relations: only up to e = 40
+    e = json.loads(report("resolve", s.n, s.q))["e"]
+    for command in CHECKS:
+        if command != "invariants" or e <= 40:
+            assert check(command, report(command, s.n, s.q)) == [], (command, s)
