@@ -155,7 +155,9 @@ def run_hilb(s: Singularity) -> Report:
     for c in clusters:
         ideal = c.ideal  # properties: read once per cluster
         monomials = ", ".join(invariant_ring.monomial_text(a, b) for a, b in ideal)
-        entries.append({"heights": c.heights, "ideal": ideal, "ideal_text": f"<{monomials}>"})
+        entries.append(
+            {"heights": c.height_runs, "ideal": ideal, "ideal_text": f"<{monomials}>"}
+        )
     payload = {
         "clusters": entries,
         "curves": [{"curve": k, "class": w} for k, w in curves],
@@ -164,7 +166,9 @@ def run_hilb(s: Singularity) -> Report:
 
     def text():
         lines = [f"clusters ({len(clusters)}):"]
-        lines += [f"  {c['ideal_text']}  heights={list(c['heights'])}" for c in entries]
+        lines += [
+            f"  {e['ideal_text']}  heights={list(c.heights)}" for c, e in zip(clusters, entries)
+        ]
         lines.append("curves: " + ", ".join(f"E{k} -> class {w}" for k, w in curves))
         return lines
 
@@ -508,7 +512,9 @@ def _json_text(value) -> str:
     Only values of the exact types str, int, bool, None, list, tuple and
     dict (with str keys) are accepted, and a tuple renders as an array; a
     subclass of any of them, such as a record (``GCluster``) or an IntEnum,
-    raises TypeError.
+    raises TypeError.  Two more types render from their closed forms, as
+    the arrays they stand for (``_CLOSED_FORMS``): ``mckay.Staircase``, the
+    array of its boxes, and ``mckay.Runs``, the array of its values.
     """
     return _text(value, "\n")
 
@@ -519,6 +525,9 @@ def _text(value, indent: str) -> str:
     render = _SCALAR_TEXT.get(type(value))
     if render is not None:
         return render(value)
+    closed = _CLOSED_FORMS.get(type(value))
+    if closed is not None:
+        return closed(value, indent)
     if type(value) is dict:
         return _record_texts([value], indent)[0]
     if type(value) in _ARRAYS:
@@ -531,9 +540,10 @@ def _texts(values, indent: str) -> list[str]:
     the nesting level whose line prefix is ``indent``.
 
     A column of one scalar type is one map of its renderer, a column of
-    arrays goes to ``_array_texts`` and a column of dicts with one key set
-    to ``_record_texts``.  Any other column, one that mixes kinds or holds
-    a subclass of a rendered type, goes value by value to ``_text``, which
+    one closed form renders each value from it, a column of arrays goes to
+    ``_array_texts`` and a column of dicts with one key set to
+    ``_record_texts``.  Any other column, one that mixes kinds or holds a
+    subclass of a rendered type, goes value by value to ``_text``, which
     raises TypeError for what it does not render.
     """
     kinds = set(map(type, values))
@@ -541,6 +551,9 @@ def _texts(values, indent: str) -> list[str]:
         (kind,) = kinds
         if kind in _SCALAR_TEXT:
             return list(map(_SCALAR_TEXT[kind], values))
+        if kind in _CLOSED_FORMS:
+            render = _CLOSED_FORMS[kind]
+            return [render(v, indent) for v in values]
         if kind is dict and len(set(map(frozenset, values))) == 1:
             return _record_texts(values, indent)
     if kinds and kinds <= _ARRAYS:
@@ -616,6 +629,37 @@ def _bracket(items: list[str], inner: str, indent: str) -> str:
     return ("," + inner).join(items)
 
 
+def _runs_text(runs: mckay.Runs, indent: str) -> str:
+    """The array of a ``Runs``' values: each run is one list of its value's
+    text, repeated, and the lists are joined once."""
+    items = []
+    for value, count in runs.pairs:
+        items += [int.__repr__(value)] * count
+    return _bracket(items, indent + "  ", indent)
+
+
+def _staircase_text(staircase: mckay.Staircase, indent: str) -> str:
+    """The array of a ``Staircase``' boxes [a, b], with no string per box:
+    column a is its head ``[a,`` joined to the first h_a of one shared list
+    of row tails ``b]``, and the columns are joined once."""
+    inner = indent + "  "
+    cell = inner + "  "
+    sep = "," + inner
+    heights = staircase.heights
+    tails = [f"{b}{inner}]" for b in range(max(heights, default=0))]
+    columns = []
+    for a, h in enumerate(heights):
+        if h:
+            head = f"[{cell}{a},{cell}"
+            columns.append(head + (sep + head).join(tails[:h]))
+    return _bracket(columns, inner, indent)
+
+
+# The text of the types that stand for an array, by exact type, from their
+# closed forms; any other record, GCluster included, raises TypeError
+_CLOSED_FORMS = {mckay.Runs: _runs_text, mckay.Staircase: _staircase_text}
+
+
 def _record_texts(records, indent: str) -> list[str]:
     """``_texts`` of a column of dicts that share one key set: one column
     per key, zipped through one record template."""
@@ -637,8 +681,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if "-h" in argv or "--help" in argv:
-        sys.stdout.write(USAGE)
-        return 0
+        return 0 if _write(USAGE, None) else 2
     try:
         command, numbers, fmt, output = _parse(argv)
         if output is not None:
@@ -689,16 +732,18 @@ def _check_directory(path: str) -> None:
 
 def _write(out: str, path: str | None) -> bool:
     """Write the report to path, or stdout without one (None); False (with
-    an error line on stderr) if the path cannot be written, as the empty
-    path cannot."""
-    if path is None:
-        sys.stdout.write(out)
-        return True
+    an error line on stderr) if it cannot be written, as the empty path, a
+    full device or a closed pipe cannot."""
     try:
-        with open(path, "w") as handle:
-            handle.write(out)
+        if path is None:
+            sys.stdout.write(out)
+            sys.stdout.flush()
+        else:
+            with open(path, "w") as handle:
+                handle.write(out)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        name = "stdout" if path is None else path
+        print(f"error: cannot write {name}: {exc.strerror}", file=sys.stderr)
         return False
     return True
 

@@ -14,13 +14,15 @@ right i_{k+1} x j_k block.  Both corners satisfy i = q*j (mod n), so
 determinant i_k j_{k+1} - i_{k+1} j_k is n, so they are a basis of it, and
 the L-shaped diagram, which tiles the plane under their translations, is a
 fundamental domain: its n boxes carry each residue exactly once.  The
-regular-representation check is that arithmetic, O(1) per cluster; the
-columns are expanded only to print them.
+regular-representation check is that arithmetic, O(1) per cluster.  A
+report holds each cluster's columns as their two runs of equal heights
+(``Runs``) and the G-basis as its column heights (``Staircase``); the CLI
+renders both from those closed forms, with no value per box or per height.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .cfrac import Singularity, curve_count, ij_series, per_pair, unrefined_series
@@ -30,6 +32,35 @@ from .errors import ConsistencyError
 class Quiver(NamedTuple):
     vertices: tuple[str, ...]
     arrows: tuple[tuple[int, int, str], ...]  # (tail, head, label)
+
+
+class Runs(NamedTuple):
+    """An int array held as runs: each (value, count) of ``pairs`` stands
+    for value repeated count times."""
+
+    pairs: tuple[tuple[int, int], ...]
+
+    def expanded(self) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(repeat(v, c) for v, c in self.pairs))
+
+
+class Staircase:
+    """The G-basis held as its column heights: column a holds the boxes
+    (a, b) for b < heights[a].  Iterating it yields the boxes column by
+    column, and its length is their number (so it is not a NamedTuple,
+    whose iteration yields its fields)."""
+
+    __slots__ = ("heights",)
+
+    def __init__(self, heights: tuple[int, ...]):
+        self.heights = heights
+
+    def __iter__(self):
+        for a, h in enumerate(self.heights):
+            yield from zip(repeat(a), range(h))
+
+    def __len__(self) -> int:
+        return sum(self.heights)
 
 
 class GCluster(NamedTuple):
@@ -44,10 +75,15 @@ class GCluster(NamedTuple):
     j_next: int
 
     @property
+    def height_runs(self) -> Runs:
+        """The column heights, left to right (weakly decreasing), as two
+        runs: j_next for i - i_next columns, then j_next - j for i_next."""
+        return Runs(((self.j_next, self.i - self.i_next), (self.j_next - self.j, self.i_next)))
+
+    @property
     def heights(self) -> tuple[int, ...]:
-        """The column heights, left to right (weakly decreasing)."""
-        i, j, i_next, j_next = self.i, self.j, self.i_next, self.j_next
-        return (j_next,) * (i - i_next) + (j_next - j,) * i_next
+        """The column heights, left to right, one int each."""
+        return self.height_runs.expanded()
 
     @property
     def ideal(self) -> tuple[tuple[int, int], ...]:
@@ -83,22 +119,18 @@ def mckay_quiver(s: Singularity) -> Quiver:
     return Quiver(vertices=vertices, arrows=tuple(arrows))
 
 
-def g_basis(s: Singularity) -> list[tuple[int, int]]:
-    """Monomials not divisible by any nontrivial invariant monomial.
+def g_basis(s: Singularity) -> Staircase:
+    """Monomials not divisible by any nontrivial invariant monomial, as the
+    column heights of their staircase.
 
     The invariant monomials are generated by the x^{i_t} y^{j_t} of the
-    exponent series (i falling from n to 0, j rising from 0 to n), so column
-    a holds the b below j_t of the first generator with i_t <= a.
+    exponent series (i falling from n to 0, j rising from 0 to n), so the
+    columns i_t <= a < i_{t-1} hold the b below j_t: n heights in O(n).
     """
     series = ij_series(s)
     i, j = series.i_values, series.j_values
-    basis = []
-    t = len(i) - 1
-    for a in range(s.n):
-        while i[t - 1] <= a:  # i_0 = n > a ends the walk
-            t -= 1
-        basis += zip(repeat(a), range(j[t]))
-    return basis
+    runs = Runs(tuple((j[t], i[t - 1] - i[t]) for t in reversed(range(1, len(i)))))
+    return Staircase(runs.expanded())
 
 
 @per_pair

@@ -116,6 +116,16 @@ def mckay(p, n, q):
     yield "one vertex per class", len(quiver["vertices"]) == n
     yield "arrows are k -> k+1 (x) and k -> k+q (y)", sorted(quiver["arrows"]) == sorted(arrows)
     yield "r special classes", len(set(p["special"])) == len(p["special"]) == curve_count(n, q)
+    # column c's lowest invariant x^c y^d has d = -c/q mod n (d = n at c = 0),
+    # and column a holds the b below every such d with c <= a
+    q_inv = pow(q, -1, n)
+    heights, height = [], n
+    for c in range(n):
+        height = min(height, -c * q_inv % n or n)
+        heights.append(height)
+    yield "g_basis is the boxes under the invariant staircase", p["g_basis"] == [
+        [a, b] for a in range(n) for b in range(heights[a])
+    ]
 
 
 def staircase(ideal):

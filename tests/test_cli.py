@@ -17,7 +17,7 @@ from cqsing.cfrac import Singularity, curve_count
 from cqsing.cli import main
 from cqsing.errors import ConsistencyError
 from cqsing.invariant_ring import defining_equations
-from cqsing.mckay import g_clusters
+from cqsing.mckay import Runs, Staircase, g_basis, g_clusters
 
 from conftest import coprime_pairs
 from gate_replay import gate_entry, replay
@@ -263,6 +263,61 @@ class TestJsonRenderer:
                 cli._json_text(value)
         for value in ({"cluster": tuple(cluster)}, [tuple(cluster), (5, 6, 7, 8)]):
             assert cli._json_text(value) == dumps(value)
+
+    def test_closed_forms_match_their_expansions(self):
+        # the G-basis staircase renders as its list of boxes and each
+        # cluster's runs as its tuple of heights, alone and as a column, on
+        # every coprime pair with n <= 60 and at three indents
+        pairs = coprime_pairs(60)
+        assert {(2, 1), (59, 1), (59, 58)} <= set(pairs)
+        last_run_empty = first_corner_on_the_axis = 0
+        for n, q in pairs:
+            s = Singularity(n, q)
+            basis, clusters = g_basis(s), g_clusters(s)
+            boxes = list(basis)
+            runs = [c.height_runs for c in clusters]
+            heights = [c.heights for c in clusters]
+            last_run_empty += sum(c.i_next == 0 for c in clusters)
+            first_corner_on_the_axis += sum(c.j == 0 for c in clusters)
+            assert cli._json_text(basis) == cli._json_text(boxes) == dumps(boxes), (n, q)
+            for indent in ("\n", "\n  ", "\n      "):
+                assert cli._text(basis, indent) == cli._text(boxes, indent), (n, q)
+                assert cli._texts([basis, basis], indent) == cli._texts([boxes, boxes], indent)
+                assert cli._texts(runs, indent) == cli._texts(heights, indent), (n, q)
+                for r, h in zip(runs, heights):
+                    assert cli._text(r, indent) == cli._text(h, indent), (n, q)
+        assert last_run_empty == first_corner_on_the_axis == len(pairs)
+
+    @pytest.mark.parametrize(
+        "value, expanded",
+        [
+            (Runs(()), ()),
+            (Runs(((4, 0), (2, 3))), (2, 2, 2)),
+            (Runs(((4, 2), (2, 0))), (4, 4)),
+            (Runs(((0, 1), (-7, 2), (2**70, 1))), (0, -7, -7, 2**70)),
+            (Staircase(()), []),
+            (Staircase((0,)), []),
+            (Staircase((2, 0, 1)), [(0, 0), (0, 1), (2, 0)]),
+        ],
+        ids=["no-runs", "empty-first-run", "empty-last-run", "signed-and-big",
+             "no-columns", "one-empty-column", "an-empty-column-between"],
+    )
+    def test_closed_form_edges(self, value, expanded):
+        if type(value) is Staircase:
+            assert list(value) == expanded and len(value) == len(expanded)
+        assert cli._json_text(value) == dumps(expanded)
+        assert cli._json_text({"v": [value, value]}) == dumps({"v": [expanded, expanded]})
+        assert cli._json_text([value, [1]]) == dumps([expanded, [1]])
+
+    def test_closed_forms_matched_by_exact_type(self):
+        class Sub(Runs):
+            pass
+
+        cluster = g_clusters(Singularity(11, 7))[1]
+        for value in (Sub(((1, 2),)), [Sub(((1, 2),))], [cluster.height_runs, cluster],
+                      {"h": [cluster, g_basis(Singularity(5, 2))]}):
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                cli._json_text(value)
 
     @pytest.mark.parametrize(
         "argv",
@@ -752,21 +807,27 @@ class TestSizes:
 
     def test_hilb_long_chain_memory(self, tmp_path):
         # 2000 clusters with 2,001,000 column heights in all, about 22.6 MB
-        # of JSON: the renderer makes no string per height
-        code, out, _, _, rss = self.measured(
+        # of JSON: each cluster holds its heights as two runs, rendered as
+        # one repeated string per run, with no int or string per height
+        # (85 MB peak on CPython 3.11, x86-64 Linux)
+        code, out, _, seconds, rss = self.measured(
             ["hilb", "2000", "1999", "--format", "json"], tmp_path
         )
         assert code == 0
         assert len(json.loads(out)["clusters"]) == 2000
-        assert rss < 130
+        assert seconds < 1 and rss < 106
 
     def test_mckay_basis_memory(self, tmp_path):
         # 500,500 basis monomials, about 16.9 MB of JSON: the payload holds
-        # the layer's tuples, with no list copy of each
-        code, out, _, _, rss = self.measured(["mckay", "1000", "1", "--format", "json"], tmp_path)
+        # the staircase's 1000 column heights, and each column is rendered
+        # from one shared list of row tails, with no tuple or string per box
+        # (49 MB peak on CPython 3.11, x86-64 Linux)
+        code, out, _, seconds, rss = self.measured(
+            ["mckay", "1000", "1", "--format", "json"], tmp_path
+        )
         assert code == 0
         assert len(json.loads(out)["g_basis"]) == 500500
-        assert rss < 115
+        assert seconds < 1 and rss < 62
 
     def test_t_witness_of_a_huge_pair_fast(self, tmp_path):
         # consecutive Fibonacci numbers: both chains are short, and the
@@ -1141,6 +1202,46 @@ class TestOutputFile:
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot write")
+
+
+class TestStdoutFailures:
+    """A report that cannot be written to stdout exits 2 with one error
+    line, as an unwritable --output path does, and no traceback."""
+
+    ARGVS = [["resolve", "5", "3"], ["mckay", "1000", "1", "--format", "json"], ["--help"]]
+
+    @staticmethod
+    def exit_and_stderr(argv, stdout):
+        src = Path(cqsing.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "cqsing", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        return proc.returncode, proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", ARGVS, ids=["small", "large", "help"])
+    def test_full_device_exits_2(self, argv):
+        with open("/dev/full", "w") as full:
+            assert self.exit_and_stderr(argv, full) == (
+                2, "error: cannot write stdout: No space left on device\n"
+            )
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=["small", "large", "help"])
+    def test_closed_pipe_exits_2(self, argv):
+        # the reader is gone before the report is written
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            assert self.exit_and_stderr(argv, write) == (
+                2, "error: cannot write stdout: Broken pipe\n"
+            )
+        finally:
+            os.close(write)
 
 
 # Every pair command in every format on a fixed set of pairs, plus batch.

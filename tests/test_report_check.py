@@ -46,6 +46,25 @@ def test_a_relation_exponent_raised_by_one_fails():
         assert "each relation balances on exponents" in check("invariants", text), (n, q)
 
 
+def test_a_g_basis_box_dropped_or_a_column_raised_fails():
+    rng = random.Random(2)
+
+    def drop_one(payload):
+        payload["g_basis"].pop(rng.randrange(len(payload["g_basis"])))
+
+    def raise_one(payload):
+        basis = payload["g_basis"]
+        a = rng.randrange(basis[-1][0] + 1)
+        top = max(b for c, b in basis if c == a)
+        basis.insert(basis.index([a, top]) + 1, [a, top + 1])
+
+    claim = "g_basis is the boxes under the invariant staircase"
+    for n, q in PAIRS:
+        text = report("mckay", n, q)
+        for change in (drop_one, raise_one):
+            assert claim in check("mckay", mutated(text, change)), (n, q, change.__name__)
+
+
 def test_reversed_self_intersections_fail():
     def reverse(payload):
         payload["self_intersections"].reverse()
