@@ -744,6 +744,13 @@ def _write(out: str, path: str | None) -> bool:
     except OSError as exc:
         name = "stdout" if path is None else path
         print(f"error: cannot write {name}: {exc.strerror}", file=sys.stderr)
+        if path is None:
+            # What the failed flush left in stdout's buffer is flushed again
+            # at exit, and that failure would turn exit 2 into 120: send it
+            # to the null device instead (the signal module's note on SIGPIPE).
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return False
     return True
 

@@ -1206,38 +1206,48 @@ class TestOutputFile:
 
 class TestStdoutFailures:
     """A report that cannot be written to stdout exits 2 with one error
-    line, as an unwritable --output path does, and no traceback."""
+    line, as an unwritable --output path does, and no traceback. Each case
+    runs with stdout buffered, where a small report stays in the buffer
+    after the failed write and is flushed again at exit, and unbuffered
+    (PYTHONUNBUFFERED), whatever the calling environment sets."""
 
     ARGVS = [["resolve", "5", "3"], ["mckay", "1000", "1", "--format", "json"], ["--help"]]
+    IDS = ["small", "large", "help"]
 
     @staticmethod
-    def exit_and_stderr(argv, stdout):
+    def exit_and_stderr(argv, stdout, buffered):
         src = Path(cqsing.__file__).resolve().parent.parent
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(src)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.run(
             [sys.executable, "-m", "cqsing", *argv],
             stdout=stdout,
             stderr=subprocess.PIPE,
             text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env=env,
             timeout=60,
         )
         return proc.returncode, proc.stderr
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    @pytest.mark.parametrize("argv", ARGVS, ids=["small", "large", "help"])
-    def test_full_device_exits_2(self, argv):
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", ARGVS, ids=IDS)
+    def test_full_device_exits_2(self, argv, buffered):
         with open("/dev/full", "w") as full:
-            assert self.exit_and_stderr(argv, full) == (
+            assert self.exit_and_stderr(argv, full, buffered) == (
                 2, "error: cannot write stdout: No space left on device\n"
             )
 
-    @pytest.mark.parametrize("argv", ARGVS, ids=["small", "large", "help"])
-    def test_closed_pipe_exits_2(self, argv):
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", ARGVS, ids=IDS)
+    def test_closed_pipe_exits_2(self, argv, buffered):
         # the reader is gone before the report is written
         read, write = os.pipe()
         os.close(read)
         try:
-            assert self.exit_and_stderr(argv, write) == (
+            assert self.exit_and_stderr(argv, write, buffered) == (
                 2, "error: cannot write stdout: Broken pipe\n"
             )
         finally:
