@@ -84,11 +84,11 @@ def run_invariants(s: Singularity) -> Report:
         )
         return f"z{i}*z{j} = {rhs}"
 
-    monomials = [g.monomial_text for g in gens]
+    monomials = [invariant_ring.monomial_text(*pair) for pair in gens]
     equations = [eq_text(rel) for rel in eqs]
     generators = [
-        {"index": g.index, "exponents": g.exponents, "monomial": m}
-        for g, m in zip(gens, monomials)
+        {"index": t, "exponents": pair, "monomial": m}
+        for t, (pair, m) in enumerate(zip(gens, monomials), start=1)
     ]
     payload = {
         "generators": generators,
@@ -114,14 +114,13 @@ def run_toric(s: Singularity) -> Report:
     fan = toric.resolution_fan(s)
     basis = toric.hilbert_basis_dual(s)
     selfint = toric.self_intersections(fan)
-    gens = invariant_ring.generators(s)
     payload = {
         "fan": fan.serialize(),
         "hilbert_basis": basis,
         "self_intersections": selfint,
         "checks": {
             "round_trip": selfint == cfrac.fraction(s),
-            "hilbert_matches_generators": basis == [g.exponents for g in gens],
+            "hilbert_matches_generators": basis == invariant_ring.generators(s),
         },
     }
     return Report(payload, lambda: [
@@ -326,10 +325,8 @@ def verify_checks(s: Singularity) -> dict[str, bool]:
     ids = cfrac.identities(s)
     b = ids.fraction
     checks["fraction_round_trip"] = cfrac.hj_evaluate(b) == Fraction(s.n, s.q)
-    q_inv = pow(s.q, -1, s.n)
-    checks["fraction_duality"] = (
-        cfrac.hj_expand(s.n, q_inv) == tuple(reversed(b)) if q_inv != s.q else True
-    )
+    # on an involutive pair (q^-1 = q) this says that the chain is a palindrome
+    checks["fraction_duality"] = cfrac.hj_expand(s.n, pow(s.q, -1, s.n)) == b[::-1]
     # then the family's variables: its parameter ceiling refuses before
     # anything of size e^2, the binomial relations included, is built; the
     # family itself never is, s = t = 0 is checked on its factor images
@@ -346,7 +343,7 @@ def verify_checks(s: Singularity) -> dict[str, bool]:
     checks["presentation"] = invariant_ring.verify_presentation(s, relations)
     fan = toric.resolution_fan(s)
     checks["fan_round_trip"] = toric.self_intersections(fan) == b
-    checks["hilbert_basis"] = toric.hilbert_basis_dual(s) == [g.exponents for g in gens]
+    checks["hilbert_basis"] = toric.hilbert_basis_dual(s) == gens
     checks["special_count"] = len(mckay.special_reps(s)) == len(b)
     clusters = mckay.g_clusters(s)
     checks["clusters"] = mckay.cluster_weight_check(s, clusters)
@@ -359,9 +356,7 @@ def verify_checks(s: Singularity) -> dict[str, bool]:
     checks["groebner_fan_matches_toric"] = gfan.fans_equal(gfan_fan, fan)
     # a walk of i x-steps (+1) and j y-steps (+q) from residue 0 has i + j
     # arrows and ends at i + q*j (mod n): it closes iff x^i y^j is invariant
-    checks["cycle_lengths"] = all(
-        (i + s.q * j) % s.n == 0 for i, j in (g.exponents for g in gens)
-    )
+    checks["cycle_lengths"] = all((i + s.q * j) % s.n == 0 for i, j in gens)
     quiver = reconstruct.reconstruction_quiver(s) if len(b) >= 2 else None
     if quiver is not None and quiver.relations is not None:
         deformed = reconstruct.deformed_relations(s)
@@ -602,8 +597,6 @@ def _array_parts(arrays, indent: str):
         return [_bracket(_texts(cells, inner), inner, indent)], None
     lengths = set(map(len, arrays))
     if len(lengths) > 1:
-        if kinds == {int}:
-            return [_bracket(["%d"] * len(a), inner, indent) % tuple(a) for a in arrays], None
         texts = iter(_texts(cells, inner))
         return [_bracket(list(islice(texts, len(a))), inner, indent) for a in arrays], None
     width = lengths.pop()

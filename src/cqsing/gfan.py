@@ -19,8 +19,9 @@ and the L-shape, a fundamental domain of it, carries each residue once.
 Each generator m comes paired with its partner m', the box of the same
 weight, read off the corners: x^{i_k} with y^{j_k}, the step corner
 x^{i_k - i_{k+1}} y^{j_{k+1} - j_k} with 1, and y^{j_{k+1}} with
-x^{i_{k+1}}.  The orbit is that of the point (1, 1), so the basis of
-cone k is {x^m - x^m'}.  A cone holds it as rows (m, m') of exponent
+x^{i_{k+1}}.  The orbit is that of the point (1, 1), fixed by the pair
+alone (the functions here take the ``Singularity`` for its ideal), so the
+basis of cone k is {x^m - x^m'}.  A cone holds it as rows (m, m') of exponent
 pairs, the lead first, sorted by (w.m, total degree, x-degree) at the
 cone's weight w (``WeightedOrder``'s order), and no polynomial is built.
 
@@ -75,13 +76,6 @@ from .polyring import _LIMIT, _RANGE
 from .toric import Fan2D, primitive
 
 
-class OrbitIdeal(NamedTuple):
-    """The ideal of the orbit of (1, 1), for a pair whose n passed the
-    exponent ceiling."""
-
-    singularity: Singularity
-
-
 class GroebnerCone(NamedTuple):
     """A maximal cone: representative weight, attached reduced basis, the
     defining half-planes, and the two boundary rays."""
@@ -91,17 +85,6 @@ class GroebnerCone(NamedTuple):
     inequalities: tuple[tuple[int, int], ...]  # normals d, cone = {d.w >= 0}
     lower_ray: tuple[int, int]  # primitive, toward the x-axis
     upper_ray: tuple[int, int]  # primitive, toward the y-axis
-
-
-def orbit_ideal(s: Singularity) -> OrbitIdeal:
-    """The ideal of the orbit of (1, 1), generated by f_t(x, y) - 1 over the
-    invariant generators f_t.  Its cones at the two axes hold x^n and y^n,
-    so n must lie under polyring's exponent ceiling: every row is then a
-    polynomial of ``polyring``, as the tests' oracles read it, and gfan
-    keeps the one exponent range of the package."""
-    if s.n >= _LIMIT:
-        raise InputError(_RANGE)
-    return OrbitIdeal(singularity=s)
 
 
 def _standard_count(leads):
@@ -124,14 +107,13 @@ def _standard_count(leads):
     return None  # no pure power of x
 
 
-def certify_basis(basis, ideal: OrbitIdeal, w) -> None:
+def certify_basis(basis, s: Singularity, w) -> None:
     """Raise ConsistencyError unless the rows ``basis``, each (m, m') for
-    x^m - x^m', are a Groebner basis of the orbit ideal of ``ideal`` under
-    the weight pair ``w`` (steps 1-3 of the module docstring): every margin
-    w.(m - m') is positive, m and m' have one residue a + q*b (mod n), and
-    the leads m leave exactly n standard monomials, the colength of the
-    ideal."""
-    s = ideal.singularity
+    x^m - x^m', are a Groebner basis of the orbit ideal of the pair ``s``
+    under the weight pair ``w`` (steps 1-3 of the module docstring): every
+    margin w.(m - m') is positive, m and m' have one residue a + q*b
+    (mod n), and the leads m leave exactly n standard monomials, the
+    colength of the ideal."""
     n, q = s.n, s.q
     w0, w1 = w
     if w0 < 0 or w1 < 0:
@@ -151,7 +133,7 @@ def certify_basis(basis, ideal: OrbitIdeal, w) -> None:
         raise ConsistencyError(f"candidate basis does not have {n} standard monomials")
 
 
-def _certified_cone(cluster, w, ideal: OrbitIdeal) -> GroebnerCone:
+def _certified_cone(cluster, w, s: Singularity) -> GroebnerCone:
     """The cone of ``cluster`` at the weight w: its rows (m, m'), read once
     off the cluster's (generator, partner) pairs, sorted and certified, and
     the rays read off its corners, checked against its inequalities."""
@@ -163,7 +145,7 @@ def _certified_cone(cluster, w, ideal: OrbitIdeal) -> GroebnerCone:
             key=lambda row: (w0 * row[0][0] + w1 * row[0][1], row[0][0] + row[0][1], row[0][0]),
         )
     )
-    certify_basis(basis, ideal, w)
+    certify_basis(basis, s, w)
     inequalities = tuple(sorted({primitive((a - c, b - d)) for (a, b), (c, d) in basis}))
     lower = primitive((cluster.j_next, cluster.i_next))
     upper = primitive((cluster.j, cluster.i))
@@ -176,13 +158,19 @@ def _certified_cone(cluster, w, ideal: OrbitIdeal) -> GroebnerCone:
 
 def groebner_fan(s: Singularity):
     """All maximal cones, swept from the x-axis to the y-axis, plus the fan
-    of their boundary rays (scaled compatibly with the toric module)."""
-    ideal = orbit_ideal(s)
+    of their boundary rays (scaled compatibly with the toric module).
+
+    The cones at the two axes hold x^n and y^n, and no exponent of a cone
+    exceeds n, so n is checked against polyring's exponent ceiling once,
+    before any cluster is derived: every row is then a polynomial of
+    ``polyring``, as the tests' oracles read it."""
     n = s.n
+    if n >= _LIMIT:
+        raise InputError(_RANGE)
     cones = []
     w = (n * n, 1)
     for cluster in g_clusters(s):
-        cone = _certified_cone(cluster, w, ideal)
+        cone = _certified_cone(cluster, w, s)
         if cones and cones[-1].upper_ray != cone.lower_ray:
             raise ConsistencyError("adjacent cones do not share a ray")
         if not cones and cone.lower_ray != (1, 0):

@@ -1,9 +1,10 @@
 """Minimal generators and binomial presentation of the invariant ring.
 
 A monomial x^a y^b is invariant exactly when a + q*b = 0 (mod n).  The e
-minimal generators z_t = x^{i_t} y^{j_t} come straight from the exponent
-series; every relation is binomial, z_i z_j = (monomial in the other z's),
-and is verified by pure exponent arithmetic.
+minimal generators z_t = x^{i_t} y^{j_t} are one tuple of the exponent
+series' pairs (i_t, j_t), z_t at position t from 1; certified, the same
+tuple is ``toric.hilbert_basis_dual``.  Every relation is binomial, z_i z_j
+= (monomial in the other z's), and is verified by pure exponent arithmetic.
 """
 
 from __future__ import annotations
@@ -14,16 +15,6 @@ from typing import NamedTuple
 from .cfrac import Singularity, dual_expand, ij_series, per_pair
 from .errors import InputError
 from .polyring import _LIMIT, _RANGE
-
-
-class InvariantGenerator(NamedTuple):
-    index: int  # 1-based position t
-    exponents: tuple[int, int]  # (i_t, j_t)
-    name: str
-
-    @property
-    def monomial_text(self) -> str:
-        return monomial_text(*self.exponents)
 
 
 class BinomialRelation(NamedTuple):
@@ -44,12 +35,10 @@ def monomial_text(a: int, b: int) -> str:
 
 
 @per_pair
-def generators(s: Singularity) -> tuple[InvariantGenerator, ...]:
-    series = ij_series(s)
-    return tuple(
-        InvariantGenerator(t, pair, f"z{t}")
-        for t, pair in enumerate(series.pairs, start=1)
-    )
+def generators(s: Singularity) -> tuple[tuple[int, int], ...]:
+    """The exponent pairs (i_t, j_t) of z_1, ..., z_e: ``ij_series(s).pairs``,
+    made once per pair."""
+    return ij_series(s).pairs
 
 
 @per_pair
@@ -86,7 +75,7 @@ def verify_presentation(s: Singularity, relations) -> bool:
     """Substitute z_t -> x^{i_t} y^{j_t} into every relation of the list
     (``defining_equations(s)`` in the reports) and compare exponents on both
     sides."""
-    pairs = ij_series(s).pairs
+    pairs = generators(s)
     for rel in relations:
         i, j = rel.left
         rx = ry = 0

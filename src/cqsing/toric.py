@@ -15,11 +15,12 @@ same boundary on the dual lattice {(a, b) : a + q*b = 0 (mod n)}, that is
 b = -a/q (mod n), is the Hilbert basis of the invariant monomials.  Both
 are read off the exponent series of ``cfrac`` in closed form, with no
 search: the rays are the points (j_k, i_k) of ``unrefined_series`` and the
-Hilbert basis the points (i_t, j_t) of ``ij_series``.  Each list passes a
-certificate linear in its length before it is used (Oda 1988, section
-1.6).  Points v_0, ..., v_L of the lattice L = {(A, B) : B = slope*A
-(mod n)}, slope a unit mod n, are exactly the lattice points on that hull
-boundary, in order, if
+Hilbert basis the points (i_t, j_t) of ``ij_series``, held once, as the
+tuple of ``invariant_ring.generators``.  Each list passes a certificate
+linear in its length before it is used (Oda 1988, section 1.6).  Points
+v_0, ..., v_L of the lattice L = {(A, B) : B = slope*A (mod n)}, slope a
+unit mod n, are exactly the lattice points on that hull boundary, in
+order, if
 
 1. v_0 = (n, 0) and v_L = (0, n), the first points of L on the two axes;
 2. every v_k lies in L;
@@ -46,8 +47,9 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .cfrac import Singularity, ij_series, unrefined_series
+from .cfrac import Singularity, unrefined_series
 from .errors import ConsistencyError, InputError
+from .invariant_ring import generators
 
 
 def primitive(v) -> tuple[int, int]:
@@ -106,17 +108,17 @@ def _certify_boundary(points, n: int, slope: int) -> None:
             raise ConsistencyError(f"hull boundary does not turn convexly at {(a, b)}")
 
 
-def hilbert_basis_dual(s: Singularity) -> list[tuple[int, int]]:
+def hilbert_basis_dual(s: Singularity) -> tuple[tuple[int, int], ...]:
     """Irreducible elements of the semigroup of invariant-monomial
     exponents {(a, b) : a + q*b = 0 (mod n)}, largest x-power first.
 
     In dimension two the Hilbert basis of a cone is the set of lattice
     points on the compact boundary of the convex hull of its nonzero
-    lattice points (Oda 1988).  Those are the pairs (i_t, j_t) of
-    ``ij_series``, certified on the dual lattice b = -a/q (mod n).
+    lattice points (Oda 1988).  Those are the exponent pairs of the minimal
+    invariant generators: the tuple ``generators(s)`` itself, returned once
+    it passes the certificate on the dual lattice b = -a/q (mod n).
     """
-    series = ij_series(s)
-    basis = list(zip(series.i_values, series.j_values))
+    basis = generators(s)
     _certify_boundary(basis, s.n, -pow(s.q, -1, s.n))
     return basis
 

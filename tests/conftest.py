@@ -38,14 +38,11 @@ def coprime_pairs(max_n, min_n=2):
 XY = VariableTable(["x", "y"])
 
 
-def orbit_gens(ideal):
-    """f_t(x, y) - 1 over the invariant generators: the generators of the
-    ideal of the orbit of (1, 1), for the Buchberger, division and sympy
-    oracles (the cones are certified without them)."""
-    return tuple(
-        XY.poly({g.exponents: 1, (0, 0): -1})
-        for g in generators(ideal.singularity)
-    )
+def orbit_gens(s):
+    """f_t(x, y) - 1 over the invariant generators f_t of the pair ``s``:
+    the generators of the ideal of the orbit of (1, 1), for the Buchberger,
+    division and sympy oracles (the cones are certified without them)."""
+    return tuple(XY.poly({pair: 1, (0, 0): -1}) for pair in generators(s))
 
 
 def row_poly(row):
@@ -64,10 +61,10 @@ class BoundaryWeightError(Exception):
     cone boundary and cannot name a single cone."""
 
 
-def cone_of_weight(ideal, w):
-    """Oracle: the maximal cone of ``gfan`` containing the weight w
-    (interior required), found by a search over every cluster instead of
-    the sweep.  The cone is that of the cluster whose strict inequalities
+def cone_of_weight(s, w):
+    """Oracle: the maximal cone of ``gfan`` of the pair ``s`` containing
+    the weight w (interior required), found by a search over every cluster
+    instead of the sweep.  The cone is that of the cluster whose strict inequalities
     w.m > w.m' w satisfies, picked by integer margins; only its rows are
     read and certified, by ``gfan._certified_cone``."""
     w0, w1 = Fraction(w[0]), Fraction(w[1])
@@ -76,13 +73,13 @@ def cone_of_weight(ideal, w):
     scale = lcm(w0.denominator, w1.denominator)
     w = (int(w0 * scale), int(w1 * scale))
     on_boundary = False
-    for cluster in mckay.g_clusters(ideal.singularity):
+    for cluster in mckay.g_clusters(s):
         low = min(
             (m[0] - t[0]) * w[0] + (m[1] - t[1]) * w[1]
             for m, t in zip(cluster.ideal, cluster.partners)
         )
         if low > 0:
-            return gfan._certified_cone(cluster, w, ideal)
+            return gfan._certified_cone(cluster, w, s)
         on_boundary = on_boundary or low == 0
     if on_boundary:
         raise BoundaryWeightError(f"weight {w} ties terms of a basis element")

@@ -5,7 +5,7 @@ fault shared by a layer and its own ``checks`` cannot pass here too.
 ``report`` runs ``cqsing.cli.main``, the one name this module takes from
 the package, and returns the bytes of a JSON report; ``check`` returns the
 claims of those bytes that fail, none for a sound report.  Covered:
-``resolve``, ``invariants``, ``toric``, ``mckay`` and ``hilb``.
+``resolve``, ``invariants``, ``toric``, ``mckay``, ``hilb`` and ``gfan``.
 """
 
 import contextlib
@@ -151,10 +151,73 @@ def hilb(p, n, q):
     yield "r + 1 clusters", len(clusters) == r + 1
 
 
+def exponents(text: str):
+    """The (a, b) that ``monomial`` writes as ``text``, or None."""
+    powers = {"x": 0, "y": 0}
+    if text != "1":
+        for factor in text.split("*"):
+            var, caret, power = factor.partition("^")
+            if var not in powers or caret and not (power.isascii() and power.isdigit()):
+                return None
+            powers[var] += int(power) if caret else 1
+    a, b = powers["x"], powers["y"]
+    return (a, b) if monomial(a, b) == text else None
+
+
+def row(text: str):
+    """The row (m, m') of a basis text ``x^m - x^m'``, or None."""
+    lead, sep, tail = text.partition(" - ")
+    m, t = exponents(lead), exponents(tail)
+    return (m, t) if sep and m is not None and t is not None else None
+
+
+def dot(u, v) -> int:
+    return u[0] * v[0] + u[1] * v[1]
+
+
+def gfan(p, n, q):
+    cones, fan = p["cones"], p["fan"]
+    rows = [[row(text) for text in c["basis"]] for c in cones]
+    parsed = all(r is not None for rs in rows for r in rs)
+    yield "each basis text is a row x^m - x^m'", parsed
+    if not parsed:
+        return
+    residues = margins = colengths = inside = bounded = turning = True
+    for c, rs in zip(cones, rows):
+        w, (lower, upper), normals = c["weight"], c["rays"], c["inequalities"]
+        diffs = [(a - e, b - f) for (a, b), (e, f) in rs]
+        residues &= all((a + q * b) % n == 0 for a, b in diffs)
+        margins &= all(dot(w, d) > 0 for d in diffs)
+        heights = staircase([m for m, _ in rs])
+        colengths &= heights is not None and sum(heights) == n
+        inside &= all(dot(d, w) > 0 for d in normals)
+        for ray in (lower, upper):
+            dots = [dot(d, ray) for d in normals]
+            bounded &= bool(dots) and min(dots) == 0
+        turning &= lower[0] * upper[1] - lower[1] * upper[0] > 0
+    yield "each row's two terms have one residue mod n", residues
+    yield "each row's lead has the larger weight", margins
+    yield "each cone's leads leave n standard monomials", colengths
+    yield "each inequality is positive at its cone's weight", inside
+    yield "each ray lies on its cone's boundary", bounded
+    yield "each cone turns counterclockwise from its lower ray", turning
+    rays = [c["rays"] for c in cones]
+    yield "r + 1 cones", len(cones) == curve_count(n, q) + 1
+    yield "the cones run from [1, 0] to [0, 1]", rays[0][0] == [1, 0] and rays[-1][1] == [0, 1]
+    yield "each upper ray is the next cone's lower ray", all(
+        a[1] == b[0] for a, b in zip(rays, rays[1:])
+    )
+    yield "den = n", fan["den"] == n
+    yield "fan rays are (n, 0), the inner upper rays, then (0, n)", fan["rays"] == [
+        [n, 0], *[upper for _, upper in rays[:-1]], [0, n]
+    ]
+
+
 CHECKS = {
     "resolve": resolve,
     "invariants": invariants,
     "toric": toric,
     "mckay": mckay,
     "hilb": hilb,
+    "gfan": gfan,
 }

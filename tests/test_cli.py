@@ -521,8 +521,8 @@ class TestRenderOnce:
         # input
         certify = gfan.certify_basis
 
-        def with_zero(basis, ideal, w):
-            return certify(basis + (((1, 0), (1, 0)),), ideal, w)
+        def with_zero(basis, s, w):
+            return certify(basis + (((1, 0), (1, 0)),), s, w)
 
         monkeypatch.setattr(gfan, "certify_basis", with_zero)
         code, out, err = run(capsys, ["gfan", "11", "7"])
@@ -543,7 +543,7 @@ class TestRenderOnce:
     def test_corrupted_row_exits_3(self, capsys, monkeypatch, corrupt, message):
         certify = gfan.certify_basis
         monkeypatch.setattr(
-            gfan, "certify_basis", lambda basis, ideal, w: certify(corrupt(basis), ideal, w)
+            gfan, "certify_basis", lambda basis, s, w: certify(corrupt(basis), s, w)
         )
         code, out, err = run(capsys, ["gfan", "11", "7"])
         assert code == 3
@@ -843,7 +843,7 @@ class TestSizes:
     def test_toric_and_verify_on_a_fibonacci_pair(self, tmp_path):
         # (F_46, F_44): the chain is [3] * 22 and e = 25, so the fan and the
         # Hilbert basis are read off the two series in O(r + e), with no
-        # staircase of n + 1 points; verify then stops at gfan's orbit ideal
+        # staircase of n + 1 points; verify then stops at gfan's exponent ceiling
         n, q = "1836311903", "701408733"
         code, out, _, seconds, _ = self.measured(["toric", n, q, "--format", "json"], tmp_path)
         assert code == 0 and seconds < 0.5
@@ -1033,8 +1033,8 @@ class TestFailingCycleCheck:
             gens = real(s)
             if (s.n, s.q) != (5, 2):
                 return gens
-            i, j = gens[1].exponents
-            return gens[:1] + (gens[1]._replace(exponents=(i + 1, j)),) + gens[2:]
+            i, j = gens[1]
+            return gens[:1] + ((i + 1, j),) + gens[2:]
 
         monkeypatch.setattr(cli.invariant_ring, "generators", generators)
 
@@ -1054,6 +1054,34 @@ class TestFailingCycleCheck:
         violations = json.loads(err[len("error: "):])["violations"]
         assert {"n": 5, "q": 2, "check": "cycle_lengths"} in violations
         assert {(v["n"], v["q"]) for v in violations} == {(5, 2)}
+
+
+class TestInvolutiveDuality:
+    """On a pair with q^-1 = q (mod n) the ``fraction_duality`` check still
+    expands n/q^-1, and so says that the chain is a palindrome."""
+
+    def test_faulted_second_expansion_exits_3(self, capsys, monkeypatch):
+        # 3 * 3 = 1 (mod 8): the first expansion of 8/3 is the memoized
+        # chain [3, 3], the second is the check's, which the fault lengthens
+        real = cli.cfrac.hj_expand
+        seen = []
+
+        def faulted(numerator, denominator):
+            chain = real(numerator, denominator)
+            if (numerator, denominator) == (8, 3):
+                seen.append(chain)
+                if len(seen) > 1:
+                    return chain + (2,)
+            return chain
+
+        monkeypatch.setattr(cli.cfrac, "hj_expand", faulted)
+        code, out, err = run(capsys, ["verify", "8", "3", "--format", "json"])
+        assert (code, out) == (3, "")
+        assert seen == [(3, 3), (3, 3)]
+        prefix = "error: verification failed: "
+        assert err.startswith(prefix)
+        checks = json.loads(err[len(prefix):])
+        assert [name for name, ok in checks.items() if not ok] == ["fraction_duality"]
 
 
 def layer_faulted(module, name, value):

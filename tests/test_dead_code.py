@@ -13,7 +13,9 @@ public definition referenced from ``tests/`` only fails too, unless
 parameter counts as read when its name is read anywhere in the body, a
 nested function or lambda included; the parameters of dunder methods,
 which keep the signature Python calls them with, and parameters named with
-a leading underscore are exempt.
+a leading underscore are exempt.  Every annotated field of a ``NamedTuple``
+record is read as an attribute by some module of ``src/`` outside its own
+class body, unless ``UNREAD_FIELDS`` names it with a reason.
 """
 
 import ast
@@ -99,10 +101,28 @@ def _unread_parameters(tree):
                 yield name, arg.arg, arg.lineno
 
 
+def _record_fields(tree):
+    """(record, field, line, class first line, class last line) of each
+    annotated field of each class that subclasses ``NamedTuple``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases
+        ):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id, item.lineno, node.lineno, node.end_lineno
+
+
 REFERENCES = {}  # name -> [(path, line), ...]
 for _path, _tree in TREES.items():
     for _name, _line in _references(_tree):
         REFERENCES.setdefault(_name, []).append((_path, _line))
+
+ATTRIBUTE_READS = {}  # attribute -> [(path, line), ...] of its reads in src/
+for _path in MODULES:
+    for _node in ast.walk(TREES[_path]):
+        if isinstance(_node, ast.Attribute) and isinstance(_node.ctx, ast.Load):
+            ATTRIBUTE_READS.setdefault(_node.attr, []).append((_path, _node.lineno))
 
 
 @pytest.mark.parametrize(
@@ -164,3 +184,24 @@ def test_no_definition_is_test_only(path):
         )
     ]
     assert not test_only, f"{path.name} defines for the tests only {', '.join(test_only)}"
+
+
+# The record fields that no module of src/ reads, each with the reason it
+# stays in its record.
+UNREAD_FIELDS = {
+    "Identities.sum_b": "a field of cqsing.identities, which cqsing.__all__ exports",
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_record_field_is_read(path):
+    unread = [
+        f"{record}.{field} (line {line})"
+        for record, field, line, first, last in _record_fields(TREES[path])
+        if f"{record}.{field}" not in UNREAD_FIELDS
+        and not any(
+            where != path or not first <= at <= last
+            for where, at in ATTRIBUTE_READS.get(field, ())
+        )
+    ]
+    assert not unread, f"{path.name} has record fields that src/ never reads: {', '.join(unread)}"

@@ -14,7 +14,6 @@ from cqsing.gfan import (
     certify_basis,
     fans_equal,
     groebner_fan,
-    orbit_ideal,
 )
 from cqsing.mckay import g_clusters
 from cqsing.polyring import (
@@ -81,14 +80,13 @@ def cone_rays_by_search(inequalities):
     return feasible[0], feasible[-1]
 
 
-def certify_basis_by_codes(basis, ideal, w):
+def certify_basis_by_codes(basis, s, w):
     """Oracle for ``certify_basis`` over polynomials: steps 2-3 of the gfan
     module docstring decoded from polyring's codes.  One pass over each
     element's codes decodes x^a y^b (a in the field at bit _BITS, b in the
     field at bit 0), keeps the larger (w.m, code) as the lead (the order of
     ``WeightedOrder(w)``) and sums the coefficients per residue
     a + q*b (mod n); the leads must leave n standard monomials."""
-    s = ideal.singularity
     n, q = s.n, s.q
     w0, w1 = w
     if w0 < 0 or w1 < 0:
@@ -116,12 +114,11 @@ def certify_basis_by_codes(basis, ideal, w):
         raise ConsistencyError("a candidate basis element does not vanish on the orbit")
 
 
-def certify_basis_by_tuples(basis, ideal, w):
+def certify_basis_by_tuples(basis, s, w):
     """Oracle for ``certify_basis`` over polynomials: the checks of
     ``certify_basis_by_codes``, standard count, then vanishing on the orbit,
     read off the decoded exponent tuples of ``leading_term`` under
     ``WeightedOrder(w)`` and ``Polynomial.terms`` instead of the codes."""
-    s = ideal.singularity
     n, q = s.n, s.q
     order = WeightedOrder(weights=w)
     leads = [leading_term(g, order)[0] for g in basis]
@@ -171,11 +168,11 @@ def standard_boxes(n, leads):
     ]
 
 
-def mutations(ideal, basis, order):
+def mutations(s, basis, order):
     """(label, basis, colength) per mutation of a certified cone basis, as
     polynomials; each is no reduced Groebner basis of the orbit ideal of
     that colength."""
-    n, q = ideal.singularity.n, ideal.singularity.q
+    n, q = s.n, s.q
     leads = [leading_term(g, order)[0] for g in basis]
     boxes = standard_boxes(n, leads)
     out = [("colength n + 1", basis, n + 1)]
@@ -205,13 +202,13 @@ ROW_MESSAGES = {
 }
 
 
-def row_mutations(ideal, cone):
+def row_mutations(s, cone):
     """(kind, rows, weight) per mutation of a cone's certified rows:
     a tail of another residue (of lower weight, so the margin stays
     positive), a dropped row, a lead and tail swapped, a lead equal to its
     tail, and the rows at each ray of the cone off the axes, on its
     boundary.  ``certify_basis`` rejects each kind with its own message."""
-    n, q = ideal.singularity.n, ideal.singularity.q
+    n, q = s.n, s.q
     basis, w = cone.basis, cone.weight
     boxes = standard_boxes(n, [m for m, _ in basis])
 
@@ -252,26 +249,26 @@ def rows_of(basis, order):
 
 class TestOrbitIdeal:
     def test_11_7(self):
-        ideal = orbit_ideal(Singularity(11, 7))
+        s = Singularity(11, 7)
         expected = [
             {(11, 0): 1, (0, 0): -1},
             {(4, 1): 1, (0, 0): -1},
             {(1, 3): 1, (0, 0): -1},
             {(0, 11): 1, (0, 0): -1},
         ]
-        assert [term_map(g) for g in orbit_gens(ideal)] == [
+        assert [term_map(g) for g in orbit_gens(s)] == [
             {k: Fraction(v) for k, v in t.items()} for t in expected
         ]
 
     def test_2_1(self):
-        ideal = orbit_ideal(Singularity(2, 1))
-        assert [sorted(g.terms) for g in orbit_gens(ideal)] == [
+        s = Singularity(2, 1)
+        assert [sorted(g.terms) for g in orbit_gens(s)] == [
             [(0, 0), (2, 0)], [(0, 0), (1, 1)], [(0, 0), (0, 2)],
         ]
 
     def test_5_3(self):
-        ideal = orbit_ideal(Singularity(5, 3))
-        assert [max(g.terms, key=sum) for g in orbit_gens(ideal)] == [
+        s = Singularity(5, 3)
+        assert [max(g.terms, key=sum) for g in orbit_gens(s)] == [
             (5, 0), (2, 1), (1, 3), (0, 5),
         ]
 
@@ -314,8 +311,8 @@ GOLDEN_CONES_11_7 = {
 class TestConeOfWeight:
     @pytest.mark.parametrize("w", sorted(GOLDEN_BASES_11_7))
     def test_golden_bases(self, w):
-        ideal = orbit_ideal(Singularity(11, 7))
-        cone = cone_of_weight(ideal, w)
+        s = Singularity(11, 7)
+        cone = cone_of_weight(s, w)
         got = [term_map(g) for g in row_polys(cone.basis)]
         expected = [
             {k: Fraction(v) for k, v in t.items()} for t in GOLDEN_BASES_11_7[w]
@@ -324,20 +321,20 @@ class TestConeOfWeight:
         assert (cone.lower_ray, cone.upper_ray) == GOLDEN_CONES_11_7[w]
 
     def test_upper_cone_inequality(self):
-        ideal = orbit_ideal(Singularity(11, 7))
-        cone = cone_of_weight(ideal, (1, 11))
+        s = Singularity(11, 7)
+        cone = cone_of_weight(s, (1, 11))
         assert (-7, 1) in cone.inequalities  # y >= 7x
 
     def test_2_1_sector(self):
-        ideal = orbit_ideal(Singularity(2, 1))
-        cone = cone_of_weight(ideal, (1, 2))
+        s = Singularity(2, 1)
+        cone = cone_of_weight(s, (1, 2))
         assert (-1, 1) in cone.inequalities  # y >= x
         assert (cone.lower_ray, cone.upper_ray) == ((1, 1), (0, 1))
 
     def test_representative_weight_is_interior(self):
-        ideal = orbit_ideal(Singularity(11, 7))
+        s = Singularity(11, 7)
         for w in GOLDEN_BASES_11_7:
-            cone = cone_of_weight(ideal, w)
+            cone = cone_of_weight(s, w)
             for d in cone.inequalities:
                 assert d[0] * w[0] + d[1] * w[1] >= 0
 
@@ -345,17 +342,15 @@ class TestConeOfWeight:
         # every ray between two cones, taken from the toric fan
         for n, q in [(11, 7), (12, 5)]:
             s = Singularity(n, q)
-            ideal = orbit_ideal(s)
             rays = [toric.primitive(r) for r in resolution_fan(s).rays[1:-1]]
             assert rays
             for ray in rays:
                 with pytest.raises(BoundaryWeightError):
-                    cone_of_weight(ideal, ray)
+                    cone_of_weight(s, ray)
 
     def test_same_basis_across_interior_weights(self):
         rng = random.Random(2)
         s = Singularity(7, 5)
-        ideal = orbit_ideal(s)
         _, cones = groebner_fan(s)
         for cone in cones:
             for _ in range(3):
@@ -364,7 +359,7 @@ class TestConeOfWeight:
                     p * cone.lower_ray[0] + q * cone.upper_ray[0],
                     p * cone.lower_ray[1] + q * cone.upper_ray[1],
                 )
-                assert set(cone_of_weight(ideal, w).basis) == set(cone.basis)
+                assert set(cone_of_weight(s, w).basis) == set(cone.basis)
 
     def test_adjacent_cones_have_distinct_leading_terms(self):
         for n, q in [(11, 7), (5, 3), (12, 5)]:
@@ -387,21 +382,20 @@ class TestCertificate:
         # the code-decoding certificate
         for n, q in coprime_pairs(20):
             s = Singularity(n, q)
-            ideal = orbit_ideal(s)
-            gens = orbit_gens(ideal)
+            gens = orbit_gens(s)
             for cone in groebner_fan(s)[1]:
                 oracle = buchberger(list(gens), WeightedOrder(weights=cone.weight))
                 basis = row_polys(cone.basis)
                 assert list(basis) == oracle, (n, q, cone.weight)
-                certify_basis_by_codes(basis, ideal, cone.weight)
+                certify_basis_by_codes(basis, s, cone.weight)
 
     def test_altered_coefficient_rejected(self):
-        ideal = orbit_ideal(Singularity(11, 7))
+        s = Singularity(11, 7)
         # a coefficient other than -1 has no row: the oracles over
         # polynomials refuse it
         for w in GOLDEN_BASES_11_7:
-            rows = cone_of_weight(ideal, w).basis
-            certify_basis(rows, ideal, w)
+            rows = cone_of_weight(s, w).basis
+            certify_basis(rows, s, w)
             basis = row_polys(rows)
             order = WeightedOrder(weights=w)
             for k, g in enumerate(basis):
@@ -411,25 +405,24 @@ class TestCertificate:
                 altered = basis[:k] + (XY.poly(terms),) + basis[k + 1 :]
                 for certify in POLY_CERTIFICATES:
                     with pytest.raises(ConsistencyError, match="does not vanish"):
-                        certify(altered, ideal, w)
+                        certify(altered, s, w)
 
     def test_wrong_colength_rejected(self):
-        ideal = orbit_ideal(Singularity(11, 7))
-        cone = cone_of_weight(ideal, (3, 3))
+        s = Singularity(11, 7)
+        cone = cone_of_weight(s, (3, 3))
         cases = [(certify_basis, cone.basis[:-1])]
         cases += [(certify, row_polys(cone.basis[:-1])) for certify in POLY_CERTIFICATES]
         for certify, basis in cases:
             with pytest.raises(ConsistencyError, match="does not have 11 standard monomials"):
-                certify(basis, ideal, (3, 3))
+                certify(basis, s, (3, 3))
 
     def test_smaller_ideal_of_colength_12_rejected(self):
         # I (x, y) = I meet (x, y): it vanishes on the orbit and has a
         # Groebner basis with 12 standard monomials, but it is not I
         s = Singularity(11, 7)
-        ideal = orbit_ideal(s)
         x, y = XY.var("x"), XY.var("y")
         order = WeightedOrder(weights=(3, 3))
-        gens = orbit_gens(ideal)
+        gens = orbit_gens(s)
         smaller = buchberger([v * g for g in gens for v in (x, y)], order)
         leads = [leading_term(g, order)[0] for g in smaller]
         assert gfan._standard_count(leads) == 12
@@ -437,14 +430,14 @@ class TestCertificate:
         cases += [(certify, smaller) for certify in POLY_CERTIFICATES]
         for certify, basis in cases:
             with pytest.raises(ConsistencyError, match="does not have 11 standard monomials"):
-                certify(basis, ideal, order.weights)
+                certify(basis, s, order.weights)
         with pytest.raises(ConsistencyError):
             certify_by_division(smaller, gens, order, 12)
 
     def test_division_oracle_accepts_every_cone(self):
         for n, q in coprime_pairs(30):
             s = Singularity(n, q)
-            gens = orbit_gens(orbit_ideal(s))
+            gens = orbit_gens(s)
             for cone in groebner_fan(s)[1]:
                 order = WeightedOrder(weights=cone.weight)
                 certify_by_division(row_polys(cone.basis), gens, order, s.n)
@@ -454,24 +447,23 @@ class TestCertificate:
         cases += [(Singularity(n, q), None) for n, q in coprime_pairs(9)]
         rejected = dict.fromkeys(["colength", "drop", "double", "swap"], 0)
         for s, weights in cases:
-            ideal = orbit_ideal(s)
-            gens = orbit_gens(ideal)
+            gens = orbit_gens(s)
             if weights is None:
                 weights = [c.weight for c in groebner_fan(s)[1]]
             for w in weights:
-                cone = cone_of_weight(ideal, w)
-                certify_basis(cone.basis, ideal, w)
-                for kind, rows, at in row_mutations(ideal, cone):
+                cone = cone_of_weight(s, w)
+                certify_basis(cone.basis, s, w)
+                for kind, rows, at in row_mutations(s, cone):
                     with pytest.raises(ConsistencyError):
-                        certify_basis(rows, ideal, at)
+                        certify_basis(rows, s, at)
                 basis = row_polys(cone.basis)
                 order = WeightedOrder(weights=w)
                 certify_by_division(basis, gens, order, s.n)
-                for label, altered, colength in mutations(ideal, basis, order):
+                for label, altered, colength in mutations(s, basis, order):
                     if colength == s.n:  # the certificates read n off the ideal
                         for certify in POLY_CERTIFICATES:
                             with pytest.raises(ConsistencyError):
-                                certify(altered, ideal, w)
+                                certify(altered, s, w)
                     with pytest.raises(ConsistencyError):
                         certify_by_division(altered, gens, order, colength)
                     rejected[label.split(" ")[0]] += 1
@@ -483,12 +475,11 @@ class TestCertificate:
         count = 0
         for n, q in coprime_pairs(60):
             s = Singularity(n, q)
-            ideal = orbit_ideal(s)
             for cone in groebner_fan(s)[1]:
-                certify_basis(cone.basis, ideal, cone.weight)
+                certify_basis(cone.basis, s, cone.weight)
                 basis = row_polys(cone.basis)
                 for certify in POLY_CERTIFICATES:
-                    certify(basis, ideal, cone.weight)
+                    certify(basis, s, cone.weight)
                 count += 1
         assert count == 8951
 
@@ -496,25 +487,25 @@ class TestCertificate:
         # a zero element has no lead: ConsistencyError (exit 3), not the
         # InputError of polyring's leading term; as a row its lead is its
         # tail
-        ideal = orbit_ideal(Singularity(11, 7))
+        s = Singularity(11, 7)
         for w in GOLDEN_BASES_11_7:
-            rows = cone_of_weight(ideal, w).basis
+            rows = cone_of_weight(s, w).basis
             basis = row_polys(rows)
             for k in range(len(basis) + 1):
                 for m in ((0, 0), (1, 1), rows[0][0]):
                     with pytest.raises(ConsistencyError, match="element is zero"):
-                        certify_basis(rows[:k] + ((m, m),) + rows[k:], ideal, w)
+                        certify_basis(rows[:k] + ((m, m),) + rows[k:], s, w)
                 candidate = basis[:k] + (XY.zero(),) + basis[k:]
                 with pytest.raises(ConsistencyError, match="element is zero"):
-                    certify_basis_by_codes(candidate, ideal, w)
+                    certify_basis_by_codes(candidate, s, w)
 
     def test_negative_weight_rejected(self):
-        ideal = orbit_ideal(Singularity(11, 7))
-        rows = cone_of_weight(ideal, (3, 3)).basis
+        s = Singularity(11, 7)
+        rows = cone_of_weight(s, (3, 3)).basis
         with pytest.raises(InputError, match="nonnegative"):
-            certify_basis(rows, ideal, (3, -3))
+            certify_basis(rows, s, (3, -3))
         with pytest.raises(InputError, match="nonnegative"):
-            certify_basis_by_codes(row_polys(rows), ideal, (3, -3))
+            certify_basis_by_codes(row_polys(rows), s, (3, -3))
 
     def test_coefficients_are_exact(self):
         # every element is a row (m, m') of int exponent pairs, the binomial
@@ -539,9 +530,9 @@ class TestCertificate:
         monkeypatch.setattr(polyring, "s_polynomial", refuse)
         for n, q in coprime_pairs(25):
             groebner_fan(Singularity(n, q))
-        ideal = orbit_ideal(Singularity(11, 7))
+        s = Singularity(11, 7)
         for w in GOLDEN_BASES_11_7:
-            cone_of_weight(ideal, w)
+            cone_of_weight(s, w)
         source = Path(gfan.__file__).read_text()
         assert "normal_form" not in source and "s_polynomial" not in source
 
@@ -552,7 +543,6 @@ class TestCertificate:
         # its partners from its corners, so the stand-in carries them.  The
         # same candidate, built in tuple space, fails the tuple oracle too.
         s = Singularity(11, 7)
-        ideal = orbit_ideal(s)
         clusters = g_clusters(s)
         _, cones = groebner_fan(s)
         for k, cluster in enumerate(clusters[:-1]):
@@ -562,7 +552,7 @@ class TestCertificate:
             )
             candidate = [row_poly(row) for row in zip(bad.ideal, bad.partners)]
             with pytest.raises(ConsistencyError, match="does not vanish on the orbit"):
-                certify_basis_by_tuples(candidate, ideal, cones[k].weight)
+                certify_basis_by_tuples(candidate, s, cones[k].weight)
             patched = clusters[:k] + (bad,) + clusters[k + 1:]
             monkeypatch.setattr(gfan, "g_clusters", lambda s: patched)
             with pytest.raises(ConsistencyError, match="does not vanish on the orbit"):
@@ -573,13 +563,12 @@ class TestCertificate:
         # the pairs of cluster k at the weight of another cone: some margin
         # w.(m - m') is not positive, so x^m would not lead its binomial
         s = Singularity(11, 7)
-        ideal = orbit_ideal(s)
         clusters = g_clusters(s)
         _, cones = groebner_fan(s)
         for k, cluster in enumerate(clusters):
             for other in cones[:k] + cones[k + 1 :]:
                 with pytest.raises(ConsistencyError, match="is not inside the cone"):
-                    gfan._certified_cone(cluster, other.weight, ideal)
+                    gfan._certified_cone(cluster, other.weight, s)
 
 
 class TestRowCertificate:
@@ -590,11 +579,10 @@ class TestRowCertificate:
         seen = dict.fromkeys(ROW_MESSAGES, 0)
         for n, q in coprime_pairs(12):
             s = Singularity(n, q)
-            ideal = orbit_ideal(s)
             for cone in groebner_fan(s)[1]:
-                for kind, rows, w in row_mutations(ideal, cone):
+                for kind, rows, w in row_mutations(s, cone):
                     with pytest.raises(ConsistencyError) as caught:
-                        certify_basis(rows, ideal, w)
+                        certify_basis(rows, s, w)
                     assert str(caught.value) == ROW_MESSAGES[kind].format(n=n, w=w), (
                         n, q, cone.weight, kind,
                     )
@@ -657,7 +645,7 @@ class TestSympyOracle:
         count = 0
         for n, q in coprime_pairs(20):
             s = Singularity(n, q)
-            orbit, leads = sympy_groebner(orbit_gens(orbit_ideal(s)))
+            orbit, leads = sympy_groebner(orbit_gens(s))
             assert standard_count_by_columns(leads) == n, (n, q)
             for cone in groebner_fan(s)[1]:
                 basis = row_polys(cone.basis)
@@ -670,12 +658,11 @@ class TestSympyOracle:
 
     def test_doubled_tail_changes_the_ideal(self):
         s = Singularity(11, 7)
-        ideal = orbit_ideal(s)
-        orbit, _ = sympy_groebner(orbit_gens(ideal))
+        orbit, _ = sympy_groebner(orbit_gens(s))
         caught = 0
         for cone in groebner_fan(s)[1]:
             order = WeightedOrder(weights=cone.weight)
-            for label, altered, _ in mutations(ideal, row_polys(cone.basis), order):
+            for label, altered, _ in mutations(s, row_polys(cone.basis), order):
                 if label.startswith("double"):
                     assert sympy_groebner(altered)[0] != orbit, (cone.weight, label)
                     caught += 1
@@ -706,8 +693,8 @@ class TestBinomialText:
     def test_tail_first_dicts_print_and_certify_the_same(self):
         # the oracles over polynomials and poly_text never read dict order
         for n, q in coprime_pairs(15):
-            ideal = orbit_ideal(Singularity(n, q))
-            for cone in groebner_fan(ideal.singularity)[1]:
+            s = Singularity(n, q)
+            for cone in groebner_fan(s)[1]:
                 w = cone.weight
                 order = WeightedOrder(weights=w)
                 basis = row_polys(cone.basis)
@@ -720,14 +707,14 @@ class TestBinomialText:
                     poly_text(g, order) for g in basis
                 ]
                 for certify in POLY_CERTIFICATES:
-                    certify(flipped, ideal, w)
-                    for label, altered, colength in mutations(ideal, basis, order):
+                    certify(flipped, s, w)
+                    for label, altered, colength in mutations(s, basis, order):
                         if colength != n:
                             continue
                         messages = []
                         for candidate in (altered, tail_first(altered)):
                             with pytest.raises(ConsistencyError) as caught:
-                                certify(candidate, ideal, w)
+                                certify(candidate, s, w)
                             messages.append(str(caught.value))
                         assert messages[0] == messages[1], label
 
@@ -747,7 +734,6 @@ class TestConeRays:
         # neighbour (one ray falls outside cone k) or with the lower corner
         # moved by the upper one (the lower ray falls inside cone k)
         s = Singularity(11, 7)
-        ideal = orbit_ideal(s)
         clusters = g_clusters(s)
         _, cones = groebner_fan(s)
         for k, cluster in enumerate(clusters):
@@ -761,7 +747,7 @@ class TestConeRays:
                     ideal=cluster.ideal, partners=cluster.partners, **corners._asdict()
                 )
                 with pytest.raises(ConsistencyError, match="does not bound the cone"):
-                    gfan._certified_cone(stand_in, cones[k].weight, ideal)
+                    gfan._certified_cone(stand_in, cones[k].weight, s)
 
 
 class TestStandardCount:
@@ -820,16 +806,19 @@ class TestGroebnerFan:
             s = Singularity(n, 1)
             with pytest.raises(InputError, match="0..32767"):
                 groebner_fan(s)
-            with pytest.raises(InputError, match="0..32767"):
-                cone_of_weight(orbit_ideal(s), (n * n, 1))
 
-    def test_orbit_ideal_checks_the_ceiling_once(self):
+    def test_groebner_fan_checks_the_ceiling_before_any_cluster(self):
         # every corner and partner exponent is at most n, so the cones need
-        # no check of their own
-        with pytest.raises(InputError) as info:
-            orbit_ideal(Singularity(32768, 32767))
-        assert str(info.value) == polyring._RANGE
-        assert orbit_ideal(Singularity(32767, 32766)).singularity.n == 32767
+        # no check of their own, and a refused pair derives no cluster
+        for n in (32768, 1000000007):
+            s = Singularity(n, n - 1)
+            with pytest.raises(InputError) as info:
+                groebner_fan(s)
+            assert str(info.value) == polyring._RANGE
+            assert g_clusters.__wrapped__ not in vars(s)
+        s = Singularity(32767, 1)
+        assert len(groebner_fan(s)[1]) == 2
+        assert g_clusters.__wrapped__ in vars(s)
 
     def test_cones_tile(self):
         _, cones = groebner_fan(Singularity(11, 7))
@@ -858,12 +847,11 @@ class TestDrawnPairs:
         @hypothesis.example(Singularity(2000, 1999), None)
         @hypothesis.example(Singularity(1999, 1), None)
         def check(s, data):
-            ideal = orbit_ideal(s)
             fan, cones = groebner_fan(s)
             assert fans_equal(fan, resolution_fan(s))
             for cone in cones:
-                certify_basis(cone.basis, ideal, cone.weight)
-                certify_basis_by_tuples(row_polys(cone.basis), ideal, cone.weight)
+                certify_basis(cone.basis, s, cone.weight)
+                certify_basis_by_tuples(row_polys(cone.basis), s, cone.weight)
             if data is None:
                 return
             cone = data.draw(st.sampled_from(cones))
@@ -875,7 +863,7 @@ class TestDrawnPairs:
             altered = basis[:k] + (XY.poly(terms),) + basis[k + 1 :]
             for certify in POLY_CERTIFICATES:
                 with pytest.raises(ConsistencyError, match="does not vanish"):
-                    certify(altered, ideal, cone.weight)
+                    certify(altered, s, cone.weight)
 
         check()
 
@@ -896,11 +884,10 @@ class TestMembershipOracle:
     def test_normal_form_agrees_with_orbit_values(self):
         # a polynomial reduces to zero iff it vanishes on the whole orbit
         s = Singularity(11, 7)
-        ideal = orbit_ideal(s)
         order = WeightedOrder(weights=(3, 3))
         from cqsing.polyring import buchberger
 
-        basis = buchberger(list(orbit_gens(ideal)), order)
+        basis = buchberger(list(orbit_gens(s)), order)
         samples = [
             XY.poly({(7, 1): 1, (0, 0): -1}),  # not invariant: stays out
             XY.poly({(4, 1): 1, (0, 0): -1}),  # generator: reduces to 0

@@ -738,16 +738,20 @@ class TestExponentCeiling:
             normal_form(XY.var("x", 2), basis, order)
 
     def test_relation_exponent_past_the_ceiling(self):
+        def generator_codes(s):
+            # the table of z1..ze, and the code of each z_t by t
+            names = [f"z{t}" for t in range(1, len(generators(s)) + 1)]
+            table = VariableTable(names)
+            return table, {t: table._code(name) for t, name in enumerate(names, 1)}
+
         # the relation z1 z3 = z2^n of (n, n - 1)
         s = Singularity(32767, 32766)
-        table = VariableTable([g.name for g in generators(s)])
-        z = {g.index: table._code(g.name) for g in generators(s)}
+        table, z = generator_codes(s)
         (right,) = right_codes(defining_equations(s), z)
         assert table._unpack(right) == (0, 32767, 0)
         # 2**16 times z2's code would carry into z1's field, past any guard bit
         for n in (32768, 65536):
             s = Singularity(n, n - 1)
-            table = VariableTable([g.name for g in generators(s)])
-            z = {g.index: table._code(g.name) for g in generators(s)}
+            table, z = generator_codes(s)
             with pytest.raises(InputError, match="32767"):
                 right_codes(defining_equations(s), z)

@@ -1,13 +1,13 @@
 """The outside checker (``report_check.py``) over every report of every
-coprime pair with n <= 30, and two mutations of the printed bytes that it
-must reject."""
+coprime pair with n <= 30, and mutations of the printed bytes that it must
+reject."""
 
 import json
 import random
 import time
 
 from conftest import coprime_pairs
-from report_check import CHECKS, check, report
+from report_check import CHECKS, check, monomial, report, row
 
 PAIRS = coprime_pairs(30)
 
@@ -80,3 +80,33 @@ def test_reversed_self_intersections_fail():
     # a palindrome is its own reverse; every other chain is caught
     assert rejected == set(PAIRS) - palindromes
     assert len(rejected) == 198
+
+
+def test_a_lead_exponent_raised_by_one_fails():
+    # one more x moves a residue by 1, one more y by q: neither is 0 mod n
+    rng = random.Random(3)
+
+    def raise_one(payload):
+        basis = rng.choice(payload["cones"])["basis"]
+        k = rng.randrange(len(basis))
+        (a, b), tail = row(basis[k])
+        lead = (a + 1, b) if rng.random() < 0.5 else (a, b + 1)
+        basis[k] = f"{monomial(*lead)} - {monomial(*tail)}"
+
+    for n, q in PAIRS:
+        text = mutated(report("gfan", n, q), raise_one)
+        assert "each row's two terms have one residue mod n" in check("gfan", text), (n, q)
+
+
+def test_adjacent_cones_with_swapped_rays_fail():
+    # the upper ray of cone k + 1 lies outside cone k
+    rng = random.Random(4)
+
+    def swap(payload):
+        cones = payload["cones"]
+        k = rng.randrange(len(cones) - 1)
+        cones[k]["rays"], cones[k + 1]["rays"] = cones[k + 1]["rays"], cones[k]["rays"]
+
+    for n, q in PAIRS:
+        text = mutated(report("gfan", n, q), swap)
+        assert "each ray lies on its cone's boundary" in check("gfan", text), (n, q)
