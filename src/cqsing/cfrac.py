@@ -11,6 +11,11 @@ driven by the two expansions of a coprime pair 0 < q < n:
 The expansion is the all-minus one, b_1 - 1/(b_2 - 1/(...)), with every
 entry >= 2 (a single entry [n] for denominator 1).
 
+Each expansion drives one tuple of lattice points (i_t, j_t) from (n, 0)
+to (0, n): ``ij_series`` (e points) is the invariant generators and the
+dual cone's Hilbert basis, ``unrefined_series`` (r + 2 points) the
+resolution fan's rays, swapped, and the corners of the G-clusters.
+
 Each derivation from one pair is memoized on its ``Singularity`` by
 ``per_pair``: the CLI builds one instance per request (and ``batch`` one per
 pair), so a derivation runs at most once per request and nothing carries
@@ -74,18 +79,6 @@ def per_pair(derive):
             return value
 
     return memo
-
-
-class ExponentSeries(NamedTuple):
-    """Paired exponent sequences (i_t, j_t); i strictly decreasing n -> 0,
-    j strictly increasing 0 -> n."""
-
-    i_values: tuple[int, ...]
-    j_values: tuple[int, ...]
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.i_values, self.j_values))
 
 
 class Identities(NamedTuple):
@@ -180,32 +173,33 @@ def curve_count(s: Singularity) -> int:
     return len(fraction(s))
 
 
-def _series(s: Singularity, second: int, entries) -> ExponentSeries:
-    """The pairs seeded (n, 0), (second, 1) and continued by the recursion
-    v_t = c_t*v_{t-1} - v_{t-2} over ``entries``; it must end at (0, n)."""
-    i_vals = [s.n, second]
-    j_vals = [0, 1]
+def _series(s: Singularity, second: int, entries) -> tuple[tuple[int, int], ...]:
+    """The points (i_t, j_t) seeded (n, 0), (second, 1) and continued by
+    v_t = c_t*v_{t-1} - v_{t-2} over ``entries``; they must end at (0, n)."""
+    i0, j0, i, j = s.n, 0, second, 1
+    points = [(i0, j0), (i, j)]
     for c in entries:
-        i_vals.append(c * i_vals[-1] - i_vals[-2])
-        j_vals.append(c * j_vals[-1] - j_vals[-2])
-    if i_vals[-1] != 0 or j_vals[-1] != s.n:
+        i0, j0, i, j = i, j, c * i - i0, c * j - j0
+        points.append((i, j))
+    if points[-1] != (0, s.n):
         raise ConsistencyError(f"series for {s} does not end at (0, n)")
-    return ExponentSeries(tuple(i_vals), tuple(j_vals))
+    return tuple(points)
 
 
 @per_pair
-def ij_series(s: Singularity) -> ExponentSeries:
-    """Exponent pairs of the minimal invariant monomial generators.
+def ij_series(s: Singularity) -> tuple[tuple[int, int], ...]:
+    """The exponents (i_t, j_t) of the minimal invariant monomial generators
+    z_t = x^{i_t} y^{j_t}, z_t at point t - 1.
 
-    The series has e pairs, runs (n,0) down to (0,n), and obeys the
-    recursion i_t = a_t*i_{t-1} - i_{t-2} with the dual expansion entries.
+    The e points run (n,0) down to (0,n) and obey the recursion
+    i_t = a_t*i_{t-1} - i_{t-2} with the dual expansion entries.
     """
     return _series(s, s.n - s.q, dual_expand(s))
 
 
 @per_pair
-def unrefined_series(s: Singularity) -> ExponentSeries:
-    """The coarser r+2 pair series driven by the chain ``fraction(s)``.
+def unrefined_series(s: Singularity) -> tuple[tuple[int, int], ...]:
+    """The coarser r+2 point series driven by the chain ``fraction(s)``.
 
     Starts (n,0), (q,1) and need not give minimal generators; only the
     endpoints agree with ij_series.

@@ -111,7 +111,7 @@ from typing import NamedTuple
 
 from .cfrac import Singularity, dual_expand, embedding_dimension, per_pair
 from .errors import ConsistencyError, InputError
-from .invariant_ring import _a_by_index, right_codes
+from .invariant_ring import right_codes
 from .polyring import _LIMIT, _RANGE, Polynomial, VariableTable
 
 
@@ -186,7 +186,7 @@ def deformation_variables(s: Singularity) -> DeformationVariables:
             f"{count} deformation parameters are over the versal ceiling of "
             f"{MAX_VERSAL_PARAMETERS}"
         )
-    a_entries = _a_by_index(s)
+    a_entries = MappingProxyType(dict(enumerate(dual_expand(s), start=2)))
     # every exponent of the family and of its H images is at most max a_m
     # (module docstring), so this one bound keeps every code in its fields
     if max(a_entries.values()) >= _LIMIT:

@@ -1,15 +1,14 @@
 """Minimal generators and binomial presentation of the invariant ring.
 
 A monomial x^a y^b is invariant exactly when a + q*b = 0 (mod n).  The e
-minimal generators z_t = x^{i_t} y^{j_t} are one tuple of the exponent
-series' pairs (i_t, j_t), z_t at position t from 1; certified, the same
-tuple is ``toric.hilbert_basis_dual``.  Every relation is binomial, z_i z_j
+minimal generators z_t = x^{i_t} y^{j_t} are the points of
+``cfrac.ij_series``, z_t at point t - 1; certified, the same tuple is
+``toric.hilbert_basis_dual``.  Every relation is binomial, z_i z_j
 = (monomial in the other z's), and is verified by pure exponent arithmetic.
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .cfrac import Singularity, dual_expand, ij_series, per_pair
@@ -35,19 +34,6 @@ def monomial_text(a: int, b: int) -> str:
 
 
 @per_pair
-def generators(s: Singularity) -> tuple[tuple[int, int], ...]:
-    """The exponent pairs (i_t, j_t) of z_1, ..., z_e: ``ij_series(s).pairs``,
-    made once per pair."""
-    return ij_series(s).pairs
-
-
-@per_pair
-def _a_by_index(s: Singularity) -> MappingProxyType:
-    """Read-only map t -> a_t, for 2 <= t <= e-1."""
-    return MappingProxyType(dict(enumerate(dual_expand(s), start=2)))
-
-
-@per_pair
 def defining_equations(s: Singularity) -> tuple[BinomialRelation, ...]:
     """All (e-1)(e-2)/2 relations z_i z_j = p_ij, 1 <= i, i+2 <= j <= e.
 
@@ -56,8 +42,8 @@ def defining_equations(s: Singularity) -> tuple[BinomialRelation, ...]:
     z_m^{a_m-2} for i+1 < m < j-1, times z_{j-1}^{a_{j-1}-1}, zero exponents
     dropped.  The interior factors grow by at most one as j steps up.
     """
-    a = _a_by_index(s)
-    e = len(a) + 2
+    a = (0, 0, *dual_expand(s))  # a[t] = a_t for 2 <= t <= e-1
+    e = len(a)
     relations = []
     for i in range(1, e - 1):
         relations.append(BinomialRelation((i, i + 2), ((i + 1, a[i + 1]),)))
@@ -75,15 +61,15 @@ def verify_presentation(s: Singularity, relations) -> bool:
     """Substitute z_t -> x^{i_t} y^{j_t} into every relation of the list
     (``defining_equations(s)`` in the reports) and compare exponents on both
     sides."""
-    pairs = generators(s)
+    points = ij_series(s)
     for rel in relations:
         i, j = rel.left
         rx = ry = 0
         for t, e in rel.right:
-            a, b = pairs[t - 1]
+            a, b = points[t - 1]
             rx += e * a
             ry += e * b
-        (xi, yi), (xj, yj) = pairs[i - 1], pairs[j - 1]
+        (xi, yi), (xj, yj) = points[i - 1], points[j - 1]
         if (rx, ry) != (xi + xj, yi + yj):
             return False
     return True

@@ -5,19 +5,20 @@ The character table never materializes roots of unity: the class k acts on
 x^a y^b through the weight a + q*b (mod n), and all of the structure below
 is arithmetic on those residues.
 
-A torus-fixed G-cluster is held as its two corners (i_k, j_k) and
-(i_{k+1}, j_{k+1}) of the unrefined series (Ito-Nakamura 1996; Kidoh 2001):
-its diagram is the rectangle of i_k columns and j_{k+1} rows less the top
-right i_{k+1} x j_k block.  Both corners satisfy i = q*j (mod n), so
-(i_k, -j_k) and (-i_{k+1}, j_{k+1}) lie in the weight-zero lattice
-{(a, b) : a + q*b = 0 (mod n)}, which has index n in Z^2.  Their
-determinant i_k j_{k+1} - i_{k+1} j_k is n, so they are a basis of it, and
-the L-shaped diagram, which tiles the plane under their translations, is a
-fundamental domain: its n boxes carry each residue exactly once.  The
-regular-representation check is that arithmetic, O(1) per cluster.  A
-report holds each cluster's columns as their two runs of equal heights
-(``Runs``) and the G-basis as its column heights (``Staircase``); the CLI
-renders both from those closed forms, with no value per box or per height.
+A torus-fixed G-cluster is held as its corners, two consecutive points
+(i_k, j_k), (i_{k+1}, j_{k+1}) of the unrefined series (Ito-Nakamura 1996;
+Kidoh 2001): its diagram is the rectangle of i_k columns and j_{k+1} rows
+less the top right i_{k+1} x j_k block.  Both corners satisfy
+i = q*j (mod n), so (i_k, -j_k) and (-i_{k+1}, j_{k+1}) lie in the lattice
+of weight zero {(a, b) : a + q*b = 0 (mod n)}, which has index n in Z^2.
+Their determinant i_k j_{k+1} - i_{k+1} j_k is n, so they are a basis of
+it, and the L-shaped diagram, which tiles the plane under their
+translations, is a fundamental domain: its n boxes carry each residue
+exactly once.  The regular-representation check is that arithmetic, O(1)
+per cluster.  A report holds each cluster's columns as their two runs of
+equal heights (``Runs``) and the G-basis as its column heights
+(``Staircase``); the CLI renders both from those closed forms, with no
+value per box or per height.
 """
 
 from __future__ import annotations
@@ -127,10 +128,9 @@ def g_basis(s: Singularity) -> Staircase:
     exponent series (i falling from n to 0, j rising from 0 to n), so the
     columns i_t <= a < i_{t-1} hold the b below j_t: n heights in O(n).
     """
-    series = ij_series(s)
-    i, j = series.i_values, series.j_values
-    runs = Runs(tuple((j[t], i[t - 1] - i[t]) for t in reversed(range(1, len(i)))))
-    return Staircase(runs.expanded())
+    points = ij_series(s)[::-1]  # i rising from 0 to n
+    columns = (repeat(j, i_next - i) for (i, j), (i_next, _) in zip(points, points[1:]))
+    return Staircase(tuple(chain.from_iterable(columns)))
 
 
 @per_pair
@@ -142,7 +142,7 @@ def special_reps(s: Singularity) -> frozenset[int]:
     unrefined exponent series.  The scan of ``g_basis`` is kept in the tests
     as an oracle for this formula.
     """
-    return frozenset(unrefined_series(s).i_values[1:-1])
+    return frozenset(i for i, _ in unrefined_series(s)[1:-1])
 
 
 @per_pair
@@ -150,17 +150,15 @@ def g_clusters(s: Singularity) -> tuple[GCluster, ...]:
     """All n-box diagrams whose weight map is a bijection onto Z/n, ordered
     by the exponent of the pure x-power generator (the width), ascending.
 
-    Closed form from the unrefined series (i_0..i_{r+1}), (j_0..j_{r+1})
+    Closed form from the unrefined series (i_0, j_0)..(i_{r+1}, j_{r+1})
     (Ito-Nakamura; Kidoh): cluster k has the corners (i_k, j_k) and
     (i_{k+1}, j_{k+1}).  At k = 0 and k = r this degenerates to one row of
     n boxes and one column of n boxes.  The torus-fixed cluster search is
     kept in the tests as an oracle for this formula.
     """
-    series = unrefined_series(s)
-    i, j = series.i_values, series.j_values
+    p = unrefined_series(s)
     return tuple(  # i_k decreases: widths ascend
-        GCluster(i[k], j[k], i[k + 1], j[k + 1])
-        for k in reversed(range(len(i) - 1))
+        GCluster(*p[k], *p[k + 1]) for k in reversed(range(len(p) - 1))
     )
 
 

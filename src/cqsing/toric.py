@@ -14,10 +14,11 @@ interior to a hull edge carry self-intersection 2, corners more.  The
 same boundary on the dual lattice {(a, b) : a + q*b = 0 (mod n)}, that is
 b = -a/q (mod n), is the Hilbert basis of the invariant monomials.  Both
 are read off the exponent series of ``cfrac`` in closed form, with no
-search: the rays are the points (j_k, i_k) of ``unrefined_series`` and the
-Hilbert basis the points (i_t, j_t) of ``ij_series``, held once, as the
-tuple of ``invariant_ring.generators``.  Each list passes a certificate
-linear in its length before it is used (Oda 1988, section 1.6).  Points
+search: the rays are the points (i_k, j_k) of ``unrefined_series``
+swapped to (j_k, i_k), in reverse order, and the Hilbert basis is the
+tuple ``ij_series`` itself, whose points (i_t, j_t) are the invariant
+generators.  Each list passes a certificate linear in its length before
+it is used (Oda 1988, section 1.6).  Points
 v_0, ..., v_L of the lattice L = {(A, B) : B = slope*A (mod n)}, slope a
 unit mod n, are exactly the lattice points on that hull boundary, in
 order, if
@@ -47,9 +48,8 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .cfrac import Singularity, unrefined_series
+from .cfrac import Singularity, ij_series, unrefined_series
 from .errors import ConsistencyError, InputError
-from .invariant_ring import generators
 
 
 def primitive(v) -> tuple[int, int]:
@@ -115,10 +115,10 @@ def hilbert_basis_dual(s: Singularity) -> tuple[tuple[int, int], ...]:
     In dimension two the Hilbert basis of a cone is the set of lattice
     points on the compact boundary of the convex hull of its nonzero
     lattice points (Oda 1988).  Those are the exponent pairs of the minimal
-    invariant generators: the tuple ``generators(s)`` itself, returned once
+    invariant generators: the tuple ``ij_series(s)`` itself, returned once
     it passes the certificate on the dual lattice b = -a/q (mod n).
     """
-    basis = generators(s)
+    basis = ij_series(s)
     _certify_boundary(basis, s.n, -pow(s.q, -1, s.n))
     return basis
 
@@ -127,8 +127,7 @@ def resolution_fan(s: Singularity) -> Fan2D:
     """The minimal resolution fan: boundary rays plus the lattice points on
     the hull boundary of the nonzero quadrant lattice points, which are the
     points (j_k, i_k) of ``unrefined_series`` from the x-axis up."""
-    series = unrefined_series(s)
-    rays = tuple(zip(series.j_values[::-1], series.i_values[::-1]))
+    rays = tuple((j, i) for i, j in reversed(unrefined_series(s)))
     _certify_boundary(rays, s.n, s.q)
     return Fan2D(rays, s.n)
 

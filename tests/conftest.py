@@ -3,7 +3,6 @@ from math import gcd, lcm
 
 from cqsing import cfrac, deform, gfan, invariant_ring, mckay, reconstruct
 from cqsing.errors import ConsistencyError, InputError
-from cqsing.invariant_ring import generators
 from cqsing.polyring import VariableTable
 
 # every derivation that ``cfrac.per_pair`` memoizes on a Singularity
@@ -13,8 +12,6 @@ MEMOIZED = (
     cfrac.ij_series,
     cfrac.unrefined_series,
     cfrac.identities,
-    invariant_ring.generators,
-    invariant_ring._a_by_index,
     invariant_ring.defining_equations,
     mckay.g_clusters,
     mckay.special_reps,
@@ -42,7 +39,7 @@ def orbit_gens(s):
     """f_t(x, y) - 1 over the invariant generators f_t of the pair ``s``:
     the generators of the ideal of the orbit of (1, 1), for the Buchberger,
     division and sympy oracles (the cones are certified without them)."""
-    return tuple(XY.poly({pair: 1, (0, 0): -1}) for pair in generators(s))
+    return tuple(XY.poly({pair: 1, (0, 0): -1}) for pair in cfrac.ij_series(s))
 
 
 def row_poly(row):

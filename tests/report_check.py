@@ -5,7 +5,8 @@ fault shared by a layer and its own ``checks`` cannot pass here too.
 ``report`` runs ``cqsing.cli.main``, the one name this module takes from
 the package, and returns the bytes of a JSON report; ``check`` returns the
 claims of those bytes that fail, none for a sound report.  Covered:
-``resolve``, ``invariants``, ``toric``, ``mckay``, ``hilb`` and ``gfan``.
+``resolve``, ``invariants``, ``toric``, ``mckay``, ``hilb``, ``gfan`` and
+``reconstruct``.
 """
 
 import contextlib
@@ -18,13 +19,19 @@ from cqsing.cli import main
 
 
 def report(command: str, n: int, q: int) -> bytes:
-    """The stdout of ``command n q --format json``, which must exit 0."""
+    """The stdout of ``command n q --format json``, which must exit 0, or 4
+    for a ``reconstruct`` report whose relations are null (r >= 2: at r = 1
+    there is no report)."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main([command, str(n), str(q), "--format", "json"])
-    if code != 0:
+    text = out.getvalue().encode()
+    partial = (
+        command == "reconstruct" and text and json.loads(text)["reconstruction"]["relations"] is None
+    )
+    if code != (4 if partial else 0):
         raise AssertionError(f"{command} {n} {q} exited {code}")
-    return out.getvalue().encode()
+    return text
 
 
 def check(command: str, text: bytes) -> list[str]:
@@ -42,14 +49,15 @@ def hj_value(chain) -> Fraction:
     return value
 
 
-def curve_count(n: int, q: int) -> int:
-    """r, the length of the expansion of n/q: b = ceil(n/q) peels one entry
-    off n/q and leaves q/(b*q - n)."""
-    r = 0
+def expansion(n: int, q: int) -> list[int]:
+    """The chain [b1, ..., br] of n/q: b = ceil(n/q) peels one entry off n/q
+    and leaves q/(b*q - n)."""
+    chain = []
     while q:
         b = -(-n // q)
-        n, q, r = q, b * q - n, r + 1
-    return r
+        n, q = q, b * q - n
+        chain.append(b)
+    return chain
 
 
 def monomial(a: int, b: int) -> str:
@@ -115,7 +123,7 @@ def mckay(p, n, q):
     arrows = [[k, (k + 1) % n, "x"] for k in range(n)] + [[k, (k + q) % n, "y"] for k in range(n)]
     yield "one vertex per class", len(quiver["vertices"]) == n
     yield "arrows are k -> k+1 (x) and k -> k+q (y)", sorted(quiver["arrows"]) == sorted(arrows)
-    yield "r special classes", len(set(p["special"])) == len(p["special"]) == curve_count(n, q)
+    yield "r special classes", len(set(p["special"])) == len(p["special"]) == len(expansion(n, q))
     # column c's lowest invariant x^c y^d has d = -c/q mod n (d = n at c = 0),
     # and column a holds the b below every such d with c <= a
     q_inv = pow(q, -1, n)
@@ -146,7 +154,7 @@ def hilb(p, n, q):
         texts &= c["ideal_text"] == "<" + ", ".join(monomial(*m) for m in c["ideal"]) + ">"
     yield "each cluster's standard monomials hit every residue once", residues
     yield "each ideal's text is its generators", texts
-    r = curve_count(n, q)
+    r = len(expansion(n, q))
     yield "r curves, E1..Er", [c["curve"] for c in curves] == list(range(1, r + 1))
     yield "r + 1 clusters", len(clusters) == r + 1
 
@@ -202,7 +210,7 @@ def gfan(p, n, q):
     yield "each ray lies on its cone's boundary", bounded
     yield "each cone turns counterclockwise from its lower ray", turning
     rays = [c["rays"] for c in cones]
-    yield "r + 1 cones", len(cones) == curve_count(n, q) + 1
+    yield "r + 1 cones", len(cones) == len(expansion(n, q)) + 1
     yield "the cones run from [1, 0] to [0, 1]", rays[0][0] == [1, 0] and rays[-1][1] == [0, 1]
     yield "each upper ray is the next cone's lower ray", all(
         a[1] == b[0] for a, b in zip(rays, rays[1:])
@@ -213,6 +221,74 @@ def gfan(p, n, q):
     ]
 
 
+def label(kind: str, tail: int, head: int, slot: int) -> str:
+    return f"k{tail}_{slot}" if kind == "k" else f"{kind}{tail}{head}"
+
+
+def reconstruct(p, n, q):
+    data = p["reconstruction"]
+    chain = data["fraction"]
+    count = len(chain) + 1
+    yield "fraction evaluates to n/q, every entry >= 2, r >= 2", (
+        hj_value(chain) == Fraction(n, q) and min(chain) >= 2 and count >= 3
+    )
+    yield "vertices are b0..br", data["vertices"] == [f"b{i}" for i in range(count)]
+    arrows = [["a", i, (i + 1) % count, 0] for i in range(count)]
+    arrows += [["c", i, (i - 1) % count, 0] for i in range(count)]
+    arrows += [["k", i, 0, s] for i, b in enumerate(chain, 1) for s in range(1, b - 1)]
+    yield "arrows are the a's, the c's, then b_i - 2 k's from each b_i", data["arrows"] == arrows
+    # relations are given on the chains that are all 2 or all 2 but one 3
+    supported = sum(b - 2 for b in chain) <= 1
+    yield "relations are null exactly off the supported chains, with a reason", (
+        data["relations"] is not None if supported
+        else isinstance(data.get("unsupported_reason"), str)
+    )
+    if not supported or data["relations"] is None:
+        return
+    ends = {label(*a): a[1:3] for a in arrows}
+    yield "each arrow has its own label", len(ends) == len(arrows)
+    plain, deformed = data["relations"], data["deformed_relations"]
+    loops = texts = True
+    for rel in plain + deformed:
+        (one, positive), (minus, negative) = rel["sum"]
+        for path in (positive, negative):
+            heads = [rel["vertex"]]
+            for name in path:
+                tail, head = ends.get(name, (None, None))
+                loops &= tail == heads[-1]
+                heads.append(head)
+            loops &= heads[-1] == rel["vertex"] and (one, minus) == (1, -1)
+        text = "*".join(positive) + " - " + "*".join(negative)
+        if "parameter" in rel:
+            text += " = " + rel["parameter"]
+        texts &= rel["text"] == text
+    yield "both sums of every relation are loops at its vertex", loops
+    yield "each relation's text is its paths", texts
+
+    def sides(rel, swap=False):
+        paths = [path for _, path in rel["sum"]]
+        return rel["vertex"], *(paths[::-1] if swap else paths)
+
+    unmatched = [sides(rel) for rel in plain]
+    for rel in deformed:
+        match = next((s for s in (sides(rel), sides(rel, True)) if s in unmatched), None)
+        if match is not None:
+            unmatched.remove(match)
+    yield "the deformed relations are the plain ones, sides kept or swapped", (
+        len(deformed) == len(plain) and not unmatched
+        and all("parameter" in rel for rel in deformed)
+        and not any("parameter" in rel for rel in plain)
+    )
+    groups, dual = data["parameter_groups"], expansion(n, n - q)
+    yield "each deformed relation has its own parameter, one group each", sorted(
+        rel["parameter"] for rel in deformed
+    ) == sorted(name for g in groups for name in g)
+    yield "the group sizes are the dual chain of n/(n - q)", [len(g) for g in groups] == dual
+    yield "base_dimension = sum(len(g) - 1) = sum(a - 1)", (
+        data["base_dimension"] == sum(len(g) - 1 for g in groups) == sum(a - 1 for a in dual)
+    )
+
+
 CHECKS = {
     "resolve": resolve,
     "invariants": invariants,
@@ -220,4 +296,5 @@ CHECKS = {
     "mckay": mckay,
     "hilb": hilb,
     "gfan": gfan,
+    "reconstruct": reconstruct,
 }

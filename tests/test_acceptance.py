@@ -13,11 +13,12 @@ from cqsing.cfrac import (
     embedding_dimension,
     hj_expand,
     identities,
+    ij_series as generators,
 )
 from cqsing.cli import main
 from cqsing.deform import dim_t1, versal_presentation
 from cqsing.gfan import fans_equal, groebner_fan
-from cqsing.invariant_ring import defining_equations, generators
+from cqsing.invariant_ring import defining_equations
 from cqsing.mckay import cluster_weight_check, g_clusters, special_reps
 from cqsing.polyring import WeightedOrder, buchberger, normal_form, s_polynomial
 from cqsing.reconstruct import (

@@ -150,28 +150,25 @@ class TestSingularity:
 
 class TestSeries:
     def test_11_7(self):
-        series = ij_series(Singularity(11, 7))
-        assert series.i_values == (11, 4, 1, 0)
-        assert series.j_values == (0, 1, 3, 11)
+        assert ij_series(Singularity(11, 7)) == ((11, 0), (4, 1), (1, 3), (0, 11))
 
     def test_chain_case(self):
         for n in range(2, 12):
-            series = ij_series(Singularity(n, n - 1))
-            assert series.pairs == ((n, 0), (1, 1), (0, n))
+            assert ij_series(Singularity(n, n - 1)) == ((n, 0), (1, 1), (0, n))
 
     def test_5_3_against_enumeration_oracle(self):
         series = ij_series(Singularity(5, 3))
-        assert series.i_values == (5, 2, 1, 0)
-        assert series.j_values == (0, 1, 3, 5)
-        assert set(series.pairs) == minimal_invariant_exponents(5, 3, 10)
+        assert series == ((5, 0), (2, 1), (1, 3), (0, 5))
+        assert set(series) == minimal_invariant_exponents(5, 3, 10)
 
     def test_series_congruence_and_monotone(self):
         for n, q in coprime_pairs(60):
             series = ij_series(Singularity(n, q))
-            assert len(series.i_values) == embedding_dimension(Singularity(n, q))
-            assert list(series.i_values) == sorted(series.i_values, reverse=True)
-            assert list(series.j_values) == sorted(series.j_values)
-            for i, j in series.pairs:
+            i_values, j_values = zip(*series)
+            assert len(series) == embedding_dimension(Singularity(n, q))
+            assert list(i_values) == sorted(i_values, reverse=True)
+            assert list(j_values) == sorted(j_values)
+            for i, j in series:
                 assert (i + q * j) % n == 0
 
 
@@ -179,7 +176,7 @@ class TestUnrefinedSeries:
     def test_11_7_matches_recursion_oracle(self):
         s = Singularity(11, 7)
         series = unrefined_series(s)
-        assert series.pairs == ((11, 0), (7, 1), (3, 2), (2, 5), (1, 8), (0, 11))
+        assert series == ((11, 0), (7, 1), (3, 2), (2, 5), (1, 8), (0, 11))
         # oracle: replay the recursion directly from the expansion
         b = hj_expand(11, 7)
         pairs = [(11, 0), (7, 1)]
@@ -187,10 +184,10 @@ class TestUnrefinedSeries:
             i = bt * pairs[-1][0] - pairs[-2][0]
             j = bt * pairs[-1][1] - pairs[-2][1]
             pairs.append((i, j))
-        assert series.pairs == tuple(pairs)
+        assert series == tuple(pairs)
 
     def test_5_3(self):
-        assert unrefined_series(Singularity(5, 3)).pairs == (
+        assert unrefined_series(Singularity(5, 3)) == (
             (5, 0),
             (3, 1),
             (1, 2),
@@ -200,15 +197,15 @@ class TestUnrefinedSeries:
     def test_chain_is_arithmetic(self):
         for n in range(2, 10):
             series = unrefined_series(Singularity(n, n - 1))
-            assert series.pairs == tuple((n - k, k) for k in range(n + 1))
+            assert series == tuple((n - k, k) for k in range(n + 1))
 
     def test_endpoints_match_refined(self):
         for n, q in coprime_pairs(40):
             s = Singularity(n, q)
             coarse, fine = unrefined_series(s), ij_series(s)
-            assert coarse.pairs[0] == fine.pairs[0] == (n, 0)
-            assert coarse.pairs[-1] == fine.pairs[-1] == (0, n)
-            assert len(coarse.i_values) == curve_count(s) + 2
+            assert coarse[0] == fine[0] == (n, 0)
+            assert coarse[-1] == fine[-1] == (0, n)
+            assert len(coarse) == curve_count(s) + 2
 
 
 class TestIdentities:

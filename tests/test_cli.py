@@ -1027,16 +1027,16 @@ class TestFailingCycleCheck:
 
     @pytest.fixture
     def shifted_5_2(self, monkeypatch):
-        real = cli.invariant_ring.generators
+        real = cli.cfrac.ij_series
 
-        def generators(s):
+        def ij_series(s):
             gens = real(s)
             if (s.n, s.q) != (5, 2):
                 return gens
             i, j = gens[1]
             return gens[:1] + ((i + 1, j),) + gens[2:]
 
-        monkeypatch.setattr(cli.invariant_ring, "generators", generators)
+        monkeypatch.setattr(cli.cfrac, "ij_series", ij_series)
 
     def test_verify_exits_3(self, capsys, shifted_5_2):
         code, out, err = run(capsys, ["verify", "5", "2", "--format", "json"])

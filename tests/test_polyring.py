@@ -5,9 +5,9 @@ from operator import add, sub
 
 import pytest
 
-from cqsing.cfrac import Singularity
+from cqsing.cfrac import Singularity, ij_series
 from cqsing.errors import InputError
-from cqsing.invariant_ring import defining_equations, generators, right_codes
+from cqsing.invariant_ring import defining_equations, right_codes
 from cqsing.polyring import (
     Polynomial,
     VariableTable,
@@ -740,7 +740,7 @@ class TestExponentCeiling:
     def test_relation_exponent_past_the_ceiling(self):
         def generator_codes(s):
             # the table of z1..ze, and the code of each z_t by t
-            names = [f"z{t}" for t in range(1, len(generators(s)) + 1)]
+            names = [f"z{t}" for t in range(1, len(ij_series(s)) + 1)]
             table = VariableTable(names)
             return table, {t: table._code(name) for t, name in enumerate(names, 1)}
 

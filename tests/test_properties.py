@@ -1,6 +1,7 @@
 """Property checks over drawn coprime pairs: the identities of the two
 expansions, their q^-1 duality, the expansion length read without
-expanding, the closed-form class-T witness, and the outside checker's
+expanding, the closed-form class-T witness, the two exponent series in
+point form, the G-clusters' residue bijection, and the outside checker's
 verdict on the reports of the pair."""
 
 import json
@@ -17,8 +18,11 @@ from cqsing.cfrac import (  # noqa: E402
     hj_expand,
     hj_length,
     identities,
+    ij_series,
     is_t_singularity,
+    unrefined_series,
 )
+from cqsing.mckay import g_clusters  # noqa: E402
 from report_check import CHECKS, check, report  # noqa: E402
 
 settings = hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -81,11 +85,43 @@ def test_t_witness_of_a_t_shaped_pair(dma):
     assert gcd(witness.a, witness.m) == 1
 
 
+@settings
+@hypothesis.given(coprime_pairs())
+def test_series_are_lattice_bases_from_axis_to_axis(s):
+    n, q = s
+    ids = identities(s)
+    fine, coarse = ij_series(s), unrefined_series(s)
+    assert (len(fine), len(coarse)) == (ids.e, len(ids.fraction) + 2)
+    for series in (fine, coarse):
+        assert series[0] == (n, 0) and series[-1] == (0, n)
+        for (i0, j0), (i, j) in zip(series, series[1:]):
+            assert i0 > i and j0 < j
+            assert i0 * j - j0 * i == n
+    assert all((i + q * j) % n == 0 for i, j in fine)
+    assert all((i - q * j) % n == 0 for i, j in coarse)
+
+
+@settings
+@hypothesis.given(coprime_pairs(max_n=400))
+def test_each_cluster_carries_each_residue_once(s):
+    # the L-shape: i columns by j_next rows less the top right i_next x j block
+    n, q = s
+    for c in g_clusters(s):
+        residues = [
+            (a + q * b) % n
+            for a in range(c.i)
+            for b in range(c.j_next - c.j if a >= c.i - c.i_next else c.j_next)
+        ]
+        assert sorted(residues) == list(range(n)), (s, c)
+
+
 @hypothesis.settings(max_examples=50, deadline=None, database=None, derandomize=True)
 @hypothesis.given(coprime_pairs(max_n=400))
 def test_reports_pass_the_outside_checker(s):
-    # invariants prints C(e - 1, 2) relations: only up to e = 40
-    e = json.loads(report("resolve", s.n, s.q))["e"]
+    # invariants prints C(e - 1, 2) relations: only up to e = 40; at r = 1
+    # reconstruct prints no report
+    resolved = json.loads(report("resolve", s.n, s.q))
+    skip = {"invariants": resolved["e"] > 40, "reconstruct": resolved["r"] == 1}
     for command in CHECKS:
-        if command != "invariants" or e <= 40:
+        if not skip.get(command):
             assert check(command, report(command, s.n, s.q)) == [], (command, s)

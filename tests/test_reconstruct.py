@@ -453,7 +453,7 @@ def monomial_assignment(s):
     cols = dual[0]
     if cols > e - 1:
         return None
-    pairs = ij_series(s).pairs  # pairs[t-1] = exponents of generator t
+    pairs = ij_series(s)  # pairs[t-1] = exponents of generator t
     u = {t: pairs[t - 1] for t in range(1, e + 1)}
     assignment = {}
     pres = quasidet_presentation(s)

@@ -1,13 +1,13 @@
 """The outside checker (``report_check.py``) over every report of every
-coprime pair with n <= 30, and mutations of the printed bytes that it must
-reject."""
+coprime pair with n <= 30 (reconstruct from r = 2 on), and mutations of the
+printed bytes that it must reject."""
 
 import json
 import random
 import time
 
 from conftest import coprime_pairs
-from report_check import CHECKS, check, monomial, report, row
+from report_check import CHECKS, check, label, monomial, report, row
 
 PAIRS = coprime_pairs(30)
 
@@ -20,18 +20,69 @@ def mutated(text: bytes, change) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
 
 
+# reconstruct prints no report at r = 1, that is at q = 1
+RECONSTRUCTED = [(n, q) for n, q in PAIRS if q > 1]
+
+
 def test_every_report_with_n_up_to_30_holds():
     assert len(PAIRS) == 277
+    assert len(RECONSTRUCTED) == 248
     start = time.perf_counter()
-    failed = {
-        (command, n, q): claims
-        for n, q in PAIRS
+    texts = {
+        (command, n, q): report(command, n, q)
         for command in CHECKS
-        if (claims := check(command, report(command, n, q)))
+        for n, q in (RECONSTRUCTED if command == "reconstruct" else PAIRS)
     }
+    failed = {key: claims for key, text in texts.items() if (claims := check(key[0], text))}
     elapsed = time.perf_counter() - start
     assert failed == {}
-    assert elapsed < 1.0, f"{len(PAIRS) * len(CHECKS)} reports took {elapsed:.2f}s"
+    assert elapsed < 1.0, f"{len(texts)} reports took {elapsed:.2f}s"
+    # report() has checked the exit: 4 exactly where the relations are null
+    partial = [k for k, text in texts.items() if k[0] == "reconstruct" and not has_relations(text)]
+    assert len(partial) == 169
+
+
+def has_relations(text: bytes) -> bool:
+    return json.loads(text)["reconstruction"]["relations"] is not None
+
+
+def with_relations() -> list[bytes]:
+    """The reconstruct reports with n <= 30 that give relations."""
+    texts = [report("reconstruct", n, q) for n, q in RECONSTRUCTED]
+    return [text for text in texts if has_relations(text)]
+
+
+def test_a_path_label_swapped_for_another_arrows_fails():
+    # the text is rewritten with the path, so only the arrows can tell
+    rng = random.Random(5)
+
+    def swap_one(payload):
+        data = payload["reconstruction"]
+        labels = [label(*a) for a in data["arrows"]]
+        rel = rng.choice(data["relations"])
+        path = rng.choice(rel["sum"])[1]
+        k = rng.randrange(len(path))
+        path[k] = rng.choice([name for name in labels if name != path[k]])
+        (_, positive), (_, negative) = rel["sum"]
+        rel["text"] = "*".join(positive) + " - " + "*".join(negative)
+
+    claims = {
+        "both sums of every relation are loops at its vertex",
+        "the deformed relations are the plain ones, sides kept or swapped",
+    }
+    texts = with_relations()
+    assert len(texts) == 79
+    for text in texts:
+        assert claims & set(check("reconstruct", mutated(text, swap_one))), text
+
+
+def test_base_dimension_raised_by_one_fails():
+    def raise_one(payload):
+        payload["reconstruction"]["base_dimension"] += 1
+
+    claim = "base_dimension = sum(len(g) - 1) = sum(a - 1)"
+    for text in with_relations():
+        assert claim in check("reconstruct", mutated(text, raise_one)), text
 
 
 def test_a_relation_exponent_raised_by_one_fails():

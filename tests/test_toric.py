@@ -1,8 +1,7 @@
 import pytest
 
-from cqsing.cfrac import Singularity, curve_count, embedding_dimension, hj_expand
+from cqsing.cfrac import Singularity, curve_count, embedding_dimension, hj_expand, ij_series
 from cqsing.errors import ConsistencyError, InputError
-from cqsing.invariant_ring import generators
 from cqsing import toric
 from cqsing.toric import (
     Fan2D,
@@ -250,7 +249,7 @@ class TestHilbertBasis:
             s = Singularity(n, q)
             basis = hilbert_basis_dual(s)
             assert len(basis) == embedding_dimension(s)
-            assert basis is generators(s)
+            assert basis is ij_series(s)
 
 
 class TestFanType:
