@@ -115,7 +115,7 @@ def run_toric(s: Singularity) -> Report:
     basis = toric.hilbert_basis_dual(s)
     selfint = toric.self_intersections(fan)
     payload = {
-        "fan": fan.serialize(),
+        "fan": fan._asdict(),
         "hilbert_basis": basis,
         "self_intersections": selfint,
         "checks": {
@@ -142,7 +142,7 @@ def run_mckay(s: Singularity) -> Report:
     }
     return Report(payload, lambda: [
         f"special classes: {special}",
-        f"basis size: {len(basis)}",
+        f"basis size: {sum(basis.heights)}",
         f"quiver: {len(quiver.vertices)} vertices, {len(quiver.arrows)} arrows",
     ], lambda: _dot_text("mckay", quiver.vertices, quiver.arrows))
 
@@ -180,7 +180,7 @@ def run_gfan(s: Singularity) -> Report:
     monomial = invariant_ring.monomial_text
     bases = [[f"{monomial(*m)} - {monomial(*t)}" for m, t in c.basis] for c in cones]
     payload = {
-        "fan": fan.serialize(),
+        "fan": fan._asdict(),
         "cones": [
             {
                 "weight": c.weight,
@@ -297,7 +297,7 @@ def run_reconstruct(s: Singularity) -> Report:
         return Report(payload, text, dot, "relations unavailable for this shape")
     deformed = reconstruct.deformed_relations(s)
     if tuple(len(g) for g in deformed.groups) != cfrac.dual_expand(s):
-        raise UnsupportedError("parameter grouping does not match the dual expansion")
+        raise ConsistencyError("parameter grouping does not match the dual expansion")
 
     def entry(rel):
         # each relation is a difference of two paths, deformed ones = parameter;

@@ -78,7 +78,7 @@ parameter ceiling below already keeps max a_m <= 2049.
 
 s = t = 0 is checked one pair at a time: S(P_ij) must be the monomial p_ij
 of its own pair, packed from the ``defining_equations`` exponents and the
-z codes by ``invariant_ring.right_codes``, never from the family's factors.
+z codes by ``right_codes``, never from the family's factors.
 ``images_specialize``, which ``verify`` runs, reads S(P_ij) off
 ``images_at_zero``.  ``specializes``, which ``deform`` runs, reads it off
 the printed relations: the z's come first in the table, so the parameters
@@ -111,7 +111,6 @@ from typing import NamedTuple
 
 from .cfrac import Singularity, dual_expand, embedding_dimension, per_pair
 from .errors import ConsistencyError, InputError
-from .invariant_ring import right_codes
 from .polyring import _LIMIT, _RANGE, Polynomial, VariableTable
 
 
@@ -314,6 +313,23 @@ def images_at_zero(v: DeformationVariables) -> dict[tuple[int, int], int]:
     a product of them is a sum of codes; no relation of the family is
     built."""
     return _running_products(v, v.z, lambda m, d: d * v.z[m], 1, add)
+
+
+def right_codes(relations, z) -> list[int]:
+    """The code of p_ij for each relation z_i z_j = p_ij of the list
+    (``invariant_ring.defining_equations(s)`` in the reports), where z maps
+    each index t to the code of z_t.  z_t^e is e times that code, which
+    stays in z_t's field only under the exponent ceiling, so each e is
+    checked against it."""
+    codes = []
+    for rel in relations:
+        right = 0
+        for t, e in rel.right:
+            if e >= _LIMIT:
+                raise InputError(_RANGE)
+            right += e * z[t]
+        codes.append(right)
+    return codes
 
 
 def _binomial_at_zero(v: DeformationVariables, relations, pairs, codes) -> bool:

@@ -5,6 +5,8 @@ minimal generators z_t = x^{i_t} y^{j_t} are the points of
 ``cfrac.ij_series``, z_t at point t - 1; certified, the same tuple is
 ``toric.hilbert_basis_dual``.  Every relation is binomial, z_i z_j
 = (monomial in the other z's), and is verified by pure exponent arithmetic.
+It reads ``cfrac`` alone: the relations' ``polyring`` codes, for the versal
+family's s = t = 0 check, are ``deform.right_codes``.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cfrac import Singularity, dual_expand, ij_series, per_pair
-from .errors import InputError
-from .polyring import _LIMIT, _RANGE
 
 
 class BinomialRelation(NamedTuple):
@@ -73,19 +73,3 @@ def verify_presentation(s: Singularity, relations) -> bool:
         if (rx, ry) != (xi + xj, yi + yj):
             return False
     return True
-
-
-def right_codes(relations, z) -> list[int]:
-    """The code of p_ij for each relation z_i z_j = p_ij of the list
-    (``defining_equations(s)`` in the reports), where z maps each index t
-    to the code of z_t.  z_t^e is e times that code, which stays in z_t's
-    field only under the exponent ceiling, so each e is checked against it."""
-    codes = []
-    for rel in relations:
-        right = 0
-        for t, e in rel.right:
-            if e >= _LIMIT:
-                raise InputError(_RANGE)
-            right += e * z[t]
-        codes.append(right)
-    return codes

@@ -17,8 +17,8 @@ translations, is a fundamental domain: its n boxes carry each residue
 exactly once.  The regular-representation check is that arithmetic, O(1)
 per cluster.  A report holds each cluster's columns as their two runs of
 equal heights (``Runs``) and the G-basis as its column heights
-(``Staircase``); the CLI renders both from those closed forms, with no
-value per box or per height.
+(``Staircase``), each a one-field record; the CLI renders both from those
+closed forms, with no value per box or per height.
 """
 
 from __future__ import annotations
@@ -41,27 +41,12 @@ class Runs(NamedTuple):
 
     pairs: tuple[tuple[int, int], ...]
 
-    def expanded(self) -> tuple[int, ...]:
-        return tuple(chain.from_iterable(repeat(v, c) for v, c in self.pairs))
 
-
-class Staircase:
+class Staircase(NamedTuple):
     """The G-basis held as its column heights: column a holds the boxes
-    (a, b) for b < heights[a].  Iterating it yields the boxes column by
-    column, and its length is their number (so it is not a NamedTuple,
-    whose iteration yields its fields)."""
+    (a, b) for b < heights[a]."""
 
-    __slots__ = ("heights",)
-
-    def __init__(self, heights: tuple[int, ...]):
-        self.heights = heights
-
-    def __iter__(self):
-        for a, h in enumerate(self.heights):
-            yield from zip(repeat(a), range(h))
-
-    def __len__(self) -> int:
-        return sum(self.heights)
+    heights: tuple[int, ...]
 
 
 class GCluster(NamedTuple):
@@ -84,7 +69,7 @@ class GCluster(NamedTuple):
     @property
     def heights(self) -> tuple[int, ...]:
         """The column heights, left to right, one int each."""
-        return self.height_runs.expanded()
+        return (self.j_next,) * (self.i - self.i_next) + (self.j_next - self.j,) * self.i_next
 
     @property
     def ideal(self) -> tuple[tuple[int, int], ...]:

@@ -19,7 +19,8 @@ relation at each vertex past m; group 1 holds the rest, so an all-2 chain
 has one group.  Parameter t{g}_{j} is the j-th relation of group g in
 vertex order, j counting from 0.  Each group carries one zero-sum
 constraint, and the group sizes must be the dual expansion; the CLI checks
-that (``verify``) or refuses the report (``reconstruct``).
+that (``verify``) or refuses the report as an internal inconsistency, exit
+3 (``reconstruct``).
 """
 
 from __future__ import annotations

@@ -83,9 +83,6 @@ class Fan2D(NamedTuple("Fan2D", [("rays", tuple[tuple[int, int], ...]), ("den", 
     def maximal_cones(self):
         return tuple(zip(self.rays, self.rays[1:]))
 
-    def serialize(self):
-        return {"den": self.den, "rays": self.rays}
-
 
 def _certify_boundary(points, n: int, slope: int) -> None:
     """Raise ConsistencyError unless ``points`` are, in order, the lattice

@@ -30,6 +30,12 @@ def coprime_pairs(max_n, min_n=2):
     ]
 
 
+def staircase_boxes(staircase):
+    """The boxes (a, b) of a ``mckay.Staircase``, column by column: column a
+    holds b < heights[a]."""
+    return [(a, b) for a, h in enumerate(staircase.heights) for b in range(h)]
+
+
 # the ring of the orbit ideal, for the oracles that read gfan's rows as
 # polynomials
 XY = VariableTable(["x", "y"])

@@ -5,13 +5,14 @@ fault shared by a layer and its own ``checks`` cannot pass here too.
 ``report`` runs ``cqsing.cli.main``, the one name this module takes from
 the package, and returns the bytes of a JSON report; ``check`` returns the
 claims of those bytes that fail, none for a sound report.  Covered:
-``resolve``, ``invariants``, ``toric``, ``mckay``, ``hilb``, ``gfan`` and
-``reconstruct``.
+``resolve``, ``invariants``, ``toric``, ``mckay``, ``hilb``, ``gfan``,
+``reconstruct`` and, at s = t = 0, ``deform``.
 """
 
 import contextlib
 import io
 import json
+import re
 from fractions import Fraction
 from math import comb
 
@@ -221,6 +222,95 @@ def gfan(p, n, q):
     ]
 
 
+# a polynomial text as ``deform`` writes it: terms of coefficient 1 or -1
+# joined by " + " and " - ", factors by "*", powers as ^e with e >= 2, and
+# names (z3, s2(1), t4, c0) of a letter, digits and an optional "(k)"
+_FACTOR = r"[a-z]\d+(?:\(\d+\))?(?:\^(?:[2-9]|[1-9]\d+))?"
+_TERM = rf"{_FACTOR}(?:\*{_FACTOR})*"
+POLYNOMIAL = re.compile(rf"-?{_TERM}(?: [-+] {_TERM})*")
+NAME = re.compile(r"[a-z]\d+(?:\(\d+\))?")
+# each term of a polynomial text, or each of its terms in the z's alone, as
+# (leading sign, sign, factors)
+_Z_FACTOR = r"z\d+(?:\^\d+)?"  # the text is checked whole by POLYNOMIAL
+TERMS = re.compile(rf"(?:^(-?)|([-+]) )({_TERM})(?= |$)")
+Z_TERMS = re.compile(rf"(?:^(-?)|([-+]) )({_Z_FACTOR}(?:\*{_Z_FACTOR})*)(?= |$)")
+
+
+def polynomial(text: str, terms=TERMS):
+    """The terms {monomial: coefficient} of a polynomial text that the
+    pattern ``terms`` finds, all of them by default, each monomial a sorted
+    tuple of (name, exponent); None unless the text is a polynomial text
+    and no name or monomial repeats."""
+    if not POLYNOMIAL.fullmatch(text):
+        return None
+    found = {}
+    for lead, sign, term in terms.findall(text):
+        factors = [factor.partition("^") for factor in term.split("*")]
+        monomial = tuple(sorted((name, int(k or 1)) for name, _, k in factors))
+        if monomial in found or len(dict(monomial)) < len(monomial):
+            return None
+        found[monomial] = -1 if lead or sign == "-" else 1
+    return found
+
+
+def z_product(factors) -> tuple:
+    """The monomial of z_t^k over the (t, k) of ``factors``, k = 0 left out,
+    as ``polynomial`` keys it."""
+    return tuple(sorted((f"z{t}", k) for t, k in factors if k))
+
+
+def deform(p, n, q):
+    data = p["deformation"]
+    dual = expansion(n, n - q)
+    e = len(dual) + 2
+    params = data["parameters"]
+    if e == 3:
+        yield "e = 3 is the hypersurface", data["kind"] == "hypersurface"
+        yield "dim_t1 = n - 1", data["dim_t1"] == n - 1
+        yield "parameters are c0..c(n-2)", params == [f"c{k}" for k in range(n - 1)]
+        terms = polynomial(data["equation"]) or {}
+        plain = polynomial(data["equation"], Z_TERMS) or {}
+        yield "the equation at c = 0 is z1*z3 - z2^n", plain == {
+            z_product([(1, 1), (3, 1)]): 1, z_product([(2, n)]): -1
+        }
+        deformed = {(("c0", 1),): -1}
+        deformed.update({((f"c{k}", 1), ("z2", k)): -1 for k in range(1, n - 1)})
+        yield "its other terms are -z2^k*c_k and -c0", {
+            m: c for m, c in terms.items() if m not in plain
+        } == deformed
+        return
+    a = dict(enumerate(dual, start=2))
+    s_names = [f"s{i}({k})" for i in range(2, e) for k in range(1, a[i])]
+    t_names = [f"t{i}" for i in range(3, e - 1)]
+    yield "e >= 4 is binomial", data["kind"] == "binomial"
+    yield "dim_t1 = sum(a - 1) + e - 4", data["dim_t1"] == sum(x - 1 for x in dual) + e - 4
+    yield "parameters are the s_i(k), then the t_i", params == s_names + t_names
+    pairs = [[i, i + 2] for i in range(1, e - 1)]
+    pairs += [[i, j] for i in range(1, e - 1) for j in range(i + 3, e + 1)]
+    yield "pairs are the adjacent (i, i + 2), then the rest in order", data["pairs"] == pairs
+    names = {f"z{t}" for t in range(1, e + 1)}.union(params)
+    yield "each relation's names are z1..ze and the parameters", all(
+        names.issuperset(NAME.findall(text)) for text in data["relations"]
+    )
+    yield "each base_ideal generator is a polynomial in the parameters alone", all(
+        POLYNOMIAL.fullmatch(text) and set(params).issuperset(NAME.findall(text))
+        for text in data["base_ideal"]
+    )
+    # z_i*w_j - P_ij at s = t = 0 keeps its terms in the z's alone; p_ij is
+    # z_{i+1}^{a_{i+1}} for j = i + 2, else z_{i+1}^{a_{i+1}-1} times
+    # z_m^{a_m-2} for i+1 < m < j-1 times z_{j-1}^{a_{j-1}-1}
+    specialized = len(data["relations"]) == len(data["pairs"])
+    for (i, j), text in zip(data["pairs"], data["relations"]):
+        if j == i + 2:
+            right = z_product([(i + 1, a[i + 1])])
+        else:
+            middle = [(m, a[m] - 2) for m in range(i + 2, j - 1)]
+            right = z_product([(i + 1, a[i + 1] - 1), *middle, (j - 1, a[j - 1] - 1)])
+        at_zero = polynomial(text, Z_TERMS)
+        specialized &= at_zero == {z_product([(i, 1), (j, 1)]): 1, right: -1}
+    yield "each relation is a polynomial, z_i*z_j - p_ij at s = t = 0", specialized
+
+
 def label(kind: str, tail: int, head: int, slot: int) -> str:
     return f"k{tail}_{slot}" if kind == "k" else f"{kind}{tail}{head}"
 
@@ -297,4 +387,5 @@ CHECKS = {
     "hilb": hilb,
     "gfan": gfan,
     "reconstruct": reconstruct,
+    "deform": deform,
 }

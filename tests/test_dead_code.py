@@ -15,7 +15,9 @@ nested function or lambda included; the parameters of dunder methods,
 which keep the signature Python calls them with, and parameters named with
 a leading underscore are exempt.  Every annotated field of a ``NamedTuple``
 record is read as an attribute by some module of ``src/`` outside its own
-class body, unless ``UNREAD_FIELDS`` names it with a reason.
+class body, unless ``UNREAD_FIELDS`` names it with a reason.  And the
+layers keep their order: a module's relative imports name only the layers
+before it in ``LAYERS``.
 """
 
 import ast
@@ -205,3 +207,34 @@ def test_every_record_field_is_read(path):
         )
     ]
     assert not unread, f"{path.name} has record fields that src/ never reads: {', '.join(unread)}"
+
+
+# The layers of the package, lowest first; errors, __init__ and __main__
+# stand outside the order.
+LAYERS = ("cfrac", "invariant_ring", "toric", "mckay", "polyring", "gfan", "deform",
+          "reconstruct", "cli")
+
+
+def _relative_imports(tree):
+    """(module, line) of each module of the package that a relative import
+    names: ``from .m import x`` names m, ``from . import m`` names m."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.module, node.lineno
+            else:
+                for alias in node.names:
+                    yield alias.name, node.lineno
+
+
+def test_imports_follow_the_layer_order():
+    stems = {path.stem for path in MODULES}
+    assert stems - set(LAYERS) == {"errors", "__init__", "__main__"}
+    upward = [
+        f"{path.stem} imports {name} (line {line})"
+        for path in MODULES
+        if path.stem in LAYERS
+        for name, line in _relative_imports(TREES[path])
+        if name in LAYERS and LAYERS.index(name) >= LAYERS.index(path.stem)
+    ]
+    assert not upward, "a layer imports one at or after it: " + "; ".join(upward)

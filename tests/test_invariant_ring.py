@@ -1,9 +1,9 @@
 from cqsing import cli
 from cqsing.cfrac import Singularity, embedding_dimension, ij_series
+from cqsing.deform import right_codes
 from cqsing.invariant_ring import (
     defining_equations,
     monomial_text,
-    right_codes,
     verify_presentation,
 )
 from cqsing.polyring import VariableTable

@@ -6,8 +6,9 @@ from operator import add, sub
 import pytest
 
 from cqsing.cfrac import Singularity, ij_series
+from cqsing.deform import right_codes
 from cqsing.errors import InputError
-from cqsing.invariant_ring import defining_equations, right_codes
+from cqsing.invariant_ring import defining_equations
 from cqsing.polyring import (
     Polynomial,
     VariableTable,

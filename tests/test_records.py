@@ -18,7 +18,7 @@ from cqsing import cfrac
 from cqsing.cfrac import Singularity
 from cqsing.cli import main, verify_checks
 from cqsing.errors import InputError, UnsupportedError
-from cqsing.mckay import g_clusters
+from cqsing.mckay import Staircase, g_basis, g_clusters
 from cqsing.polyring import Polynomial, VariableTable, WeightedOrder
 from cqsing.reconstruct import Arrow
 from cqsing.toric import Fan2D, resolution_fan
@@ -46,10 +46,12 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 @pytest.mark.parametrize(
     "record",
     [Singularity(11, 7), g_clusters(Singularity(11, 7))[1], Arrow("k", 2, 1, 1),
-     WeightedOrder((3, 1))],
-    ids=["Singularity", "GCluster", "Arrow", "WeightedOrder"],
+     WeightedOrder((3, 1)), g_basis(Singularity(11, 7))],
+    ids=["Singularity", "GCluster", "Arrow", "WeightedOrder", "Staircase"],
 )
 def test_fields_cannot_be_set(record):
+    if type(record) is Staircase:  # the G-basis is its column heights alone
+        assert record._fields == ("heights",)
     for field in record._fields:
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))

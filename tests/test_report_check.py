@@ -4,6 +4,7 @@ printed bytes that it must reject."""
 
 import json
 import random
+import re
 import time
 
 from conftest import coprime_pairs
@@ -22,6 +23,8 @@ def mutated(text: bytes, change) -> bytes:
 
 # reconstruct prints no report at r = 1, that is at q = 1
 RECONSTRUCTED = [(n, q) for n, q in PAIRS if q > 1]
+# deform is swept on its own, under its own bound: its families grow as e^3
+SWEPT = [command for command in CHECKS if command != "deform"]
 
 
 def test_every_report_with_n_up_to_30_holds():
@@ -30,7 +33,7 @@ def test_every_report_with_n_up_to_30_holds():
     start = time.perf_counter()
     texts = {
         (command, n, q): report(command, n, q)
-        for command in CHECKS
+        for command in SWEPT
         for n, q in (RECONSTRUCTED if command == "reconstruct" else PAIRS)
     }
     failed = {key: claims for key, text in texts.items() if (claims := check(key[0], text))}
@@ -161,3 +164,67 @@ def test_adjacent_cones_with_swapped_rays_fail():
     for n, q in PAIRS:
         text = mutated(report("gfan", n, q), swap)
         assert "each ray lies on its cone's boundary" in check("gfan", text), (n, q)
+
+
+def test_every_deform_report_with_n_up_to_30_holds():
+    start = time.perf_counter()
+    texts = {(n, q): report("deform", n, q) for n, q in PAIRS}
+    failed = {key: claims for key, text in texts.items() if (claims := check("deform", text))}
+    elapsed = time.perf_counter() - start
+    assert failed == {}
+    assert elapsed < 1.0, f"{len(texts)} deform reports took {elapsed:.2f}s"
+    # e = 3 exactly at q = n - 1
+    kinds = [json.loads(text)["deformation"]["kind"] for text in texts.values()]
+    assert kinds.count("hypersurface") == 29
+
+
+def raise_z_exponent(text: str, rng) -> str:
+    """``text`` with the exponent of one z factor raised by one, in a term
+    of the z's alone: the terms with a parameter are left to the open
+    flatness check."""
+    pieces = re.split(r"( [-+] )", text)
+    plain = [
+        k for k in range(0, len(pieces), 2)
+        if all(f.startswith("z") for f in pieces[k].lstrip("-").split("*"))
+    ]
+    k = rng.choice(plain)
+    sign = "-" if pieces[k].startswith("-") else ""
+    factors = pieces[k].lstrip("-").split("*")
+    f = rng.randrange(len(factors))
+    name, _, power = factors[f].partition("^")
+    factors[f] = f"{name}^{int(power or 1) + 1}"
+    pieces[k] = sign + "*".join(factors)
+    return "".join(pieces)
+
+
+def test_a_deform_z_exponent_raised_by_one_fails():
+    rng = random.Random(6)
+
+    def raise_one(payload):
+        data = payload["deformation"]
+        if data["kind"] == "hypersurface":
+            data["equation"] = raise_z_exponent(data["equation"], rng)
+        else:
+            k = rng.randrange(len(data["relations"]))
+            data["relations"][k] = raise_z_exponent(data["relations"][k], rng)
+
+    claims = {
+        "the equation at c = 0 is z1*z3 - z2^n",
+        "each relation is a polynomial, z_i*z_j - p_ij at s = t = 0",
+    }
+    for n, q in PAIRS:
+        text = mutated(report("deform", n, q), raise_one)
+        assert claims & set(check("deform", text)), (n, q)
+
+
+def test_a_deform_parameter_dropped_fails():
+    rng = random.Random(7)
+
+    def drop_one(payload):
+        params = payload["deformation"]["parameters"]
+        params.pop(rng.randrange(len(params)))
+
+    claims = {"parameters are c0..c(n-2)", "parameters are the s_i(k), then the t_i"}
+    for n, q in PAIRS:
+        text = mutated(report("deform", n, q), drop_one)
+        assert claims & set(check("deform", text)), (n, q)
